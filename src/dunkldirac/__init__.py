@@ -29,7 +29,6 @@ from .polyrep import (
     custom_rep,
     harmonic_dims,
     harmonic_subspace,
-    positivity_check,
     rca_relation_check,
 )
 from .clifford import (
@@ -103,7 +102,7 @@ __all__ = [
     "harmonic_subspace", "intersection_dim", "is_admissible",
     "is_positive_definite", "jm_elements", "jm_symmetric_elements",
     "jucys_murphy", "kernel", "msquared_identities_check",
-    "nonzero_cohomology_search", "positivity_check", "rat",
+    "nonzero_cohomology_search", "rat",
     "rca_relation_check", "report_passes", "rho_invariance_check",
     "root_system", "scasimir_check", "unitarity_and_spectrum",
     "vector_embed", "vogan_witness_check", "ztilde",

@@ -12,8 +12,10 @@ Reports are lists of {check_id, status, witness} records; a witness pins
 the first differing matrix entry (degree, position, both values).
 """
 
+from functools import cached_property
+
 from .linalg import Matrix
-from .polyrep import GradedOperator, ModuleFamily, center_op, s_op
+from .polyrep import GradedOperator, ModuleFamily, _rec, _zero, center_op, s_op
 from .scalars import rat
 
 
@@ -30,7 +32,6 @@ class AmaContext:
         self.n = family.n
         self._m: dict = {}
         self._s: dict = {}
-        self._cache: dict = {}
         if not self._sym_h().matches(self.H):
             raise RuntimeError("H = x.y + n/2 + Z failed at build time")
 
@@ -64,16 +65,9 @@ class AmaContext:
             self._s[(i, j)] = got
         return got
 
-    def _memo(self, key, builder):
-        got = self._cache.get(key)
-        if got is None:
-            got = builder()
-            self._cache[key] = got
-        return got
-
-    @property
+    @cached_property
     def Z(self) -> GradedOperator:
-        return self._memo("Z", lambda: center_op(self.family))
+        return center_op(self.family)
 
     def _dot(self, a, b):
         acc = None
@@ -82,100 +76,84 @@ class AmaContext:
             acc = t if acc is None else acc + t
         return acc
 
-    @property
+    @cached_property
     def xy(self) -> GradedOperator:
-        return self._memo("xy", lambda: self._dot(self.x, self.y))
+        return self._dot(self.x, self.y)
 
-    @property
+    @cached_property
     def yx(self) -> GradedOperator:
-        return self._memo("yx", lambda: self._dot(self.y, self.x))
+        return self._dot(self.y, self.x)
 
     def _sym_h(self) -> GradedOperator:
         return (self.xy + self.yx).scale(rat("1/2"))
 
-    @property
+    @cached_property
     def H(self) -> GradedOperator:
         """Normal-ordered form x.y + n/2 + Z, valid on all degrees."""
-        return self._memo(
-            "H", lambda: self.xy + self.family.scalar_op(
-                rat(self.n) * rat("1/2")) + self.Z)
+        return self.xy + self.family.scalar_op(
+            rat(self.n) * rat("1/2")) + self.Z
 
-    @property
+    @cached_property
     def X(self) -> GradedOperator:
-        return self._memo(
-            "X", lambda: self._dot(self.x, self.x).scale(rat("-1/2")))
+        return self._dot(self.x, self.x).scale(rat("-1/2"))
 
-    @property
+    @cached_property
     def Y(self) -> GradedOperator:
-        return self._memo(
-            "Y", lambda: self._dot(self.y, self.y).scale(rat("1/2")))
+        return self._dot(self.y, self.y).scale(rat("1/2"))
 
-    @property
+    @cached_property
     def msquare(self) -> GradedOperator:
-        def build():
-            acc = None
-            for i in range(1, self.n + 1):
-                for j in range(i + 1, self.n + 1):
-                    t = self.M(i, j) @ self.M(i, j)
-                    acc = t if acc is None else acc + t
-            if acc is None:
-                acc = self.family.scalar_op(0)
-            return acc
-        return self._memo("msquare", build)
+        acc = None
+        for i in range(1, self.n + 1):
+            for j in range(i + 1, self.n + 1):
+                t = self.M(i, j) @ self.M(i, j)
+                acc = t if acc is None else acc + t
+        if acc is None:
+            acc = self.family.scalar_op(0)
+        return acc
 
-    @property
+    @cached_property
     def omega(self) -> GradedOperator:
         """Casimir via the angular momentum square, valid on all degrees.
 
         The sl(2) expression H^2 + 2(XY + YX) loses the top two degrees to
         clipping; the two agree where both exist (msquared_identities_check).
         """
-        def build():
-            zshift = self.Z + self.family.scalar_op(
-                rat(self.n - 2) * rat("1/2"))
-            return (-self.msquare) + (zshift @ zshift) \
-                - self.family.identity_op()
-        return self._memo("omega", build)
+        zshift = self.Z + self.family.scalar_op(rat(self.n - 2) * rat("1/2"))
+        return (-self.msquare) + (zshift @ zshift) - self.family.identity_op()
 
-    @property
+    @cached_property
     def omega_sl2(self) -> GradedOperator:
-        def build():
-            h = self._sym_h()
-            xy_ = (self.X @ self.Y) + (self.Y @ self.X)
-            return (h @ h) + xy_.scale(2)
-        return self._memo("omega_sl2", build)
+        h = self._sym_h()
+        xy_ = (self.X @ self.Y) + (self.Y @ self.X)
+        return (h @ h) + xy_.scale(2)
 
-    @property
+    @cached_property
     def h_omega(self) -> GradedOperator:
         """Angular Hamiltonian, derived from the Casimir: (omega - n(n-4)/4)/2."""
-        def build():
-            shift = rat(self.n * (self.n - 4)) * rat("1/4")
-            return (self.omega - self.family.scalar_op(shift)).scale(
-                rat("1/2"))
-        return self._memo("h_omega", build)
+        shift = rat(self.n * (self.n - 4)) * rat("1/4")
+        return (self.omega - self.family.scalar_op(shift)).scale(rat("1/2"))
 
     # -- tau-level data ----------------------------------------------------------
 
-    def tau_shift_matrix(self):
+    @cached_property
+    def tau_shift_matrix(self) -> Matrix:
         """Matrix of sum_a c_a tau(s_a) on the tau factor alone."""
-        def build():
-            fam = self.family
-            acc = None
-            for r, c in enumerate(fam._cs):
-                if c.is_zero():
-                    continue
-                t = fam.tau.mat(
-                    fam.group.reflection_element_index(r)).scale(c)
-                acc = t if acc is None else acc + t
-            if acc is None:
-                acc = Matrix(fam.tau.dim, fam.tau.dim)
-            return acc
-        return self._memo("tau_shift", build)
+        fam = self.family
+        acc = None
+        for r, c in enumerate(fam._cs):
+            if c.is_zero():
+                continue
+            t = fam.tau.mat(fam.group.reflection_element_index(r)).scale(c)
+            acc = t if acc is None else acc + t
+        if acc is None:
+            acc = Matrix(fam.tau.dim, fam.tau.dim)
+        return acc
 
     def tau_shift_scalar(self):
         """The scalar by which Z acts on tau, or None if tau is reducible
         enough for Z to act non-scalarly."""
-        return self.tau_shift_matrix().is_scalar_multiple_of_identity()
+        return self.tau_shift_matrix.is_scalar_multiple_of_identity()
 
     def h_scalar(self, m: int):
         """Eigenvalue m + n/2 + N_c(tau) of H on degree m, or None."""
@@ -190,19 +168,6 @@ def build_context(rs, param, max_degree: int, tau) -> AmaContext:
 
 
 # -- reports -------------------------------------------------------------------
-
-
-def _rec(records: list, check_id: str, lhs: GradedOperator,
-         rhs: GradedOperator) -> None:
-    bad = lhs.first_mismatch(rhs)
-    if bad is None:
-        records.append({"check_id": check_id, "status": "pass",
-                        "witness": None})
-    else:
-        m, (r, c), a, b = bad
-        records.append({"check_id": check_id, "status": "fail",
-                        "witness": {"degree": m, "entry": [r, c],
-                                    "lhs": str(a), "rhs": str(b)}})
 
 
 def report_passes(records: list) -> bool:
@@ -259,12 +224,6 @@ def centralizer_check(ctx: AmaContext) -> list:
             comm = wop.commutator(op)
             _rec(records, f"[w{wi},{name}] = 0", comm, _zero(comm))
     return records
-
-
-def _zero(op: GradedOperator) -> GradedOperator:
-    return GradedOperator(op.family, op.shift,
-                          {m: Matrix(b.nrows, b.ncols)
-                           for m, b in op.blocks.items()})
 
 
 def msquared_identities_check(ctx: AmaContext) -> list:

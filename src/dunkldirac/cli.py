@@ -39,7 +39,8 @@ from .diracops import (
     vogan_witness_check,
 )
 from .linalg import Matrix
-from .polyrep import custom_rep, harmonic_subspace, rca_relation_check
+from .polyrep import (builtin_rep, custom_rep, harmonic_subspace,
+                      rca_relation_check)
 from .roots import ParamFunction, root_system
 from .scalars import rat
 
@@ -80,6 +81,7 @@ def _fraction(value, where: str, allow_float: bool) -> Fraction:
 
 def _parse_tau(spec, group):
     if isinstance(spec, str):
+        builtin_rep(group, spec)  # rejects an unknown name up front
         return spec
     if isinstance(spec, dict):
         mats = spec.get("matrices")
@@ -122,7 +124,11 @@ def load_config(path: str) -> dict:
         raise ConfigError("config needs a 'group'")
     try:
         rs = root_system(group_spec)
-    except (ValueError, KeyError, TypeError) as exc:
+        group = rs.group()
+        # the pin cover divides by every coroot length
+        for idx in range(len(rs.positive_roots)):
+            rs.coroot_norm(idx)
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ConfigError(f"group: {exc}")
 
     c_spec = raw.get("c", "0")
@@ -140,7 +146,10 @@ def load_config(path: str) -> dict:
     if not isinstance(max_degree, int) or max_degree < 2:
         raise ConfigError("max_degree must be an integer >= 2")
 
-    tau = _parse_tau(raw.get("tau", "trivial"), rs.group())
+    try:
+        tau = _parse_tau(raw.get("tau", "trivial"), group)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"tau: {exc}")
 
     suites = raw.get("suites", "all")
     if suites == "all":

@@ -9,7 +9,7 @@ product of the others ("+" class).
 from __future__ import annotations
 
 from .linalg import Matrix
-from .scalars import ExactScalar, IUNIT, ONE, ZERO, rat
+from .scalars import ExactScalar, IUNIT, ONE, ZERO, as_scalar
 
 
 def _merge_sign_and_mask(s: int, t: int) -> tuple[int, int]:
@@ -55,8 +55,7 @@ class CliffordElement:
 
     @staticmethod
     def scalar(n: int, v) -> "CliffordElement":
-        v = v if isinstance(v, ExactScalar) else rat(v)
-        return CliffordElement(n, {0: v})
+        return CliffordElement(n, {0: as_scalar(v)})
 
     @staticmethod
     def generator(n: int, i: int) -> "CliffordElement":
@@ -107,7 +106,7 @@ class CliffordElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, ExactScalar)):
-            s = other if isinstance(other, ExactScalar) else rat(other)
+            s = as_scalar(other)
             return CliffordElement(
                 self.n, {m: v * s for m, v in self.coeffs.items()})
         other = self._coerce(other)
@@ -132,7 +131,7 @@ class CliffordElement:
         return NotImplemented
 
     def scale(self, s) -> "CliffordElement":
-        return self * (s if isinstance(s, ExactScalar) else rat(s))
+        return self * as_scalar(s)
 
     # -- involutions -------------------------------------------------------
 
@@ -292,7 +291,7 @@ def vector_embed(n: int, vec) -> CliffordElement:
         raise ValueError("vector length mismatch")
     coeffs = {}
     for i, v in enumerate(vec):
-        v = v if isinstance(v, ExactScalar) else rat(v)
+        v = as_scalar(v)
         if not v.is_zero():
             coeffs[1 << i] = v
     return CliffordElement(n, coeffs)

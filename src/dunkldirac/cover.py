@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from .clifford import CliffordElement, vector_embed
 from .roots import ReflectionGroup, RootSystem
-from .scalars import ExactScalar, ONE, ZERO, rat
+from .scalars import ONE, ZERO, as_scalar, rat
 
 
 class PinCover:
     """Canonical lifts, the sign cocycle, and star signs for one group."""
 
     def __init__(self, rs: RootSystem):
-        if not rs.exact:
-            raise ValueError("the double cover needs the exact backend")
         self.rs = rs
         self.group: ReflectionGroup = rs.group()
         self.n = rs.n
@@ -205,7 +203,7 @@ class GroupAlgebraElement:
                                    {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, s):
-        s = s if isinstance(s, ExactScalar) else rat(s)
+        s = as_scalar(s)
         return GroupAlgebraElement(self.cover,
                                    {k: v * s for k, v in self.coeffs.items()})
 
@@ -292,7 +290,7 @@ class HatElement:
         return self + (-other)
 
     def scale(self, s) -> "HatElement":
-        s = s if isinstance(s, ExactScalar) else rat(s)
+        s = as_scalar(s)
         sc = lambda d: {k: v * s for k, v in d.items()}
         return HatElement(self.cover, sc(self.p), sc(self.m),
                           sc(self.gp), sc(self.gm))

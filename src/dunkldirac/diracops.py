@@ -20,23 +20,20 @@ search that produces twists with nonzero kernel cohomology.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 import math
 
 import numpy as np
 
-from .scalars import (ExactScalar, ZERO, ONE, HALF, IUNIT, SQRT2, rat,
-                      sqrt_in_real_subfield)
+from .scalars import (ExactScalar, ZERO, ONE, HALF, IUNIT, SQRT2, as_scalar,
+                      rat, sqrt_in_real_subfield)
 from .linalg import Matrix, kernel, intersection_dim, is_positive_definite
 from .clifford import CliffordElement, SpinorRep, vector_embed
 from .cover import (PinCover, GroupAlgebraElement, HatElement, is_admissible,
                     ztilde, build_C2, build_T, build_T_bullet, build_Z3)
-from .polyrep import (GradedOperator, ModuleFamily, harmonic_subspace,
-                      contravariant_form)
-from .angmom import AmaContext, _rec, _zero
-
-
-def _exact(v) -> ExactScalar:
-    return v if isinstance(v, ExactScalar) else rat(v)
+from .polyrep import (GradedOperator, ModuleFamily, _rec, _zero,
+                      harmonic_subspace, contravariant_form)
+from .angmom import AmaContext, build_context as build_ama_context
 
 
 class SpinModule:
@@ -75,14 +72,6 @@ class DiracContext:
         self.cover = PinCover(self.rs)
         self.spin = SpinorRep(self.n)
         self.module = SpinModule(self.family, self.spin.dim)
-        self._cache: dict = {}
-
-    def _memo(self, key, builder):
-        got = self._cache.get(key)
-        if got is None:
-            got = builder()
-            self._cache[key] = got
-        return got
 
     # -- lifting ---------------------------------------------------------------
 
@@ -98,8 +87,9 @@ class DiracContext:
         return GradedOperator(self.module, op.shift,
                               {m: b.kron(mat) for m, b in op.blocks.items()})
 
+    @cached_property
     def identity(self) -> GradedOperator:
-        return self._memo("one", lambda: self.lift(self.family.identity_op()))
+        return self.lift(self.family.identity_op())
 
     def scalar(self, v) -> GradedOperator:
         return self.lift(self.family.scalar_op(v))
@@ -130,61 +120,52 @@ class DiracContext:
 
     # -- the distinguished elements ----------------------------------------------
 
-    @property
+    @cached_property
     def dirac(self) -> GradedOperator:
         """sum_{i<j} M_ij tensor c_i c_j, degree preserving."""
-        def build():
-            acc = self.scalar(0)
-            for i in range(1, self.n + 1):
-                for j in range(i + 1, self.n + 1):
-                    acc = acc + self.pair(self.ama.M(i, j), self._cpair(i, j))
-            return acc
-        return self._memo("dirac", build)
+        acc = self.scalar(0)
+        for i in range(1, self.n + 1):
+            for j in range(i + 1, self.n + 1):
+                acc = acc + self.pair(self.ama.M(i, j), self._cpair(i, j))
+        return acc
 
-    @property
+    @cached_property
     def phi(self) -> GradedOperator:
         """Z + (n-2)/2 on X, trivially on S; the square-completion shift."""
-        def build():
-            return self.lift(self.ama.Z) \
-                + self.scalar(rat(self.n - 2) * rat("1/2"))
-        return self._memo("phi", build)
+        return self.lift(self.ama.Z) \
+            + self.scalar(rat(self.n - 2) * rat("1/2"))
 
-    @property
+    @cached_property
     def dirac0(self) -> GradedOperator:
         """The plain shifted operator: dirac - phi."""
-        return self._memo("dirac0", lambda: self.dirac - self.phi)
+        return self.dirac - self.phi
 
-    @property
+    @cached_property
     def casimir(self) -> GradedOperator:
         """Omega tensor 1."""
-        return self._memo("casimir", lambda: self.lift(self.ama.omega))
+        return self.lift(self.ama.omega)
 
-    @property
+    @cached_property
     def lowering(self) -> GradedOperator:
         """sum_i y_i tensor c_i, odd, degree -1."""
-        def build():
-            acc = None
-            for i in range(1, self.n + 1):
-                t = self.pair(self.family.y_op(i), self._cvec(i))
-                acc = t if acc is None else acc + t
-            return acc
-        return self._memo("lowering", build)
+        acc = None
+        for i in range(1, self.n + 1):
+            t = self.pair(self.family.y_op(i), self._cvec(i))
+            acc = t if acc is None else acc + t
+        return acc
 
-    @property
+    @cached_property
     def raising(self) -> GradedOperator:
         """sum_i x_i tensor c_i, odd, degree +1."""
-        def build():
-            acc = None
-            for i in range(1, self.n + 1):
-                t = self.pair(self.family.x_op(i), self._cvec(i))
-                acc = t if acc is None else acc + t
-            return acc
-        return self._memo("raising", build)
+        acc = None
+        for i in range(1, self.n + 1):
+            t = self.pair(self.family.x_op(i), self._cvec(i))
+            acc = t if acc is None else acc + t
+        return acc
 
 
 def build_context(rs, param, max_degree: int, tau) -> DiracContext:
-    return DiracContext(AmaContext(ModuleFamily(rs, param, tau,
-                                                max_degree=max_degree)))
+    return DiracContext(build_ama_context(rs, param, max_degree, tau))
 
 
 @dataclass(frozen=True)
@@ -248,7 +229,7 @@ def dirac_square_check(dctx: DiracContext) -> list:
          d @ d, dctx.lift(dctx.ama.msquare).scale(-1) + d.scale(n - 2)
          + d.anticommutator(zl))
     _rec(records, "shifted square = casimir + 1",
-         dctx.dirac0 @ dctx.dirac0, dctx.casimir + dctx.identity())
+         dctx.dirac0 @ dctx.dirac0, dctx.casimir + dctx.identity)
     return records
 
 
@@ -306,7 +287,7 @@ def dirac_in_basis(dctx: DiracContext, rows) -> GradedOperator:
     n = dctx.n
     xs, ys, cs = [], [], []
     for i in range(n):
-        row = [_exact(v) for v in rows[i]]
+        row = [as_scalar(v) for v in rows[i]]
         if len(row) != n:
             raise ValueError("frame rows must have n entries")
         xop = None
@@ -386,7 +367,7 @@ def scasimir_check(dctx: DiracContext) -> list:
     zl = dctx.lift(dctx.ama.Z)
     _rec(records, "[lower, raise] = -2 dirac + n + 2 Z",
          br, dctx.dirac.scale(-2) + dctx.scalar(dctx.n) + zl.scale(2))
-    s = (br - dctx.identity()).scale(HALF)
+    s = (br - dctx.identity).scale(HALF)
     _rec(records, "odd casimir + dirac = 1/2 + phi",
          s + dctx.dirac, dctx.scalar(HALF) + dctx.phi)
     _rec(records, "lower^2 = 2 Y",
@@ -473,7 +454,7 @@ def center_transport(dctx: DiracContext, poly: dict,
             term = term * base
         if b % 2:
             term = term * HatElement.g(cov)
-        out = out + term.scale(_exact(coeff))
+        out = out + term.scale(as_scalar(coeff))
     return out
 
 
@@ -490,7 +471,7 @@ def vogan_witness_check(dctx: DiracContext, twist: HatElement,
     records: list = []
     dop = build_dirac(dctx, twist, name=name)
     d = dop.op
-    gamma = dctx.rho(twist * twist) - dctx.identity()
+    gamma = dctx.rho(twist * twist) - dctx.identity
     a1 = d.scale(HALF) - dop.rho_twist
     _rec(records, "witness commutes with the operator",
          a1.commutator(d), _zero(d))
@@ -515,7 +496,7 @@ def vogan_witness_check(dctx: DiracContext, twist: HatElement,
 def _hstack(a: Matrix, b: Matrix) -> Matrix:
     if a.nrows != b.nrows:
         raise ValueError("row mismatch in concatenation")
-    out = Matrix(a.nrows, a.ncols + b.ncols, a.exact)
+    out = Matrix(a.nrows, a.ncols + b.ncols)
     for i, row in enumerate(a.rows):
         for j, v in row.items():
             out.rows[i][j] = v
@@ -536,12 +517,12 @@ def _solve_columns(basis: Matrix, target: Matrix) -> Matrix:
     """
     cb, ct = basis.ncols, target.ncols
     if ct == 0:
-        return Matrix(cb, 0, basis.exact)
+        return Matrix(cb, 0)
     ker = kernel(_hstack(basis, target))
     if ker.ncols != ct:
         raise RuntimeError("restriction failed: basis columns dependent "
                            "or target outside their span")
-    sol = Matrix(cb, ct, basis.exact)
+    sol = Matrix(cb, ct)
     for j in range(ct):
         for i in range(ct):
             v = ker.get(cb + i, j)
@@ -631,14 +612,7 @@ def _tilde_classes(cover: PinCover) -> list:
     """
     grp = cover.group
     order = grp.order
-    mu_cache: dict = {}
-
-    def mu(i, j):
-        got = mu_cache.get((i, j))
-        if got is None:
-            got = cover.cocycle(i, j)
-            mu_cache[(i, j)] = got
-        return got
+    mu = cover.cocycle
 
     def mul(a, b):
         return (grp.mul(a[0], b[0]),
@@ -784,7 +758,7 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
         out["isotypic"] = "empty kernel"
         return out
     kb = coh.kernel_basis
-    gap = dctx.casimir - (dop.rho_twist @ dop.rho_twist) + dctx.identity()
+    gap = dctx.casimir - (dop.rho_twist @ dop.rho_twist) + dctx.identity
     prod = gap.blocks[m] @ kb
     records.append({
         "check_id": "casimir matches the transported twist square on ker",

@@ -1,49 +1,44 @@
 """Sparse exact matrices and fraction-free elimination.
 
-Matrices hold ExactScalar (or FloatScalar) entries in row dicts; stored
-zeros are never kept, so equality is structural.  Rank/kernel go through
-Bareiss-style fraction-free elimination after clearing denominators, which
-keeps intermediate entries polynomially sized.
+Matrices hold ExactScalar entries in row dicts; stored zeros are never
+kept, so equality is structural.  Rank, kernel, determinant and the
+Sylvester positivity test all run through one Bareiss driver after
+clearing denominators, which keeps intermediate entries polynomially
+sized.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from .scalars import ExactScalar, FloatScalar, ZERO, ONE, rat
+from .scalars import ExactScalar, ZERO, ONE, as_scalar, rat
 
 
 class Matrix:
-    """Sparse matrix over ExactScalar (exact=True) or FloatScalar."""
+    """Sparse matrix over ExactScalar."""
 
-    __slots__ = ("nrows", "ncols", "rows", "exact")
+    __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int, exact: bool = True):
+    def __init__(self, nrows: int, ncols: int):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = [dict() for _ in range(nrows)]
-        self.exact = exact
 
     # -- construction --
 
     @staticmethod
-    def zeros(nrows: int, ncols: int, exact: bool = True) -> "Matrix":
-        return Matrix(nrows, ncols, exact)
-
-    @staticmethod
-    def identity(n: int, exact: bool = True) -> "Matrix":
-        m = Matrix(n, n, exact)
-        one = ONE if exact else FloatScalar(1.0)
+    def identity(n: int) -> "Matrix":
+        m = Matrix(n, n)
         for i in range(n):
-            m.rows[i][i] = one
+            m.rows[i][i] = ONE
         return m
 
     @staticmethod
-    def from_rows(data, exact: bool = True) -> "Matrix":
-        """Build from a list of lists; entries coerced via rat()/FloatScalar."""
+    def from_rows(data) -> "Matrix":
+        """Build from a list of lists; entries coerced via as_scalar()."""
         nrows = len(data)
         ncols = len(data[0]) if nrows else 0
-        m = Matrix(nrows, ncols, exact)
+        m = Matrix(nrows, ncols)
         for i, row in enumerate(data):
             if len(row) != ncols:
                 raise ValueError("ragged rows")
@@ -51,28 +46,18 @@ class Matrix:
                 m.set(i, j, v)
         return m
 
-    def _coerce_entry(self, v):
-        if self.exact:
-            if isinstance(v, ExactScalar):
-                return v
-            return rat(v) if isinstance(v, (int, Fraction, str)) else ExactScalar(v)
-        return v if isinstance(v, FloatScalar) else FloatScalar(v)
-
     def set(self, i: int, j: int, v) -> None:
-        v = self._coerce_entry(v)
+        v = as_scalar(v)
         if v.is_zero():
             self.rows[i].pop(j, None)
         else:
             self.rows[i][j] = v
 
     def get(self, i: int, j: int):
-        v = self.rows[i].get(j)
-        if v is None:
-            return ZERO if self.exact else FloatScalar(0.0)
-        return v
+        return self.rows[i].get(j, ZERO)
 
     def copy(self) -> "Matrix":
-        m = Matrix(self.nrows, self.ncols, self.exact)
+        m = Matrix(self.nrows, self.ncols)
         m.rows = [dict(r) for r in self.rows]
         return m
 
@@ -106,13 +91,13 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        out = Matrix(self.nrows, self.ncols, self.exact)
+        out = Matrix(self.nrows, self.ncols)
         out.rows = [{j: -v for j, v in r.items()} for r in self.rows]
         return out
 
     def scale(self, s) -> "Matrix":
-        s = self._coerce_entry(s)
-        out = Matrix(self.nrows, self.ncols, self.exact)
+        s = as_scalar(s)
+        out = Matrix(self.nrows, self.ncols)
         if s.is_zero():
             return out
         out.rows = [{j: s * v for j, v in r.items()} for r in self.rows]
@@ -121,7 +106,7 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = Matrix(self.nrows, other.ncols, self.exact)
+        out = Matrix(self.nrows, other.ncols)
         for i, arow in enumerate(self.rows):
             if not arow:
                 continue
@@ -136,7 +121,7 @@ class Matrix:
         return out
 
     def transpose(self) -> "Matrix":
-        out = Matrix(self.ncols, self.nrows, self.exact)
+        out = Matrix(self.ncols, self.nrows)
         for i, row in enumerate(self.rows):
             for j, v in row.items():
                 out.rows[j][i] = v
@@ -144,15 +129,14 @@ class Matrix:
 
     def dagger(self) -> "Matrix":
         """Conjugate transpose."""
-        out = Matrix(self.ncols, self.nrows, self.exact)
+        out = Matrix(self.ncols, self.nrows)
         for i, row in enumerate(self.rows):
             for j, v in row.items():
                 out.rows[j][i] = v.conjugate()
         return out
 
     def kron(self, other: "Matrix") -> "Matrix":
-        out = Matrix(self.nrows * other.nrows, self.ncols * other.ncols,
-                     self.exact)
+        out = Matrix(self.nrows * other.nrows, self.ncols * other.ncols)
         for i1, r1 in enumerate(self.rows):
             for j1, v1 in r1.items():
                 for i2, r2 in enumerate(other.rows):
@@ -164,7 +148,7 @@ class Matrix:
         return out
 
     def trace(self):
-        t = ZERO if self.exact else FloatScalar(0.0)
+        t = ZERO
         for i in range(min(self.nrows, self.ncols)):
             v = self.rows[i].get(i)
             if v is not None:
@@ -174,32 +158,21 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.shape == other.shape and self.exact == other.exact
+        return (self.shape == other.shape
                 and all(a == b for a, b in zip(self.rows, other.rows)))
 
     def __hash__(self):
         return hash((self.shape,
                      tuple(tuple(sorted(r.items())) for r in self.rows)))
 
-    def max_abs_dev(self, other: "Matrix") -> float:
-        """Largest |a_ij - b_ij| as floats; for float-mode comparisons."""
-        self._check_same_shape(other)
-        dev = 0.0
-        for i in range(self.nrows):
-            cols = set(self.rows[i]) | set(other.rows[i])
-            for j in cols:
-                dev = max(dev, abs(self.get(i, j).to_complex()
-                                   - other.get(i, j).to_complex()))
-        return dev
-
     def is_scalar_multiple_of_identity(self):
         """Return the scalar if self == s*I, else None."""
         if self.nrows != self.ncols:
             return None
         if self.nrows == 0:
-            return ZERO if self.exact else FloatScalar(0.0)
+            return ZERO
         s = self.get(0, 0)
-        expect = Matrix.identity(self.nrows, self.exact).scale(s)
+        expect = Matrix.identity(self.nrows).scale(s)
         return s if self == expect else None
 
     def _check_same_shape(self, other):
@@ -224,28 +197,30 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
-
-
 # -- fraction-free elimination ---------------------------------------------
+
+
+def _den_lcm(rows) -> int:
+    """Least common multiple of the entry denominators of some row dicts."""
+    return lcm(*(v._den for row in rows for v in row.values()))
 
 
 def _clear_denominators(m: Matrix) -> Matrix:
     """Scale each row by a positive integer so entries lie in Z[i, sqrt2]."""
     out = m.copy()
     for row in out.rows:
-        if not row:
-            continue
-        lcm = 1
-        for v in row.values():
-            d = v._den
-            lcm = lcm * d // gcd(lcm, d)
-        if lcm != 1:
-            s = rat(lcm)
+        d = _den_lcm([row])
+        if d != 1:
+            s = rat(d)
             for j in list(row):
                 row[j] = row[j] * s
     return out
+
+
+def _cleared(m: Matrix):
+    """(d * m, d) for the common denominator d of all entries of m."""
+    d = _den_lcm(m.rows)
+    return (m.scale(d) if d != 1 else m.copy()), d
 
 
 def _divexact(x: ExactScalar, y: ExactScalar) -> ExactScalar:
@@ -290,70 +265,45 @@ def _bareiss_step(u: Matrix, prow: int, col: int, prev: ExactScalar):
     return pval
 
 
+def _bareiss(u: Matrix, diagonal: bool = False):
+    """Fraction-free elimination of u in place, one pivot at a time.
+
+    Yields (row, col, swapped) for each pivot before eliminating below
+    it, so a caller may stop early.  A column's pivot is its first nonzero
+    entry at or below the current row, swapped up; with diagonal=True the
+    pivots are the diagonal entries, never swapped, and elimination stops
+    at the first zero one.  By Sylvester's identity the k-th pivot is then
+    the k-th leading principal minor of u.
+    """
+    prev = ONE
+    prow = 0
+    for col in range(u.ncols):
+        if prow == u.nrows:
+            return
+        if diagonal:
+            if col not in u.rows[prow]:
+                return
+            piv = prow
+        else:
+            piv = next((i for i in range(prow, u.nrows) if col in u.rows[i]),
+                       None)
+            if piv is None:
+                continue
+        if piv != prow:
+            u.rows[prow], u.rows[piv] = u.rows[piv], u.rows[prow]
+        yield prow, col, piv != prow
+        prev = _bareiss_step(u, prow, col, prev)
+        prow += 1
+
+
 def echelon(m: Matrix):
     """Fraction-free row echelon form.
 
     Returns (U, pivots) where pivots is a list of (row, col) pairs; U is a
-    working copy with exact ring entries (exact mode) or floats.
+    working copy with entries in Z[i, sqrt2].
     """
-    if not m.exact:
-        return _echelon_float(m)
     u = _clear_denominators(m)
-    pivots = []
-    prev = ONE
-    prow = 0
-    for col in range(u.ncols):
-        piv = None
-        for i in range(prow, u.nrows):
-            if col in u.rows[i]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != prow:
-            u.rows[prow], u.rows[piv] = u.rows[piv], u.rows[prow]
-        prev = _bareiss_step(u, prow, col, prev)
-        pivots.append((prow, col))
-        prow += 1
-        if prow == u.nrows:
-            break
-    return u, pivots
-
-
-def _echelon_float(m: Matrix):
-    u = m.copy()
-    pivots = []
-    prow = 0
-    for col in range(u.ncols):
-        best, bmag = None, 1e-10
-        for i in range(prow, u.nrows):
-            v = u.rows[i].get(col)
-            if v is not None and abs(v.v) > bmag:
-                best, bmag = i, abs(v.v)
-        if best is None:
-            continue
-        if best != prow:
-            u.rows[prow], u.rows[best] = u.rows[best], u.rows[prow]
-        pval = u.rows[prow][col]
-        for i in range(prow + 1, u.nrows):
-            row = u.rows[i]
-            xval = row.pop(col, None)
-            if xval is None:
-                continue
-            f = xval / pval
-            for j, b in u.rows[prow].items():
-                if j == col:
-                    continue
-                nv = row.get(j, FloatScalar(0.0)) - f * b
-                if nv.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
-        pivots.append((prow, col))
-        prow += 1
-        if prow == u.nrows:
-            break
-    return u, pivots
+    return u, [(r, c) for r, c, _ in _bareiss(u)]
 
 
 def rank(m: Matrix) -> int:
@@ -368,12 +318,11 @@ def kernel(m: Matrix) -> Matrix:
     coordinates w.r.t. this basis can be read off the free rows.
     """
     u, pivots = echelon(m)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [j for j in range(m.ncols) if j not in set(pivot_cols)]
-    out = Matrix(m.ncols, len(free_cols), m.exact)
-    one = ONE if m.exact else FloatScalar(1.0)
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [j for j in range(m.ncols) if j not in pivot_cols]
+    out = Matrix(m.ncols, len(free_cols))
     for k, f in enumerate(free_cols):
-        x = {f: one}
+        x = {f: ONE}
         for (r, c) in reversed(pivots):
             acc = None
             row = u.rows[r]
@@ -392,15 +341,11 @@ def kernel(m: Matrix) -> Matrix:
     return out
 
 
-def rank_and_kernel(m: Matrix):
-    return rank(m), kernel(m)
-
-
 def column_space_rank(*mats: Matrix) -> int:
     """Rank of the concatenation [A | B | ...]."""
     nrows = mats[0].nrows
     total = sum(mm.ncols for mm in mats)
-    cat = Matrix(nrows, total, mats[0].exact)
+    cat = Matrix(nrows, total)
     off = 0
     for mm in mats:
         if mm.nrows != nrows:
@@ -426,33 +371,16 @@ def is_positive_definite(h: Matrix) -> bool:
     """
     if h.nrows != h.ncols:
         raise ValueError("not square")
-    if not h.exact:
-        import numpy as np
-        try:
-            np.linalg.cholesky(h.to_complex())
-            return True
-        except np.linalg.LinAlgError:
-            return False
     if h != h.dagger():
         raise ValueError("not Hermitian")
-    if h.nrows == 0:
-        return True
     # global denominator clearing keeps minors positive-scaled
-    lcm = 1
-    for row in h.rows:
-        for v in row.values():
-            d = v._den
-            lcm = lcm * d // gcd(lcm, d)
-    u = h.scale(lcm) if lcm != 1 else h.copy()
-    prev = ONE
-    for k in range(u.nrows):
-        pval = u.rows[k].get(k)
-        if pval is None or pval.is_zero():
+    u, _ = _cleared(h)
+    positive = 0
+    for k, _, _ in _bareiss(u, diagonal=True):
+        if u.rows[k][k].sign_real() <= 0:
             return False
-        if pval.sign_real() <= 0:
-            return False
-        prev = _bareiss_step(u, k, k, prev)
-    return True
+        positive += 1
+    return positive == h.nrows
 
 
 def leading_principal_minors(h: Matrix):
@@ -460,35 +388,13 @@ def leading_principal_minors(h: Matrix):
 
     Returns None entries past the first singular leading block.
     """
-    if not h.exact or h.nrows != h.ncols:
-        raise ValueError("exact square matrix required")
-    lcm = 1
-    for row in h.rows:
-        for v in row.values():
-            d = v._den
-            lcm = lcm * d // gcd(lcm, d)
-    u = h.scale(lcm) if lcm != 1 else h.copy()
-    scale_back = rat(Fraction(1, lcm)) if lcm != 1 else ONE
-    minors = []
-    prev = ONE
-    for k in range(u.nrows):
-        pval = u.rows[k].get(k)
-        if pval is None or pval.is_zero():
-            minors.append(None)
-            break
-        # Bareiss pivot at step k is the (k+1)-st leading minor of u = lcm*h
-        minors.append(pval * _power(scale_back, k + 1))
-        prev = _bareiss_step(u, k, k, prev)
-    while len(minors) < u.nrows:
-        minors.append(None)
-    return minors
-
-
-def _power(x: ExactScalar, k: int) -> ExactScalar:
-    out = ONE
-    for _ in range(k):
-        out = out * x
-    return out
+    if h.nrows != h.ncols:
+        raise ValueError("square matrix required")
+    u, d = _cleared(h)
+    # the pivot at step k is the (k+1)-st leading minor of u = d*h
+    minors = [u.rows[k][k] * rat(Fraction(1, d ** (k + 1)))
+              for k, _, _ in _bareiss(u, diagonal=True)]
+    return minors + [None] * (h.nrows - len(minors))
 
 
 def determinant(m: Matrix) -> ExactScalar:
@@ -497,29 +403,13 @@ def determinant(m: Matrix) -> ExactScalar:
         raise ValueError("not square")
     if m.nrows == 0:
         return ONE
-    lcm = 1
-    for row in m.rows:
-        for v in row.values():
-            d = v._den
-            lcm = lcm * d // gcd(lcm, d)
-    u = m.scale(lcm) if lcm != 1 else m.copy()
+    u, d = _cleared(m)
     sign = 1
-    prev = ONE
-    for k in range(u.nrows):
-        piv = None
-        for i in range(k, u.nrows):
-            if k in u.rows[i]:
-                piv = i
-                break
-        if piv is None:
+    for k, col, swapped in _bareiss(u):
+        if col != k:
             return ZERO
-        if piv != k:
-            u.rows[k], u.rows[piv] = u.rows[piv], u.rows[k]
+        if swapped:
             sign = -sign
-        prev = _bareiss_step(u, k, k, prev)
-    det = u.rows[u.nrows - 1].get(u.nrows - 1, ZERO)
-    if sign < 0:
-        det = -det
-    if lcm != 1:
-        det = det * _power(rat(Fraction(1, lcm)), m.nrows)
-    return det
+    n = m.nrows
+    det = u.rows[n - 1].get(n - 1, ZERO) * rat(Fraction(1, d ** n))
+    return -det if sign < 0 else det

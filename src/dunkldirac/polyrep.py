@@ -22,19 +22,14 @@ division along a coordinate where a has a nonzero coefficient; the remainder
 is asserted zero).
 """
 
-from fractions import Fraction
 from math import comb
 
-from .linalg import Matrix, is_positive_definite, kernel
-from .scalars import ONE, ZERO, ExactScalar, rat
+from .linalg import Matrix, kernel
+from .scalars import ONE, ZERO, ExactScalar, as_scalar, rat
 
 
 def _csc(v):
-    if isinstance(v, ExactScalar):
-        return v
-    if isinstance(v, str):
-        return ExactScalar.parse(v)
-    return rat(v)
+    return ExactScalar.parse(v) if isinstance(v, str) else as_scalar(v)
 
 
 def _madd(mat: Matrix, i: int, j: int, v) -> None:
@@ -589,6 +584,28 @@ class GradedOperator:
         return all(b.is_zero() for b in self.blocks.values())
 
 
+def _zero(op: GradedOperator) -> GradedOperator:
+    """The zero operator on the blocks of op."""
+    return GradedOperator(op.family, op.shift,
+                          {m: Matrix(b.nrows, b.ncols)
+                           for m, b in op.blocks.items()})
+
+
+def _rec(records: list, check_id: str, lhs: GradedOperator,
+         rhs: GradedOperator) -> None:
+    """Append one {check_id, status, witness} record for lhs == rhs; a
+    failure's witness pins the first differing entry."""
+    bad = lhs.first_mismatch(rhs)
+    if bad is None:
+        records.append({"check_id": check_id, "status": "pass",
+                        "witness": None})
+    else:
+        m, (r, c), a, b = bad
+        records.append({"check_id": check_id, "status": "fail",
+                        "witness": {"degree": m, "entry": [r, c],
+                                    "lhs": str(a), "rhs": str(b)}})
+
+
 # -- the module family --------------------------------------------------------
 
 
@@ -906,24 +923,6 @@ def operator_matrix(family: ModuleFamily, expr: str) -> GradedOperator:
     return total
 
 
-def _zero_like(op: GradedOperator) -> GradedOperator:
-    return GradedOperator(op.family, op.shift,
-                          {m: Matrix(b.nrows, b.ncols)
-                           for m, b in op.blocks.items()})
-
-
-def _record(report: dict, name: str, lhs: GradedOperator,
-            rhs: GradedOperator) -> None:
-    report["checks"] += 1
-    bad = lhs.first_mismatch(rhs)
-    if bad is not None:
-        report["pass"] = False
-        m, (r, c), a, b = bad
-        report["failures"].append({
-            "relation": name, "degree": m, "entry": [r, c],
-            "lhs": str(a), "rhs": str(b)})
-
-
 def rca_relation_check(family: ModuleFamily) -> dict:
     """Exact verification of the defining commutation relations.
 
@@ -931,25 +930,28 @@ def rca_relation_check(family: ModuleFamily) -> dict:
     [y_i, y_j] = 0, [y_i, x_j] = S_ji, and sum_i S_ii = n + 2 Z.
     """
     n = family.n
-    report = {"pass": True, "checks": 0, "failures": []}
+    records: list = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             xx = family.x_op(i).commutator(family.x_op(j))
-            _record(report, f"[x{i},x{j}]", xx, _zero_like(xx))
+            _rec(records, f"[x{i},x{j}]", xx, _zero(xx))
             yy = family.y_op(i).commutator(family.y_op(j))
-            _record(report, f"[y{i},y{j}]", yy, _zero_like(yy))
+            _rec(records, f"[y{i},y{j}]", yy, _zero(yy))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            _record(report, f"[y{i},x{j}]",
-                    family.y_op(i).commutator(family.x_op(j)),
-                    s_op(family, j, i))
+            _rec(records, f"[y{i},x{j}]",
+                 family.y_op(i).commutator(family.x_op(j)),
+                 s_op(family, j, i))
     trace = None
     for i in range(1, n + 1):
         t = family.y_op(i).commutator(family.x_op(i))
         trace = t if trace is None else trace + t
-    _record(report, "sum_i S_ii = n + 2Z",
-            trace, family.scalar_op(n) + center_op(family).scale(2))
-    return report
+    _rec(records, "sum_i S_ii = n + 2Z",
+         trace, family.scalar_op(n) + center_op(family).scale(2))
+    failures = [{"relation": r["check_id"], **r["witness"]}
+                for r in records if r["status"] == "fail"]
+    return {"pass": not failures, "checks": len(records),
+            "failures": failures}
 
 
 # -- harmonics and the contravariant form ---------------------------------------
@@ -1008,11 +1010,6 @@ def contravariant_form(family: ModuleFamily, m: int) -> Matrix:
             raise RuntimeError("contravariant form came out non-Hermitian")
         family._gram.append(mat)
     return family._gram[m]
-
-
-def positivity_check(gram: Matrix) -> bool:
-    """Exact Sylvester test: all leading principal minors positive."""
-    return is_positive_definite(gram)
 
 
 def adjointness_check(family: ModuleFamily) -> bool:

@@ -10,18 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Matrix, determinant
-from .scalars import (ExactScalar, FloatScalar, ONE, ZERO, as_fraction, rat,
+from .scalars import (ExactScalar, ONE, ZERO, as_fraction, as_scalar, rat,
                       sqrt_in_real_subfield)
 
 GROUP_ORDER_BOUND = 384
-
-
-def _scalar(v, exact=True):
-    if exact:
-        if isinstance(v, ExactScalar):
-            return v
-        return rat(v) if isinstance(v, (int, Fraction, str)) else ExactScalar(v)
-    return v if isinstance(v, FloatScalar) else FloatScalar(v)
 
 
 def dot(u, v):
@@ -30,6 +22,15 @@ def dot(u, v):
         t = a * b
         acc = t if acc is None else acc + t
     return acc
+
+
+def _norm(norm_sq, what: str, idx: int):
+    """|v| from |v|^2 inside Q(sqrt2); ValueError when it leaves the field."""
+    s = sqrt_in_real_subfield(norm_sq)
+    if s is None:
+        raise ValueError(f"|{what} {idx}|^2 = {norm_sq} has no square root "
+                         "in Q(sqrt2)")
+    return s
 
 
 class GroupElement:
@@ -59,7 +60,7 @@ class GroupElement:
         return self._det
 
     def is_identity(self) -> bool:
-        return self.mat == Matrix.identity(self.n, self.mat.exact)
+        return self.mat == Matrix.identity(self.n)
 
     def apply(self, vec):
         """Matrix action on a coordinate vector (tuple of scalars)."""
@@ -123,11 +124,10 @@ class RootSystem:
     """Reduced root system with stored coroots and the generated group."""
 
     def __init__(self, n: int, positive_roots, name: str = "custom",
-                 exact: bool = True, coroots=None):
+                 coroots=None):
         self.n = n
         self.name = name
-        self.exact = exact
-        self.positive_roots = [tuple(_scalar(x, exact) for x in r)
+        self.positive_roots = [tuple(as_scalar(x) for x in r)
                                for r in positive_roots]
         for r in self.positive_roots:
             if len(r) != n:
@@ -136,7 +136,7 @@ class RootSystem:
                 raise ValueError("zero root")
         self.norms_sq = [dot(r, r) for r in self.positive_roots]
         if coroots is not None:
-            self.coroots = [tuple(_scalar(x, exact) for x in r)
+            self.coroots = [tuple(as_scalar(x) for x in r)
                             for r in coroots]
         else:
             self.coroots = [tuple(x * n2.inverse() * 2 for x in r)
@@ -154,26 +154,12 @@ class RootSystem:
         if self._root_norms is None:
             self._root_norms = [None] * len(self.positive_roots)
         if self._root_norms[idx] is None:
-            if self.exact:
-                s = sqrt_in_real_subfield(self.norms_sq[idx])
-                if s is None:
-                    raise ValueError(
-                        f"|root|^2 = {self.norms_sq[idx]} has no square root "
-                        "in Q(sqrt2); use the float backend")
-            else:
-                s = FloatScalar(self.norms_sq[idx].to_complex() ** 0.5)
-            self._root_norms[idx] = s
+            self._root_norms[idx] = _norm(self.norms_sq[idx], "root", idx)
         return self._root_norms[idx]
 
     def coroot_norm(self, idx: int):
         cr = self.coroots[idx]
-        n2 = dot(cr, cr)
-        if self.exact:
-            s = sqrt_in_real_subfield(n2)
-            if s is None:
-                raise ValueError("|coroot| outside Q(sqrt2)")
-            return s
-        return FloatScalar(n2.to_complex() ** 0.5)
+        return _norm(dot(cr, cr), "coroot", idx)
 
     # -- reflections and the group ---------------------------------------
 
@@ -184,7 +170,7 @@ class RootSystem:
         if self._reflections[idx] is None:
             alpha = self.positive_roots[idx]
             cr = self.coroots[idx]
-            m = Matrix.identity(self.n, self.exact)
+            m = Matrix.identity(self.n)
             for i in range(self.n):
                 for j in range(self.n):
                     v = m.get(i, j) - cr[i] * alpha[j]
@@ -195,10 +181,9 @@ class RootSystem:
         return self._reflections[idx]
 
     def _check_involution(self, g: GroupElement, idx: int):
-        if self.exact:
-            if not (g * g).is_identity():
-                raise ValueError(f"reflection {idx} is not an involution; "
-                                 "check <alpha, alpha-check> = 2")
+        if not (g * g).is_identity():
+            raise ValueError(f"reflection {idx} is not an involution; "
+                             "check <alpha, alpha-check> = 2")
 
     def reflections(self):
         return [self.reflection(i) for i in range(len(self.positive_roots))]
@@ -294,11 +279,8 @@ class RootSystem:
 
     def _is_positive_vec(self, vec) -> bool:
         for x in vec:
-            if x.is_zero():
-                continue
-            if self.exact:
+            if not x.is_zero():
                 return x.sign_real() > 0
-            return x.v.real > 0
         return False
 
     def __repr__(self):
@@ -317,10 +299,10 @@ class ReflectionGroup:
     def __init__(self, rs: RootSystem, bound: int = GROUP_ORDER_BOUND):
         self.rs = rs
         gens = rs.reflections()
-        ident = GroupElement(Matrix.identity(rs.n, rs.exact))
+        ident = GroupElement(Matrix.identity(rs.n))
         self.elements = [ident]
         self.words = [()]
-        self.index = {self._key(ident): 0}
+        self.index = {ident._key: 0}
         frontier = [0]
         while frontier:
             next_frontier = []
@@ -329,7 +311,7 @@ class ReflectionGroup:
                 w = self.words[ei]
                 for gi, s in enumerate(gens):
                     h = g * s
-                    k = self._key(h)
+                    k = h._key
                     if k not in self.index:
                         self.index[k] = len(self.elements)
                         self.elements.append(h)
@@ -344,15 +326,8 @@ class ReflectionGroup:
         self._mul_cache: dict = {}
         self._inv_cache: dict = {}
 
-    def _key(self, g: GroupElement):
-        if self.rs.exact:
-            return g._key
-        return tuple(tuple((j, round(v.v.real, 9), round(v.v.imag, 9))
-                           for j, v in sorted(r.items()))
-                     for r in g.mat.rows)
-
     def index_of(self, g: GroupElement) -> int:
-        return self.index[self._key(g)]
+        return self.index[g._key]
 
     def mul(self, i: int, j: int) -> int:
         key = (i, j)
@@ -376,8 +351,8 @@ class ReflectionGroup:
         return 0
 
     def minus_identity_index(self):
-        m = Matrix.identity(self.rs.n, self.rs.exact).scale(-1)
-        return self.index.get(self._key(GroupElement(m)))
+        m = Matrix.identity(self.rs.n).scale(-1)
+        return self.index.get(GroupElement(m)._key)
 
     def has_minus_identity(self) -> bool:
         return self.minus_identity_index() is not None
@@ -460,35 +435,35 @@ def _type_d_roots(n: int):
     return roots
 
 
-def root_system(name_or_spec, exact: bool = True) -> RootSystem:
+def root_system(name_or_spec) -> RootSystem:
     """Built-in root systems by name, or a custom list of positive roots.
 
-    Names: S2..S9 (type A_{n-1} on R^n), A1 (rank one on R^1), B2..B9,
-    D2..D9, I2(4) as an alias for B2.  A custom spec is a dict
+    Names: Sk (type A_{k-1} on R^k), A1 (rank one on R^1), Bk, Dk, and
+    I2(4) as an alias for B2.  A custom spec is a dict
     {"roots": [[...], ...]} with rational or rational*sqrt2 entries
-    ('p/q' or 'p/q*sqrt2' strings).
+    ('p/q' or 'p/q*sqrt2' strings).  Only groups of order at most
+    GROUP_ORDER_BOUND can be generated: S2..S5, B2..B4, D2..D4.
     """
     if isinstance(name_or_spec, dict):
         roots = [[_parse_root_entry(x) for x in r]
                  for r in name_or_spec["roots"]]
         n = len(roots[0])
-        return RootSystem(n, roots, name=name_or_spec.get("name", "custom"),
-                          exact=exact)
+        return RootSystem(n, roots, name=name_or_spec.get("name", "custom"))
     name = str(name_or_spec).strip()
     if name == "I2(4)":
         name = "B2"
     if name == "A1":
-        return RootSystem(1, [[1]], name="A1", exact=exact)
+        return RootSystem(1, [[1]], name="A1")
     kind, num = name[0], name[1:]
     if not num.isdigit():
         raise ValueError(f"unknown root system {name!r}")
     k = int(num)
     if kind == "S" and k >= 2:
-        return RootSystem(k, _sym_roots(k), name=name, exact=exact)
+        return RootSystem(k, _sym_roots(k), name=name)
     if kind == "B" and k >= 2:
-        return RootSystem(k, _type_b_roots(k), name=name, exact=exact)
+        return RootSystem(k, _type_b_roots(k), name=name)
     if kind == "D" and k >= 2:
-        return RootSystem(k, _type_d_roots(k), name=name, exact=exact)
+        return RootSystem(k, _type_d_roots(k), name=name)
     raise ValueError(f"unknown root system {name!r}")
 
 

@@ -1,6 +1,6 @@
-"""Exact scalars: the field Q(i, sqrt2), plus a float-complex fallback.
+"""Exact scalars: the field Q(i, sqrt2).
 
-ExactScalar is the coefficient type of every exact matrix in the package.
+ExactScalar is the coefficient type of every matrix in the package.
 The field is the smallest extension of Q containing i and sqrt(2); that is
 enough for the normalized reflection lifts (which divide by |alpha|) and
 for the spinor matrices of every built-in root system.
@@ -359,6 +359,12 @@ def rat(x) -> ExactScalar:
     return ExactScalar._raw(f.numerator, 0, 0, 0, f.denominator)
 
 
+def as_scalar(x) -> ExactScalar:
+    """Pass an ExactScalar through; coerce an int, Fraction or 'p/q'
+    string with rat()."""
+    return x if isinstance(x, ExactScalar) else rat(x)
+
+
 def sqrt_in_real_subfield(x: ExactScalar):
     """Exact square root of a nonnegative real field element, if it stays
     in Q(sqrt2).  Returns the nonnegative root or None.
@@ -415,90 +421,3 @@ def _isqrt_exact(n: int):
     from math import isqrt
     r = isqrt(n)
     return r if r * r == n else None
-
-
-class FloatScalar:
-    """Complex float drop-in for ExactScalar, for root systems whose
-    lift norms leave Q(i, sqrt2).  Zero tests are tolerance based."""
-
-    __slots__ = ("v",)
-    ZERO_TOL = 1e-12
-
-    def __init__(self, v=0.0):
-        if isinstance(v, FloatScalar):
-            v = v.v
-        elif isinstance(v, ExactScalar):
-            v = v.to_complex()
-        elif isinstance(v, Fraction):
-            v = float(v)
-        self.v = complex(v)
-
-    def is_zero(self) -> bool:
-        return abs(self.v) <= self.ZERO_TOL
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, FloatScalar):
-            return x
-        if isinstance(x, (int, float, complex, Fraction, ExactScalar)):
-            return FloatScalar(x)
-        return None
-
-    def __add__(self, other):
-        o = FloatScalar._coerce(other)
-        return NotImplemented if o is None else FloatScalar(self.v + o.v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FloatScalar(-self.v)
-
-    def __sub__(self, other):
-        o = FloatScalar._coerce(other)
-        return NotImplemented if o is None else FloatScalar(self.v - o.v)
-
-    def __rsub__(self, other):
-        o = FloatScalar._coerce(other)
-        return NotImplemented if o is None else FloatScalar(o.v - self.v)
-
-    def __mul__(self, other):
-        o = FloatScalar._coerce(other)
-        return NotImplemented if o is None else FloatScalar(self.v * o.v)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return FloatScalar(1.0 / self.v)
-
-    def __truediv__(self, other):
-        o = FloatScalar._coerce(other)
-        return NotImplemented if o is None else FloatScalar(self.v / o.v)
-
-    def conjugate(self):
-        return FloatScalar(self.v.conjugate())
-
-    def sign_real(self) -> int:
-        if abs(self.v.imag) > 1e-9:
-            raise ValueError(f"sign of non-real scalar: {self.v}")
-        x = self.v.real
-        if abs(x) <= self.ZERO_TOL:
-            return 0
-        return 1 if x > 0 else -1
-
-    def to_complex(self) -> complex:
-        return self.v
-
-    def __eq__(self, other):
-        o = FloatScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return abs(self.v - o.v) <= 1e-9
-
-    def __str__(self):
-        return str(self.v)
-
-    def __repr__(self):
-        return f"FloatScalar({self.v})"

@@ -26,11 +26,11 @@ from dunkldirac import (
     dirac_square_check,
     harmonic_dims,
     is_admissible,
+    is_positive_definite,
     jm_elements,
     jm_symmetric_elements,
     msquared_identities_check,
     nonzero_cohomology_search,
-    positivity_check,
     rca_relation_check,
     report_passes,
     root_system,
@@ -217,7 +217,7 @@ def test_11_harmonics_and_unitarity():
     for c in (Fraction(0), Fraction(1, 6)):
         fam = dctx("S3", c, 4).family
         for m in range(4):
-            if not positivity_check(contravariant_form(fam, m)):
+            if not is_positive_definite(contravariant_form(fam, m)):
                 bad.append(f"S3 gram c={c} m={m}")
     d = dctx("S3", Fraction(1, 6), 4)
     dop = build_dirac(d, build_C2(d.cover, d.family.param), name="C2")

@@ -182,6 +182,22 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
         == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"group": "S6"},
+    {"group": "S3", "tau": {"matrices": {"0": [["-1"]]}}},
+    {"group": "S3", "tau": "bogus"},
+    {"group": {"roots": [["1", "1", "1"]]}},
+    {"group": {"roots": []}},
+], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
+        "coroot-norm-outside-field", "no-roots"])
+def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,
+                                                 overrides):
+    path = write_config(tmp_path, **overrides)
+    assert cli.main(["verify", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_reducible_tau_skips_cohomology(tmp_path):
     # the ambient action of S3 on R^3 contains the trivial summand, so no
     # single weight exists and the suite must say so rather than fail

@@ -93,15 +93,62 @@ def test_irrational_entries_exact():
     assert (m2 @ k).is_zero() and k.ncols == 1
 
 
+def random_field_matrix(rng, n):
+    """Entries in Q(i, sqrt2); the (0, 0) entry is zero, so elimination
+    has to swap rows."""
+    m = Matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            if (i, j) != (0, 0) and rng.random() < 0.8:
+                m.set(i, j, ExactScalar(*(Fraction(rng.randint(-4, 4),
+                                                   rng.randint(1, 3))
+                                          for _ in range(4))))
+    return m
+
+
+def random_hermitian_surd(rng, n):
+    """Symmetric over Q(sqrt2): entry (i, j) has denominator d_i d_j, so
+    the rows carry different denominators; a random diagonal shift makes
+    about half of them positive definite."""
+    dens = [rng.randint(1, 5) for _ in range(n)]
+    shift = rng.choice((0, 8))
+    m = Matrix(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            v = ExactScalar(Fraction(rng.randint(-4, 4), dens[i] * dens[j]),
+                            Fraction(rng.randint(-2, 2), dens[i] * dens[j]))
+            if i == j:
+                v = v + shift
+            m.set(i, j, v)
+            m.set(j, i, v)
+    return m
+
+
+def to_sympy(x: ExactScalar):
+    import sympy
+    r2 = sympy.sqrt(2)
+    return sum(sympy.Rational(f.numerator, f.denominator) * unit
+               for f, unit in zip((x.a, x.b, x.c, x.d),
+                                  (1, r2, sympy.I, sympy.I * r2)))
+
+
+def to_sympy_matrix(m: Matrix):
+    import sympy
+    return sympy.Matrix([[to_sympy(m.get(i, j)) for j in range(m.ncols)]
+                         for i in range(m.nrows)])
+
+
 def test_determinant_oracle():
     rng = random.Random(13)
     import sympy
+    mats = []
     for _ in range(25):
         n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n, density=0.8)
-        sm = sympy.Matrix([[sympy.Rational(str(m.get(i, j).as_rational()))
-                            for j in range(n)] for i in range(n)])
-        assert determinant(m).as_rational() == Fraction(str(sm.det()))
+        mats.append(random_matrix(rng, n, n, density=0.8))
+    mats += [random_field_matrix(rng, rng.randint(2, 4)) for _ in range(10)]
+    for m in mats:
+        want = to_sympy_matrix(m).det(method="berkowitz")
+        assert sympy.expand(to_sympy(determinant(m)) - want) == 0
 
 
 def test_positive_definite():
@@ -118,6 +165,25 @@ def test_positive_definite():
     assert is_positive_definite(h)
     with pytest.raises(ValueError):
         is_positive_definite(Matrix.from_rows([[0, 1], [0, 0]]))
+    # sympy's leading minors as the oracle; None from the first zero one on
+    import sympy
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        h = random_hermitian_surd(rng, n)
+        sm = to_sympy_matrix(h)
+        want = []
+        for k in range(1, n + 1):
+            d = sympy.expand(sm[:k, :k].det(method="berkowitz"))
+            if d == 0:
+                break
+            want.append(d)
+        got = leading_principal_minors(h)
+        assert got[len(want):] == [None] * (n - len(want))
+        assert all(sympy.expand(to_sympy(x) - w) == 0
+                   for x, w in zip(got, want))
+        assert is_positive_definite(h) == (len(want) == n
+                                           and all(w > 0 for w in want))
 
 
 def test_intersection_dim():
@@ -135,14 +201,3 @@ def test_scalar_multiple_detection():
     m.set(0, 1, 1)
     assert m.is_scalar_multiple_of_identity() is None
 
-
-def test_float_mode_rank_kernel():
-    m = Matrix(2, 3, exact=False)
-    m.set(0, 0, 1.0)
-    m.set(0, 1, 2.0)
-    m.set(1, 0, 2.0)
-    m.set(1, 1, 4.0)
-    assert rank(m) == 1
-    k = kernel(m)
-    assert k.ncols == 2
-    assert max(abs(x) for x in (m @ k).to_complex().flatten()) < 1e-9

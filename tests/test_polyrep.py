@@ -10,7 +10,7 @@ import random
 
 import sympy as sp
 
-from dunkldirac.linalg import Matrix
+from dunkldirac.linalg import Matrix, is_positive_definite
 from dunkldirac.polyrep import (
     GradedOperator,
     ModuleFamily,
@@ -27,7 +27,6 @@ from dunkldirac.polyrep import (
     harmonic_subspace,
     matrix_csv,
     operator_matrix,
-    positivity_check,
     rca_relation_check,
     reflection_rep,
     root_form,
@@ -495,13 +494,13 @@ def test_adjointness():
 
 
 def test_positivity():
-    assert positivity_check(Matrix.identity(3))
-    assert not positivity_check(Matrix.from_rows([[1, 2], [2, 1]]))
+    assert is_positive_definite(Matrix.identity(3))
+    assert not is_positive_definite(Matrix.from_rows([[1, 2], [2, 1]]))
     rs = root_system("S2")
     fam = ModuleFamily(rs, params(rs, "1/4"), "trivial", max_degree=2)
-    assert positivity_check(contravariant_form(fam, 1))
+    assert is_positive_definite(contravariant_form(fam, 1))
     neg = ModuleFamily(rs, params(rs, -2), "trivial", max_degree=2)
-    assert not positivity_check(contravariant_form(neg, 1))
+    assert not is_positive_definite(contravariant_form(neg, 1))
 
 
 def test_matrix_csv_format():

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from dunkldirac.scalars import (ExactScalar, FloatScalar, IUNIT, ONE, SQRT2,
-                                ZERO, as_fraction, format_fraction, rat,
+from dunkldirac.scalars import (ExactScalar, IUNIT, ONE, SQRT2, ZERO,
+                                as_fraction, format_fraction, rat,
                                 sqrt_in_real_subfield)
 
 
@@ -143,10 +143,3 @@ def test_zero_denominator_rejected():
     with pytest.raises(ValueError):
         ExactScalar("1/0")
 
-
-def test_float_scalar_basics():
-    x = FloatScalar(1 + 2j)
-    assert (x * x.inverse()).v == pytest.approx(1.0)
-    assert x.conjugate().v == 1 - 2j
-    assert FloatScalar(ExactScalar(1, 1)).v == pytest.approx(2.414213562373095)
-    assert FloatScalar(0.0).is_zero()
