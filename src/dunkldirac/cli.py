@@ -39,8 +39,8 @@ from .diracops import (
     vogan_witness_check,
 )
 from .linalg import Matrix
-from .polyrep import (builtin_rep, custom_rep, harmonic_subspace,
-                      rca_relation_check)
+from .polyrep import (_check_record, builtin_rep, custom_rep,
+                      harmonic_subspace, rca_relation_check)
 from .roots import ParamFunction, root_system
 from .scalars import rat
 
@@ -77,6 +77,14 @@ def _fraction(value, where: str, allow_float: bool) -> Fraction:
         raise ConfigError(f"{where}: not a rational: {value!r} ({exc})")
     raise ConfigError(f"{where}: expected a rational string, got "
                       f"{type(value).__name__}")
+
+
+def _coupling(spec, where: str, allow_float: bool):
+    """A coupling: one rational, or a map orbit name -> rational."""
+    if isinstance(spec, dict):
+        return {k: _fraction(v, f"{where}[{k}]", allow_float)
+                for k, v in spec.items()}
+    return _fraction(spec, where, allow_float)
 
 
 def _parse_tau(spec, group):
@@ -131,12 +139,7 @@ def load_config(path: str) -> dict:
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ConfigError(f"group: {exc}")
 
-    c_spec = raw.get("c", "0")
-    if isinstance(c_spec, dict):
-        c_val = {k: _fraction(v, f"c[{k}]", allow_float)
-                 for k, v in c_spec.items()}
-    else:
-        c_val = _fraction(c_spec, "c", allow_float)
+    c_val = _coupling(raw.get("c", "0"), "c", allow_float)
     try:
         param = ParamFunction.from_config(c_val, rs)
     except ValueError as exc:
@@ -171,16 +174,28 @@ def load_config(path: str) -> dict:
 
 
 def _custom_element(cover, spec, name: str) -> HatElement:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"elements[{name}]: expected a map of part name "
+                          "-> term list")
+    order = cover.group.order
     parts = {}
     for key in ("p", "m", "gp", "gm"):
         terms = spec.get(key, [])
+        if not isinstance(terms, list):
+            raise ConfigError(f"elements[{name}].{key}: expected a list of "
+                              "[group index, rational] terms")
         coeffs = {}
         for entry in terms:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ConfigError(f"elements[{name}].{key}: each term is "
                                   "[group index, rational]")
             idx, val = entry
-            coeffs[int(idx)] = rat(_fraction(val, f"elements[{name}]", False))
+            if isinstance(idx, bool) or not isinstance(idx, int) \
+                    or not 0 <= idx < order:
+                raise ConfigError(f"elements[{name}].{key}: group index "
+                                  f"{idx!r} is not an integer in "
+                                  f"0..{order - 1}")
+            coeffs[idx] = rat(_fraction(val, f"elements[{name}]", False))
         parts[key] = coeffs
     try:
         return HatElement(cover, **parts)
@@ -218,22 +233,10 @@ def resolve_element(dctx, name: str, custom: dict) -> HatElement:
                       f"{list(NAMED_ELEMENTS)} plus the config's own")
 
 
-# -- record plumbing ----------------------------------------------------------------
-
-
-def _recify(records, context: str = "") -> list:
-    out = []
-    for r in records:
-        rid = r["check_id"] + (f" [{context}]" if context else "")
-        out.append({"check_id": rid, "status": r["status"],
-                    "witness": r.get("witness"), "wall_time": None})
-    return out
-
-
-def _flat(check_id: str, ok: bool, witness=None, status=None) -> dict:
-    return {"check_id": check_id,
-            "status": status if status else ("pass" if ok else "fail"),
-            "witness": witness, "wall_time": None}
+def _tagged(records, context: str) -> list:
+    """The records with a context tag appended to each check id."""
+    return [{**r, "check_id": f"{r['check_id']} [{context}]"}
+            for r in records]
 
 
 # -- suites -------------------------------------------------------------------------
@@ -241,11 +244,11 @@ def _flat(check_id: str, ok: bool, witness=None, status=None) -> dict:
 
 def _suite_rca(dctx, cfg) -> list:
     rep = rca_relation_check(dctx.family)
-    out = [_flat(f"rca relation {f['relation']} fails", False,
-                 {k: f[k] for k in ("degree", "entry", "lhs", "rhs")})
+    out = [_check_record(f"rca relation {f['relation']} fails", False,
+                         {k: f[k] for k in ("degree", "entry", "lhs", "rhs")})
            for f in rep["failures"]]
-    out.append(_flat(f"defining relations ({rep['checks']} block "
-                     "identities)", rep["pass"]))
+    out.append(_check_record(f"defining relations ({rep['checks']} block "
+                             "identities)", rep["pass"]))
     return out
 
 
@@ -256,18 +259,19 @@ def _suite_ama(dctx, cfg) -> list:
     recs += msquared_identities_check(ama)
     recs += casimir_centrality_check(ama)
     recs += centralizer_check(ama)
-    return _recify(recs)
+    return recs
 
 
 def _suite_clifford(dctx, cfg) -> list:
     n = dctx.n
-    out = [_flat("generator anticommutation relations",
-                 anticommutator_check(n))]
+    out = [_check_record("generator anticommutation relations",
+                         anticommutator_check(n))]
     sig = dctx.spin
     herm = all(sig.sigma(CliffordElement.generator(n, i)).dagger()
                == sig.sigma(CliffordElement.generator(n, i))
                for i in range(1, n + 1))
-    out.append(_flat("spinor images of the generators are Hermitian", herm))
+    out.append(_check_record("spinor images of the generators are Hermitian",
+                             herm))
     import itertools
     masks = []
     for k in range(n + 1):
@@ -280,55 +284,58 @@ def _suite_clifford(dctx, cfg) -> list:
             xb = CliffordElement.monomial(n, b)
             if sig.sigma(xa * xb) != sig.sigma(xa) @ sig.sigma(xb):
                 mult = False
-    out.append(_flat("spinor representation respects every monomial "
-                     "product", mult))
+    out.append(_check_record("spinor representation respects every "
+                             "monomial product", mult))
     return out
 
 
 def _suite_pincover(dctx, cfg) -> list:
     cov = dctx.cover
     out = [
-        _flat("lift projection property", cov.projection_check()),
-        _flat("conjugation signs on reflection lifts",
-              cov.conjugation_sign_check()),
-        _flat("braid signs between simple lifts", cov.braid_sign_check()),
-        _flat("cocycle 2-cocycle identity (full scan)",
-              cov.cocycle_identity_check()),
+        _check_record("lift projection property", cov.projection_check()),
+        _check_record("conjugation signs on reflection lifts",
+                      cov.conjugation_sign_check()),
+        _check_record("braid signs between simple lifts",
+                      cov.braid_sign_check()),
+        _check_record("cocycle 2-cocycle identity (full scan)",
+                      cov.cocycle_identity_check()),
     ]
     c2 = build_C2(cov, dctx.family.param)
     ok, failures = is_admissible(c2)
-    out.append(_flat("distinguished twist is admissible", ok,
-                     None if ok else {"reasons": failures}))
+    out.append(_check_record("distinguished twist is admissible", ok,
+                             None if ok else {"reasons": failures}))
     try:
         build_Z3(cov, dctx.family.param)
-        out.append(_flat("central cubic term validates", True))
+        out.append(_check_record("central cubic term validates", True))
     except (RuntimeError, ValueError) as exc:
-        out.append(_flat("central cubic term validates", False,
-                         {"error": str(exc)}))
+        out.append(_check_record("central cubic term validates", False,
+                                 {"error": str(exc)}))
     if dctx.rs.name.startswith("S"):
         try:
             jm_elements(cov)
-            out.append(_flat("jucys-murphy sign conventions validate", True))
+            out.append(_check_record(
+                "jucys-murphy sign conventions validate", True))
         except ValueError as exc:
-            out.append(_flat("jucys-murphy sign conventions validate",
-                             False, {"error": str(exc)}))
+            out.append(_check_record(
+                "jucys-murphy sign conventions validate", False,
+                {"error": str(exc)}))
     if cov.has_g():
-        out.append(_flat("extended cover branch (central point "
-                         "reflection present)", True))
+        out.append(_check_record("extended cover branch (central point "
+                                 "reflection present)", True))
     return out
 
 
 def _suite_dirac(dctx, cfg) -> list:
-    out = _recify(dirac_square_check(dctx))
-    out += _recify(basis_independence_check(dctx))
-    out += _recify(c2_decomposition_check(dctx))
+    out = dirac_square_check(dctx)
+    out += basis_independence_check(dctx)
+    out += c2_decomposition_check(dctx)
     c2 = build_C2(dctx.cover, dctx.family.param)
-    out += _recify(rho_invariance_check(build_dirac(dctx, c2, name="C2")))
+    out += rho_invariance_check(build_dirac(dctx, c2, name="C2"))
     return out
 
 
 def _suite_scasimir(dctx, cfg) -> list:
-    return _recify(scasimir_check(dctx))
+    return scasimir_check(dctx)
 
 
 def _suite_vogan(dctx, cfg) -> list:
@@ -338,7 +345,7 @@ def _suite_vogan(dctx, cfg) -> list:
         twists.append(("jm:e1", jm_symmetric_elements(dctx.cover)["e1"]))
     out = []
     for name, tw in twists:
-        out += _recify(vogan_witness_check(dctx, tw, max_power=2,
+        out += _tagged(vogan_witness_check(dctx, tw, max_power=2,
                                            name=name),
                        context=f"twist {name}")
     return out
@@ -348,10 +355,11 @@ def _suite_cohomology(dctx, cfg) -> list:
     from .diracops import central_character_check
     out = []
     if dctx.ama.tau_shift_scalar() is None:
-        return [_flat("cohomology suite needs a scalar central character "
-                      "on tau", True, {"reason": "tau is reducible; "
-                                       "slices carry no single weight"},
-                      status="skipped")]
+        return [_check_record("cohomology suite needs a scalar central "
+                              "character on tau", True,
+                              {"reason": "tau is reducible; slices carry "
+                                         "no single weight"},
+                              status="skipped")]
     degrees = range(0, max(dctx.family.max_degree - 1, 1))
     for el_name in ("zero", "C2"):
         tw = resolve_element(dctx, el_name, cfg["elements"])
@@ -360,34 +368,33 @@ def _suite_cohomology(dctx, cfg) -> list:
             ctx_tag = f"deg {m}, twist {el_name}"
             spec = unitarity_and_spectrum(dop, m)
             if spec["status"] == "empty slice":
-                out.append(_flat(f"slice data [{ctx_tag}]", True,
-                                 {"reason": "empty slice"},
-                                 status="skipped"))
+                out.append(_check_record(f"slice data [{ctx_tag}]", True,
+                                         {"reason": "empty slice"},
+                                         status="skipped"))
                 continue
             if not spec["unitary"]:
-                out.append(_flat(f"slice data [{ctx_tag}]", True,
-                                 {"reason": spec["status"]},
-                                 status="skipped"))
+                out.append(_check_record(f"slice data [{ctx_tag}]", True,
+                                         {"reason": spec["status"]},
+                                         status="skipped"))
                 continue
             ok = bool(spec["self_adjoint"] and spec["omega_matches_lambda"]
                       and spec["chi_plus_one_nonneg"])
             dev = spec.get("square_deviation")
             if dev is not None:
                 ok = ok and dev <= 1e-9
-            out.append(_flat(f"self-adjoint with the predicted Casimir "
-                             f"weight [{ctx_tag}]", ok,
-                             None if ok else {
-                                 "self_adjoint": spec["self_adjoint"],
-                                 "omega": spec["omega_scalar"],
-                                 "lambda": spec["lambda"]}))
+            out.append(_check_record(
+                f"self-adjoint with the predicted Casimir weight [{ctx_tag}]",
+                ok, None if ok else {"self_adjoint": spec["self_adjoint"],
+                                     "omega": spec["omega_scalar"],
+                                     "lambda": spec["lambda"]}))
             coh = dirac_cohomology(dop, m)
-            out.append(_flat(f"kernel meets image trivially [{ctx_tag}]",
-                             coh.dim_overlap == 0,
-                             None if coh.dim_overlap == 0 else
-                             {"dim_ker": coh.dim_ker,
-                              "dim_overlap": coh.dim_overlap}))
+            out.append(_check_record(
+                f"kernel meets image trivially [{ctx_tag}]",
+                coh.dim_overlap == 0,
+                None if coh.dim_overlap == 0 else
+                {"dim_ker": coh.dim_ker, "dim_overlap": coh.dim_overlap}))
             cc = central_character_check(dop, m)
-            out += _recify(cc["records"], context=ctx_tag)
+            out += _tagged(cc["records"], context=ctx_tag)
     return out
 
 
@@ -428,6 +435,7 @@ def run_verify(cfg, suites=None) -> tuple:
         records = _SUITE_FNS[name](dctx, cfg)
         counts = {"pass": 0, "fail": 0, "skipped": 0}
         for r in records:
+            r["wall_time"] = None
             counts[r["status"]] += 1
             totals[r["status"]] += 1
         suite_reports.append({"name": name, "records": records,
@@ -455,7 +463,7 @@ def _table_row(cfg, dctx, point) -> dict:
     row["status"] = "ok"
     try:
         m = point["m"]
-        if not isinstance(m, int) or m < 0:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise ConfigError(f"sweep point degree {m!r} is not a "
                               "nonnegative integer")
         if m > dctx.family.max_degree:
@@ -466,7 +474,7 @@ def _table_row(cfg, dctx, point) -> dict:
         row["C_name"] = name
         scale_spec = point.get("scale")
         scale = Fraction(1) if scale_spec is None else \
-            _fraction(scale_spec, "sweep scale", True)
+            _fraction(scale_spec, "sweep scale", cfg["allow_float"])
         row["scale"] = str(scale)
         row["c"] = dctx.family.param.label()
         tw = resolve_element(dctx, name, cfg["elements"])
@@ -513,13 +521,7 @@ def run_table(cfg, sweep_points) -> list:
                 if dctx is None:
                     dctx = cache[key] = _build(cfg)
             else:
-                if isinstance(c_spec, dict):
-                    c_val = {k: _fraction(v, f"sweep c[{k}]",
-                                          cfg["allow_float"])
-                             for k, v in c_spec.items()}
-                else:
-                    c_val = _fraction(c_spec, "sweep c",
-                                      cfg["allow_float"])
+                c_val = _coupling(c_spec, "sweep c", cfg["allow_float"])
                 param = ParamFunction.from_config(c_val, cfg["rs"])
                 key = param.label()
                 dctx = cache.get(key)
@@ -539,7 +541,10 @@ def run_table(cfg, sweep_points) -> list:
 def run_spectrum(cfg, m: int, name: str) -> list:
     dctx = _build(cfg)
     tw = resolve_element(dctx, name, cfg["elements"])
-    dop = build_dirac(dctx, tw, name=name)
+    try:
+        dop = build_dirac(dctx, tw, name=name)
+    except ValueError as exc:
+        raise ConfigError(f"element {name}: {exc}")
     base = {"group": cfg["rs"].name, "c": cfg["param"].label(),
             "tau": _config_echo(cfg)["tau"], "m": m, "C_name": name}
     try:

@@ -9,7 +9,8 @@ product of the others ("+" class).
 from __future__ import annotations
 
 from .linalg import Matrix
-from .scalars import ExactScalar, IUNIT, ONE, ZERO, as_scalar
+from .scalars import (ExactScalar, IUNIT, ONE, ZERO, as_scalar, parse_terms,
+                      sparse_product, sparse_sum)
 
 
 def _merge_sign_and_mask(s: int, t: int) -> tuple[int, int]:
@@ -81,15 +82,7 @@ class CliffordElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            w = out.get(m)
-            s = v if w is None else w + v
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return CliffordElement(self.n, out)
+        return CliffordElement(self.n, sparse_sum(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return CliffordElement(self.n, {m: -v for m, v in self.coeffs.items()})
@@ -110,20 +103,8 @@ class CliffordElement:
             return CliffordElement(
                 self.n, {m: v * s for m, v in self.coeffs.items()})
         other = self._coerce(other)
-        acc: dict = {}
-        for s, sv in self.coeffs.items():
-            for t, tv in other.coeffs.items():
-                sign, mask = _merge_sign_and_mask(s, t)
-                v = sv * tv
-                if sign < 0:
-                    v = -v
-                cur = acc.get(mask)
-                nv = v if cur is None else cur + v
-                if nv.is_zero():
-                    acc.pop(mask, None)
-                else:
-                    acc[mask] = nv
-        return CliffordElement(self.n, acc)
+        return CliffordElement(self.n, sparse_product(
+            self.coeffs, other.coeffs, _merge_sign_and_mask))
 
     def __rmul__(self, other):
         if isinstance(other, (int, ExactScalar)):
@@ -241,47 +222,11 @@ class CliffordElement:
     @staticmethod
     def parse(n: int, text: str) -> "CliffordElement":
         """Parse the __str__ grammar: signed sums of '<coef> c1 c3' terms."""
-        t = text.strip()
-        if not t:
-            raise ValueError("empty element")
-        # normalize separators, then split into signed chunks
-        chunks = []
-        cur, sign = "", 1
-        depth = 0
-        if t[0] in "+-":
-            sign = -1 if t[0] == "-" else 1
-            t = t[1:]
-        for ch in t:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch in "+-" and depth == 0:
-                chunks.append((sign, cur.strip()))
-                sign = -1 if ch == "-" else 1
-                cur = ""
-            else:
-                cur += ch
-        chunks.append((sign, cur.strip()))
         out = CliffordElement(n)
-        for sgn, body in chunks:
-            if not body:
-                raise ValueError(f"malformed element: {text!r}")
-            toks = body.split()
-            idxs = []
-            coeff_toks = []
-            for tok in toks:
-                if tok.startswith("c") and tok[1:].isdigit():
-                    idxs.append(int(tok[1:]))
-                else:
-                    coeff_toks.append(tok)
-            cstr = " ".join(coeff_toks).strip()
-            if cstr.startswith("(") and cstr.endswith(")"):
-                cstr = cstr[1:-1]
-            coeff = ExactScalar.parse(cstr) if cstr else ONE
-            if sgn < 0:
-                coeff = -coeff
-            out = out + CliffordElement.monomial(n, idxs, coeff)
+        for coeff, letters in parse_terms(
+                text, lambda tok: tok.startswith("c") and tok[1:].isdigit()):
+            out = out + CliffordElement.monomial(
+                n, [int(tok[1:]) for tok in letters], coeff)
         return out
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from .clifford import CliffordElement, vector_embed
 from .roots import ReflectionGroup, RootSystem
-from .scalars import ONE, ZERO, as_scalar, rat
+from .scalars import (ONE, ZERO, accumulate, as_scalar, rat, sparse_product,
+                      sparse_sum)
 
 
 class PinCover:
@@ -78,6 +79,18 @@ class PinCover:
 
     def has_g(self) -> bool:
         return self.g_index is not None
+
+    def extended_order(self) -> int:
+        """Order of the cover: 2|W|, doubled again by g when -1 is in W."""
+        return 2 * self.group.order * (2 if self.has_g() else 1)
+
+    # -- product rules of the group algebra parts, for sparse_product --
+
+    def plain_rule(self, i: int, j: int):
+        return 1, self.group.mul(i, j)
+
+    def twisted_rule(self, i: int, j: int):
+        return self.cocycle(i, j), self.group.mul(i, j)
 
     # -- structure checks -------------------------------------------------
 
@@ -162,15 +175,6 @@ class PinCover:
         return True
 
 
-def _dict_add(acc: dict, key, val) -> None:
-    cur = acc.get(key)
-    s = val if cur is None else cur + val
-    if s.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = s
-
-
 class GroupAlgebraElement:
     """Element of the plain group algebra CW, coefficients on element
     indices."""
@@ -190,10 +194,8 @@ class GroupAlgebraElement:
         return not self.coeffs
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            _dict_add(out, k, v)
-        return GroupAlgebraElement(self.cover, out)
+        return GroupAlgebraElement(self.cover,
+                                   sparse_sum(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -208,12 +210,8 @@ class GroupAlgebraElement:
                                    {k: v * s for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        grp = self.cover.group
-        out: dict = {}
-        for i, vi in self.coeffs.items():
-            for j, vj in other.coeffs.items():
-                _dict_add(out, grp.mul(i, j), vi * vj)
-        return GroupAlgebraElement(self.cover, out)
+        return GroupAlgebraElement(self.cover, sparse_product(
+            self.coeffs, other.coeffs, self.cover.plain_rule))
 
     def commutator(self, other):
         return self * other - other * self
@@ -271,15 +269,10 @@ class HatElement:
         return not (self.p or self.m or self.gp or self.gm)
 
     def __add__(self, other):
-        def merged(a, b):
-            out = dict(a)
-            for k, v in b.items():
-                _dict_add(out, k, v)
-            return out
-        return HatElement(self.cover, merged(self.p, other.p),
-                          merged(self.m, other.m),
-                          merged(self.gp, other.gp),
-                          merged(self.gm, other.gm))
+        return HatElement(self.cover, sparse_sum(self.p, other.p),
+                          sparse_sum(self.m, other.m),
+                          sparse_sum(self.gp, other.gp),
+                          sparse_sum(self.gm, other.gm))
 
     def __neg__(self):
         neg = lambda d: {k: -v for k, v in d.items()}
@@ -296,34 +289,17 @@ class HatElement:
                           sc(self.gp), sc(self.gm))
 
     def __mul__(self, other: "HatElement") -> "HatElement":
-        grp = self.cover.group
-        mu = self.cover.cocycle
-        p: dict = {}
-        m: dict = {}
-        gp: dict = {}
-        gm: dict = {}
-
-        def plain(a, b, out):
-            for i, vi in a.items():
-                for j, vj in b.items():
-                    _dict_add(out, grp.mul(i, j), vi * vj)
-
-        def twisted(a, b, out):
-            for i, vi in a.items():
-                for j, vj in b.items():
-                    v = vi * vj
-                    if mu(i, j) < 0:
-                        v = -v
-                    _dict_add(out, grp.mul(i, j), v)
-
-        plain(self.p, other.p, p)
-        plain(self.gp, other.gp, p)
-        plain(self.p, other.gp, gp)
-        plain(self.gp, other.p, gp)
-        twisted(self.m, other.m, m)
-        twisted(self.gm, other.gm, m)
-        twisted(self.m, other.gm, gm)
-        twisted(self.gm, other.m, gm)
+        # g is central with g^2 = 1: g-part times g-part lands in the g-free
+        # part, mixed products in the g part; likewise on the twisted side
+        plain, twisted = self.cover.plain_rule, self.cover.twisted_rule
+        p = sparse_product(self.p, other.p, plain)
+        sparse_product(self.gp, other.gp, plain, p)
+        gp = sparse_product(self.p, other.gp, plain)
+        sparse_product(self.gp, other.p, plain, gp)
+        m = sparse_product(self.m, other.m, twisted)
+        sparse_product(self.gm, other.gm, twisted, m)
+        gm = sparse_product(self.m, other.gm, twisted)
+        sparse_product(self.gm, other.m, twisted, gm)
         return HatElement(self.cover, p, m, gp, gm)
 
     def commutator(self, other: "HatElement") -> "HatElement":
@@ -376,15 +352,10 @@ class HatElement:
         cov = self.cover
         out: dict = {}
         for k, v in self.m.items():
-            cur = out.get(k)
-            term = cov.lifts[k] * v
-            out[k] = term if cur is None else cur + term
+            accumulate(out, k, cov.lifts[k] * v)
         for k, v in self.gm.items():
-            kk = cov.group.mul(cov.g_index, k)
-            term = cov.lifts[k] * v
-            cur = out.get(kk)
-            out[kk] = term if cur is None else cur + term
-        return {k: v for k, v in out.items() if not v.is_zero()}
+            accumulate(out, cov.group.mul(cov.g_index, k), cov.lifts[k] * v)
+        return out
 
 
 def is_admissible(elem: HatElement):
@@ -424,18 +395,14 @@ def center_shift(cover: PinCover, param) -> GroupAlgebraElement:
     out: dict = {}
     for idx in range(len(rs.positive_roots)):
         ca = rat(param.of_root(rs, idx))
-        _dict_add(out, cover.group.reflection_element_index(idx), ca)
+        accumulate(out, cover.group.reflection_element_index(idx), ca)
     return GroupAlgebraElement(cover, out)
 
 
 def ztilde(cover: PinCover, param) -> HatElement:
     """1/2 sum_a c_a (lift of s_a), in both parts."""
-    rs = cover.rs
-    p: dict = {}
-    for idx in range(len(rs.positive_roots)):
-        ca = rat(param.of_root(rs, idx)) * rat("1/2")
-        _dict_add(p, cover.group.reflection_element_index(idx), ca)
-    return HatElement(cover, p=dict(p), m=dict(p))
+    half = center_shift(cover, param).scale(rat("1/2")).coeffs
+    return HatElement(cover, p=half, m=half)
 
 
 def build_C2(cover: PinCover, param) -> HatElement:
@@ -457,7 +424,7 @@ def build_T(cover: PinCover, param, i: int) -> GroupAlgebraElement:
             continue
         ca = (rat(param.of_root(rs, idx)) * rat("1/2") * comp
               * rs.coroot_norm(idx).inverse())
-        _dict_add(out, cover.group.reflection_element_index(idx), ca)
+        accumulate(out, cover.group.reflection_element_index(idx), ca)
     return GroupAlgebraElement(cover, out)
 
 
@@ -471,7 +438,7 @@ def build_T_bullet(cover: PinCover, param, i: int) -> GroupAlgebraElement:
             continue
         ca = (rat(param.of_root(rs, idx)) * rat("1/2") * comp
               * rs.root_norm(idx).inverse())
-        _dict_add(out, cover.group.reflection_element_index(idx), ca)
+        accumulate(out, cover.group.reflection_element_index(idx), ca)
     return GroupAlgebraElement(cover, out)
 
 
@@ -494,8 +461,8 @@ def build_Z3(cover: PinCover, param) -> GroupAlgebraElement:
                 continue
             cb = rat(param.of_root(rs, b)) * rs.root_norm(b).inverse()
             ib = grp.reflection_element_index(b)
-            _dict_add(out, grp.mul(ia, ib),
-                      ca * cb * pair * rat("1/4"))
+            accumulate(out, grp.mul(ia, ib),
+                       ca * cb * pair * rat("1/4"))
     z3 = GroupAlgebraElement(cover, out)
     for w in range(grp.order):
         gw = GroupAlgebraElement.from_element(cover, w)
@@ -518,7 +485,7 @@ def jucys_murphy(cover: PinCover, k: int) -> HatElement:
         lo, hi = sorted(spots)
         if hi == k - 1:
             found_k = True
-            _dict_add(m, cover.group.reflection_element_index(idx), ONE)
+            accumulate(m, cover.group.reflection_element_index(idx), ONE)
     if not found_k and k != 1:
         raise ValueError(f"index {k} out of range for this group")
     return HatElement(cover, m=m)

@@ -25,13 +25,15 @@ import math
 
 import numpy as np
 
-from .scalars import (ExactScalar, ZERO, ONE, HALF, IUNIT, SQRT2, as_scalar,
-                      rat, sqrt_in_real_subfield)
-from .linalg import Matrix, kernel, intersection_dim, is_positive_definite
+from .scalars import (ExactScalar, ZERO, ONE, HALF, IUNIT, SQRT2, accumulate,
+                      as_scalar, rat, sqrt_in_real_subfield)
+from .linalg import (Matrix, hstack, kernel, intersection_dim,
+                     is_positive_definite)
 from .clifford import CliffordElement, SpinorRep, vector_embed
 from .cover import (PinCover, GroupAlgebraElement, HatElement, is_admissible,
                     ztilde, build_C2, build_T, build_T_bullet, build_Z3)
-from .polyrep import (GradedOperator, ModuleFamily, _rec, _zero,
+from .polyrep import (GradedOperator, ModuleFamily, _check_record,
+                      _first_difference, _rec, _witness, _zero,
                       harmonic_subspace, contravariant_form)
 from .angmom import AmaContext, build_context as build_ama_context
 
@@ -395,10 +397,8 @@ def c2_decomposition_check(dctx: DiracContext) -> list:
     # build_T takes 0-based coordinates; Clifford generators are 1-based
     ts = [build_T(cov, par, i) for i in range(n)]
     for i in range(n):
-        same = build_T_bullet(cov, par, i) == ts[i]
-        records.append({"check_id": f"T[{i}] root-side variant agrees",
-                        "status": "pass" if same else "fail",
-                        "witness": None})
+        records.append(_check_record(f"T[{i}] root-side variant agrees",
+                                     build_T_bullet(cov, par, i) == ts[i]))
     lhs = dctx.rho(ztilde(cov, par))
     rhs = dctx.scalar(0)
     for i in range(n):
@@ -493,20 +493,6 @@ def vogan_witness_check(dctx: DiracContext, twist: HatElement,
 # -- exact restriction utilities -------------------------------------------------
 
 
-def _hstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.nrows != b.nrows:
-        raise ValueError("row mismatch in concatenation")
-    out = Matrix(a.nrows, a.ncols + b.ncols)
-    for i, row in enumerate(a.rows):
-        for j, v in row.items():
-            out.rows[i][j] = v
-    for i, row in enumerate(b.rows):
-        orow = out.rows[i]
-        for j, v in row.items():
-            orow[a.ncols + j] = v
-    return out
-
-
 def _solve_columns(basis: Matrix, target: Matrix) -> Matrix:
     """Exact solution of basis @ X = target.
 
@@ -518,7 +504,7 @@ def _solve_columns(basis: Matrix, target: Matrix) -> Matrix:
     cb, ct = basis.ncols, target.ncols
     if ct == 0:
         return Matrix(cb, 0)
-    ker = kernel(_hstack(basis, target))
+    ker = kernel(hstack(basis, target))
     if ker.ncols != ct:
         raise RuntimeError("restriction failed: basis columns dependent "
                            "or target outside their span")
@@ -635,9 +621,7 @@ def _tilde_classes(cover: PinCover) -> list:
         seen |= orbit
         md: dict = {}
         for (k, s) in sorted(orbit):
-            cur = md.get(k, ZERO) + (ONE if s == 0 else -ONE)
-            md[k] = cur
-        md = {k: v for k, v in md.items() if not v.is_zero()}
+            accumulate(md, k, ONE if s == 0 else -ONE)
         if md:
             classes.append(md)
     return classes
@@ -730,14 +714,6 @@ def _isotypic_pieces(dctx: DiracContext, kb: Matrix, m: int):
     return pieces
 
 
-def _matrix_witness(m: int, mat: Matrix) -> dict:
-    for i, row in enumerate(mat.rows):
-        for j in sorted(row):
-            return {"degree": m, "entry": [i, j],
-                    "lhs": str(row[j]), "rhs": "0"}
-    return {"degree": m, "entry": None, "lhs": "0", "rhs": "0"}
-
-
 ISOTYPIC_ORDER_BOUND = 96
 
 
@@ -760,10 +736,10 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
     kb = coh.kernel_basis
     gap = dctx.casimir - (dop.rho_twist @ dop.rho_twist) + dctx.identity
     prod = gap.blocks[m] @ kb
-    records.append({
-        "check_id": "casimir matches the transported twist square on ker",
-        "status": "pass" if prod.is_zero() else "fail",
-        "witness": None if prod.is_zero() else _matrix_witness(m, prod)})
+    spot = _first_difference(prod, Matrix(prod.nrows, prod.ncols))
+    records.append(_check_record(
+        "casimir matches the transported twist square on ker", spot is None,
+        None if spot is None else _witness(m, spot, prod.get(*spot), ZERO)))
     if dctx.cover.has_g():
         w0 = dctx.cover.group.minus_identity_index()
         point = dctx.lift(dctx.family.w_op(w0)).blocks[m]
@@ -772,16 +748,10 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
         if tau_sc is not None:
             want = tau_sc if m % 2 == 0 else -tau_sc
             okp = got is not None and got == want
-            records.append({
-                "check_id": "point reflection acts on ker by its "
-                            "predicted sign",
-                "status": "pass" if okp else "fail",
-                "witness": None if okp else {
-                    "degree": m, "entry": None,
-                    "lhs": str(got), "rhs": str(want)}})
-    order = 2 * dctx.cover.group.order
-    if dctx.cover.has_g():
-        order *= 2
+            records.append(_check_record(
+                "point reflection acts on ker by its predicted sign", okp,
+                None if okp else _witness(m, None, got, want)))
+    order = dctx.cover.extended_order()
     if order > ISOTYPIC_ORDER_BOUND:
         out["isotypic"] = (f"not computed (extended cover order {order} "
                            "exceeds the brute-force bound)")
@@ -805,11 +775,9 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
                     "omega_scalar": str(oms) if oms is not None else None,
                     "status": "pass" if okp else "fail"})
     out["isotypic"] = iso
-    records.append({
-        "check_id": "normalized-trace character values match per "
-                    "isotypic piece",
-        "status": "pass" if all_ok else "fail",
-        "witness": None})
+    records.append(_check_record(
+        "normalized-trace character values match per isotypic piece",
+        all_ok))
     return out
 
 
@@ -946,11 +914,8 @@ def nonzero_cohomology_search(dctx: DiracContext, m: int, seed: HatElement,
         if not v.is_zero() and v not in exact_us:
             exact_us.append(v)
 
-    order = 2 * dctx.cover.group.order
-    if dctx.cover.has_g():
-        order *= 2
     pieces = None
-    if order <= ISOTYPIC_ORDER_BOUND:
+    if dctx.cover.extended_order() <= ISOTYPIC_ORDER_BOUND:
         pieces = _isotypic_pieces(dctx, bs, m)
     if pieces is not None:
         for p in pieces:

@@ -341,8 +341,8 @@ def kernel(m: Matrix) -> Matrix:
     return out
 
 
-def column_space_rank(*mats: Matrix) -> int:
-    """Rank of the concatenation [A | B | ...]."""
+def hstack(*mats: Matrix) -> Matrix:
+    """The concatenation [A | B | ...]."""
     nrows = mats[0].nrows
     total = sum(mm.ncols for mm in mats)
     cat = Matrix(nrows, total)
@@ -354,7 +354,12 @@ def column_space_rank(*mats: Matrix) -> int:
             for j, v in row.items():
                 cat.rows[i][off + j] = v
         off += mm.ncols
-    return rank(cat)
+    return cat
+
+
+def column_space_rank(*mats: Matrix) -> int:
+    """Rank of the concatenation [A | B | ...]."""
+    return rank(hstack(*mats))
 
 
 def intersection_dim(a: Matrix, b: Matrix) -> int:

@@ -25,22 +25,21 @@ is asserted zero).
 from math import comb
 
 from .linalg import Matrix, kernel
-from .scalars import ONE, ZERO, ExactScalar, as_scalar, rat
+from .scalars import (ONE, ZERO, ExactScalar, accumulate, as_scalar,
+                      parse_terms, rat, sparse_product, sparse_sum)
 
 
 def _csc(v):
     return ExactScalar.parse(v) if isinstance(v, str) else as_scalar(v)
 
 
-def _madd(mat: Matrix, i: int, j: int, v) -> None:
-    # accumulate into a sparse entry, dropping exact zeros
-    row = mat.rows[i]
-    cur = row.get(j)
-    new = v if cur is None else cur + v
-    if new.is_zero():
-        row.pop(j, None)
-    else:
-        row[j] = new
+def _add_exponents(e1, e2):
+    # the monomial product rule x^e1 x^e2 = x^(e1 + e2)
+    return 1, tuple(a + b for a, b in zip(e1, e2))
+
+
+def _is_variable(tok: str) -> bool:
+    return tok.startswith("x") and tok[1:].split("^")[0].isdigit()
 
 
 class Polynomial:
@@ -93,16 +92,8 @@ class Polynomial:
                                    if sum(e) == m})
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            cur = out.get(e)
-            new = v if cur is None else cur + v
-            if new.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = new
         p = Polynomial(self.n)
-        p.coeffs = out
+        p.coeffs = sparse_sum(self.coeffs, other.coeffs)
         return p
 
     def __neg__(self) -> "Polynomial":
@@ -123,19 +114,8 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        out: dict = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t = v1 * v2
-                cur = out.get(e)
-                new = t if cur is None else cur + t
-                if new.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = new
         p = Polynomial(self.n)
-        p.coeffs = out
+        p.coeffs = sparse_product(self.coeffs, other.coeffs, _add_exponents)
         return p
 
     def __rmul__(self, other):
@@ -201,53 +181,16 @@ class Polynomial:
     def parse(n: int, text: str) -> "Polynomial":
         """Parse the __str__ grammar: signed sums of '<coef> x1^2 x3'."""
         out = Polynomial(n)
-        for sgn, body in _signed_chunks(text):
-            if not body:
-                raise ValueError(f"malformed polynomial: {text!r}")
+        for coeff, letters in parse_terms(text, _is_variable):
             exps = [0] * n
-            coeff_toks = []
-            for tok in body.split():
-                if tok.startswith("x") and tok[1:].split("^")[0].isdigit():
-                    parts = tok[1:].split("^")
-                    k = int(parts[0])
-                    if not (1 <= k <= n):
-                        raise ValueError(f"variable out of range: {tok}")
-                    exps[k - 1] += int(parts[1]) if len(parts) > 1 else 1
-                else:
-                    coeff_toks.append(tok)
-            cstr = " ".join(coeff_toks).strip()
-            if cstr.startswith("(") and cstr.endswith(")"):
-                cstr = cstr[1:-1]
-            coeff = ExactScalar.parse(cstr) if cstr else ONE
-            if sgn < 0:
-                coeff = -coeff
+            for tok in letters:
+                parts = tok[1:].split("^")
+                k = int(parts[0])
+                if not (1 <= k <= n):
+                    raise ValueError(f"variable out of range: {tok}")
+                exps[k - 1] += int(parts[1]) if len(parts) > 1 else 1
             out = out + Polynomial.monomial(n, exps, coeff)
         return out
-
-
-def _signed_chunks(text: str):
-    """Split on top-level + and -, keeping signs; parentheses protected."""
-    t = text.strip()
-    if not t:
-        raise ValueError("empty expression")
-    chunks = []
-    cur, sign, depth = "", 1, 0
-    if t[0] in "+-":
-        sign = -1 if t[0] == "-" else 1
-        t = t[1:]
-    for ch in t:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            chunks.append((sign, cur.strip()))
-            sign = -1 if ch == "-" else 1
-            cur = ""
-        else:
-            cur += ch
-    chunks.append((sign, cur.strip()))
-    return chunks
 
 
 def act(g, f: Polynomial) -> Polynomial:
@@ -567,15 +510,9 @@ class GradedOperator:
             raise ValueError("no common valid degrees to compare")
         for m in common:
             a, b = self.blocks[m], other.blocks[m]
-            if a == b:
-                continue
-            spots = sorted({(i, j) for i, row in enumerate(a.rows)
-                            for j in row}
-                           | {(i, j) for i, row in enumerate(b.rows)
-                              for j in row})
-            for (i, j) in spots:
-                if a.get(i, j) != b.get(i, j):
-                    return (m, (i, j), a.get(i, j), b.get(i, j))
+            spot = _first_difference(a, b)
+            if spot is not None:
+                return (m, spot, a.get(*spot), b.get(*spot))
         return None
 
     def is_zero(self) -> bool:
@@ -591,19 +528,39 @@ def _zero(op: GradedOperator) -> GradedOperator:
                            for m, b in op.blocks.items()})
 
 
+def _first_difference(a: Matrix, b: Matrix):
+    """(row, col) of the first entry, in row-major order, where a and b
+    differ; None when they are equal."""
+    if a == b:
+        return None
+    spots = sorted({(i, j) for i, row in enumerate(a.rows) for j in row}
+                   | {(i, j) for i, row in enumerate(b.rows) for j in row})
+    return next((ij for ij in spots if a.get(*ij) != b.get(*ij)), None)
+
+
+def _check_record(check_id: str, ok: bool, witness=None,
+                  status=None) -> dict:
+    """One {check_id, status, witness} record; status is pass or fail by
+    ok unless given."""
+    return {"check_id": check_id,
+            "status": status or ("pass" if ok else "fail"),
+            "witness": witness}
+
+
+def _witness(m: int, entry, lhs, rhs) -> dict:
+    """Witness of a failed comparison on degree m; entry is (row, col) or
+    None for a whole-slice value."""
+    return {"degree": m, "entry": None if entry is None else list(entry),
+            "lhs": str(lhs), "rhs": str(rhs)}
+
+
 def _rec(records: list, check_id: str, lhs: GradedOperator,
          rhs: GradedOperator) -> None:
-    """Append one {check_id, status, witness} record for lhs == rhs; a
-    failure's witness pins the first differing entry."""
+    """Append one record for lhs == rhs; a failure's witness pins the
+    first differing entry."""
     bad = lhs.first_mismatch(rhs)
-    if bad is None:
-        records.append({"check_id": check_id, "status": "pass",
-                        "witness": None})
-    else:
-        m, (r, c), a, b = bad
-        records.append({"check_id": check_id, "status": "fail",
-                        "witness": {"degree": m, "entry": [r, c],
-                                    "lhs": str(a), "rhs": str(b)}})
+    records.append(_check_record(check_id, bad is None,
+                                 None if bad is None else _witness(*bad)))
 
 
 # -- the module family --------------------------------------------------------
@@ -631,6 +588,7 @@ class ModuleFamily:
         self._x_ops = None
         self._y_ops = None
         self._dd_ops: dict = {}
+        self._quots: dict = {}
         self._w_ops: dict = {}
         self._lap = None
         self._gram: list = []
@@ -665,7 +623,7 @@ class ModuleFamily:
         for e, v in poly.coeffs.items():
             base = pos[e] * td
             for t, tv in tau_col:
-                _madd(mat, base + t, col, v * tv)
+                accumulate(mat.rows[base + t], col, v * tv)
 
     def _tau_column(self, w_index: int, t: int):
         mat = self.tau.mat(w_index)
@@ -706,6 +664,9 @@ class ModuleFamily:
 
     def _quotients(self, m: int):
         """Per positive root r, per degree-m monomial p: (x^e - s_r x^e)/a_r."""
+        got = self._quots.get(m)
+        if got is not None:
+            return got
         out = []
         for r in range(len(self.rs.positive_roots)):
             s = self.rs.reflection(r)
@@ -717,6 +678,7 @@ class ModuleFamily:
                 per_mono.append(Polynomial.zero(self.n) if diff.is_zero()
                                 else divide_by_linear(diff, form))
             out.append(per_mono)
+        self._quots[m] = out
         return out
 
     def _build_y(self) -> None:
@@ -768,14 +730,7 @@ class ModuleFamily:
         for m in range(self.max_degree + 1):
             mat = Matrix(self.dim(m - 1), self.dim(m))
             if m > 0:
-                s = self.rs.reflection(root_idx)
-                form = self._root_forms[root_idx]
-                for p, e in enumerate(self._monos[m]):
-                    mono = Polynomial.monomial(self.n, e)
-                    diff = mono - act(s, mono)
-                    if diff.is_zero():
-                        continue
-                    qp = divide_by_linear(diff, form)
+                for p, qp in enumerate(self._quotients(m)[root_idx]):
                     for t in range(td):
                         self._add_poly(mat, m - 1, p * td + t, qp, [(t, ONE)])
             blocks[m] = mat
@@ -876,6 +831,10 @@ def center_op(family: ModuleFamily) -> GradedOperator:
     return acc
 
 
+def _is_operator_letter(tok: str) -> bool:
+    return tok == "e" or (tok[0] in "xysw" and tok[1:].isdigit())
+
+
 def operator_matrix(family: ModuleFamily, expr: str) -> GradedOperator:
     """Assemble a GradedOperator from a word expression.
 
@@ -885,41 +844,22 @@ def operator_matrix(family: ModuleFamily, expr: str) -> GradedOperator:
     e (identity).  Example: 'x1 y1 - y1 x1 + 2 s0'.
     """
     total = None
-    for sgn, body in _signed_chunks(expr):
-        if not body:
-            raise ValueError(f"malformed operator expression: {expr!r}")
-        letters = []
-        coeff_toks = []
-        for tok in body.split():
-            if tok == "e":
-                letters.append(("e", 0))
-            elif tok[0] in "xysw" and tok[1:].isdigit():
-                letters.append((tok[0], int(tok[1:])))
-            else:
-                coeff_toks.append(tok)
-        cstr = " ".join(coeff_toks).strip()
-        if cstr.startswith("(") and cstr.endswith(")"):
-            cstr = cstr[1:-1]
-        coeff = ExactScalar.parse(cstr) if cstr else ONE
-        if sgn < 0:
-            coeff = -coeff
+    for coeff, letters in parse_terms(expr, _is_operator_letter):
         op = family.identity_op()
-        for kind, k in letters:
-            if kind == "x":
-                nxt = family.x_op(k)
-            elif kind == "y":
-                nxt = family.y_op(k)
-            elif kind == "s":
-                nxt = family.reflection_op(k)
-            elif kind == "w":
-                nxt = family.w_op(k)
-            else:
+        for tok in letters:
+            if tok == "e":
                 nxt = family.identity_op()
+            elif tok[0] == "x":
+                nxt = family.x_op(int(tok[1:]))
+            elif tok[0] == "y":
+                nxt = family.y_op(int(tok[1:]))
+            elif tok[0] == "s":
+                nxt = family.reflection_op(int(tok[1:]))
+            else:
+                nxt = family.w_op(int(tok[1:]))
             op = op @ nxt
         op = op.scale(coeff)
         total = op if total is None else total + op
-    if total is None:
-        raise ValueError("empty operator expression")
     return total
 
 

@@ -305,26 +305,8 @@ class ExactScalar:
     @staticmethod
     def parse(text: str) -> "ExactScalar":
         """Parse the __str__ grammar: signed sums of [coef*][i][*][sqrt2]."""
-        t = text.replace(" ", "")
-        if not t:
-            raise ValueError("empty scalar")
-        # split into signed terms
-        terms, cur, sign = [], "", 1
-        if t[0] in "+-":
-            sign = -1 if t[0] == "-" else 1
-            t = t[1:]
-        for ch in t:
-            if ch in "+-":
-                terms.append((sign, cur))
-                sign = -1 if ch == "-" else 1
-                cur = ""
-            else:
-                cur += ch
-        terms.append((sign, cur))
         out = ExactScalar()
-        for sgn, body in terms:
-            if not body:
-                raise ValueError(f"malformed scalar: {text!r}")
+        for sgn, body in split_signed(text.replace(" ", "")):
             has_i = False
             has_s = False
             rest = body
@@ -363,6 +345,105 @@ def as_scalar(x) -> ExactScalar:
     """Pass an ExactScalar through; coerce an int, Fraction or 'p/q'
     string with rat()."""
     return x if isinstance(x, ExactScalar) else rat(x)
+
+
+# -- sparse combinations: dicts basis key -> nonzero coefficient ---------------
+
+
+def accumulate(acc: dict, key, val) -> None:
+    """acc[key] += val, dropping the entry when it cancels."""
+    cur = acc.get(key)
+    new = val if cur is None else cur + val
+    if new.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = new
+
+
+def sparse_sum(a: dict, b: dict) -> dict:
+    """The sum of two sparse combinations, as a new dict."""
+    out = dict(a)
+    for k, v in b.items():
+        accumulate(out, k, v)
+    return out
+
+
+def sparse_product(a: dict, b: dict, rule, acc: dict | None = None) -> dict:
+    """Bilinear product of two sparse combinations, added into acc (a new
+    dict when None) and returned.
+
+    rule(i, j) returns (sign, k) with e_i e_j = sign * e_k for basis keys
+    i, j, k and sign +-1.
+    """
+    out = {} if acc is None else acc
+    for i, vi in a.items():
+        for j, vj in b.items():
+            sign, k = rule(i, j)
+            v = vi * vj
+            if sign < 0:
+                v = -v
+            # accumulate() inlined: this loop carries every Clifford
+            # product of the cover scans
+            cur = out.get(k)
+            new = v if cur is None else cur + v
+            if new.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = new
+    return out
+
+
+# -- the term grammar shared by every parser -------------------------------------
+
+
+def split_signed(text: str) -> list:
+    """Split on top-level + and -, keeping signs; parentheses protected.
+
+    Returns (sign, body) pairs; an empty text or an empty term raises
+    ValueError.
+    """
+    t = text.strip()
+    if not t:
+        raise ValueError("empty expression")
+    chunks = []
+    cur, sign, depth = "", 1, 0
+    if t[0] in "+-":
+        sign = -1 if t[0] == "-" else 1
+        t = t[1:]
+    for ch in t:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch in "+-" and depth == 0:
+            chunks.append((sign, cur.strip()))
+            sign = -1 if ch == "-" else 1
+            cur = ""
+        else:
+            cur += ch
+    chunks.append((sign, cur.strip()))
+    if not all(body for _, body in chunks):
+        raise ValueError(f"malformed expression: {text!r}")
+    return chunks
+
+
+def parse_terms(text: str, is_letter):
+    """Yield (coefficient, letter tokens) for each signed term of a sum.
+
+    A term is whitespace-separated tokens; those passing is_letter are
+    the caller's letters, in order, and the rest form an ExactScalar
+    coefficient (optionally parenthesized, 1 when absent) with the
+    term's sign applied.
+    """
+    for sign, body in split_signed(text):
+        letters, coeff_toks = [], []
+        for tok in body.split():
+            (letters if is_letter(tok) else coeff_toks).append(tok)
+        cstr = " ".join(coeff_toks)
+        if cstr.startswith("(") and cstr.endswith(")"):
+            cstr = cstr[1:-1]
+        coeff = ExactScalar.parse(cstr) if cstr else ONE
+        yield (coeff if sign > 0 else -coeff), letters
 
 
 def sqrt_in_real_subfield(x: ExactScalar):

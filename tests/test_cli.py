@@ -250,6 +250,24 @@ def test_table_boundary_row_on_the_plane(tmp_path):
     assert row["omega_scalar"] == "-1"
 
 
+def test_table_bad_points_become_rows(tmp_path):
+    # a float scale in exact mode, a boolean degree and an out-of-range
+    # custom element each give an error row; the sweep goes on around them
+    cfg = load_config(write_config(
+        tmp_path, group="S3", c="1/2", max_degree=3,
+        elements={"far": {"m": [[99, "1"]]}}))
+    rows = run_table(cfg, [{"m": 0, "C": "zero", "scale": 0.1},
+                           {"m": True, "C": "zero"},
+                           {"m": 1, "C": "far"},
+                           {"m": 1, "C": "C2"}])
+    assert len(rows) == 4
+    assert "exact mode" in rows[0]["status"]
+    assert "degree True" in rows[1]["status"]
+    assert "group index 99" in rows[2]["status"]
+    assert all(r["status"].startswith("error:") for r in rows[:3])
+    assert rows[3]["status"] == "ok" and rows[3]["dim_X"] == 3
+
+
 def test_table_failures_become_rows(tmp_path):
     cfg = load_config(write_config(tmp_path))
     rows = run_table(cfg, [{"m": 99, "C": "zero"},
@@ -286,6 +304,24 @@ def test_spectrum_skips_non_unitary_slice(tmp_path):
     assert len(rows) == 1
     assert rows[0]["status"] == "non-unitary, skipped"
     assert rows[0]["eigenvalue"] == ""
+
+
+@pytest.mark.parametrize("spec", [
+    {"p": [[1, "1"]]},
+    {"m": [[99, "1"]]},
+    {"m": [["a", "1"]]},
+    {"m": [[True, "1"]]},
+    [[1, "1"]],
+], ids=["not-admissible", "index-out-of-range", "index-not-integer",
+        "index-boolean", "spec-not-a-map"])
+def test_spectrum_bad_element_exits_two_with_one_line(tmp_path, capsys,
+                                                      spec):
+    path = write_config(tmp_path, group="S3", c="1/2",
+                        elements={"bad": spec})
+    assert cli.main(["spectrum", "--config", path, "--m", "1",
+                     "--C", "bad", "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_required_argument_is_usage_error():

@@ -7,6 +7,8 @@ bitmask implementation.
 """
 import random
 
+import pytest
+
 from dunkldirac.clifford import (
     CliffordElement,
     SpinorRep,
@@ -170,6 +172,9 @@ def test_print_and_parse_roundtrip():
     assert CliffordElement.parse(2, "c1 c2") == CliffordElement.monomial(
         2, (1, 2))
     assert CliffordElement.parse(2, "-c2") == -CliffordElement.generator(2, 2)
+    for bad in ("", "+", "c1 +", "c1 - - c2", "(1/2 c1", "c1 d2"):
+        with pytest.raises(ValueError):
+            CliffordElement.parse(2, bad)
 
 
 def test_spinor_rep_pauli_for_n2():

@@ -1,9 +1,12 @@
-"""Golden report digests: verify reports stay byte-identical.
+"""Golden report digests: verify reports and table CSVs stay
+byte-identical.
 
 Each config runs every suite through the console entry point and pins
 the SHA-256 of the report bytes.  Any change to a report, be it a check
 id, a status, a witness or the key order, fails here; a deliberate
-report change re-pins its digest in the same commit.
+report change re-pins its digest in the same commit.  One `table` sweep
+is pinned the same way, since it runs the cover-algebra products of the
+twist elements that `verify` alone does not reach.
 """
 import hashlib
 import json
@@ -43,3 +46,25 @@ def test_report_digest(tmp_path, name):
     assert cli.main(["verify", "--config", str(path),
                      "--report", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+# S3 at c = 1/2, where jm:e1 has kernel cohomology on degree 2, over four
+# twists and three degrees, plus one unknown element that must become an
+# error row without stopping the sweep
+TABLE_CONFIG = {"group": "S3", "c": "1/2", "max_degree": 3}
+TABLE_SWEEP = [{"m": m, "C": name}
+               for name in ("zero", "C2", "jm:e1", "scale:2:C2")
+               for m in (0, 1, 2)] + [{"m": 1, "C": "bogus"}]
+TABLE_DIGEST = \
+    "e2e85b787b474b50acf5f42084ea1fdf3acfe3b0dff8412aefdeec20fc17d54a"
+
+
+def test_table_digest(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TABLE_CONFIG), encoding="utf-8")
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(TABLE_SWEEP), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert cli.main(["table", "--config", str(cfg), "--sweep", str(sweep),
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_DIGEST

@@ -8,6 +8,7 @@ values; harmonic dimensions against the classical binomial formula.
 
 import random
 
+import pytest
 import sympy as sp
 
 from dunkldirac.linalg import Matrix, is_positive_definite
@@ -146,6 +147,9 @@ def test_polynomial_str_parse_roundtrip():
         r = random_poly(rng, 3)
         assert Polynomial.parse(3, str(r)) == r
     assert str(Polynomial.zero(2)) == "0"
+    for bad in ("", "+", "x1 +", "x1 - - x2", "(1/2 x1", "x1 z2"):
+        with pytest.raises(ValueError):
+            Polynomial.parse(3, bad)
 
 
 def test_divide_by_linear_roundtrip():
@@ -346,6 +350,9 @@ def test_operator_matrix_parser():
     assert comm == fam.y_op(1).commutator(fam.x_op(1))
     scaled = operator_matrix(fam, "2 e - 1/2 s0")
     assert scaled == fam.scalar_op(2) - fam.reflection_op(0).scale(rat("1/2"))
+    for bad in ("", "+", "x1 +", "x1 - - y1", "(1/2 s0", "x1 z1"):
+        with pytest.raises(ValueError):
+            operator_matrix(fam, bad)
 
 
 # -- the defining relations -----------------------------------------------------

@@ -116,6 +116,9 @@ def test_rational_string_rules():
         as_fraction("1/0")
     with pytest.raises(ValueError):
         as_fraction("x")
+    for bad in ("", "+", "1 +", "1 - - i", "(1/2", "j"):
+        with pytest.raises(ValueError):
+            ExactScalar.parse(bad)
 
 
 def test_sign_real():
