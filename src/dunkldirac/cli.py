@@ -173,13 +173,20 @@ def load_config(path: str) -> dict:
             "allow_float": allow_float}
 
 
+ELEMENT_PARTS = ("p", "m", "gp", "gm")
+
+
 def _custom_element(cover, spec, name: str) -> HatElement:
     if not isinstance(spec, dict):
         raise ConfigError(f"elements[{name}]: expected a map of part name "
                           "-> term list")
+    unknown = sorted(set(spec) - set(ELEMENT_PARTS))
+    if unknown:
+        raise ConfigError(f"elements[{name}]: unknown part {unknown[0]!r}; "
+                          "parts are p, m, gp and gm")
     order = cover.group.order
     parts = {}
-    for key in ("p", "m", "gp", "gm"):
+    for key in ELEMENT_PARTS:
         terms = spec.get(key, [])
         if not isinstance(terms, list):
             raise ConfigError(f"elements[{name}].{key}: expected a list of "
@@ -470,6 +477,8 @@ def _table_row(cfg, dctx, point) -> dict:
             raise ConfigError(f"sweep degree {m} beyond truncation "
                               f"{dctx.family.max_degree}")
         name = point.get("C", "zero")
+        if not isinstance(name, str):
+            raise ConfigError(f"sweep point element {name!r} is not a name")
         row["m"] = m
         row["C_name"] = name
         scale_spec = point.get("scale")
@@ -515,19 +524,16 @@ def run_table(cfg, sweep_points) -> list:
             continue
         c_spec = point.get("c", None)
         try:
-            if c_spec is None:
-                key = "config"
-                dctx = cache.get(key)
-                if dctx is None:
-                    dctx = cache[key] = _build(cfg)
-            else:
+            param = cfg["param"]
+            if c_spec is not None:
                 c_val = _coupling(c_spec, "sweep c", cfg["allow_float"])
                 param = ParamFunction.from_config(c_val, cfg["rs"])
-                key = param.label()
-                dctx = cache.get(key)
-                if dctx is None:
-                    dctx = cache[key] = build_context(
-                        cfg["rs"], param, cfg["max_degree"], cfg["tau"])
+            # one context per coupling, whether the config or the point
+            # names it
+            dctx = cache.get(param.label())
+            if dctx is None:
+                dctx = cache[param.label()] = build_context(
+                    cfg["rs"], param, cfg["max_degree"], cfg["tau"])
         except (ConfigError, ValueError) as exc:
             bad = {k: "" for k in TABLE_COLUMNS}
             bad.update({"group": cfg["rs"].name,

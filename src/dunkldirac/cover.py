@@ -257,11 +257,6 @@ class HatElement:
         return HatElement(cover, p={0: ONE}, m={0: ONE})
 
     @staticmethod
-    def from_lift(cover: PinCover, idx: int, coeff=ONE) -> "HatElement":
-        """Image of the canonical lift of group element idx: both parts."""
-        return HatElement(cover, p={idx: coeff}, m={idx: coeff})
-
-    @staticmethod
     def g(cover: PinCover) -> "HatElement":
         return HatElement(cover, gp={0: ONE}, gm={0: ONE})
 
@@ -335,12 +330,6 @@ class HatElement:
                 f"gp={self.gp}, gm={self.gm})")
 
     # -- structure ----------------------------------------------------------
-
-    def twisted_part(self) -> "HatElement":
-        return HatElement(self.cover, m=self.m, gm=self.gm)
-
-    def plain_part(self) -> "HatElement":
-        return HatElement(self.cover, p=self.p, gp=self.gp)
 
     def rho_terms(self) -> dict:
         """Formal image under rho: dict group index -> CliffordElement.

@@ -89,6 +89,15 @@ class DiracContext:
         return GradedOperator(self.module, op.shift,
                               {m: b.kron(mat) for m, b in op.blocks.items()})
 
+    def spin_sum(self, terms) -> GradedOperator:
+        """sum op tensor sigma(elem) over the (op, elem) terms, in the order
+        given; the zero operator when there are none."""
+        acc = None
+        for op, elem in terms:
+            t = self.pair(op, elem)
+            acc = t if acc is None else acc + t
+        return acc if acc is not None else self.scalar(0)
+
     @cached_property
     def identity(self) -> GradedOperator:
         return self.lift(self.family.identity_op())
@@ -108,11 +117,8 @@ class DiracContext:
         algebra acts by zero.
         """
         terms = elem.rho_terms()
-        acc = None
-        for k in sorted(terms):
-            t = self.pair(self.family.w_op(k), terms[k])
-            acc = t if acc is None else acc + t
-        return acc if acc is not None else self.scalar(0)
+        return self.spin_sum((self.family.w_op(k), terms[k])
+                             for k in sorted(terms))
 
     def _cvec(self, i: int) -> CliffordElement:
         return CliffordElement.generator(self.n, i)
@@ -125,11 +131,9 @@ class DiracContext:
     @cached_property
     def dirac(self) -> GradedOperator:
         """sum_{i<j} M_ij tensor c_i c_j, degree preserving."""
-        acc = self.scalar(0)
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                acc = acc + self.pair(self.ama.M(i, j), self._cpair(i, j))
-        return acc
+        return self.spin_sum((self.ama.M(i, j), self._cpair(i, j))
+                             for i in range(1, self.n + 1)
+                             for j in range(i + 1, self.n + 1))
 
     @cached_property
     def phi(self) -> GradedOperator:
@@ -150,20 +154,22 @@ class DiracContext:
     @cached_property
     def lowering(self) -> GradedOperator:
         """sum_i y_i tensor c_i, odd, degree -1."""
-        acc = None
-        for i in range(1, self.n + 1):
-            t = self.pair(self.family.y_op(i), self._cvec(i))
-            acc = t if acc is None else acc + t
-        return acc
+        return self.spin_sum((self.family.y_op(i), self._cvec(i))
+                             for i in range(1, self.n + 1))
 
     @cached_property
     def raising(self) -> GradedOperator:
         """sum_i x_i tensor c_i, odd, degree +1."""
-        acc = None
-        for i in range(1, self.n + 1):
-            t = self.pair(self.family.x_op(i), self._cvec(i))
-            acc = t if acc is None else acc + t
-        return acc
+        return self.spin_sum((self.family.x_op(i), self._cvec(i))
+                             for i in range(1, self.n + 1))
+
+    @cached_property
+    def simple_reflection_actions(self) -> list:
+        """(r, diagonal action of the lift of s_r) per simple root r."""
+        group = self.cover.group
+        return [(r, self.rho(HatElement(
+                    self.cover, m={group.reflection_element_index(r): ONE})))
+                for r in self.rs.simple_root_indices()]
 
 
 def build_context(rs, param, max_degree: int, tau) -> DiracContext:
@@ -238,46 +244,34 @@ def dirac_square_check(dctx: DiracContext) -> list:
 # -- frames --------------------------------------------------------------------
 
 
+def _frame(n: int, corner) -> list:
+    """The n x n identity with its top-left block replaced by corner."""
+    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for i, corner_row in enumerate(corner):
+        for j, v in enumerate(corner_row):
+            rows[i][j] = v
+    return rows
+
+
 def rotation_frame(n: int) -> list:
     """Exact 45 degree rotation in the (1,2) plane; identity elsewhere."""
     r = SQRT2 * HALF
-    rows = [[ZERO] * n for _ in range(n)]
-    rows[0][0] = r
-    rows[0][1] = r
-    rows[1][0] = -r
-    rows[1][1] = r
-    for i in range(2, n):
-        rows[i][i] = ONE
-    return rows
+    return _frame(n, [[r, r], [-r, r]])
 
 
 def swap_frame(n: int) -> list:
     """Coordinates 1 and 2 exchanged."""
-    rows = [[ZERO] * n for _ in range(n)]
-    rows[0][1] = ONE
-    rows[1][0] = ONE
-    for i in range(2, n):
-        rows[i][i] = ONE
-    return rows
+    return _frame(n, [[ZERO, ONE], [ONE, ZERO]])
 
 
 def flip_frame(n: int) -> list:
     """First coordinate negated."""
-    rows = [[ZERO] * n for _ in range(n)]
-    rows[0][0] = -ONE
-    for i in range(1, n):
-        rows[i][i] = ONE
-    return rows
+    return _frame(n, [[-ONE]])
 
 
 def shear_frame(n: int) -> list:
     """e1 -> e1 + e2, not orthogonal; the negative control."""
-    rows = [[ZERO] * n for _ in range(n)]
-    rows[0][0] = ONE
-    rows[0][1] = ONE
-    for i in range(1, n):
-        rows[i][i] = ONE
-    return rows
+    return _frame(n, [[ONE, ONE], [ZERO, ONE]])
 
 
 def dirac_in_basis(dctx: DiracContext, rows) -> GradedOperator:
@@ -306,12 +300,8 @@ def dirac_in_basis(dctx: DiracContext, rows) -> GradedOperator:
         xs.append(xop)
         ys.append(yop)
         cs.append(vector_embed(n, row))
-    acc = dctx.scalar(0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mij = (xs[i] @ ys[j]) - (xs[j] @ ys[i])
-            acc = acc + dctx.pair(mij, cs[i] * cs[j])
-    return acc
+    return dctx.spin_sum(((xs[i] @ ys[j]) - (xs[j] @ ys[i]), cs[i] * cs[j])
+                         for i in range(n) for j in range(i + 1, n))
 
 
 def basis_independence_check(dctx: DiracContext) -> list:
@@ -326,9 +316,7 @@ def basis_independence_check(dctx: DiracContext) -> list:
         _rec(records, "frame rotation by pi/4 in (1,2)",
              dirac_in_basis(dctx, rotation_frame(dctx.n)), dctx.dirac)
     z = _zero(dctx.dirac)
-    for r in dctx.rs.simple_root_indices():
-        idx = dctx.cover.group.reflection_element_index(r)
-        refl = dctx.rho(HatElement(dctx.cover, m={idx: ONE}))
+    for r, refl in dctx.simple_reflection_actions:
         _rec(records, f"[dirac, diagonal lift of s[{r}]] = 0",
              dctx.dirac.commutator(refl), z)
     return records
@@ -340,9 +328,7 @@ def rho_invariance_check(dop: DiracOperator) -> list:
     dctx = dop.ctx
     records: list = []
     z = _zero(dop.op)
-    for r in dctx.rs.simple_root_indices():
-        idx = dctx.cover.group.reflection_element_index(r)
-        refl = dctx.rho(HatElement(dctx.cover, m={idx: ONE}))
+    for r, refl in dctx.simple_reflection_actions:
         _rec(records, f"[D_{dop.name}, diagonal lift of s[{r}]] = 0",
              dop.op.commutator(refl), z)
     if dctx.cover.has_g():
@@ -399,32 +385,24 @@ def c2_decomposition_check(dctx: DiracContext) -> list:
     for i in range(n):
         records.append(_check_record(f"T[{i}] root-side variant agrees",
                                      build_T_bullet(cov, par, i) == ts[i]))
-    lhs = dctx.rho(ztilde(cov, par))
-    rhs = dctx.scalar(0)
-    for i in range(n):
-        rhs = rhs + dctx.pair(dctx.family.from_group_algebra(ts[i].coeffs),
-                              dctx._cvec(i + 1))
-    _rec(records, "half-sum image = sum T_i c_i", lhs, rhs)
+    _rec(records, "half-sum image = sum T_i c_i",
+         dctx.rho(ztilde(cov, par)),
+         dctx.spin_sum((dctx.family.from_group_algebra(ts[i].coeffs),
+                        dctx._cvec(i + 1)) for i in range(n)))
+    # [T_i, T_j] on X, keyed by the 1-based generator pair (i, j)
+    comms = {(i + 1, j + 1): dctx.family.from_group_algebra(
+                 ts[i].commutator(ts[j]).coeffs)
+             for i in range(n) for j in range(i + 1, n)}
     c2 = build_C2(cov, par)
-    z3 = build_Z3(cov, par)
-    rhs2 = dctx.group_factor(z3)
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = ts[i].commutator(ts[j])
-            rhs2 = rhs2 + dctx.pair(
-                dctx.family.from_group_algebra(comm.coeffs),
-                dctx._cpair(i + 1, j + 1))
+    z3 = dctx.group_factor(build_Z3(cov, par))
     _rec(records, "twist image = sum [T_i, T_j] c_i c_j + Z3",
-         dctx.rho(c2), rhs2)
+         dctx.rho(c2),
+         z3 + dctx.spin_sum((t, dctx._cpair(*ij)) for ij, t in comms.items()))
     dop = build_dirac(dctx, c2, name="C2")
-    rhs3 = dctx.group_factor(z3) - dctx.phi
-    for i in range(n):
-        for j in range(i + 1, n):
-            mt = dctx.ama.M(i + 1, j + 1) + dctx.family.from_group_algebra(
-                ts[i].commutator(ts[j]).coeffs)
-            rhs3 = rhs3 + dctx.pair(mt, dctx._cpair(i + 1, j + 1))
     _rec(records, "twisted operator = modified angular momenta + Z3 - phi",
-         dop.op, rhs3)
+         dop.op, z3 - dctx.phi + dctx.spin_sum(
+             (dctx.ama.M(*ij) + t, dctx._cpair(*ij))
+             for ij, t in comms.items()))
     return records
 
 
@@ -901,8 +879,7 @@ def nonzero_cohomology_search(dctx: DiracContext, m: int, seed: HatElement,
     if om is None:
         raise RuntimeError("Casimir is not scalar on the slice")
     r0 = _restrict(dctx.rho(seed).blocks[m], bs)
-    evs = np.linalg.eigvals(r0.to_complex())
-    if all(abs(z) < 1e-8 for z in evs):
+    if r0.is_zero():
         raise RuntimeError("seed element acts by zero on the slice; "
                            "choose another admissible element")
     # eigenvalues of the seed action, piecewise: class sums split the slice
@@ -945,8 +922,9 @@ def nonzero_cohomology_search(dctx: DiracContext, m: int, seed: HatElement,
                 if coh.dim_h > 0:
                     return (scale, sign, coh)
     # recognition or the exact square root failed; fall back to floats
+    evs = np.linalg.eigvals(r0.to_complex())
     u_f = max((complex(z) for z in evs), key=abs).real
-    res = _search_float(dctx, m, bs, om, r0, u_f)
+    res = _search_float(dctx, m, bs, om, r0, u_f) if u_f else None
     if res is not None:
         return res
     raise RuntimeError("no rescaled twist produced kernel cohomology "

@@ -475,14 +475,6 @@ class GradedOperator:
             out[m] = a @ b
         return GradedOperator(self.family, self.shift + other.shift, out)
 
-    def __pow__(self, k: int) -> "GradedOperator":
-        if k < 1:
-            raise ValueError("power must be >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out @ self
-        return out
-
     def commutator(self, other: "GradedOperator") -> "GradedOperator":
         return (self @ other) - (other @ self)
 
@@ -585,17 +577,19 @@ class ModuleFamily:
             monos = sorted(_monomials(self.n, m), reverse=True)
             self._monos.append(monos)
             self._mono_pos.append({e: k for k, e in enumerate(monos)})
-        self._x_ops = None
-        self._y_ops = None
-        self._dd_ops: dict = {}
+        self._ops: dict = {}
         self._quots: dict = {}
-        self._w_ops: dict = {}
         self._lap = None
         self._gram: list = []
         self._root_forms = [root_form(rs, r)
                             for r in range(len(rs.positive_roots))]
         self._cs = [rat(param.of_root(rs, r))
                     for r in range(len(rs.positive_roots))]
+        td = self.tau.dim
+        self._tau_identity = [[(t, ONE)] for t in range(td)]
+        self._refl_tau = [
+            self._tau_columns(self.group.reflection_element_index(r))
+            for r in range(len(rs.positive_roots))]
 
     # -- bases ---------------------------------------------------------------
 
@@ -615,52 +609,70 @@ class ModuleFamily:
     def basis_labels(self, m: int):
         return [(e, t) for e in self._monos[m] for t in range(self.tau.dim)]
 
-    def _add_poly(self, mat: Matrix, m_target: int, col: int,
-                  poly: Polynomial, tau_col) -> None:
-        # tau_col: list of (row_t, scalar) pairs for the tensor factor
-        pos = self._mono_pos[m_target]
-        td = self.tau.dim
-        for e, v in poly.coeffs.items():
-            base = pos[e] * td
-            for t, tv in tau_col:
-                accumulate(mat.rows[base + t], col, v * tv)
+    def _tau_columns(self, w_index: int):
+        """Per tau column t, the (row, scalar) pairs of tau(w)'s column t."""
+        rows = self.tau.mat(w_index).rows
+        return [[(k, row[t]) for k, row in enumerate(rows) if t in row]
+                for t in range(self.tau.dim)]
 
-    def _tau_column(self, w_index: int, t: int):
-        mat = self.tau.mat(w_index)
-        out = []
-        for k in range(self.tau.dim):
-            v = mat.get(k, t)
-            if not v.is_zero():
-                out.append((k, v))
-        return out
+    def _assemble(self, shift: int, images) -> GradedOperator:
+        """The operator of the given degree shift whose column for
+        x^e (x) u_t is the sum of poly (x) (tau column t) over the
+        (poly, tau columns) pairs that images(m, p, e) yields, where p is
+        the position of x^e among the degree-m monomials.
+
+        Blocks run over the source degrees m with m + shift <= N; a target
+        below degree 0 gives an empty 0-row block.
+        """
+        td = self.tau.dim
+        blocks = {}
+        for m in range(self.max_degree + 1):
+            target = m + shift
+            if target > self.max_degree:
+                continue
+            mat = Matrix(self.dim(target), self.dim(m))
+            blocks[m] = mat
+            if target < 0:
+                continue
+            pos = self._mono_pos[target]
+            for p, e in enumerate(self._monos[m]):
+                for poly, tau_cols in images(m, p, e):
+                    for t in range(td):
+                        col = p * td + t
+                        for f, v in poly.coeffs.items():
+                            base = pos[f] * td
+                            for k, tv in tau_cols[t]:
+                                accumulate(mat.rows[base + k], col, v * tv)
+        return GradedOperator(self, shift, blocks)
+
+    def _cached(self, key, shift: int, images) -> GradedOperator:
+        op = self._ops.get(key)
+        if op is None:
+            op = self._ops[key] = self._assemble(shift, images)
+        return op
 
     # -- atomic operators ------------------------------------------------------
 
     def x_op(self, i: int) -> GradedOperator:
         """Multiplication by x_i, 1-based."""
-        if self._x_ops is None:
-            self._x_ops = [self._build_x(k) for k in range(self.n)]
-        return self._x_ops[i - 1]
-
-    def _build_x(self, k: int) -> GradedOperator:
-        blocks = {}
-        td = self.tau.dim
-        for m in range(self.max_degree):
-            mat = Matrix(self.dim(m + 1), self.dim(m))
-            pos2 = self._mono_pos[m + 1]
-            for p, e in enumerate(self._monos[m]):
-                e2 = e[:k] + (e[k] + 1,) + e[k + 1:]
-                base2 = pos2[e2] * td
-                for t in range(td):
-                    mat.set(base2 + t, p * td + t, ONE)
-            blocks[m] = mat
-        return GradedOperator(self, 1, blocks)
+        def images(m, p, e):
+            shifted = e[:i - 1] + (e[i - 1] + 1,) + e[i:]
+            yield Polynomial.monomial(self.n, shifted), self._tau_identity
+        return self._cached(("x", i), 1, images)
 
     def y_op(self, i: int) -> GradedOperator:
         """Dunkl operator along e_i, 1-based."""
-        if self._y_ops is None:
-            self._build_y()
-        return self._y_ops[i - 1]
+        roots = self.rs.positive_roots
+
+        def images(m, p, e):
+            yield (Polynomial.monomial(self.n, e).derivative(i),
+                   self._tau_identity)
+            quot = self._quotients(m)
+            for r, c in enumerate(self._cs):
+                weight = c * roots[r][i - 1]
+                if not weight.is_zero():
+                    yield quot[r][p].scale(weight), self._refl_tau[r]
+        return self._cached(("y", i), -1, images)
 
     def _quotients(self, m: int):
         """Per positive root r, per degree-m monomial p: (x^e - s_r x^e)/a_r."""
@@ -681,82 +693,20 @@ class ModuleFamily:
         self._quots[m] = out
         return out
 
-    def _build_y(self) -> None:
-        n, td, N = self.n, self.tau.dim, self.max_degree
-        roots = self.rs.positive_roots
-        refl_tau_cols = [
-            [self._tau_column(
-                self.group.reflection_element_index(r), t)
-             for t in range(td)]
-            for r in range(len(roots))]
-        ops = [dict() for _ in range(n)]
-        for m in range(N + 1):
-            mats = [Matrix(self.dim(m - 1), self.dim(m)) for _ in range(n)]
-            if m > 0:
-                quot = self._quotients(m)
-                for p, e in enumerate(self._monos[m]):
-                    mono = Polynomial.monomial(n, e)
-                    for i in range(n):
-                        d = mono.derivative(i + 1)
-                        if not d.is_zero():
-                            for t in range(td):
-                                self._add_poly(mats[i], m - 1, p * td + t,
-                                               d, [(t, ONE)])
-                    for r, c in enumerate(self._cs):
-                        if c.is_zero():
-                            continue
-                        qp = quot[r][p]
-                        if qp.is_zero():
-                            continue
-                        for i in range(n):
-                            w = c * roots[r][i]
-                            if w.is_zero():
-                                continue
-                            for t in range(td):
-                                self._add_poly(
-                                    mats[i], m - 1, p * td + t,
-                                    qp.scale(w), refl_tau_cols[r][t])
-            for i in range(n):
-                ops[i][m] = mats[i]
-        self._y_ops = [GradedOperator(self, -1, b) for b in ops]
-
     def divided_difference_op(self, root_idx: int) -> GradedOperator:
         """f tensor u -> (f - s_a f)/a(x) tensor u, no tau factor."""
-        got = self._dd_ops.get(root_idx)
-        if got is not None:
-            return got
-        td = self.tau.dim
-        blocks = {}
-        for m in range(self.max_degree + 1):
-            mat = Matrix(self.dim(m - 1), self.dim(m))
-            if m > 0:
-                for p, qp in enumerate(self._quotients(m)[root_idx]):
-                    for t in range(td):
-                        self._add_poly(mat, m - 1, p * td + t, qp, [(t, ONE)])
-            blocks[m] = mat
-        op = GradedOperator(self, -1, blocks)
-        self._dd_ops[root_idx] = op
-        return op
+        def images(m, p, e):
+            yield self._quotients(m)[root_idx][p], self._tau_identity
+        return self._cached(("dd", root_idx), -1, images)
 
     def w_op(self, w_index: int) -> GradedOperator:
         """pi(w) tensor tau(w) on every slice."""
-        got = self._w_ops.get(w_index)
-        if got is not None:
-            return got
         g = self.group.elements[w_index]
-        td = self.tau.dim
-        tau_cols = [self._tau_column(w_index, t) for t in range(td)]
-        blocks = {}
-        for m in range(self.max_degree + 1):
-            mat = Matrix(self.dim(m), self.dim(m))
-            for p, e in enumerate(self._monos[m]):
-                img = act(g, Polynomial.monomial(self.n, e))
-                for t in range(td):
-                    self._add_poly(mat, m, p * td + t, img, tau_cols[t])
-            blocks[m] = mat
-        op = GradedOperator(self, 0, blocks)
-        self._w_ops[w_index] = op
-        return op
+
+        def images(m, p, e):
+            yield (act(g, Polynomial.monomial(self.n, e)),
+                   self._tau_columns(w_index))
+        return self._cached(("w", w_index), 0, images)
 
     def reflection_op(self, root_idx: int) -> GradedOperator:
         return self.w_op(self.group.reflection_element_index(root_idx))

@@ -108,9 +108,6 @@ class ParamFunction:
     def of_root(self, rs: "RootSystem", idx: int) -> Fraction:
         return self.values[rs.orbit_labels()[idx]]
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
-
     def label(self) -> str:
         items = sorted(self.values.items())
         if len({v for _, v in items}) == 1:
@@ -346,9 +343,6 @@ class ReflectionGroup:
 
     def reflection_element_index(self, root_idx: int) -> int:
         return self._reflection_idx[root_idx]
-
-    def identity_index(self) -> int:
-        return 0
 
     def minus_identity_index(self):
         m = Matrix.identity(self.rs.n).scale(-1)

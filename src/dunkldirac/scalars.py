@@ -216,9 +216,6 @@ class ExactScalar:
         return ExactScalar._raw(self._p, -self._q, self._r, -self._s,
                                 self._den)
 
-    def abs_squared(self) -> "ExactScalar":
-        return self * self.conjugate()
-
     def sign_real(self) -> int:
         """Exact sign of a real field element; raises if imaginary part != 0."""
         if self._r != 0 or self._s != 0:

@@ -255,17 +255,43 @@ def test_table_bad_points_become_rows(tmp_path):
     # custom element each give an error row; the sweep goes on around them
     cfg = load_config(write_config(
         tmp_path, group="S3", c="1/2", max_degree=3,
-        elements={"far": {"m": [[99, "1"]]}}))
+        elements={"far": {"m": [[99, "1"]]}, "typo": {"mm": [[0, "1"]]}}))
     rows = run_table(cfg, [{"m": 0, "C": "zero", "scale": 0.1},
                            {"m": True, "C": "zero"},
                            {"m": 1, "C": "far"},
-                           {"m": 1, "C": "C2"}])
-    assert len(rows) == 4
+                           {"m": 1, "C": "C2"},
+                           {"m": 1, "C": 5},
+                           {"m": 1, "C": None},
+                           {"m": 1, "C": "typo"}])
+    assert len(rows) == 7
     assert "exact mode" in rows[0]["status"]
     assert "degree True" in rows[1]["status"]
     assert "group index 99" in rows[2]["status"]
     assert all(r["status"].startswith("error:") for r in rows[:3])
     assert rows[3]["status"] == "ok" and rows[3]["dim_X"] == 3
+    # a non-string element name and a misspelled part key
+    assert "element 5 " in rows[4]["status"]
+    assert "element None " in rows[5]["status"]
+    assert "unknown part 'mm'" in rows[6]["status"]
+    assert all(r["status"].startswith("error:") for r in rows[4:])
+
+
+def test_table_builds_one_context_per_coupling(tmp_path, monkeypatch):
+    # a point without c and a point naming the config's own c share one
+    # context; a different c gets its own
+    cfg = load_config(write_config(tmp_path, group="S2", c="1/2"))
+    built = []
+
+    def counting_build(*args):
+        built.append(args[1].label())
+        return build_context(*args)
+
+    monkeypatch.setattr(cli, "build_context", counting_build)
+    rows = run_table(cfg, [{"m": 1}, {"m": 1, "c": "1/2"},
+                           {"m": 1, "c": "1/3"}])
+    assert built == ["1/2", "1/3"]
+    assert all(r["status"] == "ok" for r in rows)
+    assert rows[0] == rows[1]
 
 
 def test_table_failures_become_rows(tmp_path):
@@ -312,8 +338,9 @@ def test_spectrum_skips_non_unitary_slice(tmp_path):
     {"m": [["a", "1"]]},
     {"m": [[True, "1"]]},
     [[1, "1"]],
+    {"mm": [[0, "1"]]},
 ], ids=["not-admissible", "index-out-of-range", "index-not-integer",
-        "index-boolean", "spec-not-a-map"])
+        "index-boolean", "spec-not-a-map", "misspelled-part"])
 def test_spectrum_bad_element_exits_two_with_one_line(tmp_path, capsys,
                                                       spec):
     path = write_config(tmp_path, group="S3", c="1/2",

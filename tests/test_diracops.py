@@ -24,10 +24,13 @@ from dunkldirac.diracops import (
     dirac_cohomology,
     dirac_in_basis,
     dirac_square_check,
+    flip_frame,
     nonzero_cohomology_search,
     rho_invariance_check,
+    rotation_frame,
     scasimir_check,
     shear_frame,
+    swap_frame,
     unitarity_and_spectrum,
     vogan_witness_check,
     _solve_columns,
@@ -121,6 +124,26 @@ def test_orthonormal_frames_fix_the_element():
     assert report_passes(recs)
     # swap, flip, rotation, and one commutator per simple root
     assert len(recs) == 3 + 2
+
+
+# exact rows of each frame at n = 2 and n = 3; r = sqrt2/2
+_R = ExactScalar(0, Fraction(1, 2))
+FRAME_ROWS = {
+    (rotation_frame, 2): [[_R, _R], [-_R, _R]],
+    (rotation_frame, 3): [[_R, _R, ZERO], [-_R, _R, ZERO], [ZERO, ZERO, ONE]],
+    (swap_frame, 2): [[ZERO, ONE], [ONE, ZERO]],
+    (swap_frame, 3): [[ZERO, ONE, ZERO], [ONE, ZERO, ZERO], [ZERO, ZERO, ONE]],
+    (flip_frame, 2): [[-ONE, ZERO], [ZERO, ONE]],
+    (flip_frame, 3): [[-ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]],
+    (shear_frame, 2): [[ONE, ONE], [ZERO, ONE]],
+    (shear_frame, 3): [[ONE, ONE, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]],
+}
+
+
+@pytest.mark.parametrize("frame,n", list(FRAME_ROWS),
+                         ids=[f"{f.__name__}-{n}" for f, n in FRAME_ROWS])
+def test_frame_rows(frame, n):
+    assert frame(n) == FRAME_ROWS[frame, n]
 
 
 def test_shear_frame_moves_the_element():
@@ -419,6 +442,17 @@ def test_search_b2_leaves_the_rational_grid():
     scale, sign, coh = nonzero_cohomology_search(b, 2, c2, "C2")
     assert coh.exact and coh.dim_h == 2
     assert scale == (lam2 - ONE) / u_minus and sign == 1
+
+
+def test_search_tiny_coupling_stays_exact():
+    """c = 1/100000: the seed acts on the degree-1 slice with eigenvalues
+    far below any float tolerance, yet by a nonzero exact matrix, so the
+    search must not call it zero and the exact branch finds the scale."""
+    d = ctx("S3", Fraction(1, 100000), 3)
+    c2 = build_C2(d.cover, d.family.param)
+    scale, sign, coh = nonzero_cohomology_search(d, 1, c2, "C2")
+    assert scale == rat(60001200000) and sign == 1
+    assert coh.exact and coh.dim_h == 2
 
 
 def test_search_rejects_empty_slice():
