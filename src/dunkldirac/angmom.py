@@ -141,7 +141,7 @@ class AmaContext:
         """Matrix of sum_a c_a tau(s_a) on the tau factor alone."""
         fam = self.family
         acc = None
-        for r, c in enumerate(fam._cs):
+        for r, c in enumerate(fam.param.per_root(fam.rs)):
             if c.is_zero():
                 continue
             t = fam.tau.mat(fam.group.reflection_element_index(r)).scale(c)

@@ -317,12 +317,12 @@ def _suite_pincover(dctx, cfg) -> list:
     except (RuntimeError, ValueError) as exc:
         out.append(_check_record("central cubic term validates", False,
                                  {"error": str(exc)}))
-    if dctx.rs.name.startswith("S"):
+    if dctx.rs.has_transposition_roots():
         try:
             jm_elements(cov)
             out.append(_check_record(
                 "jucys-murphy sign conventions validate", True))
-        except ValueError as exc:
+        except (RuntimeError, ValueError) as exc:
             out.append(_check_record(
                 "jucys-murphy sign conventions validate", False,
                 {"error": str(exc)}))
@@ -348,7 +348,7 @@ def _suite_scasimir(dctx, cfg) -> list:
 def _suite_vogan(dctx, cfg) -> list:
     twists = [("zero", HatElement.zero(dctx.cover)),
               ("C2", build_C2(dctx.cover, dctx.family.param))]
-    if dctx.rs.name.startswith("S"):
+    if dctx.rs.has_transposition_roots():
         twists.append(("jm:e1", jm_symmetric_elements(dctx.cover)["e1"]))
     out = []
     for name, tw in twists:
@@ -394,13 +394,13 @@ def _suite_cohomology(dctx, cfg) -> list:
                 ok, None if ok else {"self_adjoint": spec["self_adjoint"],
                                      "omega": spec["omega_scalar"],
                                      "lambda": spec["lambda"]}))
-            coh = dirac_cohomology(dop, m)
+            cc = central_character_check(dop, m)
+            coh = cc["cohomology"]
             out.append(_check_record(
                 f"kernel meets image trivially [{ctx_tag}]",
                 coh.dim_overlap == 0,
                 None if coh.dim_overlap == 0 else
                 {"dim_ker": coh.dim_ker, "dim_overlap": coh.dim_overlap}))
-            cc = central_character_check(dop, m)
             out += _tagged(cc["records"], context=ctx_tag)
     return out
 
@@ -463,13 +463,18 @@ TABLE_COLUMNS = ["group", "c", "tau", "m", "dim_X", "C_name", "scale",
                  "unitary_flag", "status"]
 
 
-def _table_row(cfg, dctx, point) -> dict:
+def _blank_row(cfg, status: str) -> dict:
+    """A table row with only the group, tau and status filled in."""
     row = {k: "" for k in TABLE_COLUMNS}
-    row["group"] = cfg["rs"].name
-    row["tau"] = _config_echo(cfg)["tau"]
-    row["status"] = "ok"
+    row.update({"group": cfg["rs"].name, "tau": _config_echo(cfg)["tau"],
+                "status": status})
+    return row
+
+
+def _table_row(cfg, dctx, point) -> dict:
+    row = _blank_row(cfg, "ok")
     try:
-        m = point["m"]
+        m = point.get("m")
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise ConfigError(f"sweep point degree {m!r} is not a "
                               "nonnegative integer")
@@ -519,8 +524,8 @@ def run_table(cfg, sweep_points) -> list:
     cache: dict = {}
     for point in sweep_points:
         if not isinstance(point, dict):
-            rows.append({**{k: "" for k in TABLE_COLUMNS},
-                         "status": "error: sweep point must be an object"})
+            rows.append(_blank_row(cfg,
+                                   "error: sweep point must be an object"))
             continue
         c_spec = point.get("c", None)
         try:
@@ -535,10 +540,7 @@ def run_table(cfg, sweep_points) -> list:
                 dctx = cache[param.label()] = build_context(
                     cfg["rs"], param, cfg["max_degree"], cfg["tau"])
         except (ConfigError, ValueError) as exc:
-            bad = {k: "" for k in TABLE_COLUMNS}
-            bad.update({"group": cfg["rs"].name,
-                        "status": f"error: {exc}"})
-            rows.append(bad)
+            rows.append(_blank_row(cfg, f"error: {exc}"))
             continue
         rows.append(_table_row(cfg, dctx, point))
     return rows

@@ -9,8 +9,8 @@ product of the others ("+" class).
 from __future__ import annotations
 
 from .linalg import Matrix
-from .scalars import (ExactScalar, IUNIT, ONE, ZERO, as_scalar, parse_terms,
-                      sparse_product, sparse_sum)
+from .scalars import (Combination, ExactScalar, IUNIT, ONE, ZERO, as_scalar,
+                      parse_terms)
 
 
 def _merge_sign_and_mask(s: int, t: int) -> tuple[int, int]:
@@ -39,10 +39,15 @@ def _mask_indices(mask: int):
     return out
 
 
-class CliffordElement:
-    """Element of the Clifford algebra: dict bitmask -> ExactScalar."""
+class CliffordElement(Combination):
+    """Element of the Clifford algebra: dict bitmask -> ExactScalar.
 
-    __slots__ = ("n", "coeffs")
+    A scalar operand of +, - or == stands for that multiple of 1.
+    """
+
+    __slots__ = ("n",)
+
+    _rule = staticmethod(_merge_sign_and_mask)
 
     def __init__(self, n: int, coeffs: dict | None = None):
         self.n = n
@@ -74,76 +79,46 @@ class CliffordElement:
             mask |= bit
         return CliffordElement(n, {mask: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _ctx(self):
+        return self.n
+
+    def _like(self, coeffs: dict) -> "CliffordElement":
+        out = CliffordElement(self.n)
+        out.coeffs = coeffs
+        return out
+
+    def _coerce(self, other):
+        if not isinstance(other, Combination):
+            other = CliffordElement.scalar(self.n, other)
+        return super()._coerce(other)
 
     def __bool__(self):
         return not self.is_zero()
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return CliffordElement(self.n, sparse_sum(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return CliffordElement(self.n, {m: -v for m, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def _coerce(self, other) -> "CliffordElement":
-        if isinstance(other, CliffordElement):
-            if other.n != self.n:
-                raise ValueError("mixed generator counts")
-            return other
-        return CliffordElement.scalar(self.n, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, ExactScalar)):
-            s = as_scalar(other)
-            return CliffordElement(
-                self.n, {m: v * s for m, v in self.coeffs.items()})
-        other = self._coerce(other)
-        return CliffordElement(self.n, sparse_product(
-            self.coeffs, other.coeffs, _merge_sign_and_mask))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, ExactScalar)):
-            return self * other
-        return NotImplemented
-
-    def scale(self, s) -> "CliffordElement":
-        return self * as_scalar(s)
-
     # -- involutions -------------------------------------------------------
+
+    def _signed(self, flip, conj: bool) -> "CliffordElement":
+        """Each monomial of degree k times (-1)^flip(k), with conjugated
+        coefficients when conj."""
+        out = {}
+        for m, v in self.coeffs.items():
+            if conj:
+                v = v.conjugate()
+            out[m] = -v if flip(m.bit_count()) & 1 else v
+        return self._like(out)
 
     def grading_sign(self) -> "CliffordElement":
         """epsilon: multiply odd-degree monomials by -1."""
-        return CliffordElement(
-            self.n,
-            {m: (-v if m.bit_count() & 1 else v)
-             for m, v in self.coeffs.items()})
+        return self._signed(lambda k: k, False)
 
     def reversal(self) -> "CliffordElement":
         """Transpose: reverse each monomial, sign (-1)^(k(k-1)/2)."""
-        out = {}
-        for m, v in self.coeffs.items():
-            k = m.bit_count()
-            if (k * (k - 1) // 2) & 1:
-                v = -v
-            out[m] = v
-        return CliffordElement(self.n, out)
+        return self._signed(lambda k: k * (k - 1) // 2, False)
 
     def star(self) -> "CliffordElement":
         """The anti-linear anti-involution epsilon o reversal, with complex
         conjugation of coefficients."""
-        out = {}
-        for m, v in self.coeffs.items():
-            k = m.bit_count()
-            if ((k * (k + 1)) // 2) & 1:
-                out[m] = -v.conjugate()
-            else:
-                out[m] = v.conjugate()
-        return CliffordElement(self.n, out)
+        return self._signed(lambda k: k * (k + 1) // 2, True)
 
     def conjugate_reversal(self) -> "CliffordElement":
         """Anti-linear reversal, without the grading sign.
@@ -152,14 +127,7 @@ class CliffordElement:
         so this (not star) is the involution matching the matrix adjoint;
         the two agree on the even subalgebra.
         """
-        out = {}
-        for m, v in self.coeffs.items():
-            k = m.bit_count()
-            if (k * (k - 1) // 2) & 1:
-                out[m] = -v.conjugate()
-            else:
-                out[m] = v.conjugate()
-        return CliffordElement(self.n, out)
+        return self._signed(lambda k: k * (k - 1) // 2, True)
 
     def spinorial_norm(self) -> "CliffordElement":
         return self.star() * self
@@ -181,13 +149,6 @@ class CliffordElement:
         return self.coeffs.get(0, ZERO)
 
     # -- structure -----------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, ExactScalar)):
-            other = CliffordElement.scalar(self.n, other)
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.coeffs.items()))))
@@ -234,12 +195,8 @@ def vector_embed(n: int, vec) -> CliffordElement:
     """iota: R^n -> degree-1 Clifford elements, e_i -> c_i."""
     if len(vec) != n:
         raise ValueError("vector length mismatch")
-    coeffs = {}
-    for i, v in enumerate(vec):
-        v = as_scalar(v)
-        if not v.is_zero():
-            coeffs[1 << i] = v
-    return CliffordElement(n, coeffs)
+    return CliffordElement(n, {1 << i: as_scalar(v)
+                               for i, v in enumerate(vec)})
 
 
 def anticommutator_check(n: int) -> bool:

@@ -14,10 +14,11 @@ generator g mapping to (group element -1) tensor (Clifford identity).
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 from .clifford import CliffordElement, vector_embed
-from .roots import ReflectionGroup, RootSystem
-from .scalars import (ONE, ZERO, accumulate, as_scalar, rat, sparse_product,
-                      sparse_sum)
+from .roots import ReflectionGroup, RootSystem, dot
+from .scalars import HALF, ONE, ZERO, Combination, accumulate, rat
 
 
 class PinCover:
@@ -84,13 +85,20 @@ class PinCover:
         """Order of the cover: 2|W|, doubled again by g when -1 is in W."""
         return 2 * self.group.order * (2 if self.has_g() else 1)
 
-    # -- product rules of the group algebra parts, for sparse_product --
+    # -- product rules of the two algebras, for sparse_product --
 
     def plain_rule(self, i: int, j: int):
         return 1, self.group.mul(i, j)
 
-    def twisted_rule(self, i: int, j: int):
-        return self.cocycle(i, j), self.group.mul(i, j)
+    def hat_rule(self, a: tuple, b: tuple):
+        """Cover algebra keys (twisted, g, group index): a plain times a
+        twisted key is 0, a twisted pair carries the cocycle, and the g
+        bits add mod 2 (g is central with g^2 = 1)."""
+        (t, g, i), (u, h, j) = a, b
+        if t != u:
+            return 0, None
+        sign = self.cocycle(i, j) if t else 1
+        return sign, (t, g ^ h, self.group.mul(i, j))
 
     # -- structure checks -------------------------------------------------
 
@@ -175,11 +183,11 @@ class PinCover:
         return True
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(Combination):
     """Element of the plain group algebra CW, coefficients on element
     indices."""
 
-    __slots__ = ("cover", "coeffs")
+    __slots__ = ("cover",)
 
     def __init__(self, cover: PinCover, coeffs: dict | None = None):
         self.cover = cover
@@ -190,60 +198,47 @@ class GroupAlgebraElement:
     def from_element(cover: PinCover, idx: int, coeff=ONE):
         return GroupAlgebraElement(cover, {idx: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _ctx(self):
+        return self.cover
 
-    def __add__(self, other):
-        return GroupAlgebraElement(self.cover,
-                                   sparse_sum(self.coeffs, other.coeffs))
+    def _like(self, coeffs: dict) -> "GroupAlgebraElement":
+        out = GroupAlgebraElement(self.cover)
+        out.coeffs = coeffs
+        return out
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GroupAlgebraElement(self.cover,
-                                   {k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, s):
-        s = as_scalar(s)
-        return GroupAlgebraElement(self.cover,
-                                   {k: v * s for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        return GroupAlgebraElement(self.cover, sparse_product(
-            self.coeffs, other.coeffs, self.cover.plain_rule))
-
-    def commutator(self, other):
-        return self * other - other * self
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+    @property
+    def _rule(self):
+        return self.cover.plain_rule
 
     def __repr__(self):
         return f"GroupAlgebraElement({self.coeffs})"
 
 
-class HatElement:
+# the (twisted, g) flags of the four parts of a cover algebra element
+_PARTS = {"p": (0, 0), "m": (1, 0), "gp": (0, 1), "gm": (1, 1)}
+
+
+class HatElement(Combination):
     """Element of the (possibly extended) cover algebra.
 
-    Stored as four coefficient dicts over group-element indices:
-    p ("plain part"), m (twisted part), and gp/gm for the coefficients of
-    the extra central generator g when -1 is in the group.  Plain and
-    twisted parts are orthogonal ideals; the twisted part multiplies
-    through the cocycle.
+    One coefficient dict keyed (twisted, g, group index): twisted is 1 on
+    the twisted part and 0 on the plain part, g is 1 on the coefficients
+    of the extra central generator g (present only when -1 is in the
+    group).  Plain and twisted parts are orthogonal ideals; the twisted
+    part multiplies through the cocycle.  The parts p, m, gp and gm are
+    read-only views keyed by group index.
     """
 
-    __slots__ = ("cover", "p", "m", "gp", "gm")
+    __slots__ = ("cover",)
 
     def __init__(self, cover: PinCover, p=None, m=None, gp=None, gm=None):
         self.cover = cover
-        self.p = {k: v for k, v in (p or {}).items() if not v.is_zero()}
-        self.m = {k: v for k, v in (m or {}).items() if not v.is_zero()}
-        self.gp = {k: v for k, v in (gp or {}).items() if not v.is_zero()}
-        self.gm = {k: v for k, v in (gm or {}).items() if not v.is_zero()}
-        if (self.gp or self.gm) and not cover.has_g():
+        self.coeffs = {}
+        for (t, g), part in zip(_PARTS.values(), (p, m, gp, gm)):
+            for k, v in (part or {}).items():
+                if not v.is_zero():
+                    self.coeffs[(t, g, k)] = v
+        if not cover.has_g() and any(g for _, g, _ in self.coeffs):
             raise ValueError("g-extension only exists when -1 is in the group")
 
     # -- constructors ------------------------------------------------------
@@ -260,70 +255,37 @@ class HatElement:
     def g(cover: PinCover) -> "HatElement":
         return HatElement(cover, gp={0: ONE}, gm={0: ONE})
 
-    def is_zero(self) -> bool:
-        return not (self.p or self.m or self.gp or self.gm)
+    def _ctx(self):
+        return self.cover
 
-    def __add__(self, other):
-        return HatElement(self.cover, sparse_sum(self.p, other.p),
-                          sparse_sum(self.m, other.m),
-                          sparse_sum(self.gp, other.gp),
-                          sparse_sum(self.gm, other.gm))
+    def _like(self, coeffs: dict) -> "HatElement":
+        out = HatElement(self.cover)
+        out.coeffs = coeffs
+        return out
 
-    def __neg__(self):
-        neg = lambda d: {k: -v for k, v in d.items()}
-        return HatElement(self.cover, neg(self.p), neg(self.m),
-                          neg(self.gp), neg(self.gm))
+    @property
+    def _rule(self):
+        return self.cover.hat_rule
 
-    def __sub__(self, other):
-        return self + (-other)
+    def _part(self, name: str) -> dict:
+        flags = _PARTS[name]
+        return {k: v for (t, g, k), v in self.coeffs.items()
+                if (t, g) == flags}
 
-    def scale(self, s) -> "HatElement":
-        s = as_scalar(s)
-        sc = lambda d: {k: v * s for k, v in d.items()}
-        return HatElement(self.cover, sc(self.p), sc(self.m),
-                          sc(self.gp), sc(self.gm))
-
-    def __mul__(self, other: "HatElement") -> "HatElement":
-        # g is central with g^2 = 1: g-part times g-part lands in the g-free
-        # part, mixed products in the g part; likewise on the twisted side
-        plain, twisted = self.cover.plain_rule, self.cover.twisted_rule
-        p = sparse_product(self.p, other.p, plain)
-        sparse_product(self.gp, other.gp, plain, p)
-        gp = sparse_product(self.p, other.gp, plain)
-        sparse_product(self.gp, other.p, plain, gp)
-        m = sparse_product(self.m, other.m, twisted)
-        sparse_product(self.gm, other.gm, twisted, m)
-        gm = sparse_product(self.m, other.gm, twisted)
-        sparse_product(self.gm, other.m, twisted, gm)
-        return HatElement(self.cover, p, m, gp, gm)
-
-    def commutator(self, other: "HatElement") -> "HatElement":
-        return self * other - other * self
+    p = property(lambda self: self._part("p"))
+    m = property(lambda self: self._part("m"))
+    gp = property(lambda self: self._part("gp"))
+    gm = property(lambda self: self._part("gm"))
 
     def star(self) -> "HatElement":
-        grp = self.cover.group
-        nu = self.cover.star_sign
-
-        def plain(d):
-            return {grp.inv(k): v.conjugate() for k, v in d.items()}
-
-        def twisted(d):
-            out = {}
-            for k, v in d.items():
-                w = v.conjugate()
-                if nu(k) < 0:
-                    w = -w
-                out[grp.inv(k)] = w
-            return out
-
-        return HatElement(self.cover, plain(self.p), twisted(self.m),
-                          plain(self.gp), twisted(self.gm))
-
-    def __eq__(self, other):
-        if not isinstance(other, HatElement):
-            return NotImplemented
-        return (self.p == other.p and self.m == other.m
-                and self.gp == other.gp and self.gm == other.gm)
+        """Conjugate each coefficient and invert its group element; a
+        twisted coefficient also takes the star sign nu."""
+        grp, nu = self.cover.group, self.cover.star_sign
+        out = {}
+        for (t, g, k), v in self.coeffs.items():
+            w = v.conjugate()
+            out[(t, g, grp.inv(k))] = -w if t and nu(k) < 0 else w
+        return self._like(out)
 
     def __repr__(self):
         return (f"HatElement(p={self.p}, m={self.m}, "
@@ -340,10 +302,10 @@ class HatElement:
         """
         cov = self.cover
         out: dict = {}
-        for k, v in self.m.items():
-            accumulate(out, k, cov.lifts[k] * v)
-        for k, v in self.gm.items():
-            accumulate(out, cov.group.mul(cov.g_index, k), cov.lifts[k] * v)
+        for (t, g, k), v in self.coeffs.items():
+            if t:
+                accumulate(out, cov.group.mul(cov.g_index, k) if g else k,
+                           cov.lifts[k] * v)
         return out
 
 
@@ -376,21 +338,24 @@ def is_admissible(elem: HatElement):
 # -- distinguished elements -------------------------------------------------
 
 
+def _reflection_sum(cover: PinCover, weights) -> GroupAlgebraElement:
+    """sum_a weights[a] s_a over the positive roots a."""
+    out: dict = {}
+    for a, w in enumerate(weights):
+        accumulate(out, cover.group.reflection_element_index(a), w)
+    return GroupAlgebraElement(cover, out)
+
+
 def center_shift(cover: PinCover, param) -> GroupAlgebraElement:
     """The central sum of reflections sum_a c_a s_a in the plain group
     algebra (no one-half; the half-normalized variant is the plain part
     of ztilde)."""
-    rs = cover.rs
-    out: dict = {}
-    for idx in range(len(rs.positive_roots)):
-        ca = rat(param.of_root(rs, idx))
-        accumulate(out, cover.group.reflection_element_index(idx), ca)
-    return GroupAlgebraElement(cover, out)
+    return _reflection_sum(cover, param.per_root(cover.rs))
 
 
 def ztilde(cover: PinCover, param) -> HatElement:
     """1/2 sum_a c_a (lift of s_a), in both parts."""
-    half = center_shift(cover, param).scale(rat("1/2")).coeffs
+    half = center_shift(cover, param).scale(HALF).coeffs
     return HatElement(cover, p=half, m=half)
 
 
@@ -406,29 +371,18 @@ def build_C2(cover: PinCover, param) -> HatElement:
 def build_T(cover: PinCover, param, i: int) -> GroupAlgebraElement:
     """T_i = 1/2 sum_a c_a <x_i, coroot_a>/|coroot_a| s_a."""
     rs = cover.rs
-    out: dict = {}
-    for idx in range(len(rs.positive_roots)):
-        comp = rs.coroots[idx][i]
-        if comp.is_zero():
-            continue
-        ca = (rat(param.of_root(rs, idx)) * rat("1/2") * comp
-              * rs.coroot_norm(idx).inverse())
-        accumulate(out, cover.group.reflection_element_index(idx), ca)
-    return GroupAlgebraElement(cover, out)
+    return _reflection_sum(cover, [
+        c * HALF * cr[i] * rs.coroot_norm(a).inverse()
+        for a, (c, cr) in enumerate(zip(param.per_root(rs), rs.coroots))])
 
 
 def build_T_bullet(cover: PinCover, param, i: int) -> GroupAlgebraElement:
     """The bullet variant 1/2 sum_a c_a <a, y_i>/|a| s_a; equals build_T."""
     rs = cover.rs
-    out: dict = {}
-    for idx in range(len(rs.positive_roots)):
-        comp = rs.positive_roots[idx][i]
-        if comp.is_zero():
-            continue
-        ca = (rat(param.of_root(rs, idx)) * rat("1/2") * comp
-              * rs.root_norm(idx).inverse())
-        accumulate(out, cover.group.reflection_element_index(idx), ca)
-    return GroupAlgebraElement(cover, out)
+    return _reflection_sum(cover, [
+        c * HALF * r[i] * rs.root_norm(a).inverse()
+        for a, (c, r) in enumerate(zip(param.per_root(rs),
+                                       rs.positive_roots))])
 
 
 def build_Z3(cover: PinCover, param) -> GroupAlgebraElement:
@@ -439,16 +393,16 @@ def build_Z3(cover: PinCover, param) -> GroupAlgebraElement:
     """
     rs = cover.rs
     grp = cover.group
+    cs = param.per_root(rs)
     out: dict = {}
     for a in range(len(rs.positive_roots)):
-        ca = rat(param.of_root(rs, a)) * rs.coroot_norm(a).inverse()
+        ca = cs[a] * rs.coroot_norm(a).inverse()
         ia = grp.reflection_element_index(a)
         for b in range(len(rs.positive_roots)):
-            pair = sum((x * y for x, y in zip(rs.positive_roots[b],
-                                              rs.coroots[a])), ZERO)
+            pair = dot(rs.positive_roots[b], rs.coroots[a])
             if pair.is_zero():
                 continue
-            cb = rat(param.of_root(rs, b)) * rs.root_norm(b).inverse()
+            cb = cs[b] * rs.root_norm(b).inverse()
             ib = grp.reflection_element_index(b)
             accumulate(out, grp.mul(ia, ib),
                        ca * cb * pair * rat("1/4"))
@@ -464,19 +418,14 @@ def jucys_murphy(cover: PinCover, k: int) -> HatElement:
     """Twisted-part sum of the transpositions (i k), i < k, for symmetric
     groups in their permutation realization; m_1 = 0."""
     rs = cover.rs
-    m: dict = {}
-    found_k = False
-    for idx, root in enumerate(rs.positive_roots):
-        spots = {j: v for j, v in enumerate(root) if not v.is_zero()}
-        vals = sorted(str(v) for v in spots.values())
-        if len(spots) != 2 or vals != ["-1", "1"]:
-            raise ValueError("Jucys-Murphy elements need transposition roots")
-        lo, hi = sorted(spots)
-        if hi == k - 1:
-            found_k = True
-            accumulate(m, cover.group.reflection_element_index(idx), ONE)
-    if not found_k and k != 1:
+    if not rs.has_transposition_roots():
+        raise ValueError("Jucys-Murphy elements need transposition roots")
+    if not 1 <= k <= rs.n:
         raise ValueError(f"index {k} out of range for this group")
+    m: dict = {}
+    for idx, root in enumerate(rs.positive_roots):
+        if max(j for j, v in enumerate(root) if not v.is_zero()) == k - 1:
+            m[cover.group.reflection_element_index(idx)] = ONE
     return HatElement(cover, m=m)
 
 
@@ -509,11 +458,7 @@ def jm_symmetric_elements(cover: PinCover) -> dict:
     """e1 = sum of squares and e2 = second elementary symmetric polynomial
     of the squared Jucys-Murphy elements."""
     squares = [mk * mk for mk in jm_elements(cover)[1:]]
-    e1 = HatElement.zero(cover)
-    for s in squares:
-        e1 = e1 + s
-    e2 = HatElement.zero(cover)
-    for a in range(len(squares)):
-        for b in range(a + 1, len(squares)):
-            e2 = e2 + squares[a] * squares[b]
+    zero = HatElement.zero(cover)
+    e1 = sum(squares, zero)
+    e2 = sum((a * b for a, b in combinations(squares, 2)), zero)
     return {"e1": e1, "e2": e2, "squares": squares}

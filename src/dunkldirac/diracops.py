@@ -224,18 +224,18 @@ def dirac_square_check(dctx: DiracContext) -> list:
                              dctx._cpair(i, j) * dctx._cpair(k, l))
             sigma[q] = sigma[q] + term
     d = dctx.dirac
-    zl = dctx.lift(dctx.ama.Z)
+    square = d @ d
+    minus_msquare = dctx.lift(dctx.ama.msquare).scale(-1)
+    overlap1 = d.scale(n - 2) + d.anticommutator(dctx.lift(dctx.ama.Z))
     _rec(records, "overlap-0 partial sum vanishes",
          sigma[0], _zero(sigma[0]))
     _rec(records, "overlap-2 partial sum = -(angular momentum square)",
-         sigma[2], dctx.lift(dctx.ama.msquare).scale(-1))
+         sigma[2], minus_msquare)
     _rec(records, "overlap-1 partial sum = (n-2) dirac + {dirac, Z}",
-         sigma[1], d.scale(n - 2) + d.anticommutator(zl))
+         sigma[1], overlap1)
     _rec(records, "square = sum of the partial sums",
-         d @ d, sigma[0] + sigma[1] + sigma[2])
-    _rec(records, "square closed form",
-         d @ d, dctx.lift(dctx.ama.msquare).scale(-1) + d.scale(n - 2)
-         + d.anticommutator(zl))
+         square, sigma[0] + sigma[1] + sigma[2])
+    _rec(records, "square closed form", square, minus_msquare + overlap1)
     _rec(records, "shifted square = casimir + 1",
          dctx.dirac0 @ dctx.dirac0, dctx.casimir + dctx.identity)
     return records

@@ -25,12 +25,8 @@ is asserted zero).
 from math import comb
 
 from .linalg import Matrix, kernel
-from .scalars import (ONE, ZERO, ExactScalar, accumulate, as_scalar,
-                      parse_terms, rat, sparse_product, sparse_sum)
-
-
-def _csc(v):
-    return ExactScalar.parse(v) if isinstance(v, str) else as_scalar(v)
+from .scalars import (ONE, ZERO, Combination, accumulate, as_scalar,
+                      parse_terms, rat)
 
 
 def _add_exponents(e1, e2):
@@ -42,19 +38,29 @@ def _is_variable(tok: str) -> bool:
     return tok.startswith("x") and tok[1:].split("^")[0].isdigit()
 
 
-class Polynomial:
+class Polynomial(Combination):
     """Exact multivariate polynomial, exponent tuple -> scalar."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n",)
+
+    _rule = staticmethod(_add_exponents)
 
     def __init__(self, n: int, coeffs=None):
         self.n = n
         self.coeffs = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = _csc(v)
+                v = as_scalar(v)
                 if not v.is_zero():
                     self.coeffs[tuple(e)] = v
+
+    def _ctx(self):
+        return self.n
+
+    def _like(self, coeffs: dict) -> "Polynomial":
+        p = Polynomial(self.n)
+        p.coeffs = coeffs
+        return p
 
     @staticmethod
     def zero(n: int) -> "Polynomial":
@@ -76,9 +82,6 @@ class Polynomial:
     def monomial(n: int, exps, coeff=ONE) -> "Polynomial":
         return Polynomial(n, {tuple(exps): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.coeffs), default=-1)
@@ -90,36 +93,6 @@ class Polynomial:
     def homogeneous_part(self, m: int) -> "Polynomial":
         return Polynomial(self.n, {e: v for e, v in self.coeffs.items()
                                    if sum(e) == m})
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        p = Polynomial(self.n)
-        p.coeffs = sparse_sum(self.coeffs, other.coeffs)
-        return p
-
-    def __neg__(self) -> "Polynomial":
-        p = Polynomial(self.n)
-        p.coeffs = {e: -v for e, v in self.coeffs.items()}
-        return p
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def scale(self, s) -> "Polynomial":
-        s = _csc(s)
-        p = Polynomial(self.n)
-        if not s.is_zero():
-            p.coeffs = {e: v * s for e, v in self.coeffs.items()}
-        return p
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        p = Polynomial(self.n)
-        p.coeffs = sparse_product(self.coeffs, other.coeffs, _add_exponents)
-        return p
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -138,13 +111,7 @@ class Polynomial:
                 continue
             e2 = e[:k] + (e[k] - 1,) + e[k + 1:]
             out[e2] = v * rat(e[k])
-        p = Polynomial(self.n)
-        p.coeffs = out
-        return p
-
-    def __eq__(self, other):
-        return (isinstance(other, Polynomial) and self.n == other.n
-                and self.coeffs == other.coeffs)
+        return self._like(out)
 
     def sorted_terms(self):
         """(exponent, coeff) pairs, graded-lex descending."""
@@ -289,13 +256,12 @@ def dunkl_apply(yvec, f: Polynomial, rs, param) -> Polynomial:
     a standard module is handled by the matrix builders, not here.
     """
     n = rs.n
-    yv = [_csc(v) for v in yvec]
+    yv = [as_scalar(v) for v in yvec]
     out = Polynomial.zero(n)
     for i, v in enumerate(yv):
         if not v.is_zero():
             out = out + f.derivative(i + 1).scale(v)
-    for r in range(len(rs.positive_roots)):
-        c = rat(param.of_root(rs, r))
+    for r, c in enumerate(param.per_root(rs)):
         if c.is_zero():
             continue
         alpha = rs.positive_roots[r]
@@ -460,7 +426,7 @@ class GradedOperator:
                               {m: -b for m, b in self.blocks.items()})
 
     def scale(self, s) -> "GradedOperator":
-        s = _csc(s)
+        s = as_scalar(s)
         return GradedOperator(self.family, self.shift,
                               {m: b.scale(s) for m, b in self.blocks.items()})
 
@@ -583,8 +549,7 @@ class ModuleFamily:
         self._gram: list = []
         self._root_forms = [root_form(rs, r)
                             for r in range(len(rs.positive_roots))]
-        self._cs = [rat(param.of_root(rs, r))
-                    for r in range(len(rs.positive_roots))]
+        self._cs = param.per_root(rs)
         td = self.tau.dim
         self._tau_identity = [[(t, ONE)] for t in range(td)]
         self._refl_tau = [
@@ -712,7 +677,7 @@ class ModuleFamily:
         return self.w_op(self.group.reflection_element_index(root_idx))
 
     def scalar_op(self, v) -> GradedOperator:
-        v = _csc(v)
+        v = as_scalar(v)
         blocks = {m: Matrix.identity(self.dim(m)).scale(v)
                   for m in range(self.max_degree + 1)}
         return GradedOperator(self, 0, blocks)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Matrix, determinant
-from .scalars import (ExactScalar, ONE, ZERO, as_fraction, as_scalar, rat,
-                      sqrt_in_real_subfield)
+from .scalars import (ExactScalar, ONE, ZERO, as_fraction, as_scalar,
+                      format_fraction, rat, sqrt_in_real_subfield)
 
 GROUP_ORDER_BOUND = 384
 
@@ -108,12 +108,14 @@ class ParamFunction:
     def of_root(self, rs: "RootSystem", idx: int) -> Fraction:
         return self.values[rs.orbit_labels()[idx]]
 
+    def per_root(self, rs: "RootSystem") -> list:
+        """The coupling c_a as an ExactScalar, per positive root of rs."""
+        return [rat(self.values[lab]) for lab in rs.orbit_labels()]
+
     def label(self) -> str:
         items = sorted(self.values.items())
         if len({v for _, v in items}) == 1:
-            from .scalars import format_fraction
             return format_fraction(items[0][1])
-        from .scalars import format_fraction
         return ";".join(f"{k}={format_fraction(v)}" for k, v in items)
 
 
@@ -256,6 +258,19 @@ class RootSystem:
             labels = [f"orb{reps.index(find(i))}" for i in range(nroots)]
         self._orbit_labels = labels
         return labels
+
+    def has_transposition_roots(self) -> bool:
+        """True when the positive roots are +-(e_i - e_j), once for each
+        pair i < j: the permutation realization of a symmetric group,
+        where the Jucys-Murphy elements live."""
+        pairs = set()
+        for root in self.positive_roots:
+            spots = {j: v for j, v in enumerate(root) if not v.is_zero()}
+            if len(spots) != 2 or set(spots.values()) != {ONE, -ONE}:
+                return False
+            pairs.add(tuple(spots))
+        return len(pairs) == len(self.positive_roots) \
+            == self.n * (self.n - 1) // 2
 
     def simple_root_indices(self):
         """alpha is simple iff s_alpha permutes the other positive roots."""

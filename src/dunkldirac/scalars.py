@@ -339,9 +339,11 @@ def rat(x) -> ExactScalar:
 
 
 def as_scalar(x) -> ExactScalar:
-    """Pass an ExactScalar through; coerce an int, Fraction or 'p/q'
-    string with rat()."""
-    return x if isinstance(x, ExactScalar) else rat(x)
+    """Pass an ExactScalar through; parse a string with ExactScalar.parse
+    and coerce an int or Fraction with rat()."""
+    if isinstance(x, ExactScalar):
+        return x
+    return ExactScalar.parse(x) if isinstance(x, str) else rat(x)
 
 
 # -- sparse combinations: dicts basis key -> nonzero coefficient ---------------
@@ -357,25 +359,18 @@ def accumulate(acc: dict, key, val) -> None:
         acc[key] = new
 
 
-def sparse_sum(a: dict, b: dict) -> dict:
-    """The sum of two sparse combinations, as a new dict."""
-    out = dict(a)
-    for k, v in b.items():
-        accumulate(out, k, v)
-    return out
-
-
-def sparse_product(a: dict, b: dict, rule, acc: dict | None = None) -> dict:
-    """Bilinear product of two sparse combinations, added into acc (a new
-    dict when None) and returned.
+def sparse_product(a: dict, b: dict, rule) -> dict:
+    """Bilinear product of two sparse combinations, as a new dict.
 
     rule(i, j) returns (sign, k) with e_i e_j = sign * e_k for basis keys
-    i, j, k and sign +-1.
+    i, j, k and sign +-1, or sign 0 (k unused) when e_i e_j = 0.
     """
-    out = {} if acc is None else acc
+    out: dict = {}
     for i, vi in a.items():
         for j, vj in b.items():
             sign, k = rule(i, j)
+            if not sign:
+                continue
             v = vi * vj
             if sign < 0:
                 v = -v
@@ -388,6 +383,69 @@ def sparse_product(a: dict, b: dict, rule, acc: dict | None = None) -> dict:
             else:
                 out[k] = new
     return out
+
+
+class Combination:
+    """An element of an exact algebra: a sparse combination of basis
+    elements with a bilinear product.
+
+    coeffs maps basis keys to nonzero ExactScalars.  A subclass supplies
+    _ctx() (what two elements of one algebra share), _like(coeffs) (a
+    sibling element from a dict that already has no zeros) and _rule, the
+    sparse_product basis rule, callable as self._rule(i, j).  Combining
+    elements of two different algebras raises ValueError.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def _coerce(self, other):
+        """other as an element of this algebra."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with "
+                            f"{type(other).__name__}")
+        if other._ctx() != self._ctx():
+            raise ValueError(f"{type(self).__name__}s of different algebras")
+        return other
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, v in self._coerce(other).coeffs.items():
+            accumulate(out, k, v)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def scale(self, s):
+        s = as_scalar(s)
+        if s.is_zero():
+            return self._like({})
+        return self._like({k: v * s for k, v in self.coeffs.items()})
+
+    def __mul__(self, other):
+        """The algebra product with an element; scale() with a scalar."""
+        if not isinstance(other, Combination):
+            return self.scale(other)
+        return self._like(sparse_product(
+            self.coeffs, self._coerce(other).coeffs, self._rule))
+
+    __rmul__ = scale
+
+    def commutator(self, other):
+        return self * other - other * self
+
+    def __eq__(self, other):
+        try:
+            other = self._coerce(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
 
 # -- the term grammar shared by every parser -------------------------------------

@@ -169,6 +169,34 @@ def test_verify_suite_subset_via_main(tmp_path, capsys):
     assert [s["name"] for s in report["suites"]] == ["rca", "clifford"]
 
 
+def test_jucys_murphy_checks_follow_the_roots_not_the_name(tmp_path, capsys):
+    # B2 roots under a name starting with S: no Jucys-Murphy records, and
+    # no traceback from the vogan suite
+    sneaky = {"roots": [[1, 0], [0, 1], [1, 1], [1, -1]], "name": "Sneaky"}
+    path = write_config(tmp_path, group=sneaky, c="1/3", max_degree=2,
+                        suites=["pincover", "vogan"])
+    assert cli.main(["verify", "--config", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    ids = [r["check_id"] for s in report["suites"] for r in s["records"]]
+    assert ids and not any("jucys" in i or "jm:" in i for i in ids)
+
+    # the S3 roots as a custom system check exactly what S3 checks
+    def outcomes(group):
+        cfg = load_config(write_config(tmp_path, group=group, c="1/3",
+                                       max_degree=2,
+                                       suites=["pincover", "vogan"]))
+        report, code = run_verify(cfg)
+        assert code == 0
+        return [(r["check_id"], r["status"])
+                for s in report["suites"] for r in s["records"]]
+
+    builtin = outcomes("S3")
+    assert any("jucys" in i for i, _ in builtin)
+    assert any("jm:e1" in i for i, _ in builtin)
+    assert outcomes({"roots": [[1, -1, 0], [1, 0, -1], [0, 1, -1]]}) \
+        == builtin
+
+
 def test_verify_unknown_suite_is_usage_error(tmp_path, capsys):
     path = write_config(tmp_path)
     assert cli.main(["verify", "--config", path, "--suite", "nope"]) == 2
@@ -262,8 +290,11 @@ def test_table_bad_points_become_rows(tmp_path):
                            {"m": 1, "C": "C2"},
                            {"m": 1, "C": 5},
                            {"m": 1, "C": None},
-                           {"m": 1, "C": "typo"}])
-    assert len(rows) == 7
+                           {"m": 1, "C": "typo"},
+                           {"C": "zero"},
+                           "not a point",
+                           {"m": 1, "c": "1/0"}])
+    assert len(rows) == 10
     assert "exact mode" in rows[0]["status"]
     assert "degree True" in rows[1]["status"]
     assert "group index 99" in rows[2]["status"]
@@ -273,7 +304,12 @@ def test_table_bad_points_become_rows(tmp_path):
     assert "element 5 " in rows[4]["status"]
     assert "element None " in rows[5]["status"]
     assert "unknown part 'mm'" in rows[6]["status"]
+    # a point without a degree, a point that is not an object, a bad c
+    assert "degree None is not" in rows[7]["status"]
+    assert "must be an object" in rows[8]["status"]
+    assert "sweep c" in rows[9]["status"]
     assert all(r["status"].startswith("error:") for r in rows[4:])
+    assert all(r["group"] == "S3" and r["tau"] == "trivial" for r in rows)
 
 
 def test_table_builds_one_context_per_coupling(tmp_path, monkeypatch):

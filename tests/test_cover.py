@@ -10,6 +10,7 @@ import random
 import pytest
 
 from dunkldirac.clifford import CliffordElement
+from dunkldirac.polyrep import Polynomial
 from dunkldirac.cover import (
     GroupAlgebraElement,
     HatElement,
@@ -350,3 +351,35 @@ def test_group_algebra_element_basics():
     for w in range(cov.group.order):
         gw = GroupAlgebraElement.from_element(cov, w)
         assert z.commutator(gw).is_zero()
+
+
+def test_elements_of_different_algebras_do_not_combine():
+    with pytest.raises(ValueError):
+        Polynomial(2) + Polynomial(3)
+    with pytest.raises(ValueError):
+        CliffordElement(2) * CliffordElement(3)
+    a, b = make("S3"), make("S3")
+    with pytest.raises(ValueError):
+        HatElement.one(a) + HatElement.one(b)
+    with pytest.raises(ValueError):
+        HatElement.one(a) * HatElement.one(b)
+    with pytest.raises(ValueError):
+        GroupAlgebraElement.from_element(a, 1) \
+            - GroupAlgebraElement.from_element(b, 1)
+    # different algebras never compare equal
+    assert Polynomial.one(2) != Polynomial.one(3)
+    assert HatElement.one(a) != HatElement.one(b)
+
+
+def test_scale_by_a_string_agrees_across_the_algebras():
+    cov = make("B2")
+    elems = [Polynomial.parse(2, "x1 - 3 x2^2"),
+             CliffordElement.parse(2, "1/2 + c1 c2"),
+             GroupAlgebraElement(cov, {1: ONE, 3: rat("-2")}),
+             HatElement(cov, p={1: ONE}, m={2: IUNIT}, gm={0: rat(3)})]
+    for e in elems:
+        want = e.scale(SQRT2)
+        assert e.scale("sqrt2") == want
+        assert e * "sqrt2" == want == SQRT2 * e
+        assert want.coeffs == {k: v * SQRT2 for k, v in e.coeffs.items()}
+        assert e.scale("0").is_zero()
