@@ -2,12 +2,13 @@
 their Dirac operators.
 
 The layers, bottom up: scalars (the field Q(i, sqrt2)), linalg (exact
-sparse matrices), roots (reflection groups and multiplicity functions),
-polyrep (truncated standard modules and graded operators), clifford
-(Clifford algebra and a spinor representation), cover (the pin double
-cover and its twisted group algebra), angmom (the angular momentum
-algebra and its Casimir), diracops (Dirac elements, kernel cohomology,
-spectra, and the rescaling search), cli (configuration and reporting).
+matrices as integer component arrays), roots (reflection groups and
+multiplicity functions), polyrep (truncated standard modules and graded
+operators), clifford (Clifford algebra and a spinor representation),
+cover (the pin double cover and its twisted group algebra), angmom (the
+angular momentum algebra and its Casimir), diracops (Dirac elements,
+kernel cohomology, spectra, and the rescaling search), cli
+(configuration and reporting).
 
 Everything upstream of the float spectrum reports is computed in exact
 arithmetic; a report line is either an exact matrix identity or says

@@ -486,18 +486,11 @@ def _solve_columns(basis: Matrix, target: Matrix) -> Matrix:
     if ker.ncols != ct:
         raise RuntimeError("restriction failed: basis columns dependent "
                            "or target outside their span")
-    sol = Matrix(cb, ct)
-    for j in range(ct):
-        for i in range(ct):
-            v = ker.get(cb + i, j)
-            want_one = i == j
-            if (want_one and v != ONE) or (not want_one and not v.is_zero()):
-                raise RuntimeError("restriction failed: kernel lacks the "
-                                   "free-column identity block")
-        for i in range(cb):
-            v = ker.get(i, j)
-            if not v.is_zero():
-                sol.rows[i][j] = -v
+    rows = ker.rows
+    if Matrix.from_row_dicts(ct, ct, rows[cb:]) != Matrix.identity(ct):
+        raise RuntimeError("restriction failed: kernel lacks the "
+                           "free-column identity block")
+    sol = -Matrix.from_row_dicts(cb, ct, rows[:cb])
     if basis @ sol != target:
         raise RuntimeError("restriction failed verification")
     return sol
@@ -650,11 +643,10 @@ def _eigensplit(r: Matrix):
         for s in _complex_candidates(complex(z)):
             if s not in cands:
                 cands.append(s)
-    eye = Matrix.identity(d)
     spaces = []
     total = 0
     for s in cands:
-        es = kernel(r - eye.scale(s))
+        es = kernel(r.add_to_diagonal(-s))
         if es.ncols:
             spaces.append((s, es))
             total += es.ncols

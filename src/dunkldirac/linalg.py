@@ -1,169 +1,295 @@
-"""Sparse exact matrices and fraction-free elimination.
+"""Exact matrices over Q(i, sqrt2) and fraction-free elimination.
 
-Matrices hold ExactScalar entries in row dicts; stored zeros are never
-kept, so equality is structural.  Rank, kernel, determinant and the
-Sylvester positivity test all run through one Bareiss driver after
-clearing denominators, which keeps intermediate entries polynomially
-sized.
+A matrix is one positive integer denominator `den` over a numpy integer
+array `num` of shape (4, rows, cols): num[0..3] hold the 1, sqrt2, i and
+i*sqrt2 components of every entry.  The form is canonical: den > 0, the
+gcd of den and every entry of num is 1, and num is int64 exactly when
+every |entry| < 2^62, otherwise an `object` array of Python ints.  So
+equality and hashing are structural on (shape, den, num).
+
+A product is one integer matmul of A's nonzero components, side by side,
+against a block matrix of +-B and +-2B blocks read off the multiplication
+table of the basis.  It runs in int64 only when a bit bound proves that
+no sum overflows (see `_fits`); otherwise the same product runs on
+`object` arrays, slower but exact.  No float enters any of it: floats
+appear only in `to_complex`, which feeds reports and eigenvalue guesses.
+
+Rank, kernel, determinant and the Sylvester positivity test all run
+through one Bareiss driver on rows of Z[i, sqrt2] scalars after clearing
+denominators, which keeps intermediate entries polynomially sized.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .scalars import ExactScalar, ZERO, ONE, as_scalar, rat
+import numpy as np
+
+from .scalars import SQRT2_FLOAT, ExactScalar, ZERO, ONE, as_scalar, rat
+
+# int64 arrays hold entries below 2^62 in absolute value, so the sum or
+# difference of two of them still fits
+_LIMIT = 1 << 62
+
+# e_a * e_b = _COEF[a][c] * e_c with b = _IDX[a][c] = a ^ c, for the basis
+# e_0..e_3 = 1, sqrt2, i, i*sqrt2
+_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_COEF = np.array([[1, 1, 1, 1], [2, 1, 2, 1],
+                  [-1, -1, 1, 1], [-2, -1, 2, 1]], dtype=np.int64)
+# complex conjugation flips the sign of the i and i*sqrt2 components
+_CONJ = np.array([1, 1, -1, -1], dtype=np.int64).reshape(4, 1, 1)
+
+
+def _companion(b: np.ndarray, comps: list) -> np.ndarray:
+    """Per component a in comps, the four arrays _COEF[a][c] * b[a ^ c]:
+    left-multiplying them by a's array gives e_a * B per output c."""
+    return _COEF[comps][:, :, None, None] * b[_IDX[comps]]
 
 
 class Matrix:
-    """Sparse matrix over ExactScalar."""
+    """Exact matrix num / den over Q(i, sqrt2); immutable.
 
-    __slots__ = ("nrows", "ncols", "rows")
+    `bits` (the bit length of the largest |entry| of num) and `comps`
+    (the indices of the nonzero components) are derived from num.
+    """
+
+    __slots__ = ("nrows", "ncols", "den", "num", "bits", "comps")
 
     def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = [dict() for _ in range(nrows)]
+        """The zero matrix."""
+        self._set(np.zeros((4, nrows, ncols), dtype=np.int64), 1, 0, ())
+
+    def _set(self, num, den, bits, comps) -> None:
+        num.flags.writeable = False
+        self.nrows, self.ncols = num.shape[1], num.shape[2]
+        self.num, self.den, self.bits, self.comps = num, den, bits, comps
+
+    @staticmethod
+    def _build(num, den, bits, comps) -> "Matrix":
+        out = object.__new__(Matrix)
+        out._set(num, den, bits, comps)
+        return out
+
+    @staticmethod
+    def _make(num: np.ndarray, den: int) -> "Matrix":
+        """The canonical form of num / den, for den > 0: divide out the
+        common gcd, then store int64 exactly when every entry fits."""
+        if den != 1:
+            g = int(np.gcd.reduce(num, axis=None))
+            if g == 0:
+                return Matrix(num.shape[1], num.shape[2])
+            g = gcd(den, g)
+            if g != 1:
+                num = num // g
+                den //= g
+        peaks = np.abs(num).reshape(4, -1).max(axis=1, initial=0).tolist()
+        peak = max(peaks)
+        if num.dtype == object:
+            if peak < _LIMIT:
+                num = num.astype(np.int64)
+        elif peak >= _LIMIT:
+            num = num.astype(object)
+        return Matrix._build(num, den, peak.bit_length(),
+                             tuple(c for c, p in enumerate(peaks) if p))
 
     # -- construction --
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        m = Matrix(n, n)
-        for i in range(n):
-            m.rows[i][i] = ONE
-        return m
+        num = np.zeros((4, n, n), dtype=np.int64)
+        num[0] = np.eye(n, dtype=np.int64)
+        return Matrix._make(num, 1)
+
+    @staticmethod
+    def from_row_dicts(nrows: int, ncols: int, dicts) -> "Matrix":
+        """Build from one {column: entry} dict per row; entries are
+        coerced via as_scalar() and zeros are dropped."""
+        dicts = list(dicts)
+        if len(dicts) != nrows:
+            raise ValueError(f"expected {nrows} rows, got {len(dicts)}")
+        ii, jj, vals = [], [], []
+        for i, row in enumerate(dicts):
+            for j, v in row.items():
+                if not 0 <= j < ncols:
+                    raise ValueError(f"column {j} outside 0..{ncols - 1}")
+                v = as_scalar(v)
+                if not v.is_zero():
+                    ii.append(i)
+                    jj.append(j)
+                    vals.append(v)
+        den = lcm(*(v._den for v in vals))
+        comps = [[x * (den // v._den) for x in (v._p, v._q, v._r, v._s)]
+                 for v in vals]
+        big = any(abs(x) >= _LIMIT for c in comps for x in c)
+        num = np.zeros((4, nrows, ncols),
+                       dtype=object if big else np.int64)
+        if vals:
+            num[:, ii, jj] = np.array(comps, dtype=num.dtype).T
+        return Matrix._make(num, den)
 
     @staticmethod
     def from_rows(data) -> "Matrix":
         """Build from a list of lists; entries coerced via as_scalar()."""
         nrows = len(data)
         ncols = len(data[0]) if nrows else 0
-        m = Matrix(nrows, ncols)
-        for i, row in enumerate(data):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                m.set(i, j, v)
-        return m
+        if any(len(row) != ncols for row in data):
+            raise ValueError("ragged rows")
+        return Matrix.from_row_dicts(nrows, ncols,
+                                     (dict(enumerate(row)) for row in data))
 
-    def set(self, i: int, j: int, v) -> None:
-        v = as_scalar(v)
-        if v.is_zero():
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = v
+    # -- reading entries --
 
-    def get(self, i: int, j: int):
-        return self.rows[i].get(j, ZERO)
+    def _entries(self):
+        """(row, col, [p, q, r, s]) of each nonzero entry, row-major; the
+        entry is (p + q sqrt2 + i (r + s sqrt2)) / den."""
+        ii, jj = np.nonzero(self.num.any(axis=0))
+        vals = self.num[:, ii, jj].T.tolist()
+        return zip(ii.tolist(), jj.tolist(), vals)
 
-    def copy(self) -> "Matrix":
-        m = Matrix(self.nrows, self.ncols)
-        m.rows = [dict(r) for r in self.rows]
-        return m
+    @property
+    def rows(self) -> list:
+        """Fresh {column: ExactScalar} dicts of the nonzero entries."""
+        out = [{} for _ in range(self.nrows)]
+        den = self.den
+        for i, j, v in self._entries():
+            out[i][j] = ExactScalar._raw(*v, den)
+        return out
+
+    def get(self, i: int, j: int) -> ExactScalar:
+        return ExactScalar._raw(*self.num[:, i, j].tolist(), self.den)
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return int(np.count_nonzero(self.num.any(axis=0)))
 
     def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
+        return not self.comps
 
     # -- algebra --
 
+    def _over(self, den: int) -> np.ndarray:
+        """num rescaled to the denominator den, a multiple of self.den: in
+        int64 only when every |entry| * factor < 2^(bits + bitlen(factor))
+        <= 2^62, so that the sum of two such arrays still fits."""
+        f = den // self.den
+        if f == 1:
+            return self.num
+        if self.bits + f.bit_length() <= 62:
+            return self.num * f
+        return self.num.astype(object) * f
+
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        out = self.copy()
-        for i, row in enumerate(other.rows):
-            orow = out.rows[i]
-            for j, v in row.items():
-                w = orow.get(j)
-                s = v if w is None else w + v
-                if s.is_zero():
-                    orow.pop(j, None)
-                else:
-                    orow[j] = s
-        return out
+        den = lcm(self.den, other.den)
+        return Matrix._make(self._over(den) + other._over(den), den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        self._check_same_shape(other)
+        den = lcm(self.den, other.den)
+        return Matrix._make(self._over(den) - other._over(den), den)
 
     def __neg__(self) -> "Matrix":
-        out = Matrix(self.nrows, self.ncols)
-        out.rows = [{j: -v for j, v in r.items()} for r in self.rows]
-        return out
+        return Matrix._build(-self.num, self.den, self.bits, self.comps)
+
+    def add_to_diagonal(self, s) -> "Matrix":
+        """self + s * I, for a square matrix."""
+        s = as_scalar(s)
+        den = lcm(self.den, s._den)
+        num = self._over(den).copy()
+        shift = [x * (den // s._den) for x in (s._p, s._q, s._r, s._s)]
+        if num.dtype != object and any(abs(x) >= _LIMIT for x in shift):
+            num = num.astype(object)
+        diag = np.arange(min(self.nrows, self.ncols))
+        num[:, diag, diag] += np.array(shift, dtype=num.dtype)[:, None]
+        return Matrix._make(num, den)
 
     def scale(self, s) -> "Matrix":
         s = as_scalar(s)
-        out = Matrix(self.nrows, self.ncols)
-        if s.is_zero():
-            return out
-        out.rows = [{j: s * v for j, v in r.items()} for r in self.rows]
-        return out
+        return self.kron(Matrix._make(
+            np.array([s._p, s._q, s._r, s._s],
+                     dtype=object).reshape(4, 1, 1), s._den))
+
+    def _fits(self, other: "Matrix", k: int) -> bool:
+        """True when every sum of k terms a * c * b, for entries a of self
+        and b of other and c a coefficient of the multiplication table, over
+        at most four components, stays below 2^61 in absolute value.
+
+        Proof: |a| < 2^bits(A), |b| < 2^bits(B), |c| <= 2 and k < 2^bitlen(k);
+        one output entry is a sum of at most 4k such terms, so its partial
+        sums are below 4k * 2 * 2^(bits(A) + bits(B)) < 2^(bits(A) + bits(B)
+        + bitlen(k) + 3) <= 2^61 when bits(A) + bits(B) + bitlen(k) + 4 <= 62.
+        An `object` array has bits >= 63 and never fits.
+        """
+        return self.bits + other.bits + k.bit_length() + 4 <= 62
+
+    def _operands(self, other: "Matrix", k: int):
+        a, b = self.num, other.num
+        if not self._fits(other, k):
+            a, b = a.astype(object), b.astype(object)
+        return a, b
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = Matrix(self.nrows, other.ncols)
-        for i, arow in enumerate(self.rows):
-            if not arow:
-                continue
-            acc: dict = {}
-            for k, av in arow.items():
-                brow = other.rows[k]
-                for j, bv in brow.items():
-                    prod = av * bv
-                    cur = acc.get(j)
-                    acc[j] = prod if cur is None else cur + prod
-            out.rows[i] = {j: v for j, v in acc.items() if not v.is_zero()}
-        return out
+        r, k, n = self.nrows, self.ncols, other.ncols
+        ca, cb = self.comps, other.comps
+        if not ca or not cb:
+            return Matrix(r, n)
+        a, b = self._operands(other, k)
+        if ca == cb == (0,):
+            prod = a[0] @ b[0]
+            out = np.zeros((4, r, n), dtype=prod.dtype)
+            out[0] = prod
+        else:
+            ca = list(ca)
+            lhs = a[ca].transpose(1, 0, 2).reshape(r, len(ca) * k)
+            rhs = _companion(b, ca).transpose(0, 2, 1, 3).reshape(
+                len(ca) * k, 4 * n)
+            out = (lhs @ rhs).reshape(r, 4, n).transpose(1, 0, 2)
+        return Matrix._make(out, self.den * other.den)
+
+    def kron(self, other: "Matrix") -> "Matrix":
+        (r1, c1), (r2, c2) = self.shape, other.shape
+        if not self.comps or not other.comps:
+            return Matrix(r1 * r2, c1 * c2)
+        a, b = self._operands(other, 1)
+        ca = list(self.comps)
+        prod = (a[ca][:, None, :, None, :, None]
+                * _companion(b, ca)[:, :, None, :, None, :]).sum(axis=0)
+        return Matrix._make(prod.reshape(4, r1 * r2, c1 * c2),
+                            self.den * other.den)
 
     def transpose(self) -> "Matrix":
-        out = Matrix(self.ncols, self.nrows)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                out.rows[j][i] = v
-        return out
+        return Matrix._build(self.num.transpose(0, 2, 1), self.den,
+                             self.bits, self.comps)
 
     def dagger(self) -> "Matrix":
         """Conjugate transpose."""
-        out = Matrix(self.ncols, self.nrows)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                out.rows[j][i] = v.conjugate()
-        return out
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        out = Matrix(self.nrows * other.nrows, self.ncols * other.ncols)
-        for i1, r1 in enumerate(self.rows):
-            for j1, v1 in r1.items():
-                for i2, r2 in enumerate(other.rows):
-                    orow = out.rows[i1 * other.nrows + i2]
-                    for j2, v2 in r2.items():
-                        p = v1 * v2
-                        if not p.is_zero():
-                            orow[j1 * other.ncols + j2] = p
-        return out
+        return Matrix._build((self.num * _CONJ).transpose(0, 2, 1),
+                             self.den, self.bits, self.comps)
 
     def trace(self):
-        t = ZERO
-        for i in range(min(self.nrows, self.ncols)):
-            v = self.rows[i].get(i)
-            if v is not None:
-                t = t + v
-        return t
+        t = self.num.diagonal(axis1=1, axis2=2).sum(axis=1)
+        return ExactScalar._raw(*(int(x) for x in t), self.den)
+
+    def key(self):
+        """Hashable canonical form (shape, den, entries)."""
+        num = self.num
+        body = (tuple(num.ravel().tolist()) if num.dtype == object
+                else num.tobytes())
+        return (self.shape, self.den, body)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.shape == other.shape
-                and all(a == b for a, b in zip(self.rows, other.rows)))
+        return (self.shape == other.shape and self.den == other.den
+                and np.array_equal(self.num, other.num))
 
     def __hash__(self):
-        return hash((self.shape,
-                     tuple(tuple(sorted(r.items())) for r in self.rows)))
+        return hash(self.key())
 
     def is_scalar_multiple_of_identity(self):
         """Return the scalar if self == s*I, else None."""
@@ -182,45 +308,63 @@ class Matrix:
     # -- conversions --
 
     def to_dense(self):
-        return [[self.get(i, j) for j in range(self.ncols)]
-                for i in range(self.nrows)]
+        return [[row.get(j, ZERO) for j in range(self.ncols)]
+                for row in self.rows]
 
     def to_complex(self):
-        import numpy as np
-        arr = np.zeros((self.nrows, self.ncols), dtype=complex)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                arr[i, j] = v.to_complex()
+        """Complex float array, each entry rounded as ExactScalar.to_complex
+        rounds it: from its own reduced components and denominator."""
+        num = self.num
+        if self.den >= _LIMIT:
+            num = num.astype(object)
+        g = np.gcd(np.gcd.reduce(num, axis=0), self.den)
+        p = (num // g).astype(float)
+        d = (self.den // g).astype(float)
+        arr = np.zeros(self.shape, dtype=complex)
+        arr.real = (p[0] + p[1] * SQRT2_FLOAT) / d
+        arr.imag = (p[2] + p[3] * SQRT2_FLOAT) / d
         return arr
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
+def hstack(*mats: Matrix) -> Matrix:
+    """The concatenation [A | B | ...]."""
+    if any(mm.nrows != mats[0].nrows for mm in mats):
+        raise ValueError("row mismatch in concatenation")
+    den = lcm(*(mm.den for mm in mats))
+    return Matrix._make(np.concatenate([mm._over(den) for mm in mats],
+                                       axis=2), den)
+
+
 # -- fraction-free elimination ---------------------------------------------
+#
+# The Bareiss driver works on a list of {column: ExactScalar} row dicts
+# with entries in Z[i, sqrt2], edited in place.
 
 
-def _den_lcm(rows) -> int:
-    """Least common multiple of the entry denominators of some row dicts."""
-    return lcm(*(v._den for row in rows for v in row.values()))
-
-
-def _clear_denominators(m: Matrix) -> Matrix:
-    """Scale each row by a positive integer so entries lie in Z[i, sqrt2]."""
-    out = m.copy()
-    for row in out.rows:
-        d = _den_lcm([row])
-        if d != 1:
-            s = rat(d)
-            for j in list(row):
-                row[j] = row[j] * s
+def _clear_denominators(m: Matrix) -> list:
+    """Rows of m, each scaled by the least positive integer that puts its
+    entries in Z[i, sqrt2]: num_row // gcd(den, gcd(num_row))."""
+    rows = [{} for _ in range(m.nrows)]
+    for i, j, v in m._entries():
+        rows[i][j] = v
+    out = []
+    for row in rows:
+        g = gcd(m.den, *(x for v in row.values() for x in v))
+        out.append({j: ExactScalar._raw(*(x // g for x in v), 1)
+                    for j, v in row.items()})
     return out
 
 
 def _cleared(m: Matrix):
-    """(d * m, d) for the common denominator d of all entries of m."""
-    d = _den_lcm(m.rows)
-    return (m.scale(d) if d != 1 else m.copy()), d
+    """(rows of num, den): m times its common denominator, and that
+    denominator."""
+    rows = [{} for _ in range(m.nrows)]
+    for i, j, v in m._entries():
+        rows[i][j] = ExactScalar._raw(*v, 1)
+    return rows, m.den
 
 
 def _divexact(x: ExactScalar, y: ExactScalar) -> ExactScalar:
@@ -230,17 +374,17 @@ def _divexact(x: ExactScalar, y: ExactScalar) -> ExactScalar:
     return z
 
 
-def _bareiss_step(u: Matrix, prow: int, col: int, prev: ExactScalar):
+def _bareiss_step(u: list, prow: int, col: int, prev: ExactScalar):
     """One fraction-free elimination step on all rows below prow.
 
     Rows with a zero pivot-column entry still get the pval/prev rescale;
     Bareiss exactness relies on updating the whole remaining block.
     """
-    pivot_row = u.rows[prow]
+    pivot_row = u[prow]
     pval = pivot_row[col]
     same_scale = pval == prev
-    for i in range(prow + 1, u.nrows):
-        row = u.rows[i]
+    for i in range(prow + 1, len(u)):
+        row = u[i]
         xval = row.pop(col, None)
         if xval is None:
             if same_scale or not row:
@@ -265,8 +409,9 @@ def _bareiss_step(u: Matrix, prow: int, col: int, prev: ExactScalar):
     return pval
 
 
-def _bareiss(u: Matrix, diagonal: bool = False):
-    """Fraction-free elimination of u in place, one pivot at a time.
+def _bareiss(u: list, ncols: int, diagonal: bool = False):
+    """Fraction-free elimination of the rows u in place, one pivot at a
+    time.
 
     Yields (row, col, swapped) for each pivot before eliminating below
     it, so a caller may stop early.  A column's pivot is its first nonzero
@@ -277,20 +422,20 @@ def _bareiss(u: Matrix, diagonal: bool = False):
     """
     prev = ONE
     prow = 0
-    for col in range(u.ncols):
-        if prow == u.nrows:
+    for col in range(ncols):
+        if prow == len(u):
             return
         if diagonal:
-            if col not in u.rows[prow]:
+            if col not in u[prow]:
                 return
             piv = prow
         else:
-            piv = next((i for i in range(prow, u.nrows) if col in u.rows[i]),
+            piv = next((i for i in range(prow, len(u)) if col in u[i]),
                        None)
             if piv is None:
                 continue
         if piv != prow:
-            u.rows[prow], u.rows[piv] = u.rows[piv], u.rows[prow]
+            u[prow], u[piv] = u[piv], u[prow]
         yield prow, col, piv != prow
         prev = _bareiss_step(u, prow, col, prev)
         prow += 1
@@ -300,10 +445,10 @@ def echelon(m: Matrix):
     """Fraction-free row echelon form.
 
     Returns (U, pivots) where pivots is a list of (row, col) pairs; U is a
-    working copy with entries in Z[i, sqrt2].
+    list of row dicts with entries in Z[i, sqrt2].
     """
     u = _clear_denominators(m)
-    return u, [(r, c) for r, c, _ in _bareiss(u)]
+    return u, [(r, c) for r, c, _ in _bareiss(u, m.ncols)]
 
 
 def rank(m: Matrix) -> int:
@@ -320,12 +465,12 @@ def kernel(m: Matrix) -> Matrix:
     u, pivots = echelon(m)
     pivot_cols = {c for _, c in pivots}
     free_cols = [j for j in range(m.ncols) if j not in pivot_cols]
-    out = Matrix(m.ncols, len(free_cols))
+    out = [{} for _ in range(m.ncols)]
     for k, f in enumerate(free_cols):
         x = {f: ONE}
         for (r, c) in reversed(pivots):
             acc = None
-            row = u.rows[r]
+            row = u[r]
             for j, v in row.items():
                 if j == c:
                     continue
@@ -336,25 +481,8 @@ def kernel(m: Matrix) -> Matrix:
             if acc is not None and not acc.is_zero():
                 x[c] = -acc / row[c]
         for j, v in x.items():
-            if not v.is_zero():
-                out.rows[j][k] = v
-    return out
-
-
-def hstack(*mats: Matrix) -> Matrix:
-    """The concatenation [A | B | ...]."""
-    nrows = mats[0].nrows
-    total = sum(mm.ncols for mm in mats)
-    cat = Matrix(nrows, total)
-    off = 0
-    for mm in mats:
-        if mm.nrows != nrows:
-            raise ValueError("row mismatch in concatenation")
-        for i, row in enumerate(mm.rows):
-            for j, v in row.items():
-                cat.rows[i][off + j] = v
-        off += mm.ncols
-    return cat
+            out[j][k] = v
+    return Matrix.from_row_dicts(m.ncols, len(free_cols), out)
 
 
 def column_space_rank(*mats: Matrix) -> int:
@@ -381,8 +509,8 @@ def is_positive_definite(h: Matrix) -> bool:
     # global denominator clearing keeps minors positive-scaled
     u, _ = _cleared(h)
     positive = 0
-    for k, _, _ in _bareiss(u, diagonal=True):
-        if u.rows[k][k].sign_real() <= 0:
+    for k, _, _ in _bareiss(u, h.ncols, diagonal=True):
+        if u[k][k].sign_real() <= 0:
             return False
         positive += 1
     return positive == h.nrows
@@ -397,8 +525,8 @@ def leading_principal_minors(h: Matrix):
         raise ValueError("square matrix required")
     u, d = _cleared(h)
     # the pivot at step k is the (k+1)-st leading minor of u = d*h
-    minors = [u.rows[k][k] * rat(Fraction(1, d ** (k + 1)))
-              for k, _, _ in _bareiss(u, diagonal=True)]
+    minors = [u[k][k] * rat(Fraction(1, d ** (k + 1)))
+              for k, _, _ in _bareiss(u, h.ncols, diagonal=True)]
     return minors + [None] * (h.nrows - len(minors))
 
 
@@ -410,11 +538,11 @@ def determinant(m: Matrix) -> ExactScalar:
         return ONE
     u, d = _cleared(m)
     sign = 1
-    for k, col, swapped in _bareiss(u):
+    for k, col, swapped in _bareiss(u, m.ncols):
         if col != k:
             return ZERO
         if swapped:
             sign = -sign
     n = m.nrows
-    det = u.rows[n - 1].get(n - 1, ZERO) * rat(Fraction(1, d ** n))
+    det = u[n - 1].get(n - 1, ZERO) * rat(Fraction(1, d ** n))
     return -det if sign < 0 else det

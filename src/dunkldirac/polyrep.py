@@ -24,6 +24,8 @@ is asserted zero).
 
 from math import comb
 
+import numpy as np
+
 from .linalg import Matrix, kernel
 from .scalars import (ONE, ZERO, Combination, accumulate, as_scalar,
                       parse_terms, rat)
@@ -167,14 +169,10 @@ def act(g, f: Polynomial) -> Polynomial:
     maps to the linear form read off a column of the matrix.
     """
     n = f.n
-    forms = []
-    for i in range(n):
-        coeffs = {}
-        for j in range(n):
-            v = g.mat.get(j, i)
-            if not v.is_zero():
-                coeffs[tuple(1 if k == j else 0 for k in range(n))] = v
-        forms.append(Polynomial(n, coeffs))
+    units = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+    forms = [Polynomial(n, {units[j]: row[i]
+                            for j, row in enumerate(g.rows) if i in row})
+             for i in range(n)]
     pow_cache: dict = {}
 
     def fpow(i, k):
@@ -307,12 +305,8 @@ def trivial_rep(group) -> TauRep:
 
 
 def sign_rep(group) -> TauRep:
-    mats = []
-    for g in group.elements:
-        m = Matrix(1, 1)
-        m.set(0, 0, g.det())
-        mats.append(m)
-    return TauRep("sign", 1, mats)
+    return TauRep("sign", 1, [Matrix.from_rows([[g.det()]])
+                              for g in group.elements])
 
 
 def reflection_rep(group) -> TauRep:
@@ -491,9 +485,8 @@ def _first_difference(a: Matrix, b: Matrix):
     differ; None when they are equal."""
     if a == b:
         return None
-    spots = sorted({(i, j) for i, row in enumerate(a.rows) for j in row}
-                   | {(i, j) for i, row in enumerate(b.rows) for j in row})
-    return next((ij for ij in spots if a.get(*ij) != b.get(*ij)), None)
+    spot = int(np.flatnonzero((a - b).num.any(axis=0))[0])
+    return divmod(spot, a.ncols)
 
 
 def _check_record(check_id: str, ok: bool, witness=None,
@@ -595,19 +588,19 @@ class ModuleFamily:
             target = m + shift
             if target > self.max_degree:
                 continue
-            mat = Matrix(self.dim(target), self.dim(m))
-            blocks[m] = mat
-            if target < 0:
-                continue
-            pos = self._mono_pos[target]
-            for p, e in enumerate(self._monos[m]):
-                for poly, tau_cols in images(m, p, e):
-                    for t in range(td):
-                        col = p * td + t
-                        for f, v in poly.coeffs.items():
-                            base = pos[f] * td
-                            for k, tv in tau_cols[t]:
-                                accumulate(mat.rows[base + k], col, v * tv)
+            nrows = self.dim(target)
+            rows = [{} for _ in range(nrows)]
+            if target >= 0:
+                pos = self._mono_pos[target]
+                for p, e in enumerate(self._monos[m]):
+                    for poly, tau_cols in images(m, p, e):
+                        for t in range(td):
+                            col = p * td + t
+                            for f, v in poly.coeffs.items():
+                                base = pos[f] * td
+                                for k, tv in tau_cols[t]:
+                                    accumulate(rows[base + k], col, v * tv)
+            blocks[m] = Matrix.from_row_dicts(nrows, self.dim(m), rows)
         return GradedOperator(self, shift, blocks)
 
     def _cached(self, key, shift: int, images) -> GradedOperator:
@@ -842,25 +835,23 @@ def contravariant_form(family: ModuleFamily, m: int) -> Matrix:
     while len(family._gram) <= m:
         k = len(family._gram)
         if k == 0:
-            family._gram.append(family.tau.form.copy())
+            family._gram.append(family.tau.form)
             continue
         td = family.tau.dim
         prev = family._gram[k - 1]
         pulled: dict = {}
-        mat = Matrix(family.dim(k), family.dim(k))
+        rows = [{} for _ in range(family.dim(k))]
         for p_idx, e in enumerate(family.monomials(k)):
             pivot = next(i for i in range(family.n) if e[i] > 0)
             pm = pulled.get(pivot)
             if pm is None:
-                pm = prev @ family.y_op(pivot + 1).blocks[k]
+                pm = (prev @ family.y_op(pivot + 1).blocks[k]).rows
                 pulled[pivot] = pm
             e2 = e[:pivot] + (e[pivot] - 1,) + e[pivot + 1:]
             for t in range(td):
                 row = family.basis_index(k, e, t)
-                src = family.basis_index(k - 1, e2, t)
-                for col, v in pm.rows[src].items():
-                    if not v.is_zero():
-                        mat.set(row, col, v)
+                rows[row] = pm[family.basis_index(k - 1, e2, t)]
+        mat = Matrix.from_row_dicts(len(rows), len(rows), rows)
         if mat.dagger() != mat:
             raise RuntimeError("contravariant form came out non-Hermitian")
         family._gram.append(mat)

@@ -36,12 +36,21 @@ def _norm(norm_sq, what: str, idx: int):
 class GroupElement:
     """Orthogonal n x n matrix over the exact field, hashable."""
 
-    __slots__ = ("mat", "_key", "_det")
+    __slots__ = ("mat", "_key", "_det", "_rows")
 
     def __init__(self, mat: Matrix):
         self.mat = mat
-        self._key = tuple(tuple(sorted(r.items())) for r in mat.rows)
+        self._key = mat.key()
         self._det = None
+        self._rows = None
+
+    @property
+    def rows(self) -> list:
+        """The {column: entry} dicts of the matrix rows, read once; callers
+        must not edit them."""
+        if self._rows is None:
+            self._rows = self.mat.rows
+        return self._rows
 
     @property
     def n(self) -> int:
@@ -65,9 +74,9 @@ class GroupElement:
     def apply(self, vec):
         """Matrix action on a coordinate vector (tuple of scalars)."""
         out = []
-        for i in range(self.n):
+        for row in self.rows:
             acc = None
-            for j, v in self.mat.rows[i].items():
+            for j, v in row.items():
                 t = v * vec[j]
                 acc = t if acc is None else acc + t
             out.append(acc if acc is not None else ZERO)
@@ -128,11 +137,18 @@ class RootSystem:
         self.name = name
         self.positive_roots = [tuple(as_scalar(x) for x in r)
                                for r in positive_roots]
-        for r in self.positive_roots:
+        lines = {}
+        for idx, r in enumerate(self.positive_roots):
             if len(r) != n:
                 raise ValueError("root dimension mismatch")
             if all(x.is_zero() for x in r):
                 raise ValueError("zero root")
+            # the root scaled so its first nonzero coordinate is 1
+            lead = next(x for x in r if not x.is_zero()).inverse()
+            first = lines.setdefault(tuple(x * lead for x in r), idx)
+            if first != idx:
+                raise ValueError(f"roots {first} and {idx} are proportional; "
+                                 "list each reflection once")
         self.norms_sq = [dot(r, r) for r in self.positive_roots]
         if coroots is not None:
             self.coroots = [tuple(as_scalar(x) for x in r)
@@ -169,12 +185,9 @@ class RootSystem:
         if self._reflections[idx] is None:
             alpha = self.positive_roots[idx]
             cr = self.coroots[idx]
-            m = Matrix.identity(self.n)
-            for i in range(self.n):
-                for j in range(self.n):
-                    v = m.get(i, j) - cr[i] * alpha[j]
-                    m.set(i, j, v)
-            g = GroupElement(m)
+            g = GroupElement(Matrix.from_rows(
+                [[(ONE if i == j else ZERO) - cr[i] * alpha[j]
+                  for j in range(self.n)] for i in range(self.n)]))
             self._check_involution(g, idx)
             self._reflections[idx] = g
         return self._reflections[idx]
@@ -399,12 +412,12 @@ def wedge2_trivial_elements(rs: RootSystem):
     out = []
     pairs = [(k, l) for k in range(rs.n) for l in range(rs.n) if k < l]
     for idx, g in enumerate(grp.elements):
+        m = g.mat.to_dense()
         trivial = True
         for (i, j) in pairs:
             for (k, l) in pairs:
                 # coefficient of e_k ^ e_l in g e_i ^ g e_j
-                v = (g.mat.get(k, i) * g.mat.get(l, j)
-                     - g.mat.get(l, i) * g.mat.get(k, j))
+                v = m[k][i] * m[l][j] - m[l][i] * m[k][j]
                 want = ONE if (k, l) == (i, j) else ZERO
                 if v != want:
                     trivial = False

@@ -1,6 +1,7 @@
 """Exact scalars: the field Q(i, sqrt2).
 
-ExactScalar is the coefficient type of every matrix in the package.
+ExactScalar is the coefficient type of every algebra in the package, and
+the entry type that matrices are built from and read back as.
 The field is the smallest extension of Q containing i and sqrt(2); that is
 enough for the normalized reflection lifts (which divide by |alpha|) and
 for the spinor matrices of every built-in root system.

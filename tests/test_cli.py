@@ -216,8 +216,13 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
     {"group": "S3", "tau": "bogus"},
     {"group": {"roots": [["1", "1", "1"]]}},
     {"group": {"roots": []}},
+    {"group": {"roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1], [1, -1, 0]]},
+     "suites": ["pincover"]},
+    {"group": {"roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1], [-1, 1, 0]]},
+     "suites": ["pincover"]},
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
-        "coroot-norm-outside-field", "no-roots"])
+        "coroot-norm-outside-field", "no-roots", "repeated-root",
+        "opposite-root"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,
                                                  overrides):
     path = write_config(tmp_path, **overrides)

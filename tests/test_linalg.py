@@ -1,8 +1,12 @@
-"""Exact matrix layer: elimination against a naive Fraction oracle."""
+"""Exact matrix layer: elimination against a naive Fraction oracle, and
+the integer component arithmetic against sympy."""
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy
 
 from dunkldirac.linalg import (Matrix, column_space_rank, determinant,
                                intersection_dim, is_positive_definite,
@@ -11,12 +15,12 @@ from dunkldirac.scalars import ExactScalar, ONE, SQRT2, rat
 
 
 def random_matrix(rng, nrows, ncols, density=0.6):
-    m = Matrix(nrows, ncols)
+    rows = [{} for _ in range(nrows)]
     for i in range(nrows):
         for j in range(ncols):
             if rng.random() < density:
-                m.set(i, j, Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-    return m
+                rows[i][j] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return Matrix.from_row_dicts(nrows, ncols, rows)
 
 
 def naive_rank_fraction(dense):
@@ -96,14 +100,14 @@ def test_irrational_entries_exact():
 def random_field_matrix(rng, n):
     """Entries in Q(i, sqrt2); the (0, 0) entry is zero, so elimination
     has to swap rows."""
-    m = Matrix(n, n)
+    rows = [{} for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if (i, j) != (0, 0) and rng.random() < 0.8:
-                m.set(i, j, ExactScalar(*(Fraction(rng.randint(-4, 4),
-                                                   rng.randint(1, 3))
-                                          for _ in range(4))))
-    return m
+                rows[i][j] = ExactScalar(*(Fraction(rng.randint(-4, 4),
+                                                    rng.randint(1, 3))
+                                           for _ in range(4)))
+    return Matrix.from_row_dicts(n, n, rows)
 
 
 def random_hermitian_surd(rng, n):
@@ -112,16 +116,16 @@ def random_hermitian_surd(rng, n):
     about half of them positive definite."""
     dens = [rng.randint(1, 5) for _ in range(n)]
     shift = rng.choice((0, 8))
-    m = Matrix(n, n)
+    rows = [{} for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             v = ExactScalar(Fraction(rng.randint(-4, 4), dens[i] * dens[j]),
                             Fraction(rng.randint(-2, 2), dens[i] * dens[j]))
             if i == j:
                 v = v + shift
-            m.set(i, j, v)
-            m.set(j, i, v)
-    return m
+            rows[i][j] = v
+            rows[j][i] = v
+    return Matrix.from_row_dicts(n, n, rows)
 
 
 def to_sympy(x: ExactScalar):
@@ -198,6 +202,109 @@ def test_intersection_dim():
 def test_scalar_multiple_detection():
     m = Matrix.identity(4).scale(Fraction(-3, 2))
     assert m.is_scalar_multiple_of_identity() == rat(Fraction(-3, 2))
-    m.set(0, 1, 1)
+    m = m + Matrix.from_row_dicts(4, 4, [{1: 1}, {}, {}, {}])
     assert m.is_scalar_multiple_of_identity() is None
 
+
+# -- the integer component kernel -------------------------------------------
+
+
+def random_q_matrix(rng, nrows, ncols, big=0):
+    """Random entries with all four components drawn independently over
+    denominators 1..6, so rows mix denominators; big shifts every
+    numerator left by that many bits."""
+    def part():
+        return Fraction(rng.randint(-5, 5) << big, rng.randint(1, 6))
+    rows = [{j: ExactScalar(part(), part(), part(), part())
+             for j in range(ncols) if rng.random() < 0.8}
+            for _ in range(nrows)]
+    return Matrix.from_row_dicts(nrows, ncols, rows)
+
+
+def sympy_equal(m: Matrix, want) -> bool:
+    got = to_sympy_matrix(m)
+    return got.shape == want.shape and all(
+        sympy.expand(x - y) == 0 for x, y in zip(got, want))
+
+
+def test_array_arithmetic_matches_sympy_oracle():
+    rng = random.Random(2024)
+    for _ in range(12):
+        r, k, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        a, b = random_q_matrix(rng, r, k), random_q_matrix(rng, k, n)
+        c = random_q_matrix(rng, r, k)
+        s = ExactScalar(*(Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                          for _ in range(4)))
+        sa, sb, sc = (to_sympy_matrix(x) for x in (a, b, c))
+        assert sympy_equal(a @ b, sa * sb)
+        assert sympy_equal(a + c, sa + sc)
+        assert sympy_equal(a - c, sa - sc)
+        assert sympy_equal(a.scale(s), sa * to_sympy(s))
+        assert sympy_equal(a.kron(b), sympy.kronecker_product(sa, sb))
+        assert sympy_equal(a.dagger(), sa.H)
+        sq = random_q_matrix(rng, r, r)
+        assert sq.add_to_diagonal(s) == sq + Matrix.identity(r).scale(s)
+        want = to_sympy_matrix(sq).trace()
+        assert sympy.expand(to_sympy(sq.trace()) - want) == 0
+
+
+def test_products_beyond_the_int64_bound_take_the_object_path():
+    rng = random.Random(40)
+    for _ in range(4):
+        a = random_q_matrix(rng, 3, 3, big=40)
+        b = random_q_matrix(rng, 3, 2, big=40)
+        assert a.bits >= 41 and b.bits >= 41
+        assert not a._fits(b, a.ncols)
+        prod = a @ b
+        assert prod.num.dtype == object
+        assert sympy_equal(prod, to_sympy_matrix(a) * to_sympy_matrix(b))
+        assert sympy_equal(a.kron(b), sympy.kronecker_product(
+            to_sympy_matrix(a), to_sympy_matrix(b)))
+        # the difference cancels back below 2^62: int64 again
+        small = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])
+        assert ((prod + small) - prod).num.dtype == np.int64
+
+
+def assert_canonical(m: Matrix):
+    assert m.den > 0
+    entries = [int(x) for x in m.num.ravel()]
+    assert math.gcd(m.den, *entries) == 1
+    fits = all(abs(x) < 2 ** 62 for x in entries)
+    assert m.num.dtype == (np.int64 if fits else object)
+
+
+def test_canonical_form():
+    rng = random.Random(8)
+    for _ in range(10):
+        a = random_q_matrix(rng, 3, 3)
+        b = random_q_matrix(rng, 3, 3, big=70)
+        for m in (a, b, a @ b, a + b, b - b, a.kron(b), b.dagger(),
+                  a.scale(Fraction(6, 7))):
+            assert_canonical(m)
+        # the same matrix by different routes
+        routes = [a,
+                  Matrix.from_rows(a.to_dense()),
+                  Matrix.from_row_dicts(3, 3, a.rows),
+                  (a.scale(3) + a.scale(-2)),
+                  a.dagger().dagger(),
+                  a @ Matrix.identity(3),
+                  (a - b) + b,
+                  a.kron(Matrix.identity(1))]
+        for m in routes:
+            assert m == a and hash(m) == hash(a) and m.key() == a.key()
+        # each entry of the float array is rounded from its own reduced form
+        arr = a.to_complex()
+        assert all(arr[i, j] == a.get(i, j).to_complex()
+                   for i in range(3) for j in range(3))
+    big = Matrix.from_rows([[2 ** 63, 1], [0, ExactScalar(0, 0, 0, -2 ** 80)]])
+    assert_canonical(big)
+    assert big.num.dtype == object and hash(big) == hash(Matrix.from_rows(
+        [[2 ** 63, 1], [0, ExactScalar(0, 0, 0, -2 ** 80)]]))
+    assert big.scale(Fraction(1, 2 ** 80)).num.dtype == object
+    third = Matrix.from_rows([[Fraction(2 ** 63, 3), 0]])
+    assert third.num.dtype == object and third.den == 3
+    back = third.scale(Fraction(3, 8))
+    assert back.num.dtype == np.int64 and back.den == 1
+    assert back == Matrix.from_rows([[2 ** 60, 0]])
+    zero = a - a
+    assert zero == Matrix(3, 3) and zero.den == 1 and zero.is_zero()
