@@ -8,6 +8,10 @@ product of the others ("+" class).
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 from .linalg import Matrix
 from .scalars import (Combination, ExactScalar, IUNIT, ONE, ZERO, as_scalar,
                       parse_terms)
@@ -197,6 +201,27 @@ def vector_embed(n: int, vec) -> CliffordElement:
         raise ValueError("vector length mismatch")
     return CliffordElement(n, {1 << i: as_scalar(v)
                                for i, v in enumerate(vec)})
+
+
+@lru_cache(maxsize=None)
+def _product_table(n: int):
+    """(sign, mask) arrays of c_S * c_T, indexed [S, T] over blade masks."""
+    size = 1 << n
+    table = np.array([_merge_sign_and_mask(s, t) for s in range(size)
+                      for t in range(size)], dtype=np.int64)
+    return table[:, 0].reshape(size, size), table[:, 1].reshape(size, size)
+
+
+def right_multiplication(x: CliffordElement) -> Matrix:
+    """The exact 2^n x 2^n matrix R(x) with y x = y R(x) for every
+    coefficient row y over blade masks: R(x)[S, S xor T] = sign(c_S c_T)
+    times the coefficient of c_T in x."""
+    size = 1 << x.n
+    signs, masks = _product_table(x.n)
+    row = Matrix.from_row_dicts(1, size, [x.coeffs])
+    num = np.zeros((4, size, size), dtype=row.num.dtype)
+    num[:, np.arange(size)[:, None], masks] = signs * row.num
+    return Matrix._make(num, row.den)
 
 
 def anticommutator_check(n: int) -> bool:

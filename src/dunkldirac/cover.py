@@ -11,14 +11,21 @@ proper quotient.
 
 When -1 is in the group, the cover is extended by an extra central order-2
 generator g mapping to (group element -1) tensor (Clifford identity).
+
+The cocycle is an int8 table built on first use, every entry read off an
+exact lift product compared in full against the signed lift.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
-from .clifford import CliffordElement, vector_embed
+import numpy as np
+
+from .clifford import CliffordElement, right_multiplication, vector_embed
+from .linalg import Matrix
 from .roots import ReflectionGroup, RootSystem, dot
-from .scalars import HALF, ONE, ZERO, Combination, accumulate, rat
+from .scalars import HALF, ONE, Combination, accumulate, rat
 
 
 class PinCover:
@@ -36,8 +43,6 @@ class PinCover:
             for r in word:
                 lift = lift * self._refl_lifts[r]
             self.lifts.append(lift)
-        self._mu: dict = {}
-        self._nu: dict = {}
         self.g_index = self.group.minus_identity_index()
 
     def _unit_coroot(self, idx: int) -> CliffordElement:
@@ -51,32 +56,42 @@ class PinCover:
     def lift(self, elem_idx: int) -> CliffordElement:
         return self.lifts[elem_idx]
 
-    def cocycle(self, i: int, j: int) -> int:
-        """mu(u, v) = +-1 with lift(u) lift(v) = mu(u, v) lift(uv)."""
-        key = (i, j)
-        out = self._mu.get(key)
-        if out is None:
-            prod = self.lifts[i] * self.lifts[j]
-            k = self.group.mul(i, j)
-            if prod == self.lifts[k]:
-                out = 1
-            elif prod == -self.lifts[k]:
-                out = -1
-            else:
+    @cached_property
+    def cocycle_table(self) -> np.ndarray:
+        """mu as an int8 array: cocycle_table[v, u] = mu(v, u).
+
+        Column u comes from one exact product: the lifts as the rows of a
+        matrix over blade masks, times the right multiplication by lift(u).
+        Row v, lift(v) lift(u), must equal +-lift(vu) in every component,
+        else RuntimeError.  Both sides are in canonical form, so that holds
+        when the denominators agree and the integer rows agree up to sign.
+        """
+        order, mul = self.group.order, self.group.mul_table
+        lifts = Matrix.from_row_dicts(order, 1 << self.n,
+                                      (x.coeffs for x in self.lifts))
+        mu = np.empty((order, order), dtype=np.int8)
+        for u, lift in enumerate(self.lifts):
+            prod = lifts @ right_multiplication(lift)
+            want = lifts.num[:, mul[:, u]]
+            plus = (prod.num != want).any(axis=(0, 2))
+            if prod.den != lifts.den or (
+                    plus & (prod.num != -want).any(axis=(0, 2))).any():
                 raise RuntimeError(
                     "lift product is not a signed lift; cover is corrupted")
-            self._mu[key] = out
-        return out
+            mu[:, u] = np.where(plus, -1, 1)
+        return mu
+
+    _mu_rows = cached_property(lambda self: self.cocycle_table.tolist())
+
+    def cocycle(self, i: int, j: int) -> int:
+        """mu(u, v) = +-1 with lift(u) lift(v) = mu(u, v) lift(uv)."""
+        return self._mu_rows[i][j]
 
     def star_sign(self, i: int) -> int:
-        """nu(w) = det(w) mu(w, w^-1), the twisted-part star coefficient."""
-        out = self._nu.get(i)
-        if out is None:
-            d = self.group.elements[i].det()
-            ds = 1 if d == ONE else -1
-            out = ds * self.cocycle(i, self.group.inv(i))
-            self._nu[i] = out
-        return out
+        """nu(w) = det(w) mu(w, w^-1), the twisted-part star coefficient;
+        det(w) = (-1)^k for a word of k reflections."""
+        sign = -1 if len(self.group.words[i]) % 2 else 1
+        return sign * self.cocycle(i, self.group.inv(i))
 
     def has_g(self) -> bool:
         return self.g_index is not None
@@ -103,48 +118,34 @@ class PinCover:
     # -- structure checks -------------------------------------------------
 
     def projection_check(self) -> bool:
-        """epsilon(lift) iota(y) lift^-1 = iota(w y) on basis vectors.
-
-        lift^-1 = reversal(lift) since the factors are unit vectors.
+        """lift lift^-1 = 1 and epsilon(lift) iota(y) lift^-1 = iota(w y)
+        on basis vectors, as one exact product per element: the rows lift,
+        epsilon(lift) c_1, ..., epsilon(lift) c_n times the right
+        multiplication by lift^-1 = reversal(lift) (the factors of a lift
+        are unit vectors).
         """
-        for i, g in enumerate(self.group.elements):
-            lift = self.lifts[i]
-            linv = lift.reversal()
-            if (lift * linv).scalar_part() != ONE:
+        n, size = self.n, 1 << self.n
+        gens = [CliffordElement.generator(n, j) for j in range(1, n + 1)]
+        for lift, g in zip(self.lifts, self.group.elements):
+            eps = lift.grading_sign()
+            rows = [lift] + [eps * c for c in gens]
+            got = Matrix.from_row_dicts(n + 1, size, (x.coeffs for x in rows))
+            want = Matrix.from_row_dicts(n + 1, size, [{0: ONE}] + [
+                {1 << k: v for k, v in col.items()}
+                for col in g.mat.transpose().rows])
+            if got @ right_multiplication(lift.reversal()) != want:
                 return False
-            for j in range(self.n):
-                basis = [ONE if k == j else ZERO for k in range(self.n)]
-                lhs = lift.grading_sign() * vector_embed(self.n, basis) * linv
-                if lhs != vector_embed(self.n, g.apply(basis)):
-                    return False
         return True
 
     def conjugation_sign_check(self) -> bool:
         """lift(a) lift(b) lift(a) = -s-tilde of the reflected root, over all
         pairs of positive roots."""
-        rs = self.rs
-
-        def exact_match(vec):
-            for k, r in enumerate(rs.positive_roots):
-                if all((x - y).is_zero() for x, y in zip(r, vec)):
-                    return k
-            return None
-
-        for a in range(len(rs.positive_roots)):
-            sa = rs.reflection(a)
-            la = self._refl_lifts[a]
-            for b in range(len(rs.positive_roots)):
-                lhs = la * self._refl_lifts[b] * la
-                gvec = sa.apply(rs.positive_roots[b])
-                idx = exact_match(gvec)
-                if idx is not None:
-                    want = -self._refl_lifts[idx]
-                else:
-                    idx = exact_match([-x for x in gvec])
-                    if idx is None:
-                        return False
-                    want = self._refl_lifts[idx]
-                if lhs != want:
+        lifts, nroots = self._refl_lifts, len(self.rs.positive_roots)
+        for a, perm in enumerate(self.rs.reflection_permutations):
+            for b in range(nroots):
+                k = perm[b]
+                want = -lifts[k] if k < nroots else lifts[k - nroots]
+                if lifts[a] * lifts[b] * lifts[a] != want:
                     return False
         return True
 
@@ -169,18 +170,13 @@ class PinCover:
         return True
 
     def cocycle_identity_check(self) -> bool:
-        """mu(u,v) mu(uv,w) = mu(v,w) mu(u,vw), full scan."""
-        grp = self.group
-        for u in range(grp.order):
-            for v in range(grp.order):
-                muv = self.cocycle(u, v)
-                uv = grp.mul(u, v)
-                for w in range(grp.order):
-                    if (muv * self.cocycle(uv, w)
-                            != self.cocycle(v, w)
-                            * self.cocycle(u, grp.mul(v, w))):
-                        return False
-        return True
+        """mu(u,v) mu(uv,w) = mu(v,w) mu(u,vw) over all |W|^3 triples, read
+        from the product and cocycle tables: per u, one comparison over
+        the whole (v, w) plane."""
+        mu, mul = self.cocycle_table, self.group.mul_table
+        return all(np.array_equal(mu[u][:, None] * mu[mul[u]],
+                                  mu * mu[u][mul])
+                   for u in range(self.group.order))
 
 
 class GroupAlgebraElement(Combination):

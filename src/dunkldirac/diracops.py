@@ -568,27 +568,19 @@ def _tilde_classes(cover: PinCover) -> list:
     nothing to the twisted part and are dropped.
     """
     grp = cover.group
-    order = grp.order
-    mu = cover.cocycle
-
-    def mul(a, b):
-        return (grp.mul(a[0], b[0]),
-                (a[1] + b[1] + (1 if mu(a[0], b[0]) < 0 else 0)) % 2)
-
-    def inverse(a):
-        k = grp.inv(a[0])
-        return (k, (a[1] + (1 if mu(k, a[0]) < 0 else 0)) % 2)
-
-    elems = [(k, s) for k in range(order) for s in (0, 1)]
+    mul, inv = grp.mul_table, grp.inv_table
+    # the sign power picked up by each product of two plain-sheet lifts
+    flip = (cover.cocycle_table < 0).astype(np.intp)
+    inv_flip = flip[inv, np.arange(grp.order)]
     seen: set = set()
     classes = []
-    for e in elems:
-        if e in seen:
+    for i, sheet in [(k, s) for k in range(grp.order) for s in (0, 1)]:
+        if (i, sheet) in seen:
             continue
-        orbit = set()
-        for k in range(order):
-            g = (k, 0)
-            orbit.add(mul(mul(g, e), inverse(g)))
+        # (k, 0) (i, sheet) (k, 0)^-1 for every k
+        ki = mul[:, i]
+        signs = (sheet + flip[:, i] + inv_flip + flip[ki, inv]) % 2
+        orbit = set(zip(mul[ki, inv].tolist(), signs.tolist()))
         seen |= orbit
         md: dict = {}
         for (k, s) in sorted(orbit):

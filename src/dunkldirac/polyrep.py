@@ -22,6 +22,7 @@ division along a coordinate where a has a nonzero coefficient; the remainder
 is asserted zero).
 """
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -162,35 +163,38 @@ class Polynomial(Combination):
         return out
 
 
-def act(g, f: Polynomial) -> Polynomial:
-    """Group action (w.f)(x) = f(w^{-1} x).
+def group_action(g, n: int):
+    """The action f -> w.f of one group element on polynomials in n
+    variables, (w.f)(x) = f(w^{-1} x), as a function.
 
     For orthogonal w this sends x_i to sum_j w_{ji} x_j, i.e. each variable
-    maps to the linear form read off a column of the matrix.
+    maps to the linear form read off a column of the matrix.  The forms
+    and their powers are built once and shared by every call.
     """
-    n = f.n
     units = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
     forms = [Polynomial(n, {units[j]: row[i]
                             for j, row in enumerate(g.rows) if i in row})
              for i in range(n)]
-    pow_cache: dict = {}
 
+    @lru_cache(maxsize=None)
     def fpow(i, k):
-        key = (i, k)
-        got = pow_cache.get(key)
-        if got is None:
-            got = forms[i] ** k
-            pow_cache[key] = got
-        return got
+        return forms[i] ** k
 
-    out = Polynomial(n)
-    for e, v in f.coeffs.items():
-        term = Polynomial.one(n).scale(v)
-        for i, d in enumerate(e):
-            if d:
-                term = term * fpow(i, d)
-        out = out + term
-    return out
+    def apply(f: Polynomial) -> Polynomial:
+        out = Polynomial(n)
+        for e, v in f.coeffs.items():
+            term = Polynomial.one(n).scale(v)
+            for i, d in enumerate(e):
+                if d:
+                    term = term * fpow(i, d)
+            out = out + term
+        return out
+    return apply
+
+
+def act(g, f: Polynomial) -> Polynomial:
+    """Group action (w.f)(x) = f(w^{-1} x); see group_action."""
+    return group_action(g, f.n)(f)
 
 
 def divide_by_linear(f: Polynomial, form: Polynomial) -> Polynomial:
@@ -538,6 +542,9 @@ class ModuleFamily:
             self._mono_pos.append({e: k for k, e in enumerate(monos)})
         self._ops: dict = {}
         self._quots: dict = {}
+        # group_action per group element index, built once per family
+        self._action = lru_cache(maxsize=None)(
+            lambda w: group_action(self.group.elements[w], self.n))
         self._lap = None
         self._gram: list = []
         self._root_forms = [root_form(rs, r)
@@ -639,12 +646,12 @@ class ModuleFamily:
             return got
         out = []
         for r in range(len(self.rs.positive_roots)):
-            s = self.rs.reflection(r)
+            reflect = self._action(self.group.reflection_element_index(r))
             form = self._root_forms[r]
             per_mono = []
             for e in self._monos[m]:
                 mono = Polynomial.monomial(self.n, e)
-                diff = mono - act(s, mono)
+                diff = mono - reflect(mono)
                 per_mono.append(Polynomial.zero(self.n) if diff.is_zero()
                                 else divide_by_linear(diff, form))
             out.append(per_mono)
@@ -659,11 +666,10 @@ class ModuleFamily:
 
     def w_op(self, w_index: int) -> GradedOperator:
         """pi(w) tensor tau(w) on every slice."""
-        g = self.group.elements[w_index]
+        action, tau_cols = self._action(w_index), self._tau_columns(w_index)
 
         def images(m, p, e):
-            yield (act(g, Polynomial.monomial(self.n, e)),
-                   self._tau_columns(w_index))
+            yield action(Polynomial.monomial(self.n, e)), tau_cols
         return self._cached(("w", w_index), 0, images)
 
     def reflection_op(self, root_idx: int) -> GradedOperator:

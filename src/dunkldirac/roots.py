@@ -8,6 +8,9 @@ ones whose first nonzero coordinate is positive.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .linalg import Matrix, determinant
 from .scalars import (ExactScalar, ONE, ZERO, as_fraction, as_scalar,
@@ -212,21 +215,30 @@ class RootSystem:
                     return False
         return True
 
+    @cached_property
+    def reflection_permutations(self) -> list:
+        """Per positive root a, the root index of s_a(beta) for each root
+        beta: index k < N stands for positive root k, N + k for its
+        negative (N positive roots).  ValueError when an image is not a
+        root."""
+        roots, nroots = self.positive_roots, len(self.positive_roots)
+        where = {r: k for k, r in enumerate(roots)}
+        where.update({tuple(-x for x in r): nroots + k
+                      for k, r in enumerate(roots)})
+        perms = []
+        for s in self.reflections():
+            img = [where.get(s.apply(r)) for r in roots]
+            if None in img:
+                raise ValueError("root system not closed under W")
+            perms.append(img + [(k + nroots) % (2 * nroots) for k in img])
+        return perms
+
     def group(self) -> "ReflectionGroup":
         if self._group is None:
             self._group = ReflectionGroup(self)
         return self._group
 
     # -- orbits ------------------------------------------------------------
-
-    def _root_index(self, vec):
-        """Index of +-vec among positive roots, or None."""
-        for k, r in enumerate(self.positive_roots):
-            if all((a - b).is_zero() for a, b in zip(r, vec)):
-                return k
-            if all((a + b).is_zero() for a, b in zip(r, vec)):
-                return k
-        return None
 
     def orbit_labels(self):
         """Per-root orbit label; 'all' for a single orbit, 'short'/'long'
@@ -247,14 +259,9 @@ class RootSystem:
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
 
-        for gi in range(nroots):
-            g = self.reflection(gi)
+        for perm in self.reflection_permutations:
             for ai in range(nroots):
-                img = g.apply(self.positive_roots[ai])
-                k = self._root_index(img)
-                if k is None:
-                    raise ValueError("root system not closed under W")
-                union(ai, k)
+                union(ai, perm[ai] % nroots)
         reps = sorted({find(i) for i in range(nroots)})
         if len(reps) == 1:
             labels = ["all"] * nroots
@@ -287,20 +294,10 @@ class RootSystem:
 
     def simple_root_indices(self):
         """alpha is simple iff s_alpha permutes the other positive roots."""
-        out = []
-        for i in range(len(self.positive_roots)):
-            s = self.reflection(i)
-            ok = True
-            for j, beta in enumerate(self.positive_roots):
-                if j == i:
-                    continue
-                img = s.apply(beta)
-                if not self._is_positive_vec(img):
-                    ok = False
-                    break
-            if ok:
-                out.append(i)
-        return out
+        return [i for i, s in enumerate(self.reflections())
+                if all(self._is_positive_vec(s.apply(beta))
+                       for j, beta in enumerate(self.positive_roots)
+                       if j != i)]
 
     def _is_positive_vec(self, vec) -> bool:
         for x in vec:
@@ -319,6 +316,10 @@ class ReflectionGroup:
     Elements are enumerated breadth-first over all reflection generators in
     root order, so words[i] is the lexicographically first factorization of
     elements[i] of minimal reflection length.
+
+    The product table is built on first use from the permutation each
+    element induces on the 2|Phi+| roots, which determines the element
+    because W acts faithfully on its roots.
     """
 
     def __init__(self, rs: RootSystem, bound: int = GROUP_ORDER_BOUND):
@@ -348,26 +349,40 @@ class ReflectionGroup:
             frontier = next_frontier
         self.order = len(self.elements)
         self._reflection_idx = [self.index_of(s) for s in gens]
-        self._mul_cache: dict = {}
-        self._inv_cache: dict = {}
 
     def index_of(self, g: GroupElement) -> int:
         return self.index[g._key]
 
+    @cached_property
+    def mul_table(self) -> np.ndarray:
+        """mul_table[i, j] = index of elements[i] * elements[j]."""
+        gens = self.rs.reflection_permutations
+        # row i: where elements[i] sends each root, composed along words[i]
+        perms = np.empty((self.order, len(gens[0])), dtype=np.intp)
+        perms[0] = np.arange(len(gens[0]))
+        at = {w: i for i, w in enumerate(self.words)}
+        for i, w in enumerate(self.words[1:], start=1):
+            perms[i] = perms[at[w[:-1]]][gens[w[-1]]]
+        index = {p.tobytes(): i for i, p in enumerate(perms)}
+        if len(index) != self.order:
+            raise RuntimeError("two group elements permute the roots alike")
+        return np.array([[index[q.tobytes()] for q in p[perms]]
+                         for p in perms], dtype=np.intp)
+
+    @cached_property
+    def inv_table(self) -> np.ndarray:
+        """The column of the identity in each row of the product table."""
+        return np.nonzero(self.mul_table == 0)[1]
+
+    # plain lists of the tables: indexing them is faster than numpy
+    _mul_rows = cached_property(lambda self: self.mul_table.tolist())
+    _inv_list = cached_property(lambda self: self.inv_table.tolist())
+
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        out = self._mul_cache.get(key)
-        if out is None:
-            out = self.index_of(self.elements[i] * self.elements[j])
-            self._mul_cache[key] = out
-        return out
+        return self._mul_rows[i][j]
 
     def inv(self, i: int) -> int:
-        out = self._inv_cache.get(i)
-        if out is None:
-            out = self.index_of(self.elements[i].inverse())
-            self._inv_cache[i] = out
-        return out
+        return self._inv_list[i]
 
     def reflection_element_index(self, root_idx: int) -> int:
         return self._reflection_idx[root_idx]
@@ -387,18 +402,11 @@ class ReflectionGroup:
         return k
 
     def conjugacy_classes(self):
-        """List of sorted element-index lists, deterministic order."""
-        seen = set()
-        classes = []
-        for i in range(self.order):
-            if i in seen:
-                continue
-            cls = set()
-            for g in range(self.order):
-                cls.add(self.mul(self.mul(g, i), self.inv(g)))
-            classes.append(sorted(cls))
-            seen |= cls
-        return classes
+        """List of sorted element-index lists, ordered by least element."""
+        mul, inv = self.mul_table, self.inv_table
+        return [list(c) for c in sorted(
+            {tuple(np.unique(mul[mul[:, i], inv]).tolist())
+             for i in range(self.order)})]
 
 
 def wedge2_trivial_elements(rs: RootSystem):

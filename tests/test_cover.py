@@ -383,3 +383,56 @@ def test_scale_by_a_string_agrees_across_the_algebras():
         assert e * "sqrt2" == want == SQRT2 * e
         assert want.coeffs == {k: v * SQRT2 for k, v in e.coeffs.items()}
         assert e.scale("0").is_zero()
+
+
+# the dihedral group of order 8 with roots in Q(sqrt2)
+SQRT2_ROOTS = {"roots": [["1", "0"], ["0", "1"],
+                         ["1/2*sqrt2", "1/2*sqrt2"],
+                         ["1/2*sqrt2", "-1/2*sqrt2"]], "name": "I2(4)-sqrt2"}
+
+
+@pytest.mark.parametrize("spec", ["S3", "B3", "D4", "I2(4)", SQRT2_ROOTS],
+                         ids=["S3", "B3", "D4", "I2(4)", "I2(4)-sqrt2"])
+def test_cocycle_table_matches_clifford_products(spec):
+    cov = PinCover(root_system(spec))
+    lifts = cov.lifts
+    for i, a in enumerate(lifts):
+        for j, b in enumerate(lifts):
+            prod, want = a * b, lifts[cov.group.mul(i, j)]
+            sign = cov.cocycle(i, j)
+            assert prod == (want if sign > 0 else -want)
+
+
+def test_corrupted_lift_breaks_the_cocycle_table():
+    cov = make("S3")
+    k = next(i for i, x in enumerate(cov.lifts) if len(x.coeffs) > 1)
+    mask, val = next(iter(cov.lifts[k].coeffs.items()))
+    cov.lifts[k] = CliffordElement(cov.n, {**cov.lifts[k].coeffs,
+                                           mask: -val})
+    with pytest.raises(RuntimeError, match="cover is corrupted"):
+        cov.cocycle(0, 0)
+
+
+def test_projection_check_rejects_a_wrong_lift():
+    cov = make("S3")
+    cov.lifts[1] = cov.lifts[2]
+    assert not cov.projection_check()
+
+
+def test_flipped_cocycle_entry_fails_the_scan():
+    cov = make("S3")
+    assert cov.cocycle_identity_check()
+    cov.cocycle_table[1, 2] *= -1
+    assert not cov.cocycle_identity_check()
+
+
+@pytest.mark.parametrize("name, classes", [("S5", 7), ("D4", 13),
+                                           ("B4", 20)])
+def test_cover_checks_at_the_order_bound(name, classes):
+    cov = make(name)
+    assert cov.projection_check()
+    assert cov.conjugation_sign_check()
+    assert cov.braid_sign_check()
+    assert cov.cocycle_identity_check()
+    sizes = [len(c) for c in cov.group.conjugacy_classes()]
+    assert len(sizes) == classes and sum(sizes) == cov.group.order

@@ -177,3 +177,27 @@ def test_custom_roots_and_norm_errors():
         bad.root_norm(0)
     scaled = root_system({"roots": [["1*sqrt2"]]})
     assert scaled.norms_sq[0] == rat(2)
+
+
+# the dihedral group of order 8 with roots in Q(sqrt2)
+SQRT2_ROOTS = {"roots": [["1", "0"], ["0", "1"],
+                         ["1/2*sqrt2", "1/2*sqrt2"],
+                         ["1/2*sqrt2", "-1/2*sqrt2"]], "name": "I2(4)-sqrt2"}
+
+
+@pytest.mark.parametrize("spec", ["S3", "B3", "D4", "I2(4)", SQRT2_ROOTS],
+                         ids=["S3", "B3", "D4", "I2(4)", "I2(4)-sqrt2"])
+def test_product_and_inverse_tables_match_matrix_products(spec):
+    grp = root_system(spec).group()
+    els = grp.elements
+    for i, g in enumerate(els):
+        for j, h in enumerate(els):
+            assert grp.mul(i, j) == grp.index_of(g * h)
+        assert grp.inv(i) == grp.index_of(g.inverse())
+
+
+def test_group_tables_are_built_on_first_use():
+    grp = root_system("S4").group()
+    assert "mul_table" not in vars(grp) and "inv_table" not in vars(grp)
+    assert grp.mul(0, 5) == 5
+    assert "mul_table" in vars(grp)
