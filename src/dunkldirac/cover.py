@@ -37,12 +37,9 @@ class PinCover:
         self.n = rs.n
         self._refl_lifts = [self._unit_coroot(i)
                             for i in range(len(rs.positive_roots))]
-        self.lifts = []
-        for word in self.group.words:
-            lift = CliffordElement.scalar(self.n, 1)
-            for r in word:
-                lift = lift * self._refl_lifts[r]
-            self.lifts.append(lift)
+        self.lifts = [CliffordElement.scalar(self.n, 1)]
+        for p, word in zip(self.group.parents[1:], self.group.words[1:]):
+            self.lifts.append(self.lifts[p] * self._refl_lifts[word[-1]])
         self.g_index = self.group.minus_identity_index()
 
     def _unit_coroot(self, idx: int) -> CliffordElement:
@@ -90,8 +87,7 @@ class PinCover:
     def star_sign(self, i: int) -> int:
         """nu(w) = det(w) mu(w, w^-1), the twisted-part star coefficient;
         det(w) = (-1)^k for a word of k reflections."""
-        sign = -1 if len(self.group.words[i]) % 2 else 1
-        return sign * self.cocycle(i, self.group.inv(i))
+        return self.group.det(i) * self.cocycle(i, self.group.inv(i))
 
     def has_g(self) -> bool:
         return self.g_index is not None
@@ -126,13 +122,13 @@ class PinCover:
         """
         n, size = self.n, 1 << self.n
         gens = [CliffordElement.generator(n, j) for j in range(1, n + 1)]
-        for lift, g in zip(self.lifts, self.group.elements):
+        for lift, g in zip(self.lifts, self.group.matrices):
             eps = lift.grading_sign()
             rows = [lift] + [eps * c for c in gens]
             got = Matrix.from_row_dicts(n + 1, size, (x.coeffs for x in rows))
             want = Matrix.from_row_dicts(n + 1, size, [{0: ONE}] + [
                 {1 << k: v for k, v in col.items()}
-                for col in g.mat.transpose().rows])
+                for col in g.transpose().rows])
             if got @ right_multiplication(lift.reversal()) != want:
                 return False
         return True

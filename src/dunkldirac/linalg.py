@@ -14,9 +14,9 @@ no sum overflows (see `_fits`); otherwise the same product runs on
 `object` arrays, slower but exact.  No float enters any of it: floats
 appear only in `to_complex`, which feeds reports and eigenvalue guesses.
 
-Rank, kernel, determinant and the Sylvester positivity test all run
-through one Bareiss driver on rows of Z[i, sqrt2] scalars after clearing
-denominators, which keeps intermediate entries polynomially sized.
+Rank, kernel and the Sylvester positivity test all run through one
+Bareiss driver on rows of Z[i, sqrt2] scalars after clearing denominators,
+which keeps intermediate entries polynomially sized.
 """
 from __future__ import annotations
 
@@ -413,7 +413,7 @@ def _bareiss(u: list, ncols: int, diagonal: bool = False):
     """Fraction-free elimination of the rows u in place, one pivot at a
     time.
 
-    Yields (row, col, swapped) for each pivot before eliminating below
+    Yields (row, col) for each pivot before eliminating below
     it, so a caller may stop early.  A column's pivot is its first nonzero
     entry at or below the current row, swapped up; with diagonal=True the
     pivots are the diagonal entries, never swapped, and elimination stops
@@ -436,7 +436,7 @@ def _bareiss(u: list, ncols: int, diagonal: bool = False):
                 continue
         if piv != prow:
             u[prow], u[piv] = u[piv], u[prow]
-        yield prow, col, piv != prow
+        yield prow, col
         prev = _bareiss_step(u, prow, col, prev)
         prow += 1
 
@@ -448,7 +448,7 @@ def echelon(m: Matrix):
     list of row dicts with entries in Z[i, sqrt2].
     """
     u = _clear_denominators(m)
-    return u, [(r, c) for r, c, _ in _bareiss(u, m.ncols)]
+    return u, list(_bareiss(u, m.ncols))
 
 
 def rank(m: Matrix) -> int:
@@ -509,7 +509,7 @@ def is_positive_definite(h: Matrix) -> bool:
     # global denominator clearing keeps minors positive-scaled
     u, _ = _cleared(h)
     positive = 0
-    for k, _, _ in _bareiss(u, h.ncols, diagonal=True):
+    for k, _ in _bareiss(u, h.ncols, diagonal=True):
         if u[k][k].sign_real() <= 0:
             return False
         positive += 1
@@ -526,23 +526,5 @@ def leading_principal_minors(h: Matrix):
     u, d = _cleared(h)
     # the pivot at step k is the (k+1)-st leading minor of u = d*h
     minors = [u[k][k] * rat(Fraction(1, d ** (k + 1)))
-              for k, _, _ in _bareiss(u, h.ncols, diagonal=True)]
+              for k, _ in _bareiss(u, h.ncols, diagonal=True)]
     return minors + [None] * (h.nrows - len(minors))
-
-
-def determinant(m: Matrix) -> ExactScalar:
-    """Exact determinant via fraction-free elimination with row swaps."""
-    if m.nrows != m.ncols:
-        raise ValueError("not square")
-    if m.nrows == 0:
-        return ONE
-    u, d = _cleared(m)
-    sign = 1
-    for k, col, swapped in _bareiss(u, m.ncols):
-        if col != k:
-            return ZERO
-        if swapped:
-            sign = -sign
-    n = m.nrows
-    det = u[n - 1].get(n - 1, ZERO) * rat(Fraction(1, d ** n))
-    return -det if sign < 0 else det

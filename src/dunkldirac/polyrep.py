@@ -164,16 +164,18 @@ class Polynomial(Combination):
 
 
 def group_action(g, n: int):
-    """The action f -> w.f of one group element on polynomials in n
-    variables, (w.f)(x) = f(w^{-1} x), as a function.
+    """The action f -> w.f of one group element, given by its exact
+    matrix, on polynomials in n variables, (w.f)(x) = f(w^{-1} x), as a
+    function.
 
     For orthogonal w this sends x_i to sum_j w_{ji} x_j, i.e. each variable
     maps to the linear form read off a column of the matrix.  The forms
     and their powers are built once and shared by every call.
     """
     units = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+    rows = g.rows
     forms = [Polynomial(n, {units[j]: row[i]
-                            for j, row in enumerate(g.rows) if i in row})
+                            for j, row in enumerate(rows) if i in row})
              for i in range(n)]
 
     @lru_cache(maxsize=None)
@@ -309,13 +311,13 @@ def trivial_rep(group) -> TauRep:
 
 
 def sign_rep(group) -> TauRep:
-    return TauRep("sign", 1, [Matrix.from_rows([[g.det()]])
-                              for g in group.elements])
+    return TauRep("sign", 1, [Matrix.from_rows([[group.det(i)]])
+                              for i in range(group.order)])
 
 
 def reflection_rep(group) -> TauRep:
     """The ambient action of W on R^n."""
-    return TauRep("reflection", group.rs.n, [g.mat for g in group.elements])
+    return TauRep("reflection", group.rs.n, group.matrices)
 
 
 def custom_rep(group, simple_mats: dict, form=None,
@@ -544,7 +546,7 @@ class ModuleFamily:
         self._quots: dict = {}
         # group_action per group element index, built once per family
         self._action = lru_cache(maxsize=None)(
-            lambda w: group_action(self.group.elements[w], self.n))
+            lambda w: group_action(self.group.matrices[w], self.n))
         self._lap = None
         self._gram: list = []
         self._root_forms = [root_form(rs, r)

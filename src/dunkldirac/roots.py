@@ -2,8 +2,14 @@
 
 Roots live in R^n with coordinates in Q(i, sqrt2) (real ones in practice);
 the ambient pairing is the standard dot product, so a vector serves both
-as a linear form (x-side) and as a point (y-side).  Positive roots are the
-ones whose first nonzero coordinate is positive.
+as a linear form (x-side) and as a point (y-side).  The listed roots are
+the positive roots; the built-in systems list the roots whose first
+nonzero coordinate is positive.
+
+A group element is identified by the permutation it induces on the
+2|Phi+| roots: the reflection group is enumerated breadth-first on these
+permutations, and its exact matrices are derived from the BFS parents only
+where a consumer needs them.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Matrix, determinant
+from .linalg import Matrix
 from .scalars import (ExactScalar, ONE, ZERO, as_fraction, as_scalar,
                       format_fraction, rat, sqrt_in_real_subfield)
 
@@ -34,65 +40,6 @@ def _norm(norm_sq, what: str, idx: int):
         raise ValueError(f"|{what} {idx}|^2 = {norm_sq} has no square root "
                          "in Q(sqrt2)")
     return s
-
-
-class GroupElement:
-    """Orthogonal n x n matrix over the exact field, hashable."""
-
-    __slots__ = ("mat", "_key", "_det", "_rows")
-
-    def __init__(self, mat: Matrix):
-        self.mat = mat
-        self._key = mat.key()
-        self._det = None
-        self._rows = None
-
-    @property
-    def rows(self) -> list:
-        """The {column: entry} dicts of the matrix rows, read once; callers
-        must not edit them."""
-        if self._rows is None:
-            self._rows = self.mat.rows
-        return self._rows
-
-    @property
-    def n(self) -> int:
-        return self.mat.nrows
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.mat @ other.mat)
-
-    def inverse(self) -> "GroupElement":
-        # orthogonal: inverse is the transpose
-        return GroupElement(self.mat.transpose())
-
-    def det(self):
-        if self._det is None:
-            self._det = determinant(self.mat)
-        return self._det
-
-    def is_identity(self) -> bool:
-        return self.mat == Matrix.identity(self.n)
-
-    def apply(self, vec):
-        """Matrix action on a coordinate vector (tuple of scalars)."""
-        out = []
-        for row in self.rows:
-            acc = None
-            for j, v in row.items():
-                t = v * vec[j]
-                acc = t if acc is None else acc + t
-            out.append(acc if acc is not None else ZERO)
-        return tuple(out)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return f"GroupElement({self.mat.to_dense()})"
 
 
 class ParamFunction:
@@ -181,24 +128,22 @@ class RootSystem:
 
     # -- reflections and the group ---------------------------------------
 
-    def reflection(self, idx: int) -> GroupElement:
-        """s_alpha(y) = y - <alpha, y> alpha-check, as an orthogonal matrix."""
+    def reflection(self, idx: int) -> Matrix:
+        """s_alpha(y) = y - <alpha, y> alpha-check, as an exact orthogonal
+        matrix; ValueError unless it squares to the identity."""
         if self._reflections is None:
             self._reflections = [None] * len(self.positive_roots)
         if self._reflections[idx] is None:
             alpha = self.positive_roots[idx]
             cr = self.coroots[idx]
-            g = GroupElement(Matrix.from_rows(
+            m = Matrix.from_rows(
                 [[(ONE if i == j else ZERO) - cr[i] * alpha[j]
-                  for j in range(self.n)] for i in range(self.n)]))
-            self._check_involution(g, idx)
-            self._reflections[idx] = g
+                  for j in range(self.n)] for i in range(self.n)])
+            if m @ m != Matrix.identity(self.n):
+                raise ValueError(f"reflection {idx} is not an involution; "
+                                 "check <alpha, alpha-check> = 2")
+            self._reflections[idx] = m
         return self._reflections[idx]
-
-    def _check_involution(self, g: GroupElement, idx: int):
-        if not (g * g).is_identity():
-            raise ValueError(f"reflection {idx} is not an involution; "
-                             "check <alpha, alpha-check> = 2")
 
     def reflections(self):
         return [self.reflection(i) for i in range(len(self.positive_roots))]
@@ -226,8 +171,12 @@ class RootSystem:
         where.update({tuple(-x for x in r): nroots + k
                       for k, r in enumerate(roots)})
         perms = []
-        for s in self.reflections():
-            img = [where.get(s.apply(r)) for r in roots]
+        for alpha, cr in zip(roots, self.coroots):
+            img = []
+            for beta in roots:
+                p = dot(alpha, beta)
+                img.append(where.get(tuple(b - p * c
+                                           for b, c in zip(beta, cr))))
             if None in img:
                 raise ValueError("root system not closed under W")
             perms.append(img + [(k + nroots) % (2 * nroots) for k in img])
@@ -294,16 +243,10 @@ class RootSystem:
 
     def simple_root_indices(self):
         """alpha is simple iff s_alpha permutes the other positive roots."""
-        return [i for i, s in enumerate(self.reflections())
-                if all(self._is_positive_vec(s.apply(beta))
-                       for j, beta in enumerate(self.positive_roots)
+        nroots = len(self.positive_roots)
+        return [i for i, perm in enumerate(self.reflection_permutations)
+                if all(k < nroots for j, k in enumerate(perm[:nroots])
                        if j != i)]
-
-    def _is_positive_vec(self, vec) -> bool:
-        for x in vec:
-            if not x.is_zero():
-                return x.sign_real() > 0
-        return False
 
     def __repr__(self):
         return (f"RootSystem({self.name}, n={self.n}, "
@@ -313,59 +256,61 @@ class RootSystem:
 class ReflectionGroup:
     """BFS closure of the reflections, with lex-first shortest words.
 
-    Elements are enumerated breadth-first over all reflection generators in
-    root order, so words[i] is the lexicographically first factorization of
-    elements[i] of minimal reflection length.
+    An element is the permutation it induces on the 2|Phi+| roots, which
+    identifies it because W acts faithfully on its roots; one dict from
+    permutation bytes to index is the only element index.  Elements are
+    enumerated breadth-first over all reflection generators in root order,
+    so words[i] is the lexicographically first factorization of element i
+    of minimal reflection length, and words[i] = words[parents[i]] + (r,)
+    for the BFS parent parents[i] (None for the identity).
 
-    The product table is built on first use from the permutation each
-    element induces on the 2|Phi+| roots, which determines the element
-    because W acts faithfully on its roots.
+    The exact n x n matrices, the product table and the inverse table are
+    built on first use.
     """
 
     def __init__(self, rs: RootSystem, bound: int = GROUP_ORDER_BOUND):
         self.rs = rs
-        gens = rs.reflections()
-        ident = GroupElement(Matrix.identity(rs.n))
-        self.elements = [ident]
+        rs.reflections()  # each reflection matrix must square to I
+        gens = np.array(rs.reflection_permutations, dtype=np.intp)
+        perms = [np.arange(2 * len(rs.positive_roots), dtype=np.intp)]
         self.words = [()]
-        self.index = {ident._key: 0}
+        self.parents = [None]
+        self._index = {perms[0].tobytes(): 0}
         frontier = [0]
         while frontier:
             next_frontier = []
             for ei in frontier:
-                g = self.elements[ei]
-                w = self.words[ei]
                 for gi, s in enumerate(gens):
-                    h = g * s
-                    k = h._key
-                    if k not in self.index:
-                        self.index[k] = len(self.elements)
-                        self.elements.append(h)
-                        self.words.append(w + (gi,))
-                        next_frontier.append(len(self.elements) - 1)
-                        if len(self.elements) > bound:
+                    h = perms[ei][s]
+                    k = h.tobytes()
+                    if k not in self._index:
+                        self._index[k] = len(perms)
+                        perms.append(h)
+                        self.words.append(self.words[ei] + (gi,))
+                        self.parents.append(ei)
+                        next_frontier.append(len(perms) - 1)
+                        if len(perms) > bound:
                             raise ValueError(
                                 f"group order exceeds bound {bound}")
             frontier = next_frontier
-        self.order = len(self.elements)
-        self._reflection_idx = [self.index_of(s) for s in gens]
+        self.order = len(perms)
+        self._perms = np.array(perms)
+        self._reflection_idx = [self._index[s.tobytes()] for s in gens]
 
-    def index_of(self, g: GroupElement) -> int:
-        return self.index[g._key]
+    @cached_property
+    def matrices(self) -> list:
+        """The exact matrix of each element, one product per element along
+        the BFS parents."""
+        refl = self.rs.reflections()
+        mats = [Matrix.identity(self.rs.n)]
+        for p, w in zip(self.parents[1:], self.words[1:]):
+            mats.append(mats[p] @ refl[w[-1]])
+        return mats
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        """mul_table[i, j] = index of elements[i] * elements[j]."""
-        gens = self.rs.reflection_permutations
-        # row i: where elements[i] sends each root, composed along words[i]
-        perms = np.empty((self.order, len(gens[0])), dtype=np.intp)
-        perms[0] = np.arange(len(gens[0]))
-        at = {w: i for i, w in enumerate(self.words)}
-        for i, w in enumerate(self.words[1:], start=1):
-            perms[i] = perms[at[w[:-1]]][gens[w[-1]]]
-        index = {p.tobytes(): i for i, p in enumerate(perms)}
-        if len(index) != self.order:
-            raise RuntimeError("two group elements permute the roots alike")
+        """mul_table[i, j] = index of element i times element j."""
+        perms, index = self._perms, self._index
         return np.array([[index[q.tobytes()] for q in p[perms]]
                          for p in perms], dtype=np.intp)
 
@@ -387,9 +332,20 @@ class ReflectionGroup:
     def reflection_element_index(self, root_idx: int) -> int:
         return self._reflection_idx[root_idx]
 
+    def det(self, i: int) -> int:
+        """det(w) = (-1)^k for a word of k reflections."""
+        return -1 if len(self.words[i]) % 2 else 1
+
     def minus_identity_index(self):
-        m = Matrix.identity(self.rs.n).scale(-1)
-        return self.index.get(GroupElement(m)._key)
+        """The index of -1, or None.  The element that negates every root
+        is -1 only when the roots span R^n, so its matrix decides."""
+        nroots = len(self.rs.positive_roots)
+        negate = np.roll(np.arange(2 * nroots, dtype=np.intp), nroots)
+        i = self._index.get(negate.tobytes())
+        if i is None or \
+                self.matrices[i] != Matrix.identity(self.rs.n).scale(-1):
+            return None
+        return i
 
     def has_minus_identity(self) -> bool:
         return self.minus_identity_index() is not None
@@ -419,8 +375,8 @@ def wedge2_trivial_elements(rs: RootSystem):
     grp = rs.group()
     out = []
     pairs = [(k, l) for k in range(rs.n) for l in range(rs.n) if k < l]
-    for idx, g in enumerate(grp.elements):
-        m = g.mat.to_dense()
+    for idx, g in enumerate(grp.matrices):
+        m = g.to_dense()
         trivial = True
         for (i, j) in pairs:
             for (k, l) in pairs:

@@ -210,25 +210,27 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
         == 2
 
 
-@pytest.mark.parametrize("overrides", [
-    {"group": "S6"},
-    {"group": "S3", "tau": {"matrices": {"0": [["-1"]]}}},
-    {"group": "S3", "tau": "bogus"},
-    {"group": {"roots": [["1", "1", "1"]]}},
-    {"group": {"roots": []}},
-    {"group": {"roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1], [1, -1, 0]]},
-     "suites": ["pincover"]},
-    {"group": {"roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1], [-1, 1, 0]]},
-     "suites": ["pincover"]},
+@pytest.mark.parametrize("overrides, prefix", [
+    ({"group": "S6"}, "error: "),
+    ({"group": "S3", "tau": {"matrices": {"0": [["-1"]]}}}, "error: "),
+    ({"group": "S3", "tau": "bogus"}, "error: "),
+    ({"group": {"roots": [["1", "1", "1"]]}}, "error: "),
+    ({"group": {"roots": []}}, "error: "),
+    ({"group": {"roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1], [1, -1, 0]]},
+      "suites": ["pincover"]}, "error: "),
+    ({"group": {"roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1], [-1, 1, 0]]},
+      "suites": ["pincover"]}, "error: "),
+    # s_(1,0) sends (1, 1) to (-1, 1), which is not listed
+    ({"group": {"roots": [[1, 0], [1, 1]]}}, "error: group: "),
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
         "coroot-norm-outside-field", "no-roots", "repeated-root",
-        "opposite-root"])
+        "opposite-root", "roots-not-closed"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,
-                                                 overrides):
+                                                 overrides, prefix):
     path = write_config(tmp_path, **overrides)
     assert cli.main(["verify", "--config", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_reducible_tau_skips_cohomology(tmp_path):

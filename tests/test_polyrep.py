@@ -80,7 +80,7 @@ def sympy_act(g, expr, xs):
     for k in range(n):
         acc = sp.Integer(0)
         for l in range(n):
-            v = g.mat.get(l, k)
+            v = g.get(l, k)
             if not v.is_zero():
                 f = v.as_rational()
                 acc += sp.Rational(f.numerator, f.denominator) * xs[l]
@@ -188,7 +188,7 @@ def test_group_action_matches_sympy_substitution():
         xs = sym_vars(rs.n)
         for _ in range(4):
             f = random_poly(rng, rs.n)
-            g = grp.elements[rng.randrange(grp.order)]
+            g = grp.matrices[rng.randrange(grp.order)]
             assert to_sympy(act(g, f), xs) == sympy_act(g, to_sympy(f, xs), xs)
 
 
@@ -201,8 +201,8 @@ def test_group_action_is_left_action():
         u = rng.randrange(grp.order)
         v = rng.randrange(grp.order)
         uv = grp.mul(u, v)
-        lhs = act(grp.elements[u], act(grp.elements[v], f))
-        assert lhs == act(grp.elements[uv], f)
+        lhs = act(grp.matrices[u], act(grp.matrices[v], f))
+        assert lhs == act(grp.matrices[uv], f)
 
 
 # -- Dunkl operators -----------------------------------------------------------
@@ -263,11 +263,23 @@ def test_builtin_reps():
     assert sg.mat(refl_idx).get(0, 0) == -ONE
 
 
+@pytest.mark.parametrize("name", ["B3", "S4"])
+def test_sign_rep_matches_sympy_determinant(name):
+    grp = root_system(name).group()
+    sg = sign_rep(grp)
+    for w, m in enumerate(grp.matrices):
+        dense = sp.Matrix([[sp.Rational(m.get(i, j).as_rational())
+                            for j in range(m.ncols)] for i in range(m.nrows)])
+        want = dense.det()
+        assert want in (1, -1)
+        assert sg.mat(w) == Matrix.from_rows([[int(want)]])
+
+
 def test_custom_rep_roundtrip_and_validation():
     rs = root_system("B2")
     grp = rs.group()
     simples = rs.simple_root_indices()
-    mats = {i: rs.reflection(i).mat for i in simples}
+    mats = {i: rs.reflection(i) for i in simples}
     rep = custom_rep(grp, mats, name="ambient")
     assert rep.mats == reflection_rep(grp).mats
     bad = dict(mats)
@@ -407,14 +419,14 @@ def test_dunkl_equivariance():
         grp = fam.group
         for r in range(len(rs.positive_roots)):
             wi = grp.reflection_element_index(r)
-            w = grp.elements[wi]
+            w = grp.matrices[wi]
             wop = fam.w_op(wi)
             winv = fam.w_op(grp.inv(wi))
             for i in range(rs.n):
-                unit = tuple(ONE if k == i else ZERO for k in range(rs.n))
-                img = w.apply(unit)
                 rhs = None
-                for k, vk in enumerate(img):
+                # w e_i is column i of the matrix
+                for k in range(rs.n):
+                    vk = w.get(k, i)
                     if vk.is_zero():
                         continue
                     term = fam.y_op(k + 1).scale(vk)

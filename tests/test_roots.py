@@ -5,19 +5,19 @@ from itertools import combinations
 import pytest
 
 from dunkldirac.linalg import Matrix
-from dunkldirac.roots import (GroupElement, ParamFunction, RootSystem,
-                              root_system, wedge2_trivial_elements)
+from dunkldirac.roots import (ParamFunction, RootSystem, root_system,
+                              wedge2_trivial_elements)
 from dunkldirac.scalars import ExactScalar, ONE, rat
 
 
 def test_reflection_matrices():
     s2 = root_system("S2")
     # alpha = e1 - e2 swaps coordinates
-    assert s2.reflection(0).mat == Matrix.from_rows([[0, 1], [1, 0]])
+    assert s2.reflection(0) == Matrix.from_rows([[0, 1], [1, 0]])
     b2 = root_system("B2")
     # first B2 root is e1: diag(-1, 1)
     assert b2.positive_roots[0] == (ONE, ExactScalar(0))
-    assert b2.reflection(0).mat == Matrix.from_rows([[-1, 0], [0, 1]])
+    assert b2.reflection(0) == Matrix.from_rows([[-1, 0], [0, 1]])
 
 
 def test_reflections_are_involutions():
@@ -25,7 +25,7 @@ def test_reflections_are_involutions():
         rs = root_system(name)
         for i in range(len(rs.positive_roots)):
             s = rs.reflection(i)
-            assert (s * s).is_identity()
+            assert s @ s == Matrix.identity(rs.n)
 
 
 def test_group_orders():
@@ -59,6 +59,7 @@ def test_minus_identity_detection():
     assert not root_system("S3").group().has_minus_identity()
     assert root_system("A1").group().has_minus_identity()
     assert root_system("S2").group().has_minus_identity() is False
+    assert root_system("D4").group().has_minus_identity()
 
 
 def brute_wedge2(rs):
@@ -66,8 +67,8 @@ def brute_wedge2(rs):
     grp = rs.group()
     pairs = list(combinations(range(rs.n), 2))
     out = []
-    for idx, g in enumerate(grp.elements):
-        dense = [[g.mat.get(i, j).as_rational() for j in range(rs.n)]
+    for idx, g in enumerate(grp.matrices):
+        dense = [[g.get(i, j).as_rational() for j in range(rs.n)]
                  for i in range(rs.n)]
         ok = True
         for (i, j) in pairs:
@@ -92,7 +93,9 @@ def test_wedge2_trivial_elements():
     assert got == brute_wedge2(b2)
     grp = b2.group()
     assert len(got) == 4
-    assert all(grp.elements[i].det() == ONE for i in got)
+    for i in got:
+        m = grp.matrices[i]
+        assert m.get(0, 0) * m.get(1, 1) - m.get(0, 1) * m.get(1, 0) == ONE
     mi = grp.minus_identity_index()
     assert 0 in got and mi in got
     # rank >= 3: only the identity (and -I when present)
@@ -143,12 +146,13 @@ def test_words_are_lex_first_shortest():
         assert grp.words[grp.reflection_element_index(i)] == (i,)
     # rotations have length-2 words starting with the smallest usable root
     for idx, w in enumerate(grp.words):
-        g = grp.elements[idx]
         # recompute product from the word
-        acc = GroupElement(Matrix.identity(3))
+        acc = Matrix.identity(3)
         for gi in w:
-            acc = acc * rs.reflection(gi)
-        assert acc == g
+            acc = acc @ rs.reflection(gi)
+        assert acc == grp.matrices[idx]
+        if idx:
+            assert w == grp.words[grp.parents[idx]] + (w[-1],)
     lengths = sorted(len(w) for w in grp.words)
     assert lengths == [0, 1, 1, 1, 2, 2]
 
@@ -168,8 +172,7 @@ def test_conjugacy_classes():
 
 
 def test_custom_roots_and_norm_errors():
-    rs = root_system({"roots": [["1", "-1", "0"], ["0", "1", "-1"],
-                                ["1", "0", "-1"]], "name": "A2-on-R3"})
+    rs = root_system(A2_ON_R3)
     assert rs.group().order == 6
     # a root of norm 3 has no length in Q(sqrt2)
     bad = RootSystem(3, [[1, 1, 1]])
@@ -183,17 +186,53 @@ def test_custom_roots_and_norm_errors():
 SQRT2_ROOTS = {"roots": [["1", "0"], ["0", "1"],
                          ["1/2*sqrt2", "1/2*sqrt2"],
                          ["1/2*sqrt2", "-1/2*sqrt2"]], "name": "I2(4)-sqrt2"}
+# the roots of S3 spanning a plane of R^3
+A2_ON_R3 = {"roots": [["1", "-1", "0"], ["0", "1", "-1"], ["1", "0", "-1"]],
+            "name": "A2-on-R3"}
 
 
 @pytest.mark.parametrize("spec", ["S3", "B3", "D4", "I2(4)", SQRT2_ROOTS],
                          ids=["S3", "B3", "D4", "I2(4)", "I2(4)-sqrt2"])
 def test_product_and_inverse_tables_match_matrix_products(spec):
     grp = root_system(spec).group()
-    els = grp.elements
-    for i, g in enumerate(els):
-        for j, h in enumerate(els):
-            assert grp.mul(i, j) == grp.index_of(g * h)
-        assert grp.inv(i) == grp.index_of(g.inverse())
+    mats = grp.matrices
+    # W acts faithfully on R^n, so the tables are only meaningful when no
+    # two elements share a matrix
+    assert len({m.key() for m in mats}) == grp.order
+    for i, g in enumerate(mats):
+        for j, h in enumerate(mats):
+            assert mats[grp.mul(i, j)] == g @ h
+        assert mats[grp.inv(i)] == g.transpose()
+
+
+def matrix_bfs(rs):
+    """Reference enumeration: breadth-first over exact matrices keyed by
+    Matrix.key(), the reflections in root order."""
+    gens = [rs.reflection(i) for i in range(len(rs.positive_roots))]
+    mats, words = [Matrix.identity(rs.n)], [()]
+    seen = {mats[0].key()}
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for ei in frontier:
+            for gi, s in enumerate(gens):
+                h = mats[ei] @ s
+                if h.key() not in seen:
+                    seen.add(h.key())
+                    mats.append(h)
+                    words.append(words[ei] + (gi,))
+                    next_frontier.append(len(mats) - 1)
+        frontier = next_frontier
+    return words, mats
+
+
+@pytest.mark.parametrize("spec", ["S3", "B3", "D4", SQRT2_ROOTS, A2_ON_R3],
+                         ids=["S3", "B3", "D4", "I2(4)-sqrt2", "A2-on-R3"])
+def test_permutation_enumeration_matches_matrix_bfs(spec):
+    grp = root_system(spec).group()
+    words, mats = matrix_bfs(grp.rs)
+    assert grp.words == words
+    assert grp.matrices == mats
 
 
 def test_group_tables_are_built_on_first_use():
