@@ -630,11 +630,8 @@ def _eigensplit(r: Matrix):
     if d == 0:
         return []
     evs = np.linalg.eigvals(r.to_complex())
-    cands: list = []
-    for z in evs:
-        for s in _complex_candidates(complex(z)):
-            if s not in cands:
-                cands.append(s)
+    cands = dict.fromkeys(s for z in evs
+                          for s in _complex_candidates(complex(z)))
     spaces = []
     total = 0
     for s in cands:

@@ -1,4 +1,4 @@
-"""Exact matrices over Q(i, sqrt2) and fraction-free elimination.
+"""Exact matrices over Q(i, sqrt2) and their elimination.
 
 A matrix is one positive integer denominator `den` over a numpy integer
 array `num` of shape (4, rows, cols): num[0..3] hold the 1, sqrt2, i and
@@ -14,18 +14,21 @@ no sum overflows (see `_fits`); otherwise the same product runs on
 `object` arrays, slower but exact.  No float enters any of it: floats
 appear only in `to_complex`, which feeds reports and eigenvalue guesses.
 
-Rank, kernel and the Sylvester positivity test all run through one
-Bareiss driver on rows of Z[i, sqrt2] scalars after clearing denominators,
-which keeps intermediate entries polynomially sized.
+Rank, kernel, leading minors and the Sylvester positivity test all run
+through one Gauss-Jordan elimination over the field, on the
+{column: ExactScalar} rows of `Matrix.rows`.  No denominator is cleared:
+every ExactScalar is kept reduced, and each entry of a partially reduced
+matrix is a ratio of minors of the input (Edmonds 1967), so entry sizes
+stay polynomial without fraction-free steps.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
-from .scalars import SQRT2_FLOAT, ExactScalar, ZERO, ONE, as_scalar, rat
+from .scalars import (SQRT2_FLOAT, ExactScalar, ZERO, ONE, accumulate,
+                      as_scalar)
 
 # int64 arrays hold entries below 2^62 in absolute value, so the sum or
 # difference of two of them still fits
@@ -338,121 +341,54 @@ def hstack(*mats: Matrix) -> Matrix:
                                        axis=2), den)
 
 
-# -- fraction-free elimination ---------------------------------------------
-#
-# The Bareiss driver works on a list of {column: ExactScalar} row dicts
-# with entries in Z[i, sqrt2], edited in place.
+# -- elimination over the field ----------------------------------------------
 
 
-def _clear_denominators(m: Matrix) -> list:
-    """Rows of m, each scaled by the least positive integer that puts its
-    entries in Z[i, sqrt2]: num_row // gcd(den, gcd(num_row))."""
-    rows = [{} for _ in range(m.nrows)]
-    for i, j, v in m._entries():
-        rows[i][j] = v
-    out = []
-    for row in rows:
-        g = gcd(m.den, *(x for v in row.values() for x in v))
-        out.append({j: ExactScalar._raw(*(x // g for x in v), 1)
-                    for j, v in row.items()})
-    return out
+def _reduce(m: Matrix, diagonal: bool = False):
+    """Gauss-Jordan elimination of m over the field.
 
-
-def _cleared(m: Matrix):
-    """(rows of num, den): m times its common denominator, and that
-    denominator."""
-    rows = [{} for _ in range(m.nrows)]
-    for i, j, v in m._entries():
-        rows[i][j] = ExactScalar._raw(*v, 1)
-    return rows, m.den
-
-
-def _divexact(x: ExactScalar, y: ExactScalar) -> ExactScalar:
-    z = x / y
-    if z._den != 1:
-        raise ArithmeticError("non-exact division in fraction-free step")
-    return z
-
-
-def _bareiss_step(u: list, prow: int, col: int, prev: ExactScalar):
-    """One fraction-free elimination step on all rows below prow.
-
-    Rows with a zero pivot-column entry still get the pval/prev rescale;
-    Bareiss exactness relies on updating the whole remaining block.
-    """
-    pivot_row = u[prow]
-    pval = pivot_row[col]
-    same_scale = pval == prev
-    for i in range(prow + 1, len(u)):
-        row = u[i]
-        xval = row.pop(col, None)
-        if xval is None:
-            if same_scale or not row:
-                continue
-            for j in list(row):
-                v = _divexact(row[j] * pval, prev)
-                if v.is_zero():
-                    del row[j]
-                else:
-                    row[j] = v
-            continue
-        cols = set(row) | set(pivot_row)
-        cols.discard(col)
-        for j in cols:
-            a = row.get(j, ZERO)
-            b = pivot_row.get(j, ZERO)
-            v = _divexact(a * pval - xval * b, prev)
-            if v.is_zero():
-                row.pop(j, None)
-            else:
-                row[j] = v
-    return pval
-
-
-def _bareiss(u: list, ncols: int, diagonal: bool = False):
-    """Fraction-free elimination of the rows u in place, one pivot at a
-    time.
-
-    Yields (row, col) for each pivot before eliminating below
-    it, so a caller may stop early.  A column's pivot is its first nonzero
-    entry at or below the current row, swapped up; with diagonal=True the
+    Returns (u, pivots): u holds the reduced rows as {column: ExactScalar}
+    dicts, each pivot entry 1 and the only nonzero entry of its column,
+    and pivots lists (row, col, value) per pivot, value being the entry
+    before its row was scaled to 1.  A column's pivot is its first nonzero
+    entry at or below the current row, swapped up.  With diagonal=True the
     pivots are the diagonal entries, never swapped, and elimination stops
-    at the first zero one.  By Sylvester's identity the k-th pivot is then
-    the k-th leading principal minor of u.
+    at the first zero one; the k-th leading principal minor of m is then
+    the product of the first k pivot values.
     """
-    prev = ONE
-    prow = 0
-    for col in range(ncols):
+    u = m.rows
+    pivots = []
+    for col in range(m.ncols):
+        prow = len(pivots)
         if prow == len(u):
-            return
+            break
         if diagonal:
             if col not in u[prow]:
-                return
+                break
             piv = prow
         else:
             piv = next((i for i in range(prow, len(u)) if col in u[i]),
                        None)
             if piv is None:
                 continue
-        if piv != prow:
-            u[prow], u[piv] = u[piv], u[prow]
-        yield prow, col
-        prev = _bareiss_step(u, prow, col, prev)
-        prow += 1
-
-
-def echelon(m: Matrix):
-    """Fraction-free row echelon form.
-
-    Returns (U, pivots) where pivots is a list of (row, col) pairs; U is a
-    list of row dicts with entries in Z[i, sqrt2].
-    """
-    u = _clear_denominators(m)
-    return u, list(_bareiss(u, m.ncols))
+        pval = u[piv][col]
+        inv = pval.inverse()
+        pivot_row = {j: v * inv for j, v in u[piv].items()}
+        u[piv] = u[prow]
+        u[prow] = pivot_row
+        for i, row in enumerate(u):
+            x = row.get(col)
+            if x is None or i == prow:
+                continue
+            neg = -x
+            for j, v in pivot_row.items():
+                accumulate(row, j, neg * v)
+        pivots.append((prow, col, pval))
+    return u, pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(echelon(m)[1])
+    return len(_reduce(m)[1])
 
 
 def kernel(m: Matrix) -> Matrix:
@@ -460,28 +396,19 @@ def kernel(m: Matrix) -> Matrix:
 
     Free coordinates carry an identity block: for the j-th free column f_j
     the basis vector has entry 1 at f_j and 0 at the other free columns, so
-    coordinates w.r.t. this basis can be read off the free rows.
+    coordinates w.r.t. this basis can be read off the free rows.  The
+    reduced rows give the rest: pivot row r with pivot column c puts
+    -u[r][f_j] at row c.
     """
-    u, pivots = echelon(m)
-    pivot_cols = {c for _, c in pivots}
+    u, pivots = _reduce(m)
+    pivot_cols = {c for _, c, _ in pivots}
     free_cols = [j for j in range(m.ncols) if j not in pivot_cols]
+    index = {f: k for k, f in enumerate(free_cols)}
     out = [{} for _ in range(m.ncols)]
-    for k, f in enumerate(free_cols):
-        x = {f: ONE}
-        for (r, c) in reversed(pivots):
-            acc = None
-            row = u[r]
-            for j, v in row.items():
-                if j == c:
-                    continue
-                xv = x.get(j)
-                if xv is not None:
-                    t = v * xv
-                    acc = t if acc is None else acc + t
-            if acc is not None and not acc.is_zero():
-                x[c] = -acc / row[c]
-        for j, v in x.items():
-            out[j][k] = v
+    for f, k in index.items():
+        out[f] = {k: ONE}
+    for r, c, _ in pivots:
+        out[c] = {index[j]: -v for j, v in u[r].items() if j != c}
     return Matrix.from_row_dicts(m.ncols, len(free_cols), out)
 
 
@@ -497,34 +424,31 @@ def intersection_dim(a: Matrix, b: Matrix) -> int:
 
 
 def is_positive_definite(h: Matrix) -> bool:
-    """Exact Sylvester test: all leading principal minors > 0.
+    """Exact Sylvester test: all leading principal minors > 0, that is,
+    every diagonal pivot > 0.
 
-    Requires a Hermitian matrix; minors are checked to be real and their
+    Requires a Hermitian matrix; pivots are checked to be real and their
     signs evaluated exactly in Q(sqrt2).
     """
     if h.nrows != h.ncols:
         raise ValueError("not square")
     if h != h.dagger():
         raise ValueError("not Hermitian")
-    # global denominator clearing keeps minors positive-scaled
-    u, _ = _cleared(h)
-    positive = 0
-    for k, _ in _bareiss(u, h.ncols, diagonal=True):
-        if u[k][k].sign_real() <= 0:
-            return False
-        positive += 1
-    return positive == h.nrows
+    _, pivots = _reduce(h, diagonal=True)
+    return (len(pivots) == h.nrows
+            and all(p.sign_real() > 0 for _, _, p in pivots))
 
 
 def leading_principal_minors(h: Matrix):
-    """Exact leading principal minors d_1..d_n via Bareiss pivots.
+    """Exact leading principal minors d_1..d_n, as running products of the
+    diagonal pivots.
 
     Returns None entries past the first singular leading block.
     """
     if h.nrows != h.ncols:
         raise ValueError("square matrix required")
-    u, d = _cleared(h)
-    # the pivot at step k is the (k+1)-st leading minor of u = d*h
-    minors = [u[k][k] * rat(Fraction(1, d ** (k + 1)))
-              for k, _ in _bareiss(u, h.ncols, diagonal=True)]
+    minors, d = [], ONE
+    for _, _, p in _reduce(h, diagonal=True)[1]:
+        d = d * p
+        minors.append(d)
     return minors + [None] * (h.nrows - len(minors))

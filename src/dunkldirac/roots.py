@@ -99,6 +99,13 @@ class RootSystem:
             if first != idx:
                 raise ValueError(f"roots {first} and {idx} are proportional; "
                                  "list each reflection once")
+        # a positive system is the set of roots on which some linear form
+        # is positive, and the sum of its roots (2 rho) is such a form
+        sigma = [sum(col, ZERO) for col in zip(*self.positive_roots)]
+        for idx, r in enumerate(self.positive_roots):
+            if dot(sigma, r).sign_real() <= 0:
+                raise ValueError(f"root {idx} is not positive on the sum of "
+                                 "the roots; list a positive system")
         self.norms_sq = [dot(r, r) for r in self.positive_roots]
         if coroots is not None:
             self.coroots = [tuple(as_scalar(x) for x in r)

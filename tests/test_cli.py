@@ -222,9 +222,12 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
       "suites": ["pincover"]}, "error: "),
     # s_(1,0) sends (1, 1) to (-1, 1), which is not listed
     ({"group": {"roots": [[1, 0], [1, 1]]}}, "error: group: "),
+    # S3 with one root negated: no linear form is positive on all three
+    ({"group": {"roots": [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]}},
+     "error: group: "),
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
         "coroot-norm-outside-field", "no-roots", "repeated-root",
-        "opposite-root", "roots-not-closed"])
+        "opposite-root", "roots-not-closed", "not-a-positive-system"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,
                                                  overrides, prefix):
     path = write_config(tmp_path, **overrides)

@@ -127,6 +127,45 @@ def to_sympy_matrix(m: Matrix):
                          for i in range(m.nrows)])
 
 
+def sympy_is_zero(x) -> bool:
+    """Exact zero test for a sympy expression in Q(i, sqrt2), radical
+    denominators included."""
+    return sympy.expand(sympy.radsimp(x)) == 0
+
+
+def test_rank_and_kernel_match_sympy_over_the_field():
+    """rank and the kernel basis against sympy over Q(i, sqrt2).  sympy's
+    nullspace() sets each vector to 1 on its free variable and 0 on the
+    other free variables, as kernel() does, so the bases agree entry by
+    entry."""
+    rng = random.Random(91)
+    mats = [random_q_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
+            for _ in range(6)]
+    # rank-deficient products through an inner dimension of 1 or 2
+    for _ in range(5):
+        r, k, n = rng.randint(2, 4), rng.randint(1, 2), rng.randint(2, 5)
+        mats.append(random_q_matrix(rng, r, k) @ random_q_matrix(rng, k, n))
+    i = ExactScalar(0, 0, 1)
+    # column 0 is zero in row 0, so its pivot is swapped up from row 1
+    swap = Matrix.from_rows([[0, 1, SQRT2, i], [2, 0, 1, 0],
+                             [4, 1, 2 + SQRT2, i]])
+    assert swap.get(0, 0).is_zero()
+    # the first pivot is 1 + i sqrt2
+    cplx = Matrix.from_rows([[ExactScalar(1, 0, 0, 1), 2, 0],
+                             [3, ExactScalar(0, 1), i]])
+    assert not cplx.get(0, 0).is_real()
+    mats += [swap, cplx]
+    for m in mats:
+        sm = to_sympy_matrix(m)
+        assert rank(m) == sm.rank(iszerofunc=sympy_is_zero)
+        want = sm.nullspace(iszerofunc=sympy_is_zero)
+        k = kernel(m)
+        assert k.shape == (m.ncols, len(want))
+        for j, v in enumerate(want):
+            assert all(sympy_is_zero(to_sympy(k.get(r, j)) - v[r])
+                       for r in range(m.ncols))
+
+
 def test_positive_definite():
     assert is_positive_definite(Matrix.identity(3))
     assert not is_positive_definite(Matrix.from_rows([[1, 2], [2, 1]]))
