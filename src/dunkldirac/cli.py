@@ -386,9 +386,7 @@ def _suite_cohomology(dctx, cfg) -> list:
                 continue
             ok = bool(spec["self_adjoint"] and spec["omega_matches_lambda"]
                       and spec["chi_plus_one_nonneg"])
-            dev = spec.get("square_deviation")
-            if dev is not None:
-                ok = ok and dev <= 1e-9
+            ok = ok and spec.get("square_is_casimir_plus_one", True)
             out.append(_check_record(
                 f"self-adjoint with the predicted Casimir weight [{ctx_tag}]",
                 ok, None if ok else {"self_adjoint": spec["self_adjoint"],
@@ -431,6 +429,9 @@ def run_verify(cfg, suites=None) -> tuple:
     """Run the requested suites; returns (report dict, exit code)."""
     chosen = cfg["suites"] if suites is None else \
         [s for s in SUITES if s in suites]
+    if not chosen:
+        raise ConfigError(f"suites: empty selection; name at least one of "
+                          f"{list(SUITES)}")
     if suites is not None:
         unknown = set(suites) - set(SUITES)
         if unknown:

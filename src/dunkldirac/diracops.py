@@ -6,16 +6,18 @@ dimension 2^floor(n/2).  The graded-operator algebra from polyrep is
 reused verbatim by presenting the tensored slices as a module family of
 their own, so all window bookkeeping (top-degree clipping, shift
 accounting) carries over unchanged.  Arithmetic stays exact over
-Q(i, sqrt2); floats appear only in eigenvalue reporting and as seeds for
-eigenspace splits that are then verified exactly.
+Q(i, sqrt2); floats appear only in reported spectra, in the inexact
+fallback of the rescaling search, and as rounded eigenvalue candidates
+that an exact kernel then confirms or discards.
 
 Contents: the degree-preserving Dirac element sum_{i<j} M_ij c_i c_j with
 its overlap-partitioned square, the twisted family (D - phi) + rho(C) for
 admissible twists, bracket identities for the raising and lowering odd
 elements, the center transport Omega -> C^2 - 1 with its witness
-recursion, kernel cohomology on harmonic slices, central characters with
-a brute-force isotypic refinement, unitary spectra, and the rescaling
-search that produces twists with nonzero kernel cohomology.
+recursion, kernel cohomology on harmonic slices, central characters
+refined over the isotypic pieces that the twisted class sums cut out,
+unitary spectra, and the rescaling search that produces twists with
+nonzero kernel cohomology.
 """
 
 from dataclasses import dataclass
@@ -25,8 +27,8 @@ import math
 
 import numpy as np
 
-from .scalars import (ExactScalar, ZERO, ONE, HALF, IUNIT, SQRT2, accumulate,
-                      as_scalar, rat, sqrt_in_real_subfield)
+from .scalars import (SQRT2_FLOAT, ExactScalar, ZERO, ONE, HALF, SQRT2,
+                      accumulate, as_scalar, rat, sqrt_in_real_subfield)
 from .linalg import (Matrix, hstack, kernel, intersection_dim,
                      is_positive_definite)
 from .clifford import CliffordElement, SpinorRep, vector_embed
@@ -590,58 +592,56 @@ def _tilde_classes(cover: PinCover) -> list:
     return classes
 
 
-def _real_candidates(x: float) -> list:
-    """Field elements a + b sqrt2 (a, b rational) within 1e-7 of a float.
-
-    Quarter-integer sqrt2 parts with continued-fraction rational remainders
-    cover the character values of the desk-scale groups; wrong candidates
-    are harmless because callers verify exactly.
-    """
-    if abs(x) < 1e-9:
-        return [ZERO]
-    out = []
-    s2 = math.sqrt(2.0)
-    for num in range(-192, 193):
-        b = Fraction(num, 4)
-        rem = x - float(b) * s2
-        fr = Fraction(rem).limit_denominator(2880)
-        if abs(float(fr) - rem) > 1e-7:
-            continue
-        out.append(ExactScalar(fr, b))
-    return out
-
-
-def _complex_candidates(z: complex) -> list:
-    out = []
-    for re in _real_candidates(z.real):
-        for im in _real_candidates(z.imag):
-            out.append(re + IUNIT * im)
-    return out
+# the basis 1, sqrt2, i, i sqrt2 as complex floats, and its image under
+# the Galois twist sqrt2 -> -sqrt2
+_BASES = np.array([[1, SQRT2_FLOAT, 1j, 1j * SQRT2_FLOAT],
+                   [1, -SQRT2_FLOAT, 1j, -1j * SQRT2_FLOAT]])
 
 
 def _eigensplit(r: Matrix):
-    """Exact eigenspace decomposition seeded by a float solve.
+    """Exact eigenspace decomposition of r = num / den.
 
-    Returns (eigenvalue, kernel basis) pairs, or None when the verified
-    eigenspaces fail to fill the space (recognition missed an eigenvalue,
-    or the operator is not semisimple over the field).
+    For an eigenvalue s of r in the field, den * s is an eigenvalue of
+    num, so an algebraic integer, and its real and imaginary parts are
+    a + b sqrt2 / 2 with integers a and b.  With x = den * s and x' its
+    sqrt2-conjugate, an eigenvalue of num with sqrt2 negated,
+    a = (x + x') / 2 and b = (x - x') / sqrt2.  Candidates come from
+    rounding these over every pair of float eigenvalues, best-rounded
+    first; each is kept when its exact kernel is nonzero, until the
+    kernels fill the space.
+
+    Returns (eigenvalue, kernel basis) pairs, ordered by the first float
+    eigenvalue of num nearest each, or None when the verified eigenspaces
+    fail to fill the space (an eigenvalue outside the field, or an
+    operator that is not semisimple over the field).
     """
     d = r.nrows
-    if d == 0:
-        return []
-    evs = np.linalg.eigvals(r.to_complex())
-    cands = dict.fromkeys(s for z in evs
-                          for s in _complex_candidates(complex(z)))
+    s = r.is_scalar_multiple_of_identity()
+    if s is not None:
+        return [(s, Matrix.identity(d))] if d else []
+    x, xc = np.linalg.eigvals(np.tensordot(_BASES, r.num.astype(float), 1))
+    a = (x[:, None] + xc) / 2
+    b = (x[:, None] - xc) / SQRT2_FLOAT
+    ra, rb = np.rint(a), np.rint(b)
+    err = abs(a - ra) + abs(b - rb)
+    cands = np.stack([ra.real, rb.real, ra.imag, rb.imag], axis=-1)
+    order = np.argsort(err, axis=None, kind="stable")
     spaces = []
     total = 0
-    for s in cands:
+    for key in dict.fromkeys(tuple(map(int, c)) for c in
+                             cands.reshape(-1, 4)[order].tolist()):
+        s = ExactScalar._raw(2 * key[0], key[1], 2 * key[2], key[3],
+                             2 * r.den)
         es = kernel(r.add_to_diagonal(-s))
         if es.ncols:
             spaces.append((s, es))
             total += es.ncols
+            if total == d:
+                break
     if total != d:
         return None
-    return spaces
+    return sorted(spaces, key=lambda sp: int(np.argmin(
+        abs(x - r.den * sp[0].to_complex()))))
 
 
 def _isotypic_pieces(dctx: DiracContext, kb: Matrix, m: int):
@@ -673,17 +673,16 @@ def _isotypic_pieces(dctx: DiracContext, kb: Matrix, m: int):
     return pieces
 
 
-ISOTYPIC_ORDER_BOUND = 96
-
-
 def central_character_check(dop: DiracOperator, m: int) -> dict:
     """Center-minus-transport annihilates the kernel, refined isotypically.
 
     The exact content: (casimir tensor 1) - (rho(twist)^2 - 1) restricted
     to ker vanishes, and the point reflection acts on ker by its predicted
-    sign when -1 lies in the group.  When the extended cover is small
-    enough the kernel is split into isotypic pieces and the normalized
-    trace of the transported Casimir is matched per piece.
+    sign when -1 lies in the group.  The kernel is then split into
+    isotypic pieces, the joint eigenspaces of the twisted class sums, and
+    the normalized trace of the transported Casimir is matched per piece;
+    when an eigenvalue split fails, "isotypic" says so and no per-piece
+    record is added.
     """
     dctx = dop.ctx
     records: list = []
@@ -710,11 +709,6 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
             records.append(_check_record(
                 "point reflection acts on ker by its predicted sign", okp,
                 None if okp else _witness(m, None, got, want)))
-    order = dctx.cover.extended_order()
-    if order > ISOTYPIC_ORDER_BOUND:
-        out["isotypic"] = (f"not computed (extended cover order {order} "
-                           "exceeds the brute-force bound)")
-        return out
     pieces = _isotypic_pieces(dctx, kb, m)
     if pieces is None:
         out["isotypic"] = "not computed (eigenvalue recognition failed)"
@@ -751,7 +745,9 @@ def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
     harmonics, tensored with the standard spinor form (the identity in
     this realization: the generators are Hermitian and the operator is
     even).  Spectra are reported through a Cholesky conjugation so the
-    float solve sees an honestly Hermitian matrix.
+    float solve sees an honestly Hermitian matrix.  For the zero twist
+    the exact identity r r = (Casimir + 1) I on the slice is checked, and
+    the float drift of the squared spectrum from it is reported beside.
     """
     dctx = dop.ctx
     fam = dctx.family
@@ -791,6 +787,9 @@ def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
            "chi_plus_one_nonneg": chi_floor,
            "spectrum": spec}
     if dop.twist.is_zero():
+        # the exact identity decides; the float drift is reported only
+        out["square_is_casimir_plus_one"] = (
+            r @ r == Matrix.identity(r.nrows).scale(om + ONE))
         chi1 = float((om + ONE).to_complex().real)
         out["square_deviation"] = max(
             abs(s * s - chi1) for s in spec) if spec else 0.0
@@ -837,10 +836,11 @@ def nonzero_cohomology_search(dctx: DiracContext, m: int, seed: HatElement,
 
     Returns (scale, sign, CohomologyResult) for the first member of the
     rescaled pair sign * scale * seed with nonzero kernel cohomology.  The
-    scale is exact whenever the square root of (Casimir scalar + 1) stays
-    in the real subfield and a nonzero eigenvalue of the seed action is
-    recognized exactly; otherwise the kernel rank falls back to float
-    singular values.
+    candidate scales are sqrt(Casimir scalar + 1) / u over the nonzero real
+    eigenvalues u of the seed action, read exactly off each isotypic piece
+    of the slice.  Only when that split fails or the square root leaves the
+    real subfield does the kernel rank fall back to float singular values,
+    and the result is then marked inexact.
     """
     ok, failures = is_admissible(seed)
     if not ok:
@@ -867,26 +867,10 @@ def nonzero_cohomology_search(dctx: DiracContext, m: int, seed: HatElement,
     # with tame eigenvalues, and a central seed acts on each piece through
     # the multiplicity space alone, usually as an exact scalar
     exact_us: list = []
-
-    def _note(v):
-        if not v.is_zero() and v not in exact_us:
-            exact_us.append(v)
-
-    pieces = None
-    if dctx.cover.extended_order() <= ISOTYPIC_ORDER_BOUND:
-        pieces = _isotypic_pieces(dctx, bs, m)
-    if pieces is not None:
-        for p in pieces:
-            rp = _solve_columns(p, r0 @ p)
-            s = rp.is_scalar_multiple_of_identity()
-            if s is not None:
-                _note(s)
-                continue
-            split = _eigensplit(rp)
-            if split is None:
-                continue
-            for val, _basis in split:
-                _note(val)
+    for p in _isotypic_pieces(dctx, bs, m) or []:
+        for val, _basis in _eigensplit(_solve_columns(p, r0 @ p)) or []:
+            if not val.is_zero() and val not in exact_us:
+                exact_us.append(val)
     root = sqrt_in_real_subfield(om + ONE)
     if root is not None:
         for u in exact_us:

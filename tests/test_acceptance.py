@@ -210,6 +210,8 @@ def test_11_harmonics_and_unitarity():
             if not (spec["self_adjoint"] and spec["omega_matches_lambda"]
                     and spec["chi_plus_one_nonneg"]):
                 bad.append(f"{name}/{tau}/m={m} structure")
+            if not spec["square_is_casimir_plus_one"]:
+                bad.append(f"{name}/{tau}/m={m} square identity")
             if spec.get("square_deviation", 0.0) > 1e-9:
                 bad.append(f"{name}/{tau}/m={m} square drift")
             if any(s * s < -1e-9 for s in spec["spectrum"]):

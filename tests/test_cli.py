@@ -202,6 +202,13 @@ def test_verify_unknown_suite_is_usage_error(tmp_path, capsys):
     assert cli.main(["verify", "--config", path, "--suite", "nope"]) == 2
 
 
+def test_verify_empty_suite_selection_is_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path, group="S3")
+    assert cli.main(["verify", "--config", path, "--suite", ","]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: suites: ") and err.count("\n") == 1
+
+
 def test_verify_bad_config_is_usage_error(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json", encoding="utf-8")
@@ -225,9 +232,12 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
     # S3 with one root negated: no linear form is positive on all three
     ({"group": {"roots": [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]}},
      "error: group: "),
+    # a verify run that would check nothing
+    ({"group": "S3", "suites": []}, "error: suites: "),
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
         "coroot-norm-outside-field", "no-roots", "repeated-root",
-        "opposite-root", "roots-not-closed", "not-a-positive-system"])
+        "opposite-root", "roots-not-closed", "not-a-positive-system",
+        "empty-suites"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,
                                                  overrides, prefix):
     path = write_config(tmp_path, **overrides)

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from dunkldirac.angmom import report_passes
 from dunkldirac.clifford import CliffordElement
@@ -33,11 +34,13 @@ from dunkldirac.diracops import (
     swap_frame,
     unitarity_and_spectrum,
     vogan_witness_check,
+    _eigensplit,
     _solve_columns,
 )
 from dunkldirac.linalg import Matrix
 from dunkldirac.roots import ParamFunction, root_system
-from dunkldirac.scalars import ExactScalar, IUNIT, ONE, ZERO, rat
+from dunkldirac.scalars import ExactScalar, IUNIT, ONE, SQRT2, ZERO, rat
+from test_linalg import sympy_is_zero, to_sympy, to_sympy_matrix
 
 _CTX: dict = {}
 
@@ -327,6 +330,57 @@ def test_kernel_cohomology_empty_slice():
     assert c2.omega_scalar is None
 
 
+# -- exact eigenspace splitting --------------------------------------------------------
+
+
+_U = SQRT2 + IUNIT * rat(Fraction(1, 7))
+_V = rat(Fraction(-5, 9))
+
+
+@pytest.mark.parametrize("m, want", [
+    # the denominator 3001 is read off the matrix, not guessed
+    (Matrix.from_rows([[rat(Fraction(1, 3001)), 0], [0, 2]]),
+     {rat(Fraction(1, 3001)), rat(2)}),
+    (Matrix.from_rows([[0, 2], [1, 0]]), {SQRT2, -SQRT2}),
+    (Matrix.from_rows([[0, -1], [1, 0]]), {IUNIT, -IUNIT}),
+    # P diag(sqrt2 + i/7, -5/9) P^-1 with P = [[1, 2], [1, 3]]
+    (Matrix.from_rows([[1, 2], [1, 3]]) @ Matrix.from_rows(
+        [[_U, 0], [0, _V]]) @ Matrix.from_rows([[3, -2], [-1, 1]]),
+     {_U, _V}),
+], ids=["denominator-3001", "surd-pair", "complex-pair", "mixed"])
+def test_eigensplit_matches_sympy(m, want):
+    """Every eigenvalue sympy finds, each once, with its eigenspace
+    dimension; every returned basis spans an exact eigenspace."""
+    split = _eigensplit(m)
+    assert split is not None and {s for s, _ in split} == want
+    assert sum(e.ncols for _, e in split) == m.nrows
+    for s, e in split:
+        assert m @ e == e.scale(s)
+    found = to_sympy_matrix(m).eigenvects()
+    assert len(split) == len(found)
+    for ev, _mult, vecs in found:
+        hits = [e for s, e in split if sympy_is_zero(to_sympy(s) - ev)]
+        assert len(hits) == 1 and hits[0].ncols == len(vecs)
+
+
+def test_eigensplit_scalar_and_empty():
+    m = Matrix.identity(3).scale(rat(Fraction(-2, 3)))
+    assert _eigensplit(m) == [(rat(Fraction(-2, 3)), Matrix.identity(3))]
+    assert _eigensplit(Matrix(0, 0)) == []
+
+
+def test_eigensplit_refuses_what_does_not_split():
+    # a Jordan block: one eigenvector for a double eigenvalue
+    jordan = Matrix.from_rows([[1, 1], [0, 1]])
+    assert not to_sympy_matrix(jordan).is_diagonalizable()
+    assert _eigensplit(jordan) is None
+    # eigenvalues +-sqrt3 lie outside Q(i, sqrt2)
+    surd3 = Matrix.from_rows([[0, 3], [1, 0]])
+    assert set(to_sympy_matrix(surd3).eigenvals()) == {
+        sympy.sqrt(3), -sympy.sqrt(3)}
+    assert _eigensplit(surd3) is None
+
+
 # -- central characters ----------------------------------------------------------------
 
 
@@ -367,6 +421,7 @@ def test_spectrum_s3_interior():
     assert out["lambda"] == "3" and out["omega_scalar"] == "3"
     assert out["omega_matches_lambda"] is True
     assert out["chi_plus_one_nonneg"] is True
+    assert out["square_is_casimir_plus_one"] is True
     assert out["square_deviation"] < 1e-9
     want = [-2.0, -2.0, -2.0, -2.0, 2.0, 2.0]
     assert len(out["spectrum"]) == 6
@@ -491,6 +546,22 @@ def test_search_result_rescales_to_a_kernel():
     iso = out["isotypic"]
     assert isinstance(iso, list)
     assert sum(p["dim"] for p in iso) == 2
+
+
+@pytest.mark.parametrize("name", ["B3", "S5", "D4"])
+def test_search_is_exact_on_larger_covers(name):
+    """Extended cover orders 192, 240 and 768: the isotypic split runs,
+    its eigenvalues are recognized exactly, and the rescaled operator
+    passes its central character check piece by piece."""
+    d = ctx(name, Fraction(1, 3), 2)
+    c2 = build_C2(d.cover, d.family.param)
+    scale, sign, coh = nonzero_cohomology_search(d, 1, c2, "C2")
+    assert coh.exact and coh.dim_h > 0
+    dop = build_dirac(d, c2.scale(scale if sign > 0 else -scale),
+                      name="scaled C2")
+    out = central_character_check(dop, 1)
+    assert report_passes(out["records"])
+    assert isinstance(out["isotypic"], list)
 
 
 def test_inadmissible_twist_is_rejected_with_a_reason():
