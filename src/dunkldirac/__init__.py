@@ -61,7 +61,6 @@ from .angmom import (
     msquared_identities_check,
     report_passes,
 )
-from .angmom import build_context as build_ama_context
 from .diracops import (
     CohomologyResult,
     DiracContext,
@@ -94,7 +93,7 @@ __all__ = [
     "ZERO", "adjointness_check", "ama_relations_check",
     "anticommutator_check", "basis_independence_check",
     "build_C2", "build_T", "build_T_bullet", "build_Z3",
-    "build_ama_context", "build_context", "build_dirac",
+    "build_context", "build_dirac",
     "builtin_rep", "c2_decomposition_check", "casimir_centrality_check",
     "center_shift", "center_transport", "central_character_check",
     "centralizer_check", "classical_harmonic_dim", "contravariant_form",

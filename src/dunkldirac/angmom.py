@@ -163,10 +163,6 @@ class AmaContext:
         return rat(m) + rat(self.n) * rat("1/2") + shift
 
 
-def build_context(rs, param, max_degree: int, tau) -> AmaContext:
-    return AmaContext(ModuleFamily(rs, param, tau, max_degree=max_degree))
-
-
 # -- reports -------------------------------------------------------------------
 
 

@@ -427,15 +427,14 @@ def _config_echo(cfg) -> dict:
 
 def run_verify(cfg, suites=None) -> tuple:
     """Run the requested suites; returns (report dict, exit code)."""
+    unknown = set(suites or ()) - set(SUITES)
+    if unknown:
+        raise ConfigError(f"unknown suites {sorted(unknown)}")
     chosen = cfg["suites"] if suites is None else \
         [s for s in SUITES if s in suites]
     if not chosen:
         raise ConfigError(f"suites: empty selection; name at least one of "
                           f"{list(SUITES)}")
-    if suites is not None:
-        unknown = set(suites) - set(SUITES)
-        if unknown:
-            raise ConfigError(f"unknown suites {sorted(unknown)}")
     dctx = _build(cfg)
     suite_reports = []
     totals = {"pass": 0, "fail": 0, "skipped": 0}

@@ -29,15 +29,14 @@ import numpy as np
 
 from .scalars import (SQRT2_FLOAT, ExactScalar, ZERO, ONE, HALF, SQRT2,
                       accumulate, as_scalar, rat, sqrt_in_real_subfield)
-from .linalg import (Matrix, hstack, kernel, intersection_dim,
-                     is_positive_definite)
+from .linalg import Matrix, is_positive_definite, kernel, rank
 from .clifford import CliffordElement, SpinorRep, vector_embed
 from .cover import (PinCover, GroupAlgebraElement, HatElement, is_admissible,
                     ztilde, build_C2, build_T, build_T_bullet, build_Z3)
 from .polyrep import (GradedOperator, ModuleFamily, _check_record,
                       _first_difference, _rec, _witness, _zero,
                       harmonic_subspace, contravariant_form)
-from .angmom import AmaContext, build_context as build_ama_context
+from .angmom import AmaContext
 
 
 class SpinModule:
@@ -175,7 +174,8 @@ class DiracContext:
 
 
 def build_context(rs, param, max_degree: int, tau) -> DiracContext:
-    return DiracContext(build_ama_context(rs, param, max_degree, tau))
+    return DiracContext(AmaContext(ModuleFamily(rs, param, tau,
+                                                max_degree=max_degree)))
 
 
 @dataclass(frozen=True)
@@ -474,25 +474,24 @@ def vogan_witness_check(dctx: DiracContext, twist: HatElement,
 
 
 def _solve_columns(basis: Matrix, target: Matrix) -> Matrix:
-    """Exact solution of basis @ X = target.
+    """Exact solution X of basis @ X = target, read off identity rows.
 
-    Requires independent basis columns and a target inside their span;
-    both conditions are certified by the free-column structure of the
-    kernel of [basis | target], and the result is verified by
-    multiplication before returning.
+    Contract: every column k of basis has a row equal to the unit vector
+    e_k.  Kernel bases carry one on each free row, and Kronecker products
+    with I_S and products of such bases keep them.  Such a row i makes
+    row i of basis @ X equal row k of X, so X is target read at those rows
+    and is unique.  basis @ X == target is then checked exactly; a column
+    without an identity row, or a target outside the span, raises
+    RuntimeError.
     """
-    cb, ct = basis.ncols, target.ncols
-    if ct == 0:
-        return Matrix(cb, 0)
-    ker = kernel(hstack(basis, target))
-    if ker.ncols != ct:
-        raise RuntimeError("restriction failed: basis columns dependent "
-                           "or target outside their span")
-    rows = ker.rows
-    if Matrix.from_row_dicts(ct, ct, rows[cb:]) != Matrix.identity(ct):
-        raise RuntimeError("restriction failed: kernel lacks the "
-                           "free-column identity block")
-    sol = -Matrix.from_row_dicts(cb, ct, rows[:cb])
+    num = basis.num
+    unit = (num != 0).sum(axis=(0, 2)) == 1
+    ii, kk = np.nonzero(unit[:, None] & (num[0] == basis.den))
+    ks, first = np.unique(kk, return_index=True)
+    if len(ks) != basis.ncols:
+        raise RuntimeError("restriction failed: basis lacks an identity "
+                           "row for some column")
+    sol = Matrix._make(target.num[:, ii[first]], target.den)
     if basis @ sol != target:
         raise RuntimeError("restriction failed verification")
     return sol
@@ -538,6 +537,8 @@ def dirac_cohomology(dop: DiracOperator, m: int) -> CohomologyResult:
 
     The operator preserves the slice because the angular momenta and the
     group action both commute with the Laplacian; all ranks are exact.
+    The overlap is dim(ker r meet im r) = rank r - rank r^2: r maps ker r^2
+    onto ker r meet im r, and the kernel of that map is ker r.
     """
     dctx = dop.ctx
     bs = harmonic_spin_basis(dctx, m)
@@ -548,7 +549,7 @@ def dirac_cohomology(dop: DiracOperator, m: int) -> CohomologyResult:
     ker = kernel(r)
     dim_ker = ker.ncols
     dim_im = d - dim_ker
-    overlap = intersection_dim(ker, r) if dim_ker and dim_im else 0
+    overlap = dim_im - rank(r @ r) if dim_ker and dim_im else 0
     kb = bs @ ker
     om = None
     if dim_ker:
@@ -868,7 +869,7 @@ def nonzero_cohomology_search(dctx: DiracContext, m: int, seed: HatElement,
     # the multiplicity space alone, usually as an exact scalar
     exact_us: list = []
     for p in _isotypic_pieces(dctx, bs, m) or []:
-        for val, _basis in _eigensplit(_solve_columns(p, r0 @ p)) or []:
+        for val, _basis in _eigensplit(_restrict(r0, p)) or []:
             if not val.is_zero() and val not in exact_us:
                 exact_us.append(val)
     root = sqrt_in_real_subfield(om + ONE)

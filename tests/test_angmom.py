@@ -6,22 +6,23 @@ momentum at c = 0 (n = 2) fixes M_12 and its square.
 """
 
 from dunkldirac.angmom import (
+    AmaContext,
     ama_relations_check,
-    build_context,
     casimir_centrality_check,
     centralizer_check,
     msquared_identities_check,
     report_passes,
 )
 from dunkldirac.linalg import Matrix
-from dunkldirac.polyrep import harmonic_subspace
+from dunkldirac.polyrep import ModuleFamily, harmonic_subspace
 from dunkldirac.roots import ParamFunction, root_system
 from dunkldirac.scalars import ZERO, rat
 
 
 def ctx_for(name, spec, tau="trivial", deg=3):
     rs = root_system(name)
-    return build_context(rs, ParamFunction.from_config(spec, rs), deg, tau)
+    return AmaContext(ModuleFamily(rs, ParamFunction.from_config(spec, rs),
+                                   tau, max_degree=deg))
 
 
 def test_weyl_algebra_triple_frozen():

@@ -199,7 +199,11 @@ def test_jucys_murphy_checks_follow_the_roots_not_the_name(tmp_path, capsys):
 
 def test_verify_unknown_suite_is_usage_error(tmp_path, capsys):
     path = write_config(tmp_path)
-    assert cli.main(["verify", "--config", path, "--suite", "nope"]) == 2
+    # an unknown name alone must be named, not reported as no selection
+    for spec in ("foo", "rca,foo"):
+        assert cli.main(["verify", "--config", path, "--suite", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown suites ['foo']")
 
 
 def test_verify_empty_suite_selection_is_usage_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ computations recorded next to each assertion; structural identities are
 checked through the report records of the module under test.
 """
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,10 +38,11 @@ from dunkldirac.diracops import (
     _eigensplit,
     _solve_columns,
 )
-from dunkldirac.linalg import Matrix
+from dunkldirac.linalg import Matrix, hstack, intersection_dim, kernel, rank
 from dunkldirac.roots import ParamFunction, root_system
 from dunkldirac.scalars import ExactScalar, IUNIT, ONE, SQRT2, ZERO, rat
-from test_linalg import sympy_is_zero, to_sympy, to_sympy_matrix
+from test_linalg import (random_q_matrix, sympy_is_zero, to_sympy,
+                         to_sympy_matrix)
 
 _CTX: dict = {}
 
@@ -292,7 +294,88 @@ def test_solve_columns_rejects_the_coincidence_case():
         _solve_columns(b, t)
 
 
+def solve_stacked(basis, target):
+    """Reference solve: the free-column identity block of the kernel of
+    [basis | target] carries -X in its top rows."""
+    cb, ct = basis.ncols, target.ncols
+    ker = kernel(hstack(basis, target))
+    assert ker.ncols == ct
+    rows = ker.rows
+    assert Matrix.from_row_dicts(ct, ct, rows[cb:]) == Matrix.identity(ct)
+    return -Matrix.from_row_dicts(cb, ct, rows[:cb])
+
+
+def random_kernel_basis(rng, n):
+    """Kernel basis of a random rank-deficient n-column matrix over
+    Q(i, sqrt2): a product through an inner dimension below n."""
+    k = rng.randint(1, n - 1)
+    return kernel(random_q_matrix(rng, rng.randint(1, 3), k)
+                  @ random_q_matrix(rng, k, n))
+
+
+def test_solve_columns_matches_the_stacked_solve():
+    """Kernel bases, their Kronecker products with I_2, and products of
+    two kernel bases: the three shapes the engine restricts to."""
+    rng = random.Random(11)
+    kinds = {"kernel": [], "kron": [], "product": []}
+    while min(len(v) for v in kinds.values()) < 4:
+        b = random_kernel_basis(rng, rng.randint(2, 6))
+        kinds["kernel"].append(b)
+        kinds["kron"].append(b.kron(Matrix.identity(2)))
+        if b.ncols >= 2:
+            kinds["product"].append(b @ random_kernel_basis(rng, b.ncols))
+    for bases in kinds.values():
+        for b in bases:
+            x = random_q_matrix(rng, b.ncols, rng.randint(1, 3))
+            t = b @ x
+            assert _solve_columns(b, t) == solve_stacked(b, t) == x
+
+
+def test_solve_columns_object_entries():
+    big = 1 << 70
+    b = Matrix.from_rows([[1, 0], [big, 3], [0, 1], [5, -big]])
+    x = Matrix.from_rows([[big, 1], [-7, big + 1]])
+    t = b @ x
+    assert b.num.dtype == object and t.num.dtype == object
+    assert _solve_columns(b, t) == x
+
+
+def test_solve_columns_needs_identity_rows():
+    # full column rank, target in the span, yet no row is a unit vector
+    b = Matrix.from_rows([[1, 1], [1, -1]])
+    with pytest.raises(RuntimeError):
+        _solve_columns(b, Matrix.from_rows([[2], [0]]))
+
+
 # -- kernel cohomology ----------------------------------------------------------------
+
+
+def jordan_zero(n):
+    return Matrix.from_row_dicts(n, n, [{i + 1: 1} if i + 1 < n else {}
+                                        for i in range(n)])
+
+
+def block_diag(a, b):
+    return Matrix.from_row_dicts(
+        a.nrows + b.nrows, a.ncols + b.ncols,
+        a.rows + [{a.ncols + j: v for j, v in row.items()} for row in b.rows])
+
+
+@pytest.mark.parametrize("r, want", [
+    (jordan_zero(3), 1),
+    (block_diag(jordan_zero(2), jordan_zero(2)), 2),
+    (block_diag(jordan_zero(2),
+                Matrix.from_rows([[IUNIT, SQRT2], [1, 2 + IUNIT]])), 1),
+], ids=["J3", "J2+J2", "J2+invertible"])
+def test_overlap_is_rank_drop_of_the_square(r, want):
+    """dim(ker r meet im r) = rank r - rank r^2, the count
+    dirac_cohomology uses, against inclusion-exclusion and sympy."""
+    sr = to_sympy_matrix(r)
+    ns = sr.nullspace(iszerofunc=sympy_is_zero)
+    rk = sr.rank(iszerofunc=sympy_is_zero)
+    joint = sympy.Matrix.hstack(*ns, sr).rank(iszerofunc=sympy_is_zero)
+    assert rank(r) - rank(r @ r) == intersection_dim(kernel(r), r) \
+        == len(ns) + rk - joint == want
 
 
 def test_kernel_cohomology_free_plane():

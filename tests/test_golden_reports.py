@@ -4,9 +4,10 @@ byte-identical.
 Each config runs every suite through the console entry point and pins
 the SHA-256 of the report bytes.  Any change to a report, be it a check
 id, a status, a witness or the key order, fails here; a deliberate
-report change re-pins its digest in the same commit.  One `table` sweep
-is pinned the same way, since it runs the cover-algebra products of the
-twist elements that `verify` alone does not reach.
+report change re-pins its digest in the same commit.  Two `table` sweeps
+are pinned the same way, since they run the cover-algebra products of the
+twist elements and the nonempty kernels that `verify` alone barely
+reaches.
 """
 import hashlib
 import json
@@ -48,6 +49,17 @@ def test_report_digest(tmp_path, name):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
+def table_digest(tmp_path, config, sweep_points) -> str:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(sweep_points), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert cli.main(["table", "--config", str(cfg), "--sweep", str(sweep),
+                     "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 # S3 at c = 1/2, where jm:e1 has kernel cohomology on degree 2, over four
 # twists and three degrees, plus one unknown element that must become an
 # error row without stopping the sweep
@@ -60,11 +72,19 @@ TABLE_DIGEST = \
 
 
 def test_table_digest(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(TABLE_CONFIG), encoding="utf-8")
-    sweep = tmp_path / "sweep.json"
-    sweep.write_text(json.dumps(TABLE_SWEEP), encoding="utf-8")
-    out = tmp_path / "table.csv"
-    assert cli.main(["table", "--config", str(cfg), "--sweep", str(sweep),
-                     "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_DIGEST
+    assert table_digest(tmp_path, TABLE_CONFIG, TABLE_SWEEP) == TABLE_DIGEST
+
+
+# S4 at c = 1/3, rescaled C2 twists with nonempty kernels (dim_ker 8, 0,
+# 8 and 4): reaches the kernel, overlap and Casimir-on-kernel paths on a
+# larger cover than the verify configs
+S4_TABLE_CONFIG = {"group": "S4", "c": "1/3", "max_degree": 4}
+S4_TABLE_SWEEP = [{"m": m, "C": f"scale:{s}:C2"}
+                  for m, s in ((1, 36), (1, -36), (2, 18), (2, -18))]
+S4_TABLE_DIGEST = \
+    "19620ad894c7a82573f2e833d21ae47d18cd3360a416c663fad464fe1113634d"
+
+
+def test_table_digest_s4_kernels(tmp_path):
+    assert table_digest(tmp_path, S4_TABLE_CONFIG, S4_TABLE_SWEEP) \
+        == S4_TABLE_DIGEST
