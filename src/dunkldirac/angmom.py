@@ -46,10 +46,15 @@ class AmaContext:
     def w(self, w_index: int) -> GradedOperator:
         return self.family.w_op(w_index)
 
+    @cached_property
+    def zero(self) -> GradedOperator:
+        """The zero operator on every degree, built once."""
+        return self.family.scalar_op(0)
+
     def M(self, i: int, j: int) -> GradedOperator:
         """Angular momentum x_i y_j - x_j y_i; antisymmetric, M_ii = 0."""
         if i == j:
-            return self.family.scalar_op(0)
+            return self.zero
         if i > j:
             return -self.M(j, i)
         got = self._m.get((i, j))
@@ -109,7 +114,7 @@ class AmaContext:
                 t = self.M(i, j) @ self.M(i, j)
                 acc = t if acc is None else acc + t
         if acc is None:
-            acc = self.family.scalar_op(0)
+            acc = self.zero
         return acc
 
     @cached_property
@@ -178,27 +183,66 @@ def _index_tuples(n: int):
                     yield (i, j, k, l)
 
 
+def _m_key(i: int, j: int):
+    """(sign, key) with M_ij = sign * ctx.M(*key): M_ji = -M_ij, and every
+    M_ii is the one zero operator, keyed (0, 0)."""
+    if i == j:
+        return 1, (0, 0)
+    return (1, (i, j)) if i < j else (-1, (j, i))
+
+
+def _signed_sum(terms) -> GradedOperator:
+    """The sum of sign * op over (sign, op) pairs.  Exact sums are free of
+    order, so the positive terms go first and a negation is built only
+    when every sign is negative."""
+    terms = sorted(terms, key=lambda t: -t[0])
+    sign, acc = terms[0]
+    for s, op in terms[1:]:
+        acc = acc + op if s == sign else acc - op
+    return acc if sign > 0 else -acc
+
+
 def ama_relations_check(ctx: AmaContext, tuples=None) -> list:
     """Commutation and crossing relations over index tuples, plus S_ij = S_ji.
 
     [M_ij, M_kl] = M_il S_jk + M_jk S_il - M_ik S_jl - M_jl S_ik and
     M_ij M_kl + M_jk M_il + M_ki M_jl = M_ij S_kl + M_jk S_il + M_ki S_jl,
     for all 1 <= i,j,k,l <= n by default.
+
+    Every product is M_ij @ M_kl or M_ij @ S_kl.  Since M_ji = -M_ij and
+    M_ii = 0, each is +-(M_ab @ M_cd) or +-(M_ab @ S_kl) with a <= b and
+    c <= d, so each distinct product is formed once, in a memo local to
+    this call.  S_kl and S_lk stay distinct factors: S_ij = S_ji is one of
+    the checked relations, not an assumption.
     """
     records: list = []
     n = ctx.n
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             _rec(records, f"S{i}{j} = S{j}{i}", ctx.S(i, j), ctx.S(j, i))
+    memo: dict = {}
+
+    def mul(sign: int, i: int, j: int, kind: str, k: int, l: int):
+        """sign * M_ij @ (M_kl or S_kl, by kind) as a (sign, op) pair."""
+        s, left = _m_key(i, j)
+        t, right = _m_key(k, l) if kind == "M" else (1, (k, l))
+        key = (left, kind, right)
+        got = memo.get(key)
+        if got is None:
+            factor = ctx.M(*right) if kind == "M" else ctx.S(*right)
+            got = memo[key] = ctx.M(*left) @ factor
+        return sign * s * t, got
+
     for (i, j, k, l) in (tuples if tuples is not None else _index_tuples(n)):
-        lhs = ctx.M(i, j).commutator(ctx.M(k, l))
-        rhs = (ctx.M(i, l) @ ctx.S(j, k)) + (ctx.M(j, k) @ ctx.S(i, l)) \
-            - (ctx.M(i, k) @ ctx.S(j, l)) - (ctx.M(j, l) @ ctx.S(i, k))
+        lhs = _signed_sum([mul(1, i, j, "M", k, l), mul(-1, k, l, "M", i, j)])
+        rhs = _signed_sum([mul(1, i, l, "S", j, k), mul(1, j, k, "S", i, l),
+                           mul(-1, i, k, "S", j, l),
+                           mul(-1, j, l, "S", i, k)])
         _rec(records, f"commutation ({i},{j},{k},{l})", lhs, rhs)
-        lhs = (ctx.M(i, j) @ ctx.M(k, l)) + (ctx.M(j, k) @ ctx.M(i, l)) \
-            + (ctx.M(k, i) @ ctx.M(j, l))
-        rhs = (ctx.M(i, j) @ ctx.S(k, l)) + (ctx.M(j, k) @ ctx.S(i, l)) \
-            + (ctx.M(k, i) @ ctx.S(j, l))
+        lhs = _signed_sum([mul(1, i, j, "M", k, l), mul(1, j, k, "M", i, l),
+                           mul(1, k, i, "M", j, l)])
+        rhs = _signed_sum([mul(1, i, j, "S", k, l), mul(1, j, k, "S", i, l),
+                           mul(1, k, i, "S", j, l)])
         _rec(records, f"crossing ({i},{j},{k},{l})", lhs, rhs)
     return records
 

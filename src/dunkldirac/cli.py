@@ -73,7 +73,9 @@ def _fraction(value, where: str, allow_float: bool) -> Fraction:
             return Fraction(value.strip())
     except ConfigError:
         raise
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # NaN raises ValueError, an infinity (JSON Infinity or 1e400)
+        # OverflowError
         raise ConfigError(f"{where}: not a rational: {value!r} ({exc})")
     raise ConfigError(f"{where}: expected a rational string, got "
                       f"{type(value).__name__}")

@@ -9,10 +9,16 @@ equality and hashing are structural on (shape, den, num).
 
 A product is one integer matmul of A's nonzero components, side by side,
 against a block matrix of +-B and +-2B blocks read off the multiplication
-table of the basis.  It runs in int64 only when a bit bound proves that
-no sum overflows (see `_fits`); otherwise the same product runs on
-`object` arrays, slower but exact.  No float enters any of it: floats
-appear only in `to_complex`, which feeds reports and eigenvalue guesses.
+table of the basis.  A bit bound on the operands (see `_fits`) picks how
+it runs.  When it proves every operand, partial sum and result an integer
+below 2^53, the integer arrays run as one float64 BLAS product and the
+result is cast back to int64: float64 holds every such integer exactly,
+so no rounding can happen in any summation order.  Otherwise, when the
+bound proves that no sum overflows int64, the product runs in int64, and
+else on `object` arrays, slower but exact.  So no float ever decides a
+value: the float64 arrays only ever carry integers proved below 2^53, and
+floats that round appear only in `to_complex`, which feeds reports and
+eigenvalue guesses.
 
 Rank, kernel, leading minors and the Sylvester positivity test all run
 through one Gauss-Jordan elimination over the field, on the
@@ -47,6 +53,16 @@ def _companion(b: np.ndarray, comps: list) -> np.ndarray:
     """Per component a in comps, the four arrays _COEF[a][c] * b[a ^ c]:
     left-multiplying them by a's array gives e_a * B per output c."""
     return _COEF[comps][:, :, None, None] * b[_IDX[comps]]
+
+
+def _gemm(lhs: np.ndarray, rhs: np.ndarray, exact_float: bool):
+    """lhs @ rhs on integer arrays; as a float64 BLAS product cast back to
+    int64 when exact_float, which the caller sets only under the 53-bit
+    bound of `Matrix._fits`."""
+    if exact_float:
+        return (lhs.astype(np.float64) @ rhs.astype(np.float64)).astype(
+            np.int64)
+    return lhs @ rhs
 
 
 class Matrix:
@@ -215,18 +231,26 @@ class Matrix:
             np.array([s._p, s._q, s._r, s._s],
                      dtype=object).reshape(4, 1, 1), s._den))
 
-    def _fits(self, other: "Matrix", k: int) -> bool:
+    def _fits(self, other: "Matrix", k: int, limit: int = 62) -> bool:
         """True when every sum of k terms a * c * b, for entries a of self
         and b of other and c a coefficient of the multiplication table, over
-        at most four components, stays below 2^61 in absolute value.
+        at most four components, stays below 2^(limit - 1) in absolute value.
 
         Proof: |a| < 2^bits(A), |b| < 2^bits(B), |c| <= 2 and k < 2^bitlen(k);
         one output entry is a sum of at most 4k such terms, so its partial
         sums are below 4k * 2 * 2^(bits(A) + bits(B)) < 2^(bits(A) + bits(B)
-        + bitlen(k) + 3) <= 2^61 when bits(A) + bits(B) + bitlen(k) + 4 <= 62.
-        An `object` array has bits >= 63 and never fits.
+        + bitlen(k) + 3) <= 2^(limit - 1) when bits(A) + bits(B) + bitlen(k)
+        + 4 <= limit.  An `object` array has bits >= 63 and never fits.
+
+        limit = 62 keeps int64 sums from overflowing.  limit = 53 makes the
+        product exact in float64: each operand (a, or c * b) and each term
+        a * c * b is an integer below 2^(bits(A) + bits(B) + 1) <= 2^52, and
+        each partial sum, in whatever order or grouping a BLAS kernel forms
+        it, FMA included, is a sum of a subset of the terms, so below 2^52
+        too.  Float64 represents every integer below 2^53 exactly, so no
+        step rounds and the cast back to int64 is exact.
         """
-        return self.bits + other.bits + k.bit_length() + 4 <= 62
+        return self.bits + other.bits + k.bit_length() + 4 <= limit
 
     def _operands(self, other: "Matrix", k: int):
         a, b = self.num, other.num
@@ -242,8 +266,9 @@ class Matrix:
         if not ca or not cb:
             return Matrix(r, n)
         a, b = self._operands(other, k)
+        exact_float = self._fits(other, k, 53)
         if ca == cb == (0,):
-            prod = a[0] @ b[0]
+            prod = _gemm(a[0], b[0], exact_float)
             out = np.zeros((4, r, n), dtype=prod.dtype)
             out[0] = prod
         else:
@@ -251,7 +276,8 @@ class Matrix:
             lhs = a[ca].transpose(1, 0, 2).reshape(r, len(ca) * k)
             rhs = _companion(b, ca).transpose(0, 2, 1, 3).reshape(
                 len(ca) * k, 4 * n)
-            out = (lhs @ rhs).reshape(r, 4, n).transpose(1, 0, 2)
+            out = _gemm(lhs, rhs, exact_float).reshape(r, 4, n).transpose(
+                1, 0, 2)
         return Matrix._make(out, self.den * other.den)
 
     def kron(self, other: "Matrix") -> "Matrix":

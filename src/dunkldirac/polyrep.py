@@ -419,7 +419,10 @@ class GradedOperator:
         return GradedOperator(self.family, self.shift, out)
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
-        return self + (-other)
+        self._need_same(other)
+        out = {m: self.blocks[m] - other.blocks[m]
+               for m in self.blocks if m in other.blocks}
+        return GradedOperator(self.family, self.shift, out)
 
     def __neg__(self) -> "GradedOperator":
         return GradedOperator(self.family, self.shift,

@@ -5,8 +5,14 @@ c = 0 (n = 1) fixes the sl(2) bracket normalization, and plane angular
 momentum at c = 0 (n = 2) fixes M_12 and its square.
 """
 
+import itertools
+import json
+
+import pytest
+
 from dunkldirac.angmom import (
     AmaContext,
+    _rec,
     ama_relations_check,
     casimir_centrality_check,
     centralizer_check,
@@ -82,6 +88,69 @@ def test_ama_relations():
         ctx_for("S3", "1/3", tau="reflection", deg=2)))
 
 
+def per_tuple_relations(ctx, tuples=None):
+    """ama_relations_check as a plain per-tuple loop: every graded product
+    of every tuple formed afresh, the reference for the memoised check."""
+    records: list = []
+    n = ctx.n
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            _rec(records, f"S{i}{j} = S{j}{i}", ctx.S(i, j), ctx.S(j, i))
+    if tuples is None:
+        tuples = itertools.product(range(1, n + 1), repeat=4)
+    for (i, j, k, l) in tuples:
+        lhs = ctx.M(i, j).commutator(ctx.M(k, l))
+        rhs = (ctx.M(i, l) @ ctx.S(j, k)) + (ctx.M(j, k) @ ctx.S(i, l)) \
+            - (ctx.M(i, k) @ ctx.S(j, l)) - (ctx.M(j, l) @ ctx.S(i, k))
+        _rec(records, f"commutation ({i},{j},{k},{l})", lhs, rhs)
+        lhs = (ctx.M(i, j) @ ctx.M(k, l)) + (ctx.M(j, k) @ ctx.M(i, l)) \
+            + (ctx.M(k, i) @ ctx.M(j, l))
+        rhs = (ctx.M(i, j) @ ctx.S(k, l)) + (ctx.M(j, k) @ ctx.S(i, l)) \
+            + (ctx.M(k, i) @ ctx.S(j, l))
+        _rec(records, f"crossing ({i},{j},{k},{l})", lhs, rhs)
+    return records
+
+
+def same_records(ctx, tuples=None):
+    got = ama_relations_check(ctx, tuples)
+    want = per_tuple_relations(ctx, tuples)
+    assert json.dumps(got) == json.dumps(want)
+    return got
+
+
+@pytest.mark.parametrize("name, spec, tau, deg", [
+    ("S3", "1/2", "trivial", 3),
+    ("B2", {"short": "1/3", "long": "-1/2"}, "trivial", 3),
+    ("S3", "1/3", "reflection", 2),
+])
+def test_memoised_relations_match_the_per_tuple_loop(name, spec, tau, deg):
+    records = same_records(ctx_for(name, spec, tau=tau, deg=deg))
+    n = 2 if name == "B2" else 3
+    assert len(records) == n * (n - 1) // 2 + 2 * n ** 4
+    assert report_passes(records)
+
+
+def test_memoised_relations_match_on_a_corrupted_s():
+    ctx = ctx_for("S3", "1/2", deg=3)
+    ctx._s[(1, 2)] = ctx.S(1, 2) + ctx.family.identity_op().scale(
+        rat("1/7"))
+    records = same_records(ctx)
+    failed = [r for r in records if r["status"] == "fail"]
+    assert failed[0]["check_id"] == "S12 = S21"
+    assert any(r["check_id"].startswith("commutation") for r in failed)
+    assert any(r["check_id"].startswith("crossing") for r in failed)
+    assert all(r["witness"] is not None for r in failed)
+
+
+def test_memoised_relations_match_on_a_tuple_subset():
+    ctx = ctx_for("S3", "1/5", deg=3)
+    tuples = [(1, 2, 3, 1), (2, 2, 1, 3), (3, 1, 1, 3), (1, 2, 1, 2)]
+    records = same_records(ctx, tuples)
+    assert [r["check_id"] for r in records[3:]] == [
+        f"{kind} ({i},{j},{k},{l})" for (i, j, k, l) in tuples
+        for kind in ("commutation", "crossing")]
+
+
 def test_ama_relation_negative_control():
     ctx = ctx_for("S3", "1/2", deg=3)
     lhs = ctx.M(1, 2).commutator(ctx.M(2, 3))
@@ -129,7 +198,6 @@ def test_casimir_centrality():
 def test_report_witness_format():
     ctx = ctx_for("S2", "1/2", deg=3)
     records = []
-    from dunkldirac.angmom import _rec
     _rec(records, "deliberate mismatch", ctx.H, ctx.H + ctx.family.
          identity_op())
     r = records[0]

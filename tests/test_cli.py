@@ -65,6 +65,35 @@ def test_config_accepts_float_c_in_float64_mode(tmp_path):
     assert cfg["param"].label() == "1/4"
 
 
+@pytest.mark.parametrize("text", [
+    '{"group": "S3", "c": Infinity, "backend": "float64"}',
+    '{"group": "S3", "c": -Infinity, "backend": "float64"}',
+    '{"group": "S3", "c": 1e400, "backend": "float64"}',
+    '{"group": "S3", "c": {"all": 1e400}, "backend": "float64"}',
+    '{"group": "S3", "c": NaN, "backend": "float64"}',
+], ids=["infinity", "minus-infinity", "overflowing-literal",
+        "overflowing-orbit-value", "nan"])
+def test_non_finite_float_coupling_exits_two_with_one_line(tmp_path, capsys,
+                                                           text):
+    p = tmp_path / "c.json"
+    p.write_text(text, encoding="utf-8")
+    assert cli.main(["verify", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: c") and "not a rational" in err
+    assert err.count("\n") == 1
+
+
+def test_non_finite_sweep_values_become_error_rows(tmp_path):
+    cfg = load_config(write_config(tmp_path, backend="float64"))
+    rows = run_table(cfg, [{"m": 0, "C": "zero", "scale": float("inf")},
+                           {"m": 0, "C": "zero", "c": float("-inf")},
+                           {"m": 0, "C": "zero", "c": {"all": 1e400}},
+                           {"m": 0, "C": "zero", "scale": 0.5}])
+    for row, where in zip(rows, ("sweep scale", "sweep c", "sweep c[all]")):
+        assert row["status"].startswith(f"error: {where}: not a rational")
+    assert rows[3]["status"] == "ok"
+
+
 def test_config_rejects_missing_group(tmp_path):
     p = tmp_path / "c.json"
     p.write_text('{"c": "0"}', encoding="utf-8")

@@ -319,3 +319,110 @@ def test_canonical_form():
     assert back == Matrix.from_rows([[2 ** 60, 0]])
     zero = a - a
     assert zero == Matrix(3, 3) and zero.den == 1 and zero.is_zero()
+
+
+# -- the float64 path under the 53-bit bound -----------------------------------
+
+
+def q_matrix_from_components(comps) -> Matrix:
+    """The integer matrix sum_c comps[c] * e_c over the basis 1, sqrt2, i,
+    i*sqrt2; comps is one array of shape (rows, cols) per component."""
+    num = np.zeros((4,) + np.shape(comps[0]), dtype=np.int64)
+    num[:len(comps)] = comps
+    return Matrix._make(num, 1)
+
+
+def through_the_object_path(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b with a scaled past 2^62 first, so that the product runs on
+    Python ints, then scaled back."""
+    big = Fraction(2 ** 40)
+    wide = a.scale(big)
+    assert wide.num.dtype == object
+    return (wide @ b).scale(1 / big)
+
+
+@pytest.fixture
+def gemm_paths(monkeypatch):
+    """The exact_float flag of every product, in call order."""
+    import dunkldirac.linalg as linalg
+    seen, gemm = [], linalg._gemm
+
+    def spy(lhs, rhs, exact_float):
+        seen.append(exact_float)
+        return gemm(lhs, rhs, exact_float)
+
+    monkeypatch.setattr(linalg, "_gemm", spy)
+    return seen
+
+
+def extreme_entries(rng, shape, bits):
+    """Random entries of magnitude near 2^bits - 1, the first one exactly
+    that, so the matrix has bit length `bits`."""
+    top = 2 ** bits - 1
+    vals = np.array([rng.choice((-1, 1)) * rng.randint(top - 1000, top)
+                     for _ in range(int(np.prod(shape)))], dtype=np.int64)
+    vals[0] = top
+    return vals.reshape(shape)
+
+
+def test_real_product_at_the_53_bit_bound_runs_in_float(gemm_paths):
+    # bits 23 + 23 + bitlen(4) + 4 = 53: exactly at the bound
+    rng = random.Random(53)
+    a = q_matrix_from_components([extreme_entries(rng, (3, 4), 23)])
+    b = q_matrix_from_components([extreme_entries(rng, (4, 5), 23)])
+    assert (a.bits, b.bits, a.comps, b.comps) == (23, 23, (0,), (0,))
+    assert a._fits(b, 4, 53) and not a._fits(b, 4, 52)
+    prod = a @ b
+    assert gemm_paths == [True]
+    assert prod.num.dtype == np.int64
+    assert prod == through_the_object_path(a, b)
+    want = (np.array(a.num[0], dtype=object)
+            @ np.array(b.num[0], dtype=object))
+    assert prod.num[0].tolist() == want.tolist()
+
+
+def test_field_product_at_the_53_bit_bound_runs_in_float(gemm_paths):
+    # all four components; bits 24 + 22 + bitlen(5) + 4 = 53
+    rng = random.Random(54)
+    a = q_matrix_from_components(
+        [extreme_entries(rng, (3, 5), 24) for _ in range(4)])
+    b = q_matrix_from_components(
+        [extreme_entries(rng, (5, 2), 22) for _ in range(4)])
+    assert (a.bits, b.bits, a.comps, b.comps) == (24, 22, (0, 1, 2, 3),
+                                                  (0, 1, 2, 3))
+    assert a._fits(b, 5, 53) and not a._fits(b, 5, 52)
+    prod = a @ b
+    assert gemm_paths == [True]
+    assert prod == through_the_object_path(a, b)
+    assert sympy_equal(prod, to_sympy_matrix(a) * to_sympy_matrix(b))
+
+
+def test_product_above_the_bound_where_float_rounds_stays_exact(gemm_paths):
+    # bits 25 + 24 + bitlen(3) + 4 = 55.  The bound keeps one bit of
+    # slack (its partial sums stay below 2^52), so at 54 no product can
+    # round yet; at 55 this one does.  Its real part is
+    # sum_k a0 b0 + 2 a1 b1 - a2 b2 - 2 a3 b3 with every term positive,
+    # an odd integer above 2^53.
+    top_a, top_b = 2 ** 25 - 1, 2 ** 24 - 1
+    row = np.full((1, 3), top_a)
+    col = np.full((3, 1), top_b)
+    a0 = row.copy()
+    a0[0, 0] -= 1          # one even term makes the sum odd
+    a = q_matrix_from_components([a0, row, row, row])
+    b = q_matrix_from_components([col, col, -col, -col])
+    assert (a.bits, b.bits) == (25, 24)
+    assert not a._fits(b, 3, 54) and a._fits(b, 3, 55)
+    # the float64 GEMM of these stacked operands rounds
+    lhs = np.hstack([a.num[0], a.num[1], a.num[2], a.num[3]])
+    rhs = np.vstack([b.num[0], 2 * b.num[1], -b.num[2], -2 * b.num[3]])
+    exact = int((lhs.astype(object) @ rhs.astype(object))[0, 0])
+    assert exact > 2 ** 53 and exact % 2 == 1
+    floated = lhs.astype(np.float64) @ rhs.astype(np.float64)
+    assert int(floated[0, 0]) != exact
+    # the product takes the int64 path and stays exact
+    prod = a @ b
+    assert gemm_paths == [False]
+    assert prod.num.dtype == np.int64
+    assert int(prod.num[0, 0, 0]) == exact
+    assert prod == through_the_object_path(a, b)
+    assert sympy_equal(prod, to_sympy_matrix(a) * to_sympy_matrix(b))
