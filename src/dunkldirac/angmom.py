@@ -15,7 +15,8 @@ the first differing matrix entry (degree, position, both values).
 from functools import cached_property
 
 from .linalg import Matrix
-from .polyrep import GradedOperator, ModuleFamily, _rec, _zero, center_op, s_op
+from .polyrep import (GradedOperator, ModuleFamily, _rec, _signed_sum, _zero,
+                      center_op, graded_sum, s_op)
 from .scalars import rat
 
 
@@ -46,15 +47,10 @@ class AmaContext:
     def w(self, w_index: int) -> GradedOperator:
         return self.family.w_op(w_index)
 
-    @cached_property
-    def zero(self) -> GradedOperator:
-        """The zero operator on every degree, built once."""
-        return self.family.scalar_op(0)
-
     def M(self, i: int, j: int) -> GradedOperator:
         """Angular momentum x_i y_j - x_j y_i; antisymmetric, M_ii = 0."""
         if i == j:
-            return self.zero
+            return self.family.scalar_op(0)
         if i > j:
             return -self.M(j, i)
         got = self._m.get((i, j))
@@ -75,11 +71,7 @@ class AmaContext:
         return center_op(self.family)
 
     def _dot(self, a, b):
-        acc = None
-        for i in range(1, self.n + 1):
-            t = a(i) @ b(i)
-            acc = t if acc is None else acc + t
-        return acc
+        return graded_sum(a(i) @ b(i) for i in range(1, self.n + 1))
 
     @cached_property
     def xy(self) -> GradedOperator:
@@ -108,14 +100,10 @@ class AmaContext:
 
     @cached_property
     def msquare(self) -> GradedOperator:
-        acc = None
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                t = self.M(i, j) @ self.M(i, j)
-                acc = t if acc is None else acc + t
-        if acc is None:
-            acc = self.zero
-        return acc
+        return graded_sum((self.M(i, j) @ self.M(i, j)
+                           for i in range(1, self.n + 1)
+                           for j in range(i + 1, self.n + 1)),
+                          self.family.scalar_op(0))
 
     @cached_property
     def omega(self) -> GradedOperator:
@@ -145,15 +133,9 @@ class AmaContext:
     def tau_shift_matrix(self) -> Matrix:
         """Matrix of sum_a c_a tau(s_a) on the tau factor alone."""
         fam = self.family
-        acc = None
-        for r, c in enumerate(fam.param.per_root(fam.rs)):
-            if c.is_zero():
-                continue
-            t = fam.tau.mat(fam.group.reflection_element_index(r)).scale(c)
-            acc = t if acc is None else acc + t
-        if acc is None:
-            acc = Matrix(fam.tau.dim, fam.tau.dim)
-        return acc
+        return sum((fam.tau.mat(fam.group.reflection_element_index(r)).scale(c)
+                    for r, c in enumerate(fam.param.per_root(fam.rs))
+                    if not c.is_zero()), Matrix(fam.tau.dim, fam.tau.dim))
 
     def tau_shift_scalar(self):
         """The scalar by which Z acts on tau, or None if tau is reducible
@@ -185,21 +167,10 @@ def _index_tuples(n: int):
 
 def _m_key(i: int, j: int):
     """(sign, key) with M_ij = sign * ctx.M(*key): M_ji = -M_ij, and every
-    M_ii is the one zero operator, keyed (0, 0)."""
+    M_ii is the zero operator, keyed (0, 0)."""
     if i == j:
         return 1, (0, 0)
     return (1, (i, j)) if i < j else (-1, (j, i))
-
-
-def _signed_sum(terms) -> GradedOperator:
-    """The sum of sign * op over (sign, op) pairs.  Exact sums are free of
-    order, so the positive terms go first and a negation is built only
-    when every sign is negative."""
-    terms = sorted(terms, key=lambda t: -t[0])
-    sign, acc = terms[0]
-    for s, op in terms[1:]:
-        acc = acc + op if s == sign else acc - op
-    return acc if sign > 0 else -acc
 
 
 def ama_relations_check(ctx: AmaContext, tuples=None) -> list:

@@ -108,8 +108,10 @@ def _parse_tau(spec, group):
             form = Matrix.from_rows(
                 [[rat(_fraction(v, "tau form", False)) for v in row]
                  for row in spec["form"]])
-        return custom_rep(group, simple, form=form,
-                          name=spec.get("name", "custom"))
+        name = spec.get("name", "custom")
+        if not isinstance(name, str):
+            raise ConfigError(f"tau: name must be a string, got {name!r}")
+        return custom_rep(group, simple, form=form, name=name)
     raise ConfigError("tau: expected a name or a matrices spec")
 
 

@@ -34,7 +34,7 @@ from .clifford import CliffordElement, SpinorRep, vector_embed
 from .cover import (PinCover, GroupAlgebraElement, HatElement, is_admissible,
                     ztilde, build_C2, build_T, build_T_bullet, build_Z3)
 from .polyrep import (GradedOperator, ModuleFamily, _check_record,
-                      _first_difference, _rec, _witness, _zero,
+                      _first_difference, _rec, _witness, _zero, graded_sum,
                       harmonic_subspace, contravariant_form)
 from .angmom import AmaContext
 
@@ -80,24 +80,23 @@ class DiracContext:
 
     def lift(self, op: GradedOperator) -> GradedOperator:
         """op tensor identity on the spinor factor."""
-        eye = Matrix.identity(self.spin.dim)
-        return GradedOperator(self.module, op.shift,
-                              {m: b.kron(eye) for m, b in op.blocks.items()})
+        return self.pair(op, CliffordElement.scalar(self.n, 1))
 
     def pair(self, op: GradedOperator, elem: CliffordElement) -> GradedOperator:
         """op tensor sigma(elem)."""
-        mat = self.spin.sigma(elem)
-        return GradedOperator(self.module, op.shift,
-                              {m: b.kron(mat) for m, b in op.blocks.items()})
+        return self.spin_sum([(op, elem)])
 
     def spin_sum(self, terms) -> GradedOperator:
         """sum op tensor sigma(elem) over the (op, elem) terms, in the order
-        given; the zero operator when there are none."""
-        acc = None
-        for op, elem in terms:
-            t = self.pair(op, elem)
-            acc = t if acc is None else acc + t
-        return acc if acc is not None else self.scalar(0)
+        given, on the keys of the plain sum of the ops; the zero operator
+        when there are none.  Terms are tensored in this one builder, as an
+        operator per term would keep its blocks until the sum is built."""
+        terms = [(op, self.spin.sigma(elem)) for op, elem in terms]
+        plain = graded_sum((op for op, _ in terms), self.family.scalar_op(0))
+        dim, shift = self.module.dim, plain.shift
+        return GradedOperator(self.module, shift, plain.blocks, lambda m: sum(
+            (op.blocks[m].kron(mat) for op, mat in terms),
+            Matrix(dim(m + shift), dim(m))))
 
     @cached_property
     def identity(self) -> GradedOperator:
@@ -218,13 +217,10 @@ def dirac_square_check(dctx: DiracContext) -> list:
     records: list = []
     n = dctx.n
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    sigma = {0: dctx.scalar(0), 1: dctx.scalar(0), 2: dctx.scalar(0)}
-    for (i, j) in pairs:
-        for (k, l) in pairs:
-            q = len({i, j} & {k, l})
-            term = dctx.pair(dctx.ama.M(i, j) @ dctx.ama.M(k, l),
-                             dctx._cpair(i, j) * dctx._cpair(k, l))
-            sigma[q] = sigma[q] + term
+    sigma = {q: dctx.spin_sum((dctx.ama.M(i, j) @ dctx.ama.M(k, l),
+                               dctx._cpair(i, j) * dctx._cpair(k, l))
+                              for (i, j) in pairs for (k, l) in pairs
+                              if len({i, j} & {k, l}) == q) for q in (0, 1, 2)}
     d = dctx.dirac
     square = d @ d
     minus_msquare = dctx.lift(dctx.ama.msquare).scale(-1)
@@ -288,19 +284,11 @@ def dirac_in_basis(dctx: DiracContext, rows) -> GradedOperator:
         row = [as_scalar(v) for v in rows[i]]
         if len(row) != n:
             raise ValueError("frame rows must have n entries")
-        xop = None
-        yop = None
-        for k, v in enumerate(row):
-            if v.is_zero():
-                continue
-            tx = dctx.family.x_op(k + 1).scale(v)
-            ty = dctx.family.y_op(k + 1).scale(v)
-            xop = tx if xop is None else xop + tx
-            yop = ty if yop is None else yop + ty
-        if xop is None:
+        coords = [(k + 1, v) for k, v in enumerate(row) if not v.is_zero()]
+        if not coords:
             raise ValueError("zero row in the change of frame")
-        xs.append(xop)
-        ys.append(yop)
+        xs.append(graded_sum(dctx.family.x_op(k).scale(v) for k, v in coords))
+        ys.append(graded_sum(dctx.family.y_op(k).scale(v) for k, v in coords))
         cs.append(vector_embed(n, row))
     return dctx.spin_sum(((xs[i] @ ys[j]) - (xs[j] @ ys[i]), cs[i] * cs[j])
                          for i in range(n) for j in range(i + 1, n))
@@ -693,8 +681,8 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
         out["isotypic"] = "empty kernel"
         return out
     kb = coh.kernel_basis
-    gap = dctx.casimir - (dop.rho_twist @ dop.rho_twist) + dctx.identity
-    prod = gap.blocks[m] @ kb
+    rsq = dop.rho_twist @ dop.rho_twist
+    prod = (dctx.casimir - rsq + dctx.identity).blocks[m] @ kb
     spot = _first_difference(prod, Matrix(prod.nrows, prod.ncols))
     records.append(_check_record(
         "casimir matches the transported twist square on ker", spot is None,
@@ -714,13 +702,13 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
     if pieces is None:
         out["isotypic"] = "not computed (eigenvalue recognition failed)"
         return out
-    rsq = dop.rho_twist.blocks[m] @ dop.rho_twist.blocks[m]
     iso = []
     all_ok = True
     for p in pieces:
         pb = kb @ p
         dp = p.ncols
-        val = (_restrict(rsq, pb).trace() - rat(dp)) * rat(Fraction(1, dp))
+        val = ((_restrict(rsq.blocks[m], pb).trace() - rat(dp))
+               * rat(Fraction(1, dp)))
         oms = _restrict(dctx.casimir.blocks[m],
                         pb).is_scalar_multiple_of_identity()
         okp = oms is not None and val == oms

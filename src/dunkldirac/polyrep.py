@@ -7,7 +7,12 @@ operator is a GradedOperator: one exact matrix per source degree, with a
 block present only where both source and target degrees sit inside the
 truncation window.  Identity checks quantify over the block keys both sides
 share, so a composite that would need data above degree N loses those keys
-instead of producing wrong matrices.
+instead of producing wrong matrices.  The keys are fixed when an operator
+is formed, but a block is built only on its first read and then kept (a
+DegreeMemo): the operator algebra composes builders, so a check that reads
+one degree slice builds that slice alone.  The family keeps its own
+per-degree data (Dunkl quotients, contravariant forms, harmonic bases) in
+the same memo.
 
 Degrees below zero are genuinely zero dimensional rather than truncated:
 block(m) for m < 0 is a synthesized matrix with zero columns, which makes
@@ -22,7 +27,8 @@ division along a coordinate where a has a nonzero coefficient; the remainder
 is asserted zero).
 """
 
-from functools import lru_cache
+from collections.abc import Mapping
+from functools import lru_cache, partial
 from math import comb
 
 import numpy as np
@@ -333,6 +339,8 @@ def custom_rep(group, simple_mats: dict, form=None,
     if set(simple_mats) != set(simples):
         raise ValueError(f"need matrices exactly for simple roots {simples}")
     dim = simple_mats[simples[0]].nrows
+    if dim < 1:
+        raise ValueError("a custom tau needs dimension at least 1")
     gen_elems = [group.reflection_element_index(i) for i in simples]
     mats: list = [None] * group.order
     mats[0] = Matrix.identity(dim)
@@ -373,37 +381,64 @@ def builtin_rep(group, name: str) -> TauRep:
 # -- graded operators ---------------------------------------------------------
 
 
+class DegreeMemo(Mapping):
+    """Read-only map over a fixed, ascending set of degrees.  The value at
+    m is made by build(m) on its first read and kept; once every value
+    exists the builder, and whatever it holds, is dropped."""
+
+    __slots__ = ("_keys", "_memo", "build")
+
+    def __init__(self, keys, build):
+        self._keys, self._memo = tuple(keys), {}
+        self.build = build if self._keys else None
+
+    def __getitem__(self, m):
+        got = self._memo.get(m)
+        if got is None:
+            if m not in self._keys:
+                raise KeyError(m)
+            got = self._memo[m] = self.build(m)
+            if len(self._memo) == len(self._keys):
+                self.build = None
+        return got
+
+    def __contains__(self, m) -> bool:
+        return m in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 class GradedOperator:
     """Per-degree exact matrices with a fixed degree shift.
 
-    blocks[m] maps the degree-m slice into degree m + shift; only source
-    degrees where the operator is honestly known are stored.  Negative
-    source degrees are zero dimensional and synthesized on demand, so they
-    never constrain compositions.
+    blocks[m] maps the degree-m slice into degree m + shift.  The key set
+    is fixed at construction: only source degrees where the operator is
+    honestly known, decided without building any block.  Each block is
+    built by build(m) on its first read (see DegreeMemo), so a check that
+    reads one slice builds that slice of every operand and no other.
+    Negative source degrees are zero dimensional and synthesized on
+    demand, so they never constrain compositions.
     """
 
     __slots__ = ("family", "shift", "blocks")
 
-    def __init__(self, family: "ModuleFamily", shift: int, blocks: dict):
+    def __init__(self, family: "ModuleFamily", shift: int, keys, build):
         self.family = family
         self.shift = shift
-        self.blocks = blocks
+        self.blocks = DegreeMemo(keys, build)
 
     def degrees(self):
-        return sorted(self.blocks)
+        return list(self.blocks)
 
-    def block(self, m: int):
-        """Stored block, or a synthesized zero-column matrix below degree 0.
-
-        Returns None where the operator is not known (clipped at the top of
-        the truncation window).
-        """
+    def block(self, m: int) -> Matrix:
+        """Block m; below degree 0 a synthesized zero-column matrix."""
         if m >= 0:
-            return self.blocks.get(m)
-        t = m + self.shift
-        if t > self.family.max_degree:
-            return None
-        return Matrix(self.family.dim(t) if t >= 0 else 0, 0)
+            return self.blocks[m]
+        return Matrix(self.family.dim(m + self.shift), 0)
 
     def _need_same(self, other, want_shift=True):
         if self.family is not other.family:
@@ -413,36 +448,28 @@ class GradedOperator:
                 f"degree shift mismatch: {self.shift} vs {other.shift}")
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
-        self._need_same(other)
-        out = {m: self.blocks[m] + other.blocks[m]
-               for m in self.blocks if m in other.blocks}
-        return GradedOperator(self.family, self.shift, out)
+        return _signed_sum([(1, self), (1, other)])
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
-        self._need_same(other)
-        out = {m: self.blocks[m] - other.blocks[m]
-               for m in self.blocks if m in other.blocks}
-        return GradedOperator(self.family, self.shift, out)
+        return _signed_sum([(1, self), (-1, other)])
 
     def __neg__(self) -> "GradedOperator":
-        return GradedOperator(self.family, self.shift,
-                              {m: -b for m, b in self.blocks.items()})
+        return GradedOperator(self.family, self.shift, self.blocks,
+                              lambda m: -self.blocks[m])
 
     def scale(self, s) -> "GradedOperator":
         s = as_scalar(s)
-        return GradedOperator(self.family, self.shift,
-                              {m: b.scale(s) for m, b in self.blocks.items()})
+        return GradedOperator(self.family, self.shift, self.blocks,
+                              lambda m: self.blocks[m].scale(s))
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         """self composed after other; keys survive only when the chain does."""
         self._need_same(other, want_shift=False)
-        out = {}
-        for m, b in other.blocks.items():
-            a = self.block(m + other.shift)
-            if a is None:
-                continue
-            out[m] = a @ b
-        return GradedOperator(self.family, self.shift + other.shift, out)
+        t = other.shift
+        keys = [m for m in other.blocks if m + t in self.blocks or m + t < 0
+                and m + t + self.shift <= self.family.max_degree]
+        return GradedOperator(self.family, self.shift + t, keys,
+                              lambda m: self.block(m + t) @ other.blocks[m])
 
     def commutator(self, other: "GradedOperator") -> "GradedOperator":
         return (self @ other) - (other @ self)
@@ -457,16 +484,12 @@ class GradedOperator:
 
     def matches(self, other: "GradedOperator") -> bool:
         """Equality on the degrees both sides know about."""
-        self._need_same(other)
-        common = set(self.blocks) & set(other.blocks)
-        if not common:
-            raise ValueError("no common valid degrees to compare")
-        return all(self.blocks[m] == other.blocks[m] for m in common)
+        return self.first_mismatch(other) is None
 
     def first_mismatch(self, other: "GradedOperator"):
         """(degree, (row, col), lhs, rhs) of the first difference, or None."""
         self._need_same(other)
-        common = sorted(set(self.blocks) & set(other.blocks))
+        common = [m for m in self.blocks if m in other.blocks]
         if not common:
             raise ValueError("no common valid degrees to compare")
         for m in common:
@@ -482,11 +505,49 @@ class GradedOperator:
         return all(b.is_zero() for b in self.blocks.values())
 
 
+class _Sum(list):
+    """Block builder of the sum of its (sign, op) terms.  Exact sums are
+    free of order, so a positive term is put first when there is one, and
+    a negation is built only when every sign is negative."""
+
+    def __call__(self, m: int) -> Matrix:
+        (sign, op), *rest = self
+        acc = op.blocks[m]
+        for s, o in rest:
+            acc = acc + o.blocks[m] if s == sign else acc - o.blocks[m]
+        return acc if sign > 0 else -acc
+
+
+def _signed_sum(terms) -> GradedOperator:
+    """The sum of sign * op over (sign, op) pairs, signs +-1, on the keys
+    every operand knows.  An operand still built as a sum is spliced in, not
+    nested: a block of a k-term sum reads at one recursion depth for any k."""
+    lead = terms[0][1]
+    flat = _Sum()
+    for sign, op in terms:
+        lead._need_same(op)
+        build = op.blocks.build
+        if isinstance(build, _Sum):
+            flat += build if sign > 0 else [(-s, o) for s, o in build]
+        else:
+            flat.append((sign, op))
+    if flat[0][0] < 0:
+        flat.sort(key=lambda t: -t[0])
+    keys = sorted(set(lead.blocks).intersection(*(o.blocks for _, o in terms)))
+    return GradedOperator(lead.family, lead.shift, keys, flat)
+
+
+def graded_sum(ops, empty=None):
+    """The sum of the operators in the order given; empty if there are none."""
+    terms = [(1, op) for op in ops]
+    return _signed_sum(terms) if terms else empty
+
+
 def _zero(op: GradedOperator) -> GradedOperator:
     """The zero operator on the blocks of op."""
-    return GradedOperator(op.family, op.shift,
-                          {m: Matrix(b.nrows, b.ncols)
-                           for m, b in op.blocks.items()})
+    fam, shift = op.family, op.shift
+    return GradedOperator(fam, shift, op.blocks,
+                          lambda m: Matrix(fam.dim(m + shift), fam.dim(m)))
 
 
 def _first_difference(a: Matrix, b: Matrix):
@@ -546,12 +607,14 @@ class ModuleFamily:
             self._monos.append(monos)
             self._mono_pos.append({e: k for k, e in enumerate(monos)})
         self._ops: dict = {}
-        self._quots: dict = {}
         # group_action per group element index, built once per family
         self._action = lru_cache(maxsize=None)(
             lambda w: group_action(self.group.matrices[w], self.n))
-        self._lap = None
-        self._gram: list = []
+        degrees = range(max_degree + 1)
+        self._quots = DegreeMemo(degrees, self._quotients)
+        self._gram = DegreeMemo(degrees, partial(_gram_block, self))
+        self._harmonics = DegreeMemo(
+            degrees, lambda m: kernel(self.laplacian().blocks[m]))
         self._root_forms = [root_form(rs, r)
                             for r in range(len(rs.positive_roots))]
         self._cs = param.per_root(rs)
@@ -595,11 +658,9 @@ class ModuleFamily:
         below degree 0 gives an empty 0-row block.
         """
         td = self.tau.dim
-        blocks = {}
-        for m in range(self.max_degree + 1):
+
+        def build(m):
             target = m + shift
-            if target > self.max_degree:
-                continue
             nrows = self.dim(target)
             rows = [{} for _ in range(nrows)]
             if target >= 0:
@@ -612,13 +673,15 @@ class ModuleFamily:
                                 base = pos[f] * td
                                 for k, tv in tau_cols[t]:
                                     accumulate(rows[base + k], col, v * tv)
-            blocks[m] = Matrix.from_row_dicts(nrows, self.dim(m), rows)
-        return GradedOperator(self, shift, blocks)
+            return Matrix.from_row_dicts(nrows, self.dim(m), rows)
+        return GradedOperator(self, shift,
+                              range(min(self.max_degree - shift,
+                                        self.max_degree) + 1), build)
 
-    def _cached(self, key, shift: int, images) -> GradedOperator:
+    def _cached(self, key, make) -> GradedOperator:
         op = self._ops.get(key)
         if op is None:
-            op = self._ops[key] = self._assemble(shift, images)
+            op = self._ops[key] = make()
         return op
 
     # -- atomic operators ------------------------------------------------------
@@ -628,7 +691,7 @@ class ModuleFamily:
         def images(m, p, e):
             shifted = e[:i - 1] + (e[i - 1] + 1,) + e[i:]
             yield Polynomial.monomial(self.n, shifted), self._tau_identity
-        return self._cached(("x", i), 1, images)
+        return self._cached(("x", i), lambda: self._assemble(1, images))
 
     def y_op(self, i: int) -> GradedOperator:
         """Dunkl operator along e_i, 1-based."""
@@ -637,18 +700,15 @@ class ModuleFamily:
         def images(m, p, e):
             yield (Polynomial.monomial(self.n, e).derivative(i),
                    self._tau_identity)
-            quot = self._quotients(m)
+            quot = self._quots[m]
             for r, c in enumerate(self._cs):
                 weight = c * roots[r][i - 1]
                 if not weight.is_zero():
                     yield quot[r][p].scale(weight), self._refl_tau[r]
-        return self._cached(("y", i), -1, images)
+        return self._cached(("y", i), lambda: self._assemble(-1, images))
 
     def _quotients(self, m: int):
         """Per positive root r, per degree-m monomial p: (x^e - s_r x^e)/a_r."""
-        got = self._quots.get(m)
-        if got is not None:
-            return got
         out = []
         for r in range(len(self.rs.positive_roots)):
             reflect = self._action(self.group.reflection_element_index(r))
@@ -660,14 +720,14 @@ class ModuleFamily:
                 per_mono.append(Polynomial.zero(self.n) if diff.is_zero()
                                 else divide_by_linear(diff, form))
             out.append(per_mono)
-        self._quots[m] = out
         return out
 
     def divided_difference_op(self, root_idx: int) -> GradedOperator:
         """f tensor u -> (f - s_a f)/a(x) tensor u, no tau factor."""
         def images(m, p, e):
-            yield self._quotients(m)[root_idx][p], self._tau_identity
-        return self._cached(("dd", root_idx), -1, images)
+            yield self._quots[m][root_idx][p], self._tau_identity
+        return self._cached(("dd", root_idx),
+                            lambda: self._assemble(-1, images))
 
     def w_op(self, w_index: int) -> GradedOperator:
         """pi(w) tensor tau(w) on every slice."""
@@ -675,16 +735,16 @@ class ModuleFamily:
 
         def images(m, p, e):
             yield action(Polynomial.monomial(self.n, e)), tau_cols
-        return self._cached(("w", w_index), 0, images)
+        return self._cached(("w", w_index), lambda: self._assemble(0, images))
 
     def reflection_op(self, root_idx: int) -> GradedOperator:
         return self.w_op(self.group.reflection_element_index(root_idx))
 
     def scalar_op(self, v) -> GradedOperator:
         v = as_scalar(v)
-        blocks = {m: Matrix.identity(self.dim(m)).scale(v)
-                  for m in range(self.max_degree + 1)}
-        return GradedOperator(self, 0, blocks)
+        return self._cached(("scalar", v), lambda: GradedOperator(
+            self, 0, range(self.max_degree + 1),
+            lambda m: Matrix.identity(self.dim(m)).scale(v)))
 
     def identity_op(self) -> GradedOperator:
         return self.scalar_op(ONE)
@@ -693,21 +753,14 @@ class ModuleFamily:
 
     def laplacian(self) -> GradedOperator:
         """Dunkl Laplacian sum_i y_i^2, shift -2, valid on all degrees."""
-        if self._lap is None:
-            acc = None
-            for i in range(1, self.n + 1):
-                sq = self.y_op(i) @ self.y_op(i)
-                acc = sq if acc is None else acc + sq
-            self._lap = acc
-        return self._lap
+        return self._cached("lap", lambda: graded_sum(
+            self.y_op(i) @ self.y_op(i) for i in range(1, self.n + 1)))
 
     def from_group_algebra(self, coeffs: dict) -> GradedOperator:
         """Operator of sum_w coeffs[w] . w for element indices w."""
-        acc = None
-        for w, v in sorted(coeffs.items()):
-            term = self.w_op(w).scale(v)
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else self.scalar_op(0)
+        return graded_sum((self.w_op(w).scale(v)
+                           for w, v in sorted(coeffs.items())),
+                          self.scalar_op(0))
 
 
 def _monomials(n: int, m: int):
@@ -729,25 +782,18 @@ def s_op(family: ModuleFamily, i: int, j: int) -> GradedOperator:
     Indices are 1-based.
     """
     rs = family.rs
-    acc = family.scalar_op(1 if i == j else 0)
-    for r, c in enumerate(family._cs):
-        if c.is_zero():
-            continue
-        w = c * rs.positive_roots[r][j - 1] * rs.coroots[r][i - 1]
-        if w.is_zero():
-            continue
-        acc = acc + family.reflection_op(r).scale(w)
-    return acc
+    weights = [(r, c * rs.positive_roots[r][j - 1] * rs.coroots[r][i - 1])
+               for r, c in enumerate(family._cs)]
+    return graded_sum([family.scalar_op(1 if i == j else 0)]
+                      + [family.reflection_op(r).scale(w)
+                         for r, w in weights if not w.is_zero()])
 
 
 def center_op(family: ModuleFamily) -> GradedOperator:
     """Matrix of the central sum of reflections sum_a c_a s_a."""
-    acc = family.scalar_op(0)
-    for r, c in enumerate(family._cs):
-        if c.is_zero():
-            continue
-        acc = acc + family.reflection_op(r).scale(c)
-    return acc
+    return graded_sum((family.reflection_op(r).scale(c)
+                       for r, c in enumerate(family._cs) if not c.is_zero()),
+                      family.scalar_op(0))
 
 
 def _is_operator_letter(tok: str) -> bool:
@@ -762,24 +808,17 @@ def operator_matrix(family: ModuleFamily, expr: str) -> GradedOperator:
     s<r> (reflection for positive root r, 0-based), w<k> (group element k),
     e (identity).  Example: 'x1 y1 - y1 x1 + 2 s0'.
     """
-    total = None
-    for coeff, letters in parse_terms(expr, _is_operator_letter):
+    letter = {"x": family.x_op, "y": family.y_op, "s": family.reflection_op,
+              "w": family.w_op}
+
+    def term(coeff, letters):
         op = family.identity_op()
         for tok in letters:
-            if tok == "e":
-                nxt = family.identity_op()
-            elif tok[0] == "x":
-                nxt = family.x_op(int(tok[1:]))
-            elif tok[0] == "y":
-                nxt = family.y_op(int(tok[1:]))
-            elif tok[0] == "s":
-                nxt = family.reflection_op(int(tok[1:]))
-            else:
-                nxt = family.w_op(int(tok[1:]))
-            op = op @ nxt
-        op = op.scale(coeff)
-        total = op if total is None else total + op
-    return total
+            op = op @ (family.identity_op() if tok == "e"
+                       else letter[tok[0]](int(tok[1:])))
+        return op.scale(coeff)
+    return graded_sum(term(coeff, letters) for coeff, letters
+                      in parse_terms(expr, _is_operator_letter))
 
 
 def rca_relation_check(family: ModuleFamily) -> dict:
@@ -801,10 +840,8 @@ def rca_relation_check(family: ModuleFamily) -> dict:
             _rec(records, f"[y{i},x{j}]",
                  family.y_op(i).commutator(family.x_op(j)),
                  s_op(family, j, i))
-    trace = None
-    for i in range(1, n + 1):
-        t = family.y_op(i).commutator(family.x_op(i))
-        trace = t if trace is None else trace + t
+    trace = graded_sum(family.y_op(i).commutator(family.x_op(i))
+                       for i in range(1, n + 1))
     _rec(records, "sum_i S_ii = n + 2Z",
          trace, family.scalar_op(n) + center_op(family).scale(2))
     failures = [{"relation": r["check_id"], **r["witness"]}
@@ -817,8 +854,9 @@ def rca_relation_check(family: ModuleFamily) -> dict:
 
 
 def harmonic_subspace(family: ModuleFamily, m: int) -> Matrix:
-    """Exact kernel basis of the Dunkl Laplacian on the degree-m slice."""
-    return kernel(family.laplacian().blocks[m])
+    """Exact kernel basis of the Dunkl Laplacian on the degree-m slice,
+    computed once per degree."""
+    return family._harmonics[m]
 
 
 def harmonic_dims(family: ModuleFamily):
@@ -841,32 +879,31 @@ def contravariant_form(family: ModuleFamily, m: int) -> Matrix:
     a time.  Equivalently G_m(x^a u, x^b v) pairs u against the degree-0
     component of the Dunkl word D^a applied to x^b v.
     """
-    if m > family.max_degree:
-        raise ValueError("degree beyond truncation")
-    while len(family._gram) <= m:
-        k = len(family._gram)
-        if k == 0:
-            family._gram.append(family.tau.form)
-            continue
-        td = family.tau.dim
-        prev = family._gram[k - 1]
-        pulled: dict = {}
-        rows = [{} for _ in range(family.dim(k))]
-        for p_idx, e in enumerate(family.monomials(k)):
-            pivot = next(i for i in range(family.n) if e[i] > 0)
-            pm = pulled.get(pivot)
-            if pm is None:
-                pm = (prev @ family.y_op(pivot + 1).blocks[k]).rows
-                pulled[pivot] = pm
-            e2 = e[:pivot] + (e[pivot] - 1,) + e[pivot + 1:]
-            for t in range(td):
-                row = family.basis_index(k, e, t)
-                rows[row] = pm[family.basis_index(k - 1, e2, t)]
-        mat = Matrix.from_row_dicts(len(rows), len(rows), rows)
-        if mat.dagger() != mat:
-            raise RuntimeError("contravariant form came out non-Hermitian")
-        family._gram.append(mat)
     return family._gram[m]
+
+
+def _gram_block(family: ModuleFamily, k: int) -> Matrix:
+    """G_k, read through the memo family._gram; see contravariant_form."""
+    if k == 0:
+        return family.tau.form
+    td = family.tau.dim
+    prev = family._gram[k - 1]
+    pulled: dict = {}
+    rows = [{} for _ in range(family.dim(k))]
+    for e in family.monomials(k):
+        pivot = next(i for i in range(family.n) if e[i] > 0)
+        pm = pulled.get(pivot)
+        if pm is None:
+            pm = (prev @ family.y_op(pivot + 1).blocks[k]).rows
+            pulled[pivot] = pm
+        e2 = e[:pivot] + (e[pivot] - 1,) + e[pivot + 1:]
+        for t in range(td):
+            row = family.basis_index(k, e, t)
+            rows[row] = pm[family.basis_index(k - 1, e2, t)]
+    mat = Matrix.from_row_dicts(len(rows), len(rows), rows)
+    if mat.dagger() != mat:
+        raise RuntimeError("contravariant form came out non-Hermitian")
+    return mat
 
 
 def adjointness_check(family: ModuleFamily) -> bool:

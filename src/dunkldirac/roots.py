@@ -440,8 +440,10 @@ def root_system(name_or_spec) -> RootSystem:
     if isinstance(name_or_spec, dict):
         roots = [[_parse_root_entry(x) for x in r]
                  for r in name_or_spec["roots"]]
-        n = len(roots[0])
-        return RootSystem(n, roots, name=name_or_spec.get("name", "custom"))
+        name = name_or_spec.get("name", "custom")
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a string, got {name!r}")
+        return RootSystem(len(roots[0]), roots, name=name)
     name = str(name_or_spec).strip()
     if name == "I2(4)":
         name = "B2"

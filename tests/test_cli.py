@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dunkldirac import cli
+from dunkldirac import cli, polyrep
 from dunkldirac.cli import (
     ConfigError,
     load_config,
@@ -267,10 +267,19 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
      "error: group: "),
     # a verify run that would check nothing
     ({"group": "S3", "suites": []}, "error: suites: "),
+    # every check would run on a zero-dimensional module
+    ({"group": "S3", "tau": {"matrices": {"0": [], "2": []}}},
+     "error: tau: "),
+    # names are copied into reports and tables, so they must be strings
+    ({"group": {"roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1]],
+                "name": ["x"]}}, "error: group: "),
+    ({"group": "S3", "tau": {"matrices": {"0": [["-1"]], "2": [["-1"]]},
+                             "name": 5}}, "error: tau: "),
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
         "coroot-norm-outside-field", "no-roots", "repeated-root",
         "opposite-root", "roots-not-closed", "not-a-positive-system",
-        "empty-suites"])
+        "empty-suites", "tau-zero-dimensional", "group-name-not-a-string",
+        "tau-name-not-a-string"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,
                                                  overrides, prefix):
     path = write_config(tmp_path, **overrides)
@@ -381,6 +390,23 @@ def test_table_builds_one_context_per_coupling(tmp_path, monkeypatch):
     assert built == ["1/2", "1/3"]
     assert all(r["status"] == "ok" for r in rows)
     assert rows[0] == rows[1]
+
+
+def test_table_computes_each_harmonic_basis_once(tmp_path, monkeypatch):
+    # two points on one slice: the row, the spectrum and the cohomology of
+    # each read the same Laplacian kernel
+    cfg = load_config(write_config(tmp_path, group="S3", c="1/3"))
+    kernels = []
+
+    def counting_kernel(mat):
+        kernels.append(mat.shape)
+        return real_kernel(mat)
+
+    real_kernel = polyrep.kernel
+    monkeypatch.setattr(polyrep, "kernel", counting_kernel)
+    rows = run_table(cfg, [{"m": 2, "C": "zero"}, {"m": 2, "C": "C2"}])
+    assert all(r["status"] == "ok" for r in rows)
+    assert len(kernels) == 1
 
 
 def test_table_failures_become_rows(tmp_path):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from dunkldirac import diracops
 from dunkldirac.angmom import report_passes
 from dunkldirac.clifford import CliffordElement
 from dunkldirac.cover import HatElement, build_C2, jm_symmetric_elements
@@ -559,6 +560,22 @@ def test_search_s3():
         assert sign == 1
         assert coh.exact
         assert coh.dim_h == 2 and coh.dim_ker == 2 and coh.dim_overlap == 0
+
+
+def test_search_falls_back_to_floats_when_the_split_fails(monkeypatch):
+    """Without the isotypic split the search ranks kernels by float
+    singular values on the one dirac0 block it reads, here of a fresh
+    context.  It returns a twist marked inexact, whose exact cohomology
+    then confirms the kernel."""
+    rs = root_system("S3")
+    d = build_context(rs, ParamFunction.from_config("1/6", rs), 4, "trivial")
+    c2 = build_C2(d.cover, d.family.param)
+    monkeypatch.setattr(diracops, "_isotypic_pieces", lambda *args: None)
+    scale, sign, coh = nonzero_cohomology_search(d, 1, c2, "C2")
+    assert scale == pytest.approx(72.0, rel=1e-9) and sign == 1
+    assert coh.exact is False and coh.dim_h == 2
+    exact = dirac_cohomology(build_dirac(d, c2.scale(rat(72))), 1)
+    assert exact.exact and exact.dim_h == 2
 
 
 def test_search_b2_leaves_the_rational_grid():

@@ -341,6 +341,137 @@ def test_graded_operator_window_semantics():
         assert "common" in str(e)
 
 
+# -- blocks built on first read -------------------------------------------------
+
+
+class EagerOp:
+    """Reference: the eager dict algebra, which builds every block when an
+    operator is formed and keeps a key only where the whole chain knows
+    it."""
+
+    def __init__(self, family, shift, blocks):
+        self.family, self.shift, self.blocks = family, shift, blocks
+
+    @classmethod
+    def of(cls, op):
+        return cls(op.family, op.shift, dict(op.blocks.items()))
+
+    def block(self, m):
+        if m >= 0:
+            return self.blocks.get(m)
+        t = m + self.shift
+        if t > self.family.max_degree:
+            return None
+        return Matrix(self.family.dim(t) if t >= 0 else 0, 0)
+
+    def __add__(self, other):
+        return EagerOp(self.family, self.shift,
+                       {m: self.blocks[m] + other.blocks[m]
+                        for m in self.blocks if m in other.blocks})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, s):
+        return EagerOp(self.family, self.shift,
+                       {m: b.scale(s) for m, b in self.blocks.items()})
+
+    def __matmul__(self, other):
+        out = {}
+        for m, b in other.blocks.items():
+            a = self.block(m + other.shift)
+            if a is not None:
+                out[m] = a @ b
+        return EagerOp(self.family, self.shift + other.shift, out)
+
+    def commutator(self, other):
+        return (self @ other) - (other @ self)
+
+    def kron(self, family, mat):
+        return EagerOp(family, self.shift,
+                       {m: b.kron(mat) for m, b in self.blocks.items()})
+
+
+def _expressions(x, y, w, lift, pair):
+    """Composites at the top of the window, through degrees below 0, and
+    on the spinor-tensored slices, built with either algebra."""
+    return {
+        "[x1, y2]": x(1).commutator(y(2)),
+        "[x1 x2, y1 y2]": (x(1) @ x(2)).commutator(y(1) @ y(2)),
+        "x1^4, clipped away": x(1) @ x(1) @ x(1) @ x(1),
+        "x1^4 y1, through degree -1": x(1) @ x(1) @ x(1) @ x(1) @ y(1),
+        "x1^5 y1, past the top": x(1) @ x(1) @ x(1) @ x(1) @ x(1) @ y(1),
+        "y1 y2 x1": y(1) @ y(2) @ x(1),
+        "x2 y1 y2": x(2) @ y(1) @ y(2),
+        "signed sum": (x(1) @ y(1)).scale(3) - (y(2) @ x(2)) + -w(1),
+        "lifted": (lift(y(1) @ x(2)) @ lift(x(1))
+                   - lift(w(2) @ x(2) @ y(2) @ x(1))),
+        "paired": pair(x(1), 1) @ pair(y(2), 2) + lift(x(2) @ y(1)),
+        "[paired, lifted]": pair(y(1) @ y(2), 1).commutator(lift(x(2))),
+    }
+
+
+@pytest.mark.parametrize("name, c", [("S3", "1/3"),
+                                     ("B2", {"long": "1/3", "short": "1/5"})])
+def test_lazy_blocks_match_the_eager_algebra(name, c):
+    from dunkldirac.clifford import CliffordElement
+    from dunkldirac.diracops import build_context
+    rs = root_system(name)
+    dctx = build_context(rs, params(rs, c), 3, "trivial")
+    fam, n = dctx.family, dctx.n
+
+    def gen(i):
+        return CliffordElement.generator(n, i)
+
+    lazy = _expressions(fam.x_op, fam.y_op, fam.w_op, dctx.lift,
+                        lambda op, i: dctx.pair(op, gen(i)))
+    eye = Matrix.identity(dctx.spin.dim)
+    ref = _expressions(
+        lambda i: EagerOp.of(fam.x_op(i)), lambda i: EagerOp.of(fam.y_op(i)),
+        lambda k: EagerOp.of(fam.w_op(k)),
+        lambda op: op.kron(dctx.module, eye),
+        lambda op, i: op.kron(dctx.module, dctx.spin.sigma(gen(i))))
+    assert not ref["x1^4, clipped away"].blocks
+    assert list(ref["x1^4 y1, through degree -1"].blocks) == [0]
+    assert not ref["x1^5 y1, past the top"].blocks
+    for key, op in lazy.items():
+        want = ref[key]
+        assert op.shift == want.shift, key
+        assert op.degrees() == sorted(want.blocks), key
+        assert all(op.blocks[m] == b for m, b in want.blocks.items()), key
+
+
+def test_reading_one_block_builds_no_other_degree():
+    from dunkldirac.diracops import build_context
+    rs = root_system("S3")
+    dctx = build_context(rs, params(rs, "1/6"), 4, "trivial")
+    casimir = dctx.casimir
+    casimir.blocks[1]
+    assert list(casimir.blocks._memo) == [1]
+    assert list(dctx.ama.omega.blocks._memo) == [1]
+    assert casimir.degrees() == [0, 1, 2, 3, 4]
+    # once every block exists the builder, and what it holds, is dropped
+    assert all(b.shape == (dctx.module.dim(m),) * 2
+               for m, b in casimir.blocks.items())
+    assert casimir.blocks.build is None
+
+
+def test_a_long_sum_reads_a_block_without_deep_recursion():
+    rs = root_system("S3")
+    fam = ModuleFamily(rs, params(rs, "1/3"), "trivial", max_degree=3)
+    order = fam.group.order
+    total = fam.w_op(0)
+    for k in range(1, 2000):
+        total = total + fam.w_op(k % order)
+    want = fam.w_op(0).blocks[2]
+    for k in range(1, 2000):
+        want = want + fam.w_op(k % order).blocks[2]
+    assert total.blocks[2] == want
+
+
 def test_euler_operator_at_c0():
     rs = root_system("A1")
     fam = ModuleFamily(rs, params(rs, 0), "trivial", max_degree=4)
