@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Matrix
+from .linalg import Matrix, signed_sum
 from .scalars import (Combination, ExactScalar, IUNIT, ONE, ZERO, as_scalar,
                       parse_terms)
 
@@ -278,10 +278,9 @@ class SpinorRep:
         """Matrix of a Clifford element."""
         if elem.n != self.n:
             raise ValueError("generator count mismatch")
-        out = Matrix(self.dim, self.dim)
-        for mask, v in elem.coeffs.items():
-            out = out + self._monomial_matrix(mask).scale(v)
-        return out
+        return signed_sum([(1, Matrix(self.dim, self.dim))] + [
+            (1, self._monomial_matrix(mask).scale(v))
+            for mask, v in elem.coeffs.items()])
 
     def _monomial_matrix(self, mask: int) -> Matrix:
         m = self._cache.get(mask)

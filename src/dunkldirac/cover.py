@@ -92,10 +92,6 @@ class PinCover:
     def has_g(self) -> bool:
         return self.g_index is not None
 
-    def extended_order(self) -> int:
-        """Order of the cover: 2|W|, doubled again by g when -1 is in W."""
-        return 2 * self.group.order * (2 if self.has_g() else 1)
-
     # -- product rules of the two algebras, for sparse_product --
 
     def plain_rule(self, i: int, j: int):

@@ -23,19 +23,21 @@ nonzero kernel cohomology.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 import math
 
 import numpy as np
 
 from .scalars import (SQRT2_FLOAT, ExactScalar, ZERO, ONE, HALF, SQRT2,
                       accumulate, as_scalar, rat, sqrt_in_real_subfield)
-from .linalg import Matrix, is_positive_definite, kernel, rank
+from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
+                     rank, signed_sum)
 from .clifford import CliffordElement, SpinorRep, vector_embed
 from .cover import (PinCover, GroupAlgebraElement, HatElement, is_admissible,
                     ztilde, build_C2, build_T, build_T_bullet, build_Z3)
-from .polyrep import (GradedOperator, ModuleFamily, _check_record,
-                      _first_difference, _rec, _witness, _zero, graded_sum,
-                      harmonic_subspace, contravariant_form)
+from .polyrep import (GradedOperator, ModuleFamily, _check_record, _rec,
+                      _witness, _zero, graded_sum, harmonic_subspace,
+                      contravariant_form)
 from .angmom import AmaContext
 
 
@@ -89,14 +91,16 @@ class DiracContext:
     def spin_sum(self, terms) -> GradedOperator:
         """sum op tensor sigma(elem) over the (op, elem) terms, in the order
         given, on the keys of the plain sum of the ops; the zero operator
-        when there are none.  Terms are tensored in this one builder, as an
-        operator per term would keep its blocks until the sum is built."""
+        when there are none.  A block is one exact sum of the tensored
+        blocks, each added as it is made, never all held at once."""
         terms = [(op, self.spin.sigma(elem)) for op, elem in terms]
         plain = graded_sum((op for op, _ in terms), self.family.scalar_op(0))
         dim, shift = self.module.dim, plain.shift
-        return GradedOperator(self.module, shift, plain.blocks, lambda m: sum(
-            (op.blocks[m].kron(mat) for op, mat in terms),
-            Matrix(dim(m + shift), dim(m))))
+        return GradedOperator(self.module, shift, plain.blocks, lambda m:
+                              signed_sum(chain(
+                                  [(1, Matrix(dim(m + shift), dim(m)))],
+                                  ((1, op.blocks[m].kron(mat))
+                                   for op, mat in terms))))
 
     @cached_property
     def identity(self) -> GradedOperator:
@@ -683,7 +687,7 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
     kb = coh.kernel_basis
     rsq = dop.rho_twist @ dop.rho_twist
     prod = (dctx.casimir - rsq + dctx.identity).blocks[m] @ kb
-    spot = _first_difference(prod, Matrix(prod.nrows, prod.ncols))
+    spot = first_nonzero([(1, prod)])
     records.append(_check_record(
         "casimir matches the transported twist square on ker", spot is None,
         None if spot is None else _witness(m, spot, prod.get(*spot), ZERO)))

@@ -20,6 +20,11 @@ value: the float64 arrays only ever carry integers proved below 2^53, and
 floats that round appear only in `to_complex`, which feeds reports and
 eigenvalue guesses.
 
+Every linear combination, a pairwise sum included, is one `signed_sum`:
+one lcm denominator, one numerator accumulated in int64 under a proved
+62-bit bound (see `_signed_numerator`) or else on `object` arrays, and
+one canonicalisation.
+
 Rank, kernel, leading minors and the Sylvester positivity test all run
 through one Gauss-Jordan elimination over the field, on the
 {column: ExactScalar} rows of `Matrix.rows`.  No denominator is cleared:
@@ -189,47 +194,32 @@ class Matrix:
 
     # -- algebra --
 
-    def _over(self, den: int) -> np.ndarray:
-        """num rescaled to the denominator den, a multiple of self.den: in
-        int64 only when every |entry| * factor < 2^(bits + bitlen(factor))
-        <= 2^62, so that the sum of two such arrays still fits."""
-        f = den // self.den
-        if f == 1:
-            return self.num
-        if self.bits + f.bit_length() <= 62:
-            return self.num * f
-        return self.num.astype(object) * f
-
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        den = lcm(self.den, other.den)
-        return Matrix._make(self._over(den) + other._over(den), den)
+        return signed_sum(((1, self), (1, other)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        den = lcm(self.den, other.den)
-        return Matrix._make(self._over(den) - other._over(den), den)
+        return signed_sum(((1, self), (-1, other)))
 
     def __neg__(self) -> "Matrix":
         return Matrix._build(-self.num, self.den, self.bits, self.comps)
 
     def add_to_diagonal(self, s) -> "Matrix":
         """self + s * I, for a square matrix."""
-        s = as_scalar(s)
-        den = lcm(self.den, s._den)
-        num = self._over(den).copy()
-        shift = [x * (den // s._den) for x in (s._p, s._q, s._r, s._s)]
-        if num.dtype != object and any(abs(x) >= _LIMIT for x in shift):
-            num = num.astype(object)
-        diag = np.arange(min(self.nrows, self.ncols))
-        num[:, diag, diag] += np.array(shift, dtype=num.dtype)[:, None]
-        return Matrix._make(num, den)
+        return self + Matrix.identity(self.nrows).scale(s)
 
     def scale(self, s) -> "Matrix":
+        """s * self: component c is the sum over nonzero components a of s
+        of s_a * _COEF[a][c] * num[a ^ c], one multiply for a rational s;
+        int64 under `_fits` with k = 1 and s's components as B's entries."""
         s = as_scalar(s)
-        return self.kron(Matrix._make(
-            np.array([s._p, s._q, s._r, s._s],
-                     dtype=object).reshape(4, 1, 1), s._den))
+        sc, num = (s._p, s._q, s._r, s._s), self.num
+        if self.bits + max(map(abs, sc)).bit_length() + 5 > 62:
+            num = num.astype(object)
+        parts = [np.array([sc[a] * c for c in _COEF[a].tolist()],
+                          dtype=num.dtype)[:, None, None] * num[_IDX[a]]
+                 for a in range(4) if sc[a]]
+        return (Matrix._make(sum(parts[1:], parts[0]), self.den * s._den)
+                if parts else Matrix(self.nrows, self.ncols))
 
     def _fits(self, other: "Matrix", k: int, limit: int = 62) -> bool:
         """True when every sum of k terms a * c * b, for entries a of self
@@ -330,10 +320,6 @@ class Matrix:
         expect = Matrix.identity(self.nrows).scale(s)
         return s if self == expect else None
 
-    def _check_same_shape(self, other):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-
     # -- conversions --
 
     def to_dense(self):
@@ -358,13 +344,68 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
+def _signed_numerator(terms):
+    """(num, den), num / den being the sum of sign * M over the (sign, M)
+    pairs of terms (signs +-1, one shape), read one at a time; num is not
+    canonical.  den is the lcm of the denominators read so far.
+
+    With k nonzero terms read, the sum runs in int64 while peak + bitlen(k)
+    <= 62, for peak = max_j(bits_j + bitlen(den / den_j)), and on `object`
+    arrays from the first term that breaks it (peak and k only grow).
+    Proof: a term's entries rescaled to den are below 2^bits_j * (den /
+    den_j) < 2^peak, so every partial sum, rescaled or not, is below
+    k * 2^peak < 2^(bitlen(k) + peak) <= 2^62.
+    """
+    num, den, peak, sizes = None, 1, 0, []
+    for sign, mat in terms:
+        if num is None:
+            num = np.zeros((4, *mat.shape), dtype=np.int64)
+        if mat.shape != num.shape[1:]:
+            raise ValueError(f"shape mismatch {num.shape[1:]} vs {mat.shape}")
+        if not mat.comps:
+            continue
+        top = lcm(den, mat.den)
+        if top != den:
+            peak = max((b + (top // d).bit_length() for b, d in sizes),
+                       default=0)
+        sizes.append((mat.bits, mat.den))
+        peak = max(peak, mat.bits + (top // mat.den).bit_length())
+        wide = peak + len(sizes).bit_length() > 62
+        term = mat.num.astype(object) if wide else mat.num
+        if top != mat.den:
+            term = term * (top // mat.den)
+        if wide:
+            num = num.astype(object, copy=False)
+        if top != den:
+            num *= top // den
+        (np.add if sign > 0 else np.subtract)(num, term, out=num)
+        den = top
+    if num is None:
+        raise ValueError("a sum needs at least one term")
+    return num, den
+
+
+def signed_sum(terms) -> Matrix:
+    """The exact sum of sign * M over the (sign, M) pairs of terms, put in
+    canonical form once (see `_signed_numerator`)."""
+    return Matrix._make(*_signed_numerator(terms))
+
+
+def first_nonzero(terms):
+    """(row, col) of the first nonzero entry, row-major, of the signed sum
+    of terms, or None when it is zero; the sum is never canonicalised."""
+    num = _signed_numerator(terms)[0]
+    spots = np.flatnonzero(num.any(axis=0))
+    return divmod(int(spots[0]), num.shape[2]) if spots.size else None
+
+
 def hstack(*mats: Matrix) -> Matrix:
-    """The concatenation [A | B | ...]."""
+    """The concatenation [A | B | ...], formed on `object` arrays."""
     if any(mm.nrows != mats[0].nrows for mm in mats):
         raise ValueError("row mismatch in concatenation")
     den = lcm(*(mm.den for mm in mats))
-    return Matrix._make(np.concatenate([mm._over(den) for mm in mats],
-                                       axis=2), den)
+    return Matrix._make(np.concatenate(
+        [mm.num.astype(object) * (den // mm.den) for mm in mats], axis=2), den)
 
 
 # -- elimination over the field ----------------------------------------------

@@ -10,9 +10,11 @@ share, so a composite that would need data above degree N loses those keys
 instead of producing wrong matrices.  The keys are fixed when an operator
 is formed, but a block is built only on its first read and then kept (a
 DegreeMemo): the operator algebra composes builders, so a check that reads
-one degree slice builds that slice alone.  The family keeps its own
-per-degree data (Dunkl quotients, contravariant forms, harmonic bases) in
-the same memo.
+one degree slice builds that slice alone.  A block of a sum is one
+`linalg.signed_sum`; a comparison first tests lhs - rhs, one signed sum of
+both sides' pending terms, for zero, building both blocks only to read a
+witness.  The family keeps its per-degree data (Dunkl quotients,
+contravariant forms, harmonic bases) in the same memo.
 
 Degrees below zero are genuinely zero dimensional rather than truncated:
 block(m) for m < 0 is a synthesized matrix with zero columns, which makes
@@ -29,11 +31,11 @@ is asserted zero).
 
 from collections.abc import Mapping
 from functools import lru_cache, partial
+from itertools import chain
 from math import comb
 
-import numpy as np
-
-from .linalg import Matrix, kernel
+from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
+                     signed_sum)
 from .scalars import (ONE, ZERO, Combination, accumulate, as_scalar,
                       parse_terms, rat)
 
@@ -306,6 +308,8 @@ class TauRep:
         self.form = form if form is not None else Matrix.identity(dim)
         if self.form.dagger() != self.form:
             raise ValueError("tau form is not Hermitian")
+        if form is not None and not is_positive_definite(form):
+            raise ValueError("form is not positive definite")
 
     def mat(self, w_index: int) -> Matrix:
         return self.mats[w_index]
@@ -402,6 +406,10 @@ class DegreeMemo(Mapping):
                 self.build = None
         return got
 
+    def peek(self, m):
+        """For a key m, the value if built, else the builder that makes it."""
+        return self._memo.get(m, self.build)
+
     def __contains__(self, m) -> bool:
         return m in self._keys
 
@@ -493,9 +501,10 @@ class GradedOperator:
         if not common:
             raise ValueError("no common valid degrees to compare")
         for m in common:
-            a, b = self.blocks[m], other.blocks[m]
-            spot = _first_difference(a, b)
+            spot = first_nonzero(chain(_terms(self, m, 1),
+                                       _terms(other, m, -1)))
             if spot is not None:
+                a, b = self.blocks[m], other.blocks[m]
                 return (m, spot, a.get(*spot), b.get(*spot))
         return None
 
@@ -506,16 +515,18 @@ class GradedOperator:
 
 
 class _Sum(list):
-    """Block builder of the sum of its (sign, op) terms.  Exact sums are
-    free of order, so a positive term is put first when there is one, and
-    a negation is built only when every sign is negative."""
+    """Block builder of the sum of its (sign, op) terms."""
 
     def __call__(self, m: int) -> Matrix:
-        (sign, op), *rest = self
-        acc = op.blocks[m]
-        for s, o in rest:
-            acc = acc + o.blocks[m] if s == sign else acc - o.blocks[m]
-        return acc if sign > 0 else -acc
+        return signed_sum((s, op.blocks[m]) for s, op in self)
+
+
+def _terms(op: GradedOperator, m: int, sign: int):
+    """sign * block m of op as signed blocks; a pending sum stays unbuilt."""
+    pending = op.blocks.peek(m)
+    if isinstance(pending, _Sum):
+        return ((sign * s, o.blocks[m]) for s, o in pending)
+    return [(sign, op.blocks[m])]
 
 
 def _signed_sum(terms) -> GradedOperator:
@@ -531,8 +542,6 @@ def _signed_sum(terms) -> GradedOperator:
             flat += build if sign > 0 else [(-s, o) for s, o in build]
         else:
             flat.append((sign, op))
-    if flat[0][0] < 0:
-        flat.sort(key=lambda t: -t[0])
     keys = sorted(set(lead.blocks).intersection(*(o.blocks for _, o in terms)))
     return GradedOperator(lead.family, lead.shift, keys, flat)
 
@@ -548,15 +557,6 @@ def _zero(op: GradedOperator) -> GradedOperator:
     fam, shift = op.family, op.shift
     return GradedOperator(fam, shift, op.blocks,
                           lambda m: Matrix(fam.dim(m + shift), fam.dim(m)))
-
-
-def _first_difference(a: Matrix, b: Matrix):
-    """(row, col) of the first entry, in row-major order, where a and b
-    differ; None when they are equal."""
-    if a == b:
-        return None
-    spot = int(np.flatnonzero((a - b).num.any(axis=0))[0])
-    return divmod(spot, a.ncols)
 
 
 def _check_record(check_id: str, ok: bool, witness=None,

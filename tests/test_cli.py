@@ -275,11 +275,18 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
                 "name": ["x"]}}, "error: group: "),
     ({"group": "S3", "tau": {"matrices": {"0": [["-1"]], "2": [["-1"]]},
                              "name": 5}}, "error: tau: "),
+    # the degree-0 Gram matrix is the form itself: it must be positive
+    ({"group": "S3", "c": "1/3", "max_degree": 3,
+      "tau": {"matrices": {"0": [[-1]], "2": [[-1]]}, "form": [[0]]}},
+     "error: tau: form is not positive definite\n"),
+    ({"group": "S3", "c": "1/3", "max_degree": 3,
+      "tau": {"matrices": {"0": [[-1]], "2": [[-1]]}, "form": [[-1]]}},
+     "error: tau: form is not positive definite\n"),
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
         "coroot-norm-outside-field", "no-roots", "repeated-root",
         "opposite-root", "roots-not-closed", "not-a-positive-system",
         "empty-suites", "tau-zero-dimensional", "group-name-not-a-string",
-        "tau-name-not-a-string"])
+        "tau-name-not-a-string", "tau-form-zero", "tau-form-negative"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,
                                                  overrides, prefix):
     path = write_config(tmp_path, **overrides)

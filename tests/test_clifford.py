@@ -217,6 +217,19 @@ def test_spinor_rep_is_multiplicative_and_star_compatible():
             assert rep.sigma(ev).dagger() == rep.sigma(ev.star())
 
 
+def test_spinor_image_is_one_sum_of_scaled_monomials():
+    rng = random.Random(4242)
+    for n in (2, 3, 4):
+        rep = SpinorRep(n)
+        assert rep.sigma(CliffordElement(n)) == Matrix(rep.dim, rep.dim)
+        for _ in range(5):
+            a = random_element(n, rng)
+            chained = Matrix(rep.dim, rep.dim)
+            for mask, v in a.coeffs.items():
+                chained = chained + rep._monomial_matrix(mask).scale(v)
+            assert rep.sigma(a) == chained
+
+
 def test_spinor_rep_odd_n_last_generator():
     # for n = 2k+1 the adjoined generator is i^k c_1 ... c_2k
     for n in (3, 5):

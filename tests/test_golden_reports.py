@@ -88,3 +88,34 @@ S4_TABLE_DIGEST = \
 def test_table_digest_s4_kernels(tmp_path):
     assert table_digest(tmp_path, S4_TABLE_CONFIG, S4_TABLE_SWEEP) \
         == S4_TABLE_DIGEST
+
+
+def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
+    """All suites on S4 at degree 3, c = 1/3: the report keeps its digest,
+    the products are as many as before, and a block-level sum is brought
+    to canonical form once rather than once per term."""
+    from dunkldirac import linalg
+    calls = {"make": 0, "matmul": 0}
+    make, matmul = linalg.Matrix._make, linalg.Matrix.__matmul__
+
+    def count_make(num, den):
+        calls["make"] += 1
+        return make(num, den)
+
+    def count_matmul(a, b):
+        calls["matmul"] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(linalg.Matrix, "_make", staticmethod(count_make))
+    monkeypatch.setattr(linalg.Matrix, "__matmul__", count_matmul)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"group": "S4", "c": "1/3", "max_degree": 3,
+                                "tau": "trivial", "suites": "all"}),
+                    encoding="utf-8")
+    report, code = cli.run_verify(cli.load_config(str(path)))
+    assert code == 0
+    assert hashlib.sha256(cli._report_bytes(report)).hexdigest() == \
+        "68a97dbd3a237d7ce2c3dc3d7ca638452a3bf037bf780e9cc084c809cec14142"
+    assert calls["matmul"] == 2965
+    # 18,427 when every pairwise sum was canonicalised on its own
+    assert calls["make"] < 7000

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import sympy
 
-from dunkldirac.linalg import (Matrix, column_space_rank, intersection_dim,
+from dunkldirac.linalg import (Matrix, _signed_numerator, column_space_rank,
+                               first_nonzero, intersection_dim,
                                is_positive_definite, kernel,
-                               leading_principal_minors, rank)
-from dunkldirac.scalars import ExactScalar, ONE, SQRT2, rat
+                               leading_principal_minors, rank, signed_sum)
+from dunkldirac.scalars import ExactScalar, ONE, SQRT2, ZERO, rat
 
 
 def random_matrix(rng, nrows, ncols, density=0.6):
@@ -426,3 +427,120 @@ def test_product_above_the_bound_where_float_rounds_stays_exact(gemm_paths):
     assert int(prod.num[0, 0, 0]) == exact
     assert prod == through_the_object_path(a, b)
     assert sympy_equal(prod, to_sympy_matrix(a) * to_sympy_matrix(b))
+
+
+# -- the one sum kernel ------------------------------------------------------
+
+
+def test_signed_sum_matches_a_pairwise_fold_and_sympy():
+    # all four components, denominators 1..6 mixed within and across terms
+    rng = random.Random(1414)
+    for _ in range(8):
+        r, c = rng.randint(1, 3), rng.randint(1, 3)
+        terms = [(rng.choice((1, -1)), random_q_matrix(rng, r, c))
+                 for _ in range(rng.randint(1, 5))]
+        got = signed_sum(terms)
+        assert_canonical(got)
+        fold = terms[0][1] if terms[0][0] > 0 else -terms[0][1]
+        for sign, m in terms[1:]:
+            fold = fold + m if sign > 0 else fold - m
+        assert got == fold
+        want = sum((to_sympy_matrix(m) * sign for sign, m in terms),
+                   sympy.zeros(r, c))
+        assert sympy_equal(got, want)
+
+
+def peaked(bits: int, den: int, sign: int = 1) -> Matrix:
+    """A 1x2 matrix over den whose numerator has bit length exactly bits
+    and is prime to den."""
+    top = 2 ** bits - 1
+    while math.gcd(top, den) != 1:
+        top -= 2
+    num = np.zeros((4, 1, 2), dtype=np.int64)
+    num[0, 0] = [sign * top, 1]
+    num[3, 0, 1] = -top
+    m = Matrix._make(num, den)
+    assert (m.bits, m.den) == (bits, den)
+    return m
+
+
+def python_sum(terms):
+    """The exact sum, term by term on Python ints: (numerator lists, den)."""
+    den = math.lcm(*(m.den for _, m in terms))
+    rows, cols = terms[0][1].shape
+    num = [[[0] * cols for _ in range(rows)] for _ in range(4)]
+    for sign, m in terms:
+        f = sign * (den // m.den)
+        for c in range(4):
+            for i in range(m.nrows):
+                for j in range(m.ncols):
+                    num[c][i][j] += f * int(m.num[c, i, j])
+    return num, den
+
+
+@pytest.mark.parametrize("top_bits, dtype", [(58, np.int64), (59, object)])
+def test_signed_sum_takes_int64_exactly_up_to_the_62_bit_bound(top_bits,
+                                                                dtype):
+    # lcm den 3: the top_bits term over den 1 is rescaled by 3 (bitlen 2)
+    # and the (top_bits + 1)-bit term over den 3 by 1 (bitlen 1), so the
+    # peak is top_bits + 2; three terms add bitlen(3) = 2.  58 gives 62,
+    # at the bound; 59 gives 63, past it.
+    terms = [(1, peaked(top_bits, 1)), (1, peaked(top_bits + 1, 3)),
+             (-1, peaked(50, 3, -1))]
+    num, den = _signed_numerator(terms)
+    assert num.dtype == dtype and den == 3
+    want, den = python_sum(terms)
+    assert num.tolist() == want
+    got = signed_sum(terms)
+    assert_canonical(got)
+    assert got == Matrix._make(np.array(want, dtype=object), den)
+
+
+def test_signed_sum_of_a_cancelling_combination_is_the_canonical_zero():
+    rng = random.Random(99)
+    a = random_q_matrix(rng, 2, 3)
+    b = random_q_matrix(rng, 2, 3, big=70)
+    zero = signed_sum([(1, a), (1, b), (-1, a), (-1, b), (1, Matrix(2, 3))])
+    assert zero == Matrix(2, 3) and zero.den == 1 and zero.is_zero()
+    assert zero.num.dtype == np.int64 and zero.bits == 0
+    assert first_nonzero([(1, a), (1, b), (-1, b), (-1, a)]) is None
+    assert signed_sum([(-1, Matrix(2, 3))]) == Matrix(2, 3)
+    # the first nonzero entry, row-major, of the difference
+    c = a + Matrix.from_row_dicts(2, 3, [{}, {1: rat("1/9")}])
+    assert first_nonzero([(1, c), (-1, a)]) == (1, 1)
+
+
+def test_signed_sum_rejects_a_shape_mismatch_and_an_empty_sum():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        signed_sum([(1, Matrix(2, 3)), (1, Matrix(3, 2))])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix.identity(2) + Matrix.identity(3)
+    with pytest.raises(ValueError):
+        signed_sum([])
+
+
+def scale_through_kron(m: Matrix, s) -> Matrix:
+    """s * m as a Kronecker product with a 1x1 matrix, the reference."""
+    s = rat(s) if not isinstance(s, ExactScalar) else s
+    return m.kron(Matrix._make(np.array([s._p, s._q, s._r, s._s],
+                                        dtype=object).reshape(4, 1, 1),
+                               s._den))
+
+
+def test_scale_matches_the_kron_form_and_sympy():
+    rng = random.Random(2718)
+    scalars = [ExactScalar(0), ExactScalar(Fraction(-3, 4)),
+               ExactScalar(0, Fraction(5, 3)), ExactScalar(0, 0, 1),
+               ExactScalar(0, 0, 0, Fraction(-7, 2)),
+               ExactScalar(*(Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+                             for _ in range(4))),
+               ExactScalar(Fraction(2 ** 70, 3), 0, -1, 2 ** 65)]
+    for big in (0, 70):
+        a = random_q_matrix(rng, 3, 2, big=big)
+        for s in scalars:
+            got = a.scale(s)
+            assert_canonical(got)
+            assert got == scale_through_kron(a, s)
+            assert sympy_equal(got, to_sympy_matrix(a) * to_sympy(s))
+    assert Matrix(2, 2).scale(SQRT2) == Matrix(2, 2)
+    assert Matrix.identity(2).scale(ZERO) == Matrix(2, 2)

@@ -8,6 +8,7 @@ values; harmonic dimensions against the classical binomial formula.
 
 import random
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -15,6 +16,7 @@ from dunkldirac.linalg import Matrix, is_positive_definite
 from dunkldirac.polyrep import (
     GradedOperator,
     ModuleFamily,
+    _rec,
     Polynomial,
     act,
     adjointness_check,
@@ -525,6 +527,70 @@ def test_rca_negative_control():
     assert not comm.matches(s_op(fam, 2, 1))
     bad = comm.first_mismatch(s_op(fam, 2, 1))
     assert bad is not None and bad[0] == 0
+
+
+def block_by_block_mismatch(lhs, rhs):
+    """The comparison as it was before sums were tested in one pass: build
+    both blocks of each common degree and diff them."""
+    for m in [m for m in lhs.blocks if m in rhs.blocks]:
+        a, b = lhs.blocks[m], rhs.blocks[m]
+        if a != b:
+            spot = divmod(int(np.flatnonzero((a - b).num.any(axis=0))[0]),
+                          a.ncols)
+            return (m, spot, a.get(*spot), b.get(*spot))
+    return None
+
+
+def test_first_mismatch_matches_the_block_by_block_compare():
+    rs = root_system("S3")
+    fam = ModuleFamily(rs, params(rs, "1/2"), "trivial", max_degree=3)
+    x, y = fam.x_op, fam.y_op
+    # a corrupted S_12, as in the angular momentum negative control
+    bad_s = s_op(fam, 1, 2) + fam.identity_op().scale(rat("1/7"))
+
+    def pairs():
+        return [
+            (bad_s, s_op(fam, 2, 1)),
+            (y(1).commutator(x(2)), bad_s),
+            (y(1) @ x(2) - x(2) @ y(1) + bad_s, s_op(fam, 1, 2).scale(2)),
+            # x1 y1 vanishes on degree 0 only, so the witness sits higher
+            (x(1) @ y(1), fam.scalar_op(0)),
+            (y(2).commutator(x(2)), s_op(fam, 2, 2)),
+        ]
+
+    got = [lhs.first_mismatch(rhs) for lhs, rhs in pairs()]
+    want = [block_by_block_mismatch(lhs, rhs) for lhs, rhs in pairs()]
+    assert got == want
+    assert [g[0] for g in got[:4]] == [0, 0, 0, 1] and got[4] is None
+
+
+def test_a_passing_comparison_of_pending_sums_builds_neither_side():
+    rs = root_system("S3")
+    fam = ModuleFamily(rs, params(rs, "1/3"), "trivial", max_degree=3)
+    lhs = fam.y_op(2).commutator(fam.x_op(1))
+    rhs = s_op(fam, 2, 1) + fam.scalar_op(0)
+    records = []
+    _rec(records, "[y2, x1] = S21", lhs, rhs)
+    assert records[0]["status"] == "pass"
+    assert not lhs.blocks._memo and not rhs.blocks._memo
+    # the operands of both sums are built as a block read would build them
+    assert sorted(fam.y_op(2).blocks._memo) == [0, 1, 2, 3]
+    # a failing one reads both blocks of the first differing degree only
+    _rec(records, "[y2, x1] = -S21", lhs, -rhs)
+    assert records[1]["witness"]["degree"] == 0
+    assert list(lhs.blocks._memo) == [0] == list(rhs.blocks._memo)
+
+
+def test_a_comparison_without_common_degrees_raises():
+    rs = root_system("S3")
+    fam = ModuleFamily(rs, params(rs, "1/3"), "trivial", max_degree=3)
+    x1 = fam.x_op(1)
+    clipped = x1 @ x1 @ x1 @ x1
+    assert not clipped.blocks
+    with pytest.raises(ValueError, match="no common valid degrees"):
+        clipped.first_mismatch(clipped)
+    with pytest.raises(ValueError, match="no common valid degrees"):
+        (clipped + clipped).matches(clipped - clipped)
 
 
 def test_s_matrix_symmetry_and_center():
