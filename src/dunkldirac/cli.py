@@ -42,7 +42,7 @@ from .linalg import Matrix
 from .polyrep import (_check_record, builtin_rep, custom_rep,
                       harmonic_subspace, rca_relation_check)
 from .roots import ParamFunction, root_system
-from .scalars import rat
+from .scalars import ONE, rat
 
 SUITES = ("rca", "ama", "clifford", "pincover", "dirac", "scasimir",
           "vogan", "cohomology")
@@ -278,23 +278,14 @@ def _suite_clifford(dctx, cfg) -> list:
     out = [_check_record("generator anticommutation relations",
                          anticommutator_check(n))]
     sig = dctx.spin
-    herm = all(sig.sigma(CliffordElement.generator(n, i)).dagger()
-               == sig.sigma(CliffordElement.generator(n, i))
-               for i in range(1, n + 1))
+    # each blade monomial c_S and its image, made once for both checks
+    blades = [CliffordElement(n, {mask: ONE}) for mask in range(1 << n)]
+    images = [sig.sigma(x) for x in blades]
+    herm = all(images[1 << i].dagger() == images[1 << i] for i in range(n))
     out.append(_check_record("spinor images of the generators are Hermitian",
                              herm))
-    import itertools
-    masks = []
-    for k in range(n + 1):
-        masks += [tuple(c) for c in itertools.combinations(range(1, n + 1),
-                                                           k)]
-    mult = True
-    for a in masks:
-        xa = CliffordElement.monomial(n, a)
-        for b in masks:
-            xb = CliffordElement.monomial(n, b)
-            if sig.sigma(xa * xb) != sig.sigma(xa) @ sig.sigma(xb):
-                mult = False
+    mult = all(sig.sigma(xa * xb) == images[a] @ images[b]
+               for a, xa in enumerate(blades) for b, xb in enumerate(blades))
     out.append(_check_record("spinor representation respects every "
                              "monomial product", mult))
     return out

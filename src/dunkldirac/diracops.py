@@ -23,7 +23,6 @@ nonzero kernel cohomology.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 import math
 
 import numpy as np
@@ -31,13 +30,13 @@ import numpy as np
 from .scalars import (SQRT2_FLOAT, ExactScalar, ZERO, ONE, HALF, SQRT2,
                       accumulate, as_scalar, rat, sqrt_in_real_subfield)
 from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
-                     rank, signed_sum)
+                     rank)
 from .clifford import CliffordElement, SpinorRep, vector_embed
 from .cover import (PinCover, GroupAlgebraElement, HatElement, is_admissible,
                     ztilde, build_C2, build_T, build_T_bullet, build_Z3)
 from .polyrep import (GradedOperator, ModuleFamily, _check_record, _rec,
                       _witness, _zero, graded_sum, harmonic_subspace,
-                      contravariant_form)
+                      contravariant_form, kron_sum)
 from .angmom import AmaContext
 
 
@@ -91,16 +90,12 @@ class DiracContext:
     def spin_sum(self, terms) -> GradedOperator:
         """sum op tensor sigma(elem) over the (op, elem) terms, in the order
         given, on the keys of the plain sum of the ops; the zero operator
-        when there are none.  A block is one exact sum of the tensored
-        blocks, each added as it is made, never all held at once."""
+        when there are none.  It is `polyrep.kron_sum`, the builder that
+        tensors tau onto C[x], applied to the sigma images."""
         terms = [(op, self.spin.sigma(elem)) for op, elem in terms]
         plain = graded_sum((op for op, _ in terms), self.family.scalar_op(0))
-        dim, shift = self.module.dim, plain.shift
-        return GradedOperator(self.module, shift, plain.blocks, lambda m:
-                              signed_sum(chain(
-                                  [(1, Matrix(dim(m + shift), dim(m)))],
-                                  ((1, op.blocks[m].kron(mat))
-                                   for op, mat in terms))))
+        return kron_sum(self.module, plain.shift, plain.blocks,
+                        [(op.block, mat) for op, mat in terms])
 
     @cached_property
     def identity(self) -> GradedOperator:

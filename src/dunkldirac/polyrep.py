@@ -1,8 +1,10 @@
 """Standard modules for the rational Cherednik algebra as graded matrices.
 
-A ModuleFamily packages C[x_1..x_n] tensor tau, truncated at a top degree N,
-together with the operators acting on it: multiplication x_i (degree +1),
-Dunkl operators y_i (degree -1), and the group action (degree 0).  Each
+A ModuleFamily packages the module C[x_1..x_n] tensor tau, truncated at a
+top degree N, together with the operators acting on it: multiplication x_i
+(degree +1), Dunkl operators y_i (degree -1), and the group action (degree
+0).  Each atomic block is a `kron_sum` of C[x] blocks with tau matrices, the
+one builder that also attaches the spinors in diracops.  Each
 operator is a GradedOperator: one exact matrix per source degree, with a
 block present only where both source and target degrees sit inside the
 truncation window.  Identity checks quantify over the block keys both sides
@@ -13,8 +15,8 @@ DegreeMemo): the operator algebra composes builders, so a check that reads
 one degree slice builds that slice alone.  A block of a sum is one
 `linalg.signed_sum`; a comparison first tests lhs - rhs, one signed sum of
 both sides' pending terms, for zero, building both blocks only to read a
-witness.  The family keeps its per-degree data (Dunkl quotients,
-contravariant forms, harmonic bases) in the same memo.
+witness.  The family keeps its per-degree data (the divided-difference
+blocks, contravariant forms, harmonic bases) in the same memo.
 
 Degrees below zero are genuinely zero dimensional rather than truncated:
 block(m) for m < 0 is a synthesized matrix with zero columns, which makes
@@ -36,8 +38,7 @@ from math import comb
 
 from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
                      signed_sum)
-from .scalars import (ONE, ZERO, Combination, accumulate, as_scalar,
-                      parse_terms, rat)
+from .scalars import ONE, ZERO, Combination, as_scalar, parse_terms, rat
 
 
 def _add_exponents(e1, e2):
@@ -552,6 +553,24 @@ def graded_sum(ops, empty=None):
     return _signed_sum(terms) if terms else empty
 
 
+def kron_sum(family, shift: int, keys, terms) -> GradedOperator:
+    """The operator on family, of the given shift and keys, whose block m
+    is the sum of block(m).kron(mat) over the (block, mat) terms, block
+    being a function of the source degree.  A block is one exact
+    `signed_sum`, each Kronecker block added as it is made; a one-term
+    block is its Kronecker block, and no terms give zero blocks."""
+    terms = list(terms)
+
+    def build(m):
+        if len(terms) == 1:
+            block, mat = terms[0]
+            return block(m).kron(mat)
+        return signed_sum(chain(
+            [(1, Matrix(family.dim(m + shift), family.dim(m)))],
+            ((1, block(m).kron(mat)) for block, mat in terms)))
+    return GradedOperator(family, shift, keys, build)
+
+
 def _zero(op: GradedOperator) -> GradedOperator:
     """The zero operator on the blocks of op."""
     fam, shift = op.family, op.shift
@@ -588,7 +607,15 @@ def _rec(records: list, check_id: str, lhs: GradedOperator,
 
 
 class ModuleFamily:
-    """Truncated standard module M_c(tau) with cached operator matrices."""
+    """Truncated standard module M_c(tau) = C[x] tensor tau with cached
+    operator matrices.
+
+    Each atomic operator is a `kron_sum` of C[x]-only blocks with tau
+    matrices: x_i = X_i (x) 1, y_i = d_i (x) 1 + sum_a c_a <a, e_i> D_a (x)
+    tau(s_a), w = pi(w) (x) tau(w) and the divided difference D_a (x) 1.
+    Only the D_a blocks, shared by every y_i, are kept per root and
+    degree; the others are made inside the tensored block's builder.
+    """
 
     def __init__(self, rs, param, tau, max_degree: int = 6):
         if max_degree < 1:
@@ -611,18 +638,13 @@ class ModuleFamily:
         self._action = lru_cache(maxsize=None)(
             lambda w: group_action(self.group.matrices[w], self.n))
         degrees = range(max_degree + 1)
-        self._quots = DegreeMemo(degrees, self._quotients)
+        self._divided = [DegreeMemo(degrees, partial(self._divided_block, r))
+                         for r in range(len(rs.positive_roots))]
         self._gram = DegreeMemo(degrees, partial(_gram_block, self))
         self._harmonics = DegreeMemo(
             degrees, lambda m: kernel(self.laplacian().blocks[m]))
-        self._root_forms = [root_form(rs, r)
-                            for r in range(len(rs.positive_roots))]
         self._cs = param.per_root(rs)
-        td = self.tau.dim
-        self._tau_identity = [[(t, ONE)] for t in range(td)]
-        self._refl_tau = [
-            self._tau_columns(self.group.reflection_element_index(r))
-            for r in range(len(rs.positive_roots))]
+        self._tau_one = Matrix.identity(self.tau.dim)
 
     # -- bases ---------------------------------------------------------------
 
@@ -642,41 +664,34 @@ class ModuleFamily:
     def basis_labels(self, m: int):
         return [(e, t) for e in self._monos[m] for t in range(self.tau.dim)]
 
-    def _tau_columns(self, w_index: int):
-        """Per tau column t, the (row, scalar) pairs of tau(w)'s column t."""
-        rows = self.tau.mat(w_index).rows
-        return [[(k, row[t]) for k, row in enumerate(rows) if t in row]
-                for t in range(self.tau.dim)]
+    def _images(self, m: int, shift: int, image) -> Matrix:
+        """The C[x] block from degree m to m + shift whose column p is
+        image(x^e), x^e the p-th degree-m monomial; a target below degree
+        0 gives a 0-row block."""
+        target, ncols = m + shift, len(self._monos[m])
+        if target < 0:
+            return Matrix(0, ncols)
+        pos = self._mono_pos[target]
+        rows = [{} for _ in pos]
+        for p, e in enumerate(self._monos[m]):
+            for f, v in image(Polynomial.monomial(self.n, e)).coeffs.items():
+                rows[pos[f]][p] = v
+        return Matrix.from_row_dicts(len(rows), ncols, rows)
 
-    def _assemble(self, shift: int, images) -> GradedOperator:
-        """The operator of the given degree shift whose column for
-        x^e (x) u_t is the sum of poly (x) (tau column t) over the
-        (poly, tau columns) pairs that images(m, p, e) yields, where p is
-        the position of x^e among the degree-m monomials.
+    def _divided_block(self, r: int, m: int) -> Matrix:
+        """D_r on degree m, f -> (f - s_r f)/a_r(x), read through the memo
+        self._divided[r]."""
+        reflect = self._action(self.group.reflection_element_index(r))
+        form = root_form(self.rs, r)
+        return self._images(m, -1, lambda f: divide_by_linear(f - reflect(f),
+                                                              form))
 
-        Blocks run over the source degrees m with m + shift <= N; a target
-        below degree 0 gives an empty 0-row block.
-        """
-        td = self.tau.dim
-
-        def build(m):
-            target = m + shift
-            nrows = self.dim(target)
-            rows = [{} for _ in range(nrows)]
-            if target >= 0:
-                pos = self._mono_pos[target]
-                for p, e in enumerate(self._monos[m]):
-                    for poly, tau_cols in images(m, p, e):
-                        for t in range(td):
-                            col = p * td + t
-                            for f, v in poly.coeffs.items():
-                                base = pos[f] * td
-                                for k, tv in tau_cols[t]:
-                                    accumulate(rows[base + k], col, v * tv)
-            return Matrix.from_row_dicts(nrows, self.dim(m), rows)
-        return GradedOperator(self, shift,
-                              range(min(self.max_degree - shift,
-                                        self.max_degree) + 1), build)
+    def _tensored(self, key, shift: int, terms) -> GradedOperator:
+        """The cached kron_sum of the (C[x] block, tau matrix) pairs that
+        terms() gives, on the source degrees m with m + shift <= N."""
+        return self._cached(key, lambda: kron_sum(
+            self, shift, range(min(self.max_degree - shift,
+                                   self.max_degree) + 1), terms()))
 
     def _cached(self, key, make) -> GradedOperator:
         op = self._ops.get(key)
@@ -687,55 +702,38 @@ class ModuleFamily:
     # -- atomic operators ------------------------------------------------------
 
     def x_op(self, i: int) -> GradedOperator:
-        """Multiplication by x_i, 1-based."""
-        def images(m, p, e):
-            shifted = e[:i - 1] + (e[i - 1] + 1,) + e[i:]
-            yield Polynomial.monomial(self.n, shifted), self._tau_identity
-        return self._cached(("x", i), lambda: self._assemble(1, images))
+        """Multiplication by x_i, 1-based: X_i tensor 1."""
+        xi = Polynomial.variable(self.n, i)
+        return self._tensored(("x", i), 1, lambda: [
+            (lambda m: self._images(m, 1, xi.__mul__), self._tau_one)])
 
     def y_op(self, i: int) -> GradedOperator:
-        """Dunkl operator along e_i, 1-based."""
-        roots = self.rs.positive_roots
-
-        def images(m, p, e):
-            yield (Polynomial.monomial(self.n, e).derivative(i),
-                   self._tau_identity)
-            quot = self._quots[m]
+        """Dunkl operator along e_i, 1-based: d_i tensor 1 plus, per root
+        a, D_a tensor c_a <a, e_i> tau(s_a)."""
+        def terms():
+            out = [(lambda m: self._images(m, -1, lambda f: f.derivative(i)),
+                    self._tau_one)]
             for r, c in enumerate(self._cs):
-                weight = c * roots[r][i - 1]
+                weight = c * self.rs.positive_roots[r][i - 1]
                 if not weight.is_zero():
-                    yield quot[r][p].scale(weight), self._refl_tau[r]
-        return self._cached(("y", i), lambda: self._assemble(-1, images))
-
-    def _quotients(self, m: int):
-        """Per positive root r, per degree-m monomial p: (x^e - s_r x^e)/a_r."""
-        out = []
-        for r in range(len(self.rs.positive_roots)):
-            reflect = self._action(self.group.reflection_element_index(r))
-            form = self._root_forms[r]
-            per_mono = []
-            for e in self._monos[m]:
-                mono = Polynomial.monomial(self.n, e)
-                diff = mono - reflect(mono)
-                per_mono.append(Polynomial.zero(self.n) if diff.is_zero()
-                                else divide_by_linear(diff, form))
-            out.append(per_mono)
-        return out
+                    s_r = self.group.reflection_element_index(r)
+                    out.append((self._divided[r].__getitem__,
+                                self.tau.mat(s_r).scale(weight)))
+            return out
+        return self._tensored(("y", i), -1, terms)
 
     def divided_difference_op(self, root_idx: int) -> GradedOperator:
         """f tensor u -> (f - s_a f)/a(x) tensor u, no tau factor."""
-        def images(m, p, e):
-            yield self._quots[m][root_idx][p], self._tau_identity
-        return self._cached(("dd", root_idx),
-                            lambda: self._assemble(-1, images))
+        return self._tensored(("dd", root_idx), -1, lambda: [
+            (self._divided[root_idx].__getitem__, self._tau_one)])
 
     def w_op(self, w_index: int) -> GradedOperator:
         """pi(w) tensor tau(w) on every slice."""
-        action, tau_cols = self._action(w_index), self._tau_columns(w_index)
-
-        def images(m, p, e):
-            yield action(Polynomial.monomial(self.n, e)), tau_cols
-        return self._cached(("w", w_index), lambda: self._assemble(0, images))
+        def terms():
+            action = self._action(w_index)
+            return [(lambda m: self._images(m, 0, action),
+                     self.tau.mat(w_index))]
+        return self._tensored(("w", w_index), 0, terms)
 
     def reflection_op(self, root_idx: int) -> GradedOperator:
         return self.w_op(self.group.reflection_element_index(root_idx))

@@ -438,8 +438,11 @@ def root_system(name_or_spec) -> RootSystem:
     GROUP_ORDER_BOUND can be generated: S2..S5, B2..B4, D2..D4.
     """
     if isinstance(name_or_spec, dict):
-        roots = [[_parse_root_entry(x) for x in r]
-                 for r in name_or_spec["roots"]]
+        roots = name_or_spec.get("roots")
+        if not (isinstance(roots, list) and roots
+                and all(isinstance(r, list) for r in roots)):
+            raise ValueError("roots must be a non-empty list of lists")
+        roots = [[_parse_root_entry(x) for x in r] for r in roots]
         name = name_or_spec.get("name", "custom")
         if not isinstance(name, str):
             raise ValueError(f"name must be a string, got {name!r}")

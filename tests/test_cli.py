@@ -255,7 +255,10 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
     ({"group": "S3", "tau": {"matrices": {"0": [["-1"]]}}}, "error: "),
     ({"group": "S3", "tau": "bogus"}, "error: "),
     ({"group": {"roots": [["1", "1", "1"]]}}, "error: "),
-    ({"group": {"roots": []}}, "error: "),
+    ({"group": {"roots": []}},
+     "error: group: roots must be a non-empty list of lists\n"),
+    ({"group": {"name": "x"}},
+     "error: group: roots must be a non-empty list of lists\n"),
     ({"group": {"roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1], [1, -1, 0]]},
       "suites": ["pincover"]}, "error: "),
     ({"group": {"roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1], [-1, 1, 0]]},
@@ -283,8 +286,9 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
       "tau": {"matrices": {"0": [[-1]], "2": [[-1]]}, "form": [[-1]]}},
      "error: tau: form is not positive definite\n"),
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
-        "coroot-norm-outside-field", "no-roots", "repeated-root",
-        "opposite-root", "roots-not-closed", "not-a-positive-system",
+        "coroot-norm-outside-field", "no-roots", "roots-missing",
+        "repeated-root", "opposite-root", "roots-not-closed",
+        "not-a-positive-system",
         "empty-suites", "tau-zero-dimensional", "group-name-not-a-string",
         "tau-name-not-a-string", "tau-form-zero", "tau-form-negative"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,

@@ -35,6 +35,17 @@ GOLDEN = {
                              ["1/2*sqrt2", "-1/2*sqrt2"]]},
          "c": "1/3", "max_degree": 3},
         "0b5c9bae35c23c5ffa056026d1b99988331a68d5fdf644f01aef3307a2bfd1ae"),
+    # a three-dimensional tau: y_i tensors D_a with weighted tau(s_a)
+    "B3-reflection": (
+        {"group": "B3", "c": {"long": "1/3", "short": "1/5"},
+         "max_degree": 3, "tau": "reflection"},
+        "054a84f98e4222c3546afd832b3391b9dbb9a037b4e75f35bf6a77d4c0734637"),
+    # the sign character given as a custom tau
+    "S3-custom-sign": (
+        {"group": "S3", "c": "1/3", "max_degree": 3,
+         "tau": {"matrices": {"0": [["-1"]], "2": [["-1"]]},
+                 "form": [["1"]], "name": "sign, by hand"}},
+        "1c8ae8d4a386bbd2a4929e8e79853a234d5b2fc2b54cc5151dac99a93c8d77cf"),
 }
 
 

@@ -28,6 +28,7 @@ from dunkldirac.polyrep import (
     dunkl_apply,
     harmonic_dims,
     harmonic_subspace,
+    kron_sum,
     matrix_csv,
     operator_matrix,
     rca_relation_check,
@@ -472,6 +473,49 @@ def test_a_long_sum_reads_a_block_without_deep_recursion():
     for k in range(1, 2000):
         want = want + fam.w_op(k % order).blocks[2]
     assert total.blocks[2] == want
+
+
+
+def test_a_family_is_built_lazily():
+    rs = root_system("S3")
+    fam = ModuleFamily(rs, params(rs, "1/3"), "trivial", max_degree=3)
+    assert "matrices" not in vars(fam.group)
+    assert fam._action.cache_info().currsize == 0
+    assert not any(memo._memo for memo in fam._divided)
+    fam.y_op(1)
+    assert not any(memo._memo for memo in fam._divided)
+
+
+def test_kron_sum_without_terms_is_zero_on_its_keys():
+    rs = root_system("S3")
+    fam = ModuleFamily(rs, params(rs, "1/3"), "reflection", max_degree=3)
+    op = kron_sum(fam, -1, [1, 3], [])
+    assert op.degrees() == [1, 3] and op.shift == -1
+    for m in (1, 3):
+        assert op.blocks[m] == Matrix(fam.dim(m - 1), fam.dim(m))
+
+
+def test_dunkl_operators_share_the_divided_differences(monkeypatch):
+    """y_1..y_n and every D_a read one memoised D_a block per root and
+    degree: no (root, monomial) quotient is formed twice."""
+    from dunkldirac import polyrep
+    seen = []
+
+    def spy(f, form):
+        seen.append((str(form), str(f)))
+        return divide_by_linear(f, form)
+
+    monkeypatch.setattr(polyrep, "divide_by_linear", spy)
+    rs = root_system("S4")
+    fam = ModuleFamily(rs, params(rs, "1/3"), "reflection", max_degree=3)
+    for i in range(1, rs.n + 1):
+        fam.y_op(i).blocks[3]
+    for r in range(len(rs.positive_roots)):
+        fam.divided_difference_op(r).blocks[3]
+    # a monomial that s_a fixes gives f = 0, the same call for every one
+    nonzero = [call for call in seen if call[1] != "0"]
+    assert len(nonzero) == len(set(nonzero))
+    assert len(seen) <= len(rs.positive_roots) * len(fam.monomials(3))
 
 
 def test_euler_operator_at_c0():
