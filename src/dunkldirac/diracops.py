@@ -6,9 +6,8 @@ dimension 2^floor(n/2).  The graded-operator algebra from polyrep is
 reused verbatim by presenting the tensored slices as a module family of
 their own, so all window bookkeeping (top-degree clipping, shift
 accounting) carries over unchanged.  Arithmetic stays exact over
-Q(i, sqrt2); floats appear only in reported spectra, in the inexact
-fallback of the rescaling search, and as rounded eigenvalue candidates
-that an exact kernel then confirms or discards.
+Q(i, sqrt2); floats appear only in reported spectra and as rounded
+eigenvalue candidates that an exact kernel then confirms or discards.
 
 Contents: the degree-preserving Dirac element sum_{i<j} M_ij c_i c_j with
 its overlap-partitioned square, the twisted family (D - phi) + rho(C) for
@@ -23,7 +22,6 @@ nonzero kernel cohomology.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-import math
 
 import numpy as np
 
@@ -504,8 +502,8 @@ class CohomologyResult:
 
     dim_h = dim_ker - dim_overlap always; kernel_basis columns live in the
     slice coordinates.  omega_scalar is the scalar action of the Casimir
-    on the kernel when the kernel is nonzero.  exact is False only for the
-    float fallback of the rescaling search.
+    on the kernel when the kernel is nonzero.  exact is always True; it is
+    kept because the perfbench workloads and the tests read it.
     """
 
     degree: int
@@ -787,37 +785,6 @@ def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
 # -- the rescaling search ----------------------------------------------------------
 
 
-def _float_rank(a, tol: float = 1e-8) -> int:
-    if a.size == 0 or min(a.shape) == 0:
-        return 0
-    sv = np.linalg.svd(a, compute_uv=False)
-    return int((sv > tol).sum())
-
-
-def _search_float(dctx: DiracContext, m: int, bs: Matrix, om: ExactScalar,
-                  r0: Matrix, u: float):
-    """Float fallback: rescale numerically and rank the kernel by singular
-    values below 1e-8."""
-    chi1 = float((om + ONE).to_complex().real)
-    scale = math.sqrt(chi1) / u
-    d0 = _restrict(dctx.dirac0.blocks[m], bs).to_complex()
-    r0c = r0.to_complex()
-    d = r0.nrows
-    for sign in (1, -1):
-        dfc = d0 + sign * scale * r0c
-        dim_ker = d - _float_rank(dfc)
-        if dim_ker == 0:
-            continue
-        dim_im = d - dim_ker
-        _, _, vh = np.linalg.svd(dfc)
-        kf = vh.conj().T[:, d - dim_ker:]
-        overlap = dim_ker + dim_im - _float_rank(np.hstack([kf, dfc]))
-        coh = CohomologyResult(m, d, dim_ker, dim_im, overlap,
-                               dim_ker - overlap, None, om, exact=False)
-        return (abs(scale), sign if scale > 0 else -sign, coh)
-    return None
-
-
 def nonzero_cohomology_search(dctx: DiracContext, m: int, seed: HatElement,
                               seed_name: str = "C"):
     """Rescale an admissible seed until the kernel cohomology turns on.
@@ -826,9 +793,14 @@ def nonzero_cohomology_search(dctx: DiracContext, m: int, seed: HatElement,
     rescaled pair sign * scale * seed with nonzero kernel cohomology.  The
     candidate scales are sqrt(Casimir scalar + 1) / u over the nonzero real
     eigenvalues u of the seed action, read exactly off each isotypic piece
-    of the slice.  Only when that split fails or the square root leaves the
-    real subfield does the kernel rank fall back to float singular values,
-    and the result is then marked inexact.
+    of the slice, or off the whole slice when the isotypic split fails.
+    The search never falls back to floats.  When it finds no exact scale it
+    raises a one-line RuntimeError that starts "degree m:" and names the
+    reason:
+
+    - sqrt(Casimir + 1) is not in Q(sqrt2);
+    - the seed action does not split on k of n pieces;
+    - no rescaled twist gives kernel cohomology.
     """
     ok, failures = is_admissible(seed)
     if not ok:
@@ -851,34 +823,37 @@ def nonzero_cohomology_search(dctx: DiracContext, m: int, seed: HatElement,
     if r0.is_zero():
         raise RuntimeError("seed element acts by zero on the slice; "
                            "choose another admissible element")
+    root = sqrt_in_real_subfield(om + ONE)
+    if root is None:
+        raise RuntimeError(f"degree {m}: sqrt(Casimir + 1) = "
+                           f"sqrt({om + ONE}) is not in Q(sqrt2)")
     # eigenvalues of the seed action, piecewise: class sums split the slice
     # with tame eigenvalues, and a central seed acts on each piece through
-    # the multiplicity space alone, usually as an exact scalar
+    # the multiplicity space alone, usually as an exact scalar; a
+    # self-adjoint seed action has real eigenvalues only
+    pieces = _isotypic_pieces(dctx, bs, m) or [Matrix.identity(bs.ncols)]
     exact_us: list = []
-    for p in _isotypic_pieces(dctx, bs, m) or []:
-        for val, _basis in _eigensplit(_restrict(r0, p)) or []:
-            if not val.is_zero() and val not in exact_us:
+    unsplit = 0
+    for p in pieces:
+        split = _eigensplit(_restrict(r0, p))
+        if split is None:
+            unsplit += 1
+            continue
+        for val, _basis in split:
+            if val.is_real() and not val.is_zero() and val not in exact_us:
                 exact_us.append(val)
-    root = sqrt_in_real_subfield(om + ONE)
-    if root is not None:
-        for u in exact_us:
-            if not u.is_real():
-                # a self-adjoint seed action cannot carry these; skip
-                continue
-            scale = root / u
-            if scale.sign_real() < 0:
-                scale = -scale
-            for sign in (1, -1):
-                cand = seed.scale(scale if sign > 0 else -scale)
-                dop = build_dirac(dctx, cand, name=f"scaled {seed_name}")
-                coh = dirac_cohomology(dop, m)
-                if coh.dim_h > 0:
-                    return (scale, sign, coh)
-    # recognition or the exact square root failed; fall back to floats
-    evs = np.linalg.eigvals(r0.to_complex())
-    u_f = max((complex(z) for z in evs), key=abs).real
-    res = _search_float(dctx, m, bs, om, r0, u_f) if u_f else None
-    if res is not None:
-        return res
-    raise RuntimeError("no rescaled twist produced kernel cohomology "
-                       "on this slice")
+    for u in exact_us:
+        scale = root / u
+        if scale.sign_real() < 0:
+            scale = -scale
+        for sign in (1, -1):
+            cand = seed.scale(scale if sign > 0 else -scale)
+            dop = build_dirac(dctx, cand, name=f"scaled {seed_name}")
+            coh = dirac_cohomology(dop, m)
+            if coh.dim_h > 0:
+                return (scale, sign, coh)
+    if unsplit:
+        raise RuntimeError(f"degree {m}: the seed action does not split "
+                           f"on {unsplit} of {len(pieces)} pieces")
+    raise RuntimeError(f"degree {m}: no rescaled twist gave kernel "
+                       "cohomology")

@@ -479,15 +479,10 @@ def kernel(m: Matrix) -> Matrix:
     return Matrix.from_row_dicts(m.ncols, len(free_cols), out)
 
 
-def column_space_rank(*mats: Matrix) -> int:
-    """Rank of the concatenation [A | B | ...]."""
-    return rank(hstack(*mats))
-
-
 def intersection_dim(a: Matrix, b: Matrix) -> int:
     """dim(colspace(a) & colspace(b)) by inclusion-exclusion on ranks."""
     ra, rb = rank(a), rank(b)
-    return ra + rb - column_space_rank(a, b)
+    return ra + rb - rank(hstack(a, b))
 
 
 def is_positive_definite(h: Matrix) -> bool:
@@ -505,17 +500,3 @@ def is_positive_definite(h: Matrix) -> bool:
     return (len(pivots) == h.nrows
             and all(p.sign_real() > 0 for _, _, p in pivots))
 
-
-def leading_principal_minors(h: Matrix):
-    """Exact leading principal minors d_1..d_n, as running products of the
-    diagonal pivots.
-
-    Returns None entries past the first singular leading block.
-    """
-    if h.nrows != h.ncols:
-        raise ValueError("square matrix required")
-    minors, d = [], ONE
-    for _, _, p in _reduce(h, diagonal=True)[1]:
-        d = d * p
-        minors.append(d)
-    return minors + [None] * (h.nrows - len(minors))

@@ -562,20 +562,33 @@ def test_search_s3():
         assert coh.dim_h == 2 and coh.dim_ker == 2 and coh.dim_overlap == 0
 
 
-def test_search_falls_back_to_floats_when_the_split_fails(monkeypatch):
-    """Without the isotypic split the search ranks kernels by float
-    singular values on the one dirac0 block it reads, here of a fresh
-    context.  It returns a twist marked inexact, whose exact cohomology
-    then confirms the kernel."""
-    rs = root_system("S3")
-    d = build_context(rs, ParamFunction.from_config("1/6", rs), 4, "trivial")
+def test_search_stays_exact_when_the_isotypic_split_fails(monkeypatch):
+    """Without the isotypic split the seed action is split over the whole
+    slice as one piece, and the search returns the exact scale of
+    test_search_s3."""
+    d = ctx("S3", Fraction(1, 6), 4)
     c2 = build_C2(d.cover, d.family.param)
     monkeypatch.setattr(diracops, "_isotypic_pieces", lambda *args: None)
     scale, sign, coh = nonzero_cohomology_search(d, 1, c2, "C2")
-    assert scale == pytest.approx(72.0, rel=1e-9) and sign == 1
-    assert coh.exact is False and coh.dim_h == 2
-    exact = dirac_cohomology(build_dirac(d, c2.scale(rat(72))), 1)
-    assert exact.exact and exact.dim_h == 2
+    assert (scale, sign) == (rat(288), 1)
+    assert coh.exact and coh.dim_h == 2
+
+
+@pytest.mark.parametrize("stubbed, reason", [
+    ("_eigensplit", "does not split on 1 of 1 pieces"),
+    ("sqrt_in_real_subfield",
+     r"sqrt\(Casimir \+ 1\) = .* is not in Q\(sqrt2\)"),
+])
+def test_search_stops_with_a_one_line_reason(monkeypatch, stubbed, reason):
+    """With no exact eigenvalue split, or no exact sqrt(Casimir + 1), the
+    search names the slice and the reason on one line; it never returns a
+    float scale."""
+    d = ctx("S3", Fraction(1, 6), 4)
+    c2 = build_C2(d.cover, d.family.param)
+    monkeypatch.setattr(diracops, stubbed, lambda *args: None)
+    with pytest.raises(RuntimeError, match="^degree 1: .*" + reason) as err:
+        nonzero_cohomology_search(d, 1, c2, "C2")
+    assert "\n" not in str(err.value)
 
 
 def test_search_b2_leaves_the_rational_grid():

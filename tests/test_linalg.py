@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 import sympy
 
-from dunkldirac.linalg import (Matrix, _signed_numerator, column_space_rank,
-                               first_nonzero, intersection_dim,
-                               is_positive_definite, kernel,
-                               leading_principal_minors, rank, signed_sum)
+from dunkldirac.linalg import (Matrix, _reduce, _signed_numerator,
+                               first_nonzero, hstack, intersection_dim,
+                               is_positive_definite, kernel, rank,
+                               signed_sum)
 from dunkldirac.scalars import ExactScalar, ONE, SQRT2, ZERO, rat
 
 
@@ -167,13 +167,23 @@ def test_rank_and_kernel_match_sympy_over_the_field():
                        for r in range(m.ncols))
 
 
+def leading_minors(h):
+    """The leading principal minors of h up to its first singular leading
+    block, as running products of the diagonal pivots of `_reduce`."""
+    minors, d = [], ONE
+    for _, _, p in _reduce(h, diagonal=True)[1]:
+        d = d * p
+        minors.append(d)
+    return minors
+
+
 def test_positive_definite():
     assert is_positive_definite(Matrix.identity(3))
     assert not is_positive_definite(Matrix.from_rows([[1, 2], [2, 1]]))
     g = Matrix.from_rows([[Fraction(5, 4), Fraction(-1, 4)],
                           [Fraction(-1, 4), Fraction(5, 4)]])
     assert is_positive_definite(g)
-    minors = leading_principal_minors(g)
+    minors = leading_minors(g)
     assert minors[0] == rat(Fraction(5, 4))
     assert minors[1] == rat(Fraction(24, 16))
     # Hermitian with sqrt2: [[2, sqrt2], [sqrt2, 2]] has minors 2, 2
@@ -181,7 +191,7 @@ def test_positive_definite():
     assert is_positive_definite(h)
     with pytest.raises(ValueError):
         is_positive_definite(Matrix.from_rows([[0, 1], [0, 0]]))
-    # sympy's leading minors as the oracle; None from the first zero one on
+    # sympy's leading minors as the oracle, up to the first zero one
     import sympy
     rng = random.Random(5)
     for _ in range(20):
@@ -194,8 +204,8 @@ def test_positive_definite():
             if d == 0:
                 break
             want.append(d)
-        got = leading_principal_minors(h)
-        assert got[len(want):] == [None] * (n - len(want))
+        got = leading_minors(h)
+        assert len(got) == len(want)
         assert all(sympy.expand(to_sympy(x) - w) == 0
                    for x, w in zip(got, want))
         assert is_positive_definite(h) == (len(want) == n
@@ -205,7 +215,7 @@ def test_positive_definite():
 def test_intersection_dim():
     a = Matrix.from_rows([[1, 0], [0, 1], [0, 0]])
     b = Matrix.from_rows([[0], [1], [1]])
-    assert column_space_rank(a, b) == 3
+    assert rank(hstack(a, b)) == 3
     assert intersection_dim(a, b) == 0
     c = Matrix.from_rows([[1], [1], [0]])
     assert intersection_dim(a, c) == 1
