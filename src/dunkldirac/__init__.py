@@ -11,8 +11,7 @@ kernel cohomology, spectra, and the rescaling search), cli
 (configuration and reporting).
 
 Everything upstream of the float spectrum reports is computed in exact
-arithmetic; a report line is either an exact matrix identity or says
-explicitly that it fell back to floats.
+arithmetic; a report line is an exact matrix identity.
 """
 
 from .scalars import ExactScalar, HALF, IUNIT, ONE, SQRT2, ZERO, rat
@@ -39,7 +38,6 @@ from .clifford import (
     vector_embed,
 )
 from .cover import (
-    GroupAlgebraElement,
     HatElement,
     PinCover,
     build_C2,
@@ -87,7 +85,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmaContext", "CliffordElement", "CohomologyResult", "DiracContext",
     "DiracOperator", "ExactScalar", "GradedOperator",
-    "GroupAlgebraElement", "HALF", "HatElement", "IUNIT", "Matrix",
+    "HALF", "HatElement", "IUNIT", "Matrix",
     "ModuleFamily", "ONE", "ParamFunction", "PinCover", "Polynomial",
     "ReflectionGroup", "RootSystem", "SQRT2", "SpinorRep", "TauRep",
     "ZERO", "adjointness_check", "ama_relations_check",

@@ -14,7 +14,6 @@ the first differing matrix entry (degree, position, both values).
 
 from functools import cached_property
 
-from .linalg import Matrix
 from .polyrep import (GradedOperator, ModuleFamily, _rec, _signed_sum, _zero,
                       center_op, graded_sum, s_op)
 from .scalars import rat
@@ -129,18 +128,11 @@ class AmaContext:
 
     # -- tau-level data ----------------------------------------------------------
 
-    @cached_property
-    def tau_shift_matrix(self) -> Matrix:
-        """Matrix of sum_a c_a tau(s_a) on the tau factor alone."""
-        fam = self.family
-        return sum((fam.tau.mat(fam.group.reflection_element_index(r)).scale(c)
-                    for r, c in enumerate(fam.param.per_root(fam.rs))
-                    if not c.is_zero()), Matrix(fam.tau.dim, fam.tau.dim))
-
     def tau_shift_scalar(self):
         """The scalar by which Z acts on tau, or None if tau is reducible
-        enough for Z to act non-scalarly."""
-        return self.tau_shift_matrix.is_scalar_multiple_of_identity()
+        enough for Z to act non-scalarly.  Every w fixes the constants, so
+        Z on degree 0 is sum_a c_a tau(s_a) on the tau factor alone."""
+        return self.Z.blocks[0].is_scalar_multiple_of_identity()
 
     def h_scalar(self, m: int):
         """Eigenvalue m + n/2 + N_c(tau) of H on degree m, or None."""

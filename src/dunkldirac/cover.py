@@ -4,10 +4,10 @@ Each group element gets a canonical lift: the product of reflection lifts
 iota(coroot)/|coroot| along its breadth-first shortest word.  Products of
 lifts agree with the lift of the product up to a sign, the cocycle mu, and
 the group algebra of the cover splits into a plain part (central involution
-sent to +1) and a mu-twisted part (sent to -1).  Elements are stored as
-coefficients on the group basis of the two parts separately; the twisted
-part is NOT modeled as its image in the Clifford algebra, which can be a
-proper quotient.
+sent to +1), which is the group algebra CW itself, and a mu-twisted part
+(sent to -1).  HatElement stores coefficients on the group basis of the
+two parts separately; the twisted part is NOT modeled as its image in the
+Clifford algebra, which can be a proper quotient.
 
 When -1 is in the group, the cover is extended by an extra central order-2
 generator g mapping to (group element -1) tensor (Clifford identity).
@@ -92,10 +92,7 @@ class PinCover:
     def has_g(self) -> bool:
         return self.g_index is not None
 
-    # -- product rules of the two algebras, for sparse_product --
-
-    def plain_rule(self, i: int, j: int):
-        return 1, self.group.mul(i, j)
+    # -- the product rule of the cover algebra, for sparse_product --
 
     def hat_rule(self, a: tuple, b: tuple):
         """Cover algebra keys (twisted, g, group index): a plain times a
@@ -169,37 +166,6 @@ class PinCover:
         return all(np.array_equal(mu[u][:, None] * mu[mul[u]],
                                   mu * mu[u][mul])
                    for u in range(self.group.order))
-
-
-class GroupAlgebraElement(Combination):
-    """Element of the plain group algebra CW, coefficients on element
-    indices."""
-
-    __slots__ = ("cover",)
-
-    def __init__(self, cover: PinCover, coeffs: dict | None = None):
-        self.cover = cover
-        self.coeffs = {k: v for k, v in (coeffs or {}).items()
-                       if not v.is_zero()}
-
-    @staticmethod
-    def from_element(cover: PinCover, idx: int, coeff=ONE):
-        return GroupAlgebraElement(cover, {idx: coeff})
-
-    def _ctx(self):
-        return self.cover
-
-    def _like(self, coeffs: dict) -> "GroupAlgebraElement":
-        out = GroupAlgebraElement(self.cover)
-        out.coeffs = coeffs
-        return out
-
-    @property
-    def _rule(self):
-        return self.cover.plain_rule
-
-    def __repr__(self):
-        return f"GroupAlgebraElement({self.coeffs})"
 
 
 # the (twisted, g) flags of the four parts of a cover algebra element
@@ -297,27 +263,29 @@ class HatElement(Combination):
         return out
 
 
-def is_admissible(elem: HatElement):
-    """Central and star-fixed; returns (flag, list of failed conditions).
+def _centrality_failures(elem: HatElement) -> list:
+    """The generators elem fails to commute with, as report lines.
 
-    Centrality is tested against the generators of each ideal: the simple
-    reflections in the plain part and their lifts in the twisted part.
+    The simple reflections in the plain part, their lifts in the twisted
+    part and g (when -1 is in the group) generate the cover algebra, so
+    an empty list proves elem central.
     """
     cov = elem.cover
-    grp = cov.group
     failures = []
     for r in cov.rs.simple_root_indices():
-        i = grp.reflection_element_index(r)
-        gen_p = HatElement(cov, p={i: ONE})
-        gen_m = HatElement(cov, m={i: ONE})
-        if not elem.commutator(gen_p).is_zero():
-            failures.append(f"does not commute with plain s[{r}]")
-        if not elem.commutator(gen_m).is_zero():
-            failures.append(f"does not commute with twisted s[{r}]")
-    if cov.has_g():
-        gen_g = HatElement.g(cov)
-        if not elem.commutator(gen_g).is_zero():
-            failures.append("does not commute with g")
+        i = cov.group.reflection_element_index(r)
+        for part, kind in (("p", "plain"), ("m", "twisted")):
+            gen = HatElement(cov, **{part: {i: ONE}})
+            if not elem.commutator(gen).is_zero():
+                failures.append(f"does not commute with {kind} s[{r}]")
+    if cov.has_g() and not elem.commutator(HatElement.g(cov)).is_zero():
+        failures.append("does not commute with g")
+    return failures
+
+
+def is_admissible(elem: HatElement):
+    """Central and star-fixed; returns (flag, list of failed conditions)."""
+    failures = _centrality_failures(elem)
     if elem.star() != elem:
         failures.append("not star-fixed")
     return (not failures), failures
@@ -326,24 +294,24 @@ def is_admissible(elem: HatElement):
 # -- distinguished elements -------------------------------------------------
 
 
-def _reflection_sum(cover: PinCover, weights) -> GroupAlgebraElement:
-    """sum_a weights[a] s_a over the positive roots a."""
+def _reflection_sum(cover: PinCover, weights) -> HatElement:
+    """sum_a weights[a] s_a over the positive roots a, in the plain part."""
     out: dict = {}
     for a, w in enumerate(weights):
         accumulate(out, cover.group.reflection_element_index(a), w)
-    return GroupAlgebraElement(cover, out)
+    return HatElement(cover, p=out)
 
 
-def center_shift(cover: PinCover, param) -> GroupAlgebraElement:
-    """The central sum of reflections sum_a c_a s_a in the plain group
-    algebra (no one-half; the half-normalized variant is the plain part
-    of ztilde)."""
+def center_shift(cover: PinCover, param) -> HatElement:
+    """The central sum of reflections sum_a c_a s_a in the plain part
+    (no one-half; the half-normalized variant is the plain part of
+    ztilde)."""
     return _reflection_sum(cover, param.per_root(cover.rs))
 
 
 def ztilde(cover: PinCover, param) -> HatElement:
     """1/2 sum_a c_a (lift of s_a), in both parts."""
-    half = center_shift(cover, param).scale(HALF).coeffs
+    half = center_shift(cover, param).scale(HALF).p
     return HatElement(cover, p=half, m=half)
 
 
@@ -356,7 +324,7 @@ def build_C2(cover: PinCover, param) -> HatElement:
     return c2
 
 
-def build_T(cover: PinCover, param, i: int) -> GroupAlgebraElement:
+def build_T(cover: PinCover, param, i: int) -> HatElement:
     """T_i = 1/2 sum_a c_a <x_i, coroot_a>/|coroot_a| s_a."""
     rs = cover.rs
     return _reflection_sum(cover, [
@@ -364,7 +332,7 @@ def build_T(cover: PinCover, param, i: int) -> GroupAlgebraElement:
         for a, (c, cr) in enumerate(zip(param.per_root(rs), rs.coroots))])
 
 
-def build_T_bullet(cover: PinCover, param, i: int) -> GroupAlgebraElement:
+def build_T_bullet(cover: PinCover, param, i: int) -> HatElement:
     """The bullet variant 1/2 sum_a c_a <a, y_i>/|a| s_a; equals build_T."""
     rs = cover.rs
     return _reflection_sum(cover, [
@@ -373,11 +341,10 @@ def build_T_bullet(cover: PinCover, param, i: int) -> GroupAlgebraElement:
                                        rs.positive_roots))])
 
 
-def build_Z3(cover: PinCover, param) -> GroupAlgebraElement:
+def build_Z3(cover: PinCover, param) -> HatElement:
     """1/4 sum_{a,b} c_a c_b <b, coroot_a> / (|coroot_a| |b|) s_a s_b.
 
-    Centrality in the plain group algebra is verified against every group
-    element before returning.
+    Centrality is verified against the generators before returning.
     """
     rs = cover.rs
     grp = cover.group
@@ -394,11 +361,9 @@ def build_Z3(cover: PinCover, param) -> GroupAlgebraElement:
             ib = grp.reflection_element_index(b)
             accumulate(out, grp.mul(ia, ib),
                        ca * cb * pair * rat("1/4"))
-    z3 = GroupAlgebraElement(cover, out)
-    for w in range(grp.order):
-        gw = GroupAlgebraElement.from_element(cover, w)
-        if not z3.commutator(gw).is_zero():
-            raise RuntimeError("Z3 is not central in the group algebra")
+    z3 = HatElement(cover, p=out)
+    if _centrality_failures(z3):
+        raise RuntimeError("Z3 is not central in the group algebra")
     return z3
 
 

@@ -30,8 +30,8 @@ from .scalars import (SQRT2_FLOAT, ExactScalar, ZERO, ONE, HALF, SQRT2,
 from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
                      rank)
 from .clifford import CliffordElement, SpinorRep, vector_embed
-from .cover import (PinCover, GroupAlgebraElement, HatElement, is_admissible,
-                    ztilde, build_C2, build_T, build_T_bullet, build_Z3)
+from .cover import (PinCover, HatElement, is_admissible, ztilde, build_C2,
+                    build_T, build_T_bullet, build_Z3)
 from .polyrep import (GradedOperator, ModuleFamily, _check_record, _rec,
                       _witness, _zero, graded_sum, harmonic_subspace,
                       contravariant_form, kron_sum)
@@ -102,9 +102,9 @@ class DiracContext:
     def scalar(self, v) -> GradedOperator:
         return self.lift(self.family.scalar_op(v))
 
-    def group_factor(self, elem: GroupAlgebraElement) -> GradedOperator:
-        """A plain group algebra element acting on X, trivially on S."""
-        return self.lift(self.family.from_group_algebra(elem.coeffs))
+    def group_factor(self, elem: HatElement) -> GradedOperator:
+        """The plain part of elem acting on X, trivially on S."""
+        return self.lift(self.family.from_group_algebra(elem.p))
 
     def rho(self, elem: HatElement) -> GradedOperator:
         """The diagonal action of a cover-algebra element.
@@ -374,11 +374,11 @@ def c2_decomposition_check(dctx: DiracContext) -> list:
                                      build_T_bullet(cov, par, i) == ts[i]))
     _rec(records, "half-sum image = sum T_i c_i",
          dctx.rho(ztilde(cov, par)),
-         dctx.spin_sum((dctx.family.from_group_algebra(ts[i].coeffs),
+         dctx.spin_sum((dctx.family.from_group_algebra(ts[i].p),
                         dctx._cvec(i + 1)) for i in range(n)))
     # [T_i, T_j] on X, keyed by the 1-based generator pair (i, j)
     comms = {(i + 1, j + 1): dctx.family.from_group_algebra(
-                 ts[i].commutator(ts[j]).coeffs)
+                 ts[i].commutator(ts[j]).p)
              for i in range(n) for j in range(i + 1, n)}
     c2 = build_C2(cov, par)
     z3 = dctx.group_factor(build_Z3(cov, par))

@@ -25,12 +25,12 @@ one lcm denominator, one numerator accumulated in int64 under a proved
 62-bit bound (see `_signed_numerator`) or else on `object` arrays, and
 one canonicalisation.
 
-Rank, kernel, leading minors and the Sylvester positivity test all run
-through one Gauss-Jordan elimination over the field, on the
-{column: ExactScalar} rows of `Matrix.rows`.  No denominator is cleared:
-every ExactScalar is kept reduced, and each entry of a partially reduced
-matrix is a ratio of minors of the input (Edmonds 1967), so entry sizes
-stay polynomial without fraction-free steps.
+Rank, kernel and the Sylvester positivity test all run through one
+Gauss-Jordan elimination over the field, on the {column: ExactScalar}
+rows of `Matrix.rows`.  No denominator is cleared: every ExactScalar
+is kept reduced, and each entry of a partially reduced matrix is a
+ratio of minors of the input (Edmonds 1967), so entry sizes stay
+polynomial without fraction-free steps.
 """
 from __future__ import annotations
 

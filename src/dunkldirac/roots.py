@@ -466,6 +466,8 @@ def root_system(name_or_spec) -> RootSystem:
 
 
 def _parse_root_entry(x):
+    if isinstance(x, bool):
+        raise ValueError(f"root entry {x!r}: booleans are not numbers")
     if isinstance(x, str) and "sqrt2" in x:
         coef = x.replace("sqrt2", "").replace("*", "").strip()
         f = as_fraction(coef) if coef not in ("", "+", "-") else \

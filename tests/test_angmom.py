@@ -72,6 +72,11 @@ def test_center_scalars_per_tau():
                    deg=2)
     assert ctxb.tau_shift_scalar() == ZERO
     assert ctxb.h_scalar(2) == rat(3)
+    # larger groups, and a sign type with couplings of opposite signs
+    for name, spec, tau, want in (
+            ("D4", "1/4", "reflection", rat("3/2")),
+            ("B3", {"long": "1/3", "short": "-2/7"}, "sign", rat("-8/7"))):
+        assert ctx_for(name, spec, tau=tau, deg=1).tau_shift_scalar() == want
 
 
 def test_z_on_degree_zero_s3():

@@ -268,6 +268,9 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
     # S3 with one root negated: no linear form is positive on all three
     ({"group": {"roots": [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]}},
      "error: group: "),
+    # JSON booleans are not root coordinates
+    ({"group": {"roots": [[True, False], [False, True]]}},
+     "error: group: "),
     # a verify run that would check nothing
     ({"group": "S3", "suites": []}, "error: suites: "),
     # every check would run on a zero-dimensional module
@@ -288,7 +291,7 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
         "coroot-norm-outside-field", "no-roots", "roots-missing",
         "repeated-root", "opposite-root", "roots-not-closed",
-        "not-a-positive-system",
+        "not-a-positive-system", "root-entry-boolean",
         "empty-suites", "tau-zero-dimensional", "group-name-not-a-string",
         "tau-name-not-a-string", "tau-form-zero", "tau-form-negative"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,

@@ -6,13 +6,13 @@ the Clifford algebra; the frozen values below were derived by hand for the
 small groups and pin the conventions.
 """
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from dunkldirac.clifford import CliffordElement
 from dunkldirac.polyrep import Polynomial
 from dunkldirac.cover import (
-    GroupAlgebraElement,
     HatElement,
     PinCover,
     build_C2,
@@ -174,12 +174,12 @@ def test_center_shift_and_ztilde_match():
     z = center_shift(cov, c)
     zt = ztilde(cov, c)
     half_z = z.scale(HALF)
-    assert zt.p == half_z.coeffs
-    assert zt.m == half_z.coeffs
+    assert zt.p == half_z.p
+    assert zt.m == half_z.p
     for idx in range(3):
         i = cov.group.reflection_element_index(idx)
-        assert z.coeffs[i] == rat("1/2")
-        assert half_z.coeffs[i] == rat("1/4")
+        assert z.p[i] == rat("1/2")
+        assert half_z.p[i] == rat("1/4")
 
 
 def test_frozen_s2_elements():
@@ -188,11 +188,11 @@ def test_frozen_s2_elements():
     si = cov.group.reflection_element_index(0)
     t1 = build_T(cov, c, 0)
     # T_1 = (1/(2 sqrt2)) s = (sqrt2/4) s
-    assert t1.coeffs == {si: SQRT2 * rat("1/4")}
+    assert t1.p == {si: SQRT2 * rat("1/4")}
     t2 = build_T(cov, c, 1)
-    assert t2.coeffs == {si: -(SQRT2 * rat("1/4"))}
+    assert t2.p == {si: -(SQRT2 * rat("1/4"))}
     z3 = build_Z3(cov, c)
-    assert z3.coeffs == {0: rat("1/4")}
+    assert z3.p == {0: rat("1/4")}
     c2 = build_C2(cov, c)
     assert c2 == HatElement.one(cov).scale(rat("1/4"))
 
@@ -215,7 +215,7 @@ def test_c2_structure_for_s3():
     assert c2.m[0] == rat("3/4")
     # plus part equals (Z/2)^2 in the plain group algebra
     z = center_shift(cov, c).scale(HALF)
-    assert (z * z).coeffs == c2.p
+    assert (z * z).p == c2.p
     ok, failures = is_admissible(c2)
     assert ok, failures
 
@@ -243,6 +243,9 @@ def test_admissibility_counterexamples():
     c2i = build_C2(cov, c).scale(IUNIT)
     ok, failures = is_admissible(c2i)
     assert not ok and failures == ["not star-fixed"]
+    # a plain simple reflection commutes with itself but not with s[2]
+    ok, failures = is_admissible(HatElement(cov, p={i: ONE}))
+    assert (ok, failures) == (False, ["does not commute with plain s[2]"])
     # zero and one are admissible
     assert is_admissible(HatElement.zero(cov))[0]
     assert is_admissible(HatElement.one(cov))[0]
@@ -257,7 +260,7 @@ def test_rho_of_ztilde_decomposes_through_t_elements():
         for i in range(cov.n):
             ti = build_T(cov, c, i)
             ci = CliffordElement.generator(cov.n, i + 1)
-            for w, coeff in ti.coeffs.items():
+            for w, coeff in ti.p.items():
                 cur = rhs.get(w, CliffordElement(cov.n))
                 rhs[w] = cur + ci * coeff
         assert lhs == rhs
@@ -276,10 +279,10 @@ def test_rho_of_c2_decomposition():
             for j in range(i + 1, cov.n):
                 com = build_T(cov, c, i).commutator(build_T_bullet(cov, c, j))
                 cij = CliffordElement.monomial(cov.n, (i + 1, j + 1))
-                for w, coeff in com.coeffs.items():
+                for w, coeff in com.p.items():
                     cur = rhs.get(w, CliffordElement(cov.n))
                     rhs[w] = cur + cij * coeff
-        for w, coeff in build_Z3(cov, c).coeffs.items():
+        for w, coeff in build_Z3(cov, c).p.items():
             cur = rhs.get(w, CliffordElement(cov.n))
             rhs[w] = cur + CliffordElement.scalar(cov.n, coeff)
         rhs = {w: v for w, v in rhs.items() if not v.is_zero()}
@@ -343,14 +346,29 @@ def test_scaled_admissibles():
 
 def test_group_algebra_element_basics():
     cov = make("S3")
-    a = GroupAlgebraElement.from_element(cov, 1)
-    b = GroupAlgebraElement.from_element(cov, 2, rat(3))
+    a = HatElement(cov, p={1: ONE})
+    b = HatElement(cov, p={2: rat(3)})
     prod = a * b
-    assert prod.coeffs == {cov.group.mul(1, 2): rat(3)}
-    z = center_shift(cov, params(cov, "1/2"))
-    for w in range(cov.group.order):
-        gw = GroupAlgebraElement.from_element(cov, w)
-        assert z.commutator(gw).is_zero()
+    assert prod.p == {cov.group.mul(1, 2): rat(3)}
+    # the exhaustive oracle for the generator test inside build_Z3: Z and
+    # Z3 commute with every group element
+    for name, spec in (("S3", "1/2"),
+                       ("B2", {"short": "1/2", "long": "-1/3"}),
+                       ("S4", "1/3")):
+        cov = make(name)
+        c = params(cov, spec)
+        for z in (center_shift(cov, c), build_Z3(cov, c)):
+            for w in range(cov.group.order):
+                assert z.commutator(HatElement(cov, p={w: ONE})).is_zero()
+
+
+def test_z3_of_a_coupling_that_is_not_invariant_is_not_central():
+    # c_a = 1, ..., 6 on the six roots of S4 is not constant on the one
+    # orbit, so Z3 fails the generator test
+    cov = make("S4")
+    stub = SimpleNamespace(per_root=lambda rs: [rat(k) for k in range(1, 7)])
+    with pytest.raises(RuntimeError, match="not central"):
+        build_Z3(cov, stub)
 
 
 def test_elements_of_different_algebras_do_not_combine():
@@ -364,8 +382,7 @@ def test_elements_of_different_algebras_do_not_combine():
     with pytest.raises(ValueError):
         HatElement.one(a) * HatElement.one(b)
     with pytest.raises(ValueError):
-        GroupAlgebraElement.from_element(a, 1) \
-            - GroupAlgebraElement.from_element(b, 1)
+        HatElement(a, p={1: ONE}) - HatElement(b, p={1: ONE})
     # different algebras never compare equal
     assert Polynomial.one(2) != Polynomial.one(3)
     assert HatElement.one(a) != HatElement.one(b)
@@ -375,7 +392,6 @@ def test_scale_by_a_string_agrees_across_the_algebras():
     cov = make("B2")
     elems = [Polynomial.parse(2, "x1 - 3 x2^2"),
              CliffordElement.parse(2, "1/2 + c1 c2"),
-             GroupAlgebraElement(cov, {1: ONE, 3: rat("-2")}),
              HatElement(cov, p={1: ONE}, m={2: IUNIT}, gm={0: rat(3)})]
     for e in elems:
         want = e.scale(SQRT2)
