@@ -13,9 +13,10 @@ the first differing matrix entry (degree, position, both values).
 """
 
 from functools import cached_property
+from itertools import chain
 
-from .polyrep import (GradedOperator, ModuleFamily, _rec, _signed_sum, _zero,
-                      center_op, graded_sum, s_op)
+from .polyrep import (GradedOperator, ModuleFamily, _check_record, _rec,
+                      _signed_sum, _zero, center_op, graded_sum, s_op)
 from .scalars import rat
 
 
@@ -172,11 +173,17 @@ def ama_relations_check(ctx: AmaContext, tuples=None) -> list:
     M_ij M_kl + M_jk M_il + M_ki M_jl = M_ij S_kl + M_jk S_il + M_ki S_jl,
     for all 1 <= i,j,k,l <= n by default.
 
-    Every product is M_ij @ M_kl or M_ij @ S_kl.  Since M_ji = -M_ij and
-    M_ii = 0, each is +-(M_ab @ M_cd) or +-(M_ab @ S_kl) with a <= b and
-    c <= d, so each distinct product is formed once, in a memo local to
-    this call.  S_kl and S_lk stay distinct factors: S_ij = S_ji is one of
-    the checked relations, not an assumption.
+    Every product is M_ij @ M_kl or M_ij @ S_kl.  Since `AmaContext.M`
+    defines M_ji = -M_ij and M_ii = 0, each is +-(M_ab @ M_cd) or
+    +-(M_ab @ S_kl) with a < b and c < d, or zero, so each distinct product
+    is formed once, in a memo local to this call.  S_kl and S_lk stay
+    distinct factors: S_ij = S_ji is one of the checked relations, not an
+    assumption.  A relation lhs = rhs then holds exactly when lhs - rhs,
+    its terms collected over the memo keys and the zero products dropped,
+    vanishes.  Each distinct collected combination, taken up to sign, is
+    summed once, on every degree of the window, which every product is
+    defined on.  Only a relation whose combination does not vanish is
+    compared side by side, for the witness of its first differing entry.
     """
     records: list = []
     n = ctx.n
@@ -184,29 +191,54 @@ def ama_relations_check(ctx: AmaContext, tuples=None) -> list:
         for j in range(i + 1, n + 1):
             _rec(records, f"S{i}{j} = S{j}{i}", ctx.S(i, j), ctx.S(j, i))
     memo: dict = {}
+    vanishes: dict = {}
 
-    def mul(sign: int, i: int, j: int, kind: str, k: int, l: int):
-        """sign * M_ij @ (M_kl or S_kl, by kind) as a (sign, op) pair."""
-        s, left = _m_key(i, j)
-        t, right = _m_key(k, l) if kind == "M" else (1, (k, l))
-        key = (left, kind, right)
+    def product(key) -> GradedOperator:
         got = memo.get(key)
         if got is None:
+            left, kind, right = key
             factor = ctx.M(*right) if kind == "M" else ctx.S(*right)
             got = memo[key] = ctx.M(*left) @ factor
-        return sign * s * t, got
+        return got
+
+    def mul(sign: int, i: int, j: int, kind: str, k: int, l: int):
+        """sign * M_ij @ (M_kl or S_kl, by kind) as a (sign, key) pair."""
+        s, left = _m_key(i, j)
+        t, right = _m_key(k, l) if kind == "M" else (1, (k, l))
+        return sign * s * t, (left, kind, right)
+
+    def check(check_id: str, lhs, rhs) -> None:
+        coeffs: dict = {}
+        for sign, key in chain(lhs, ((-s, key) for s, key in rhs)):
+            coeffs[key] = coeffs.get(key, 0) + sign
+        combo = sorted((key, c) for key, c in coeffs.items()
+                       if c and (0, 0) not in (key[0], key[2]))
+        if combo and combo[0][1] < 0:
+            combo = [(key, -c) for key, c in combo]
+        combo = tuple(combo)
+        ok = vanishes.get(combo)
+        if ok is None:
+            terms = [(1 if c > 0 else -1, product(key))
+                     for key, c in combo for _ in range(abs(c))]
+            ok = vanishes[combo] = not terms or _signed_sum(terms).matches(
+                _zero(terms[0][1]))
+        if ok:
+            records.append(_check_record(check_id, True))
+        else:
+            _rec(records, check_id,
+                 _signed_sum([(s, product(key)) for s, key in lhs]),
+                 _signed_sum([(s, product(key)) for s, key in rhs]))
 
     for (i, j, k, l) in (tuples if tuples is not None else _index_tuples(n)):
-        lhs = _signed_sum([mul(1, i, j, "M", k, l), mul(-1, k, l, "M", i, j)])
-        rhs = _signed_sum([mul(1, i, l, "S", j, k), mul(1, j, k, "S", i, l),
-                           mul(-1, i, k, "S", j, l),
-                           mul(-1, j, l, "S", i, k)])
-        _rec(records, f"commutation ({i},{j},{k},{l})", lhs, rhs)
-        lhs = _signed_sum([mul(1, i, j, "M", k, l), mul(1, j, k, "M", i, l),
-                           mul(1, k, i, "M", j, l)])
-        rhs = _signed_sum([mul(1, i, j, "S", k, l), mul(1, j, k, "S", i, l),
-                           mul(1, k, i, "S", j, l)])
-        _rec(records, f"crossing ({i},{j},{k},{l})", lhs, rhs)
+        check(f"commutation ({i},{j},{k},{l})",
+              [mul(1, i, j, "M", k, l), mul(-1, k, l, "M", i, j)],
+              [mul(1, i, l, "S", j, k), mul(1, j, k, "S", i, l),
+               mul(-1, i, k, "S", j, l), mul(-1, j, l, "S", i, k)])
+        check(f"crossing ({i},{j},{k},{l})",
+              [mul(1, i, j, "M", k, l), mul(1, j, k, "M", i, l),
+               mul(1, k, i, "M", j, l)],
+              [mul(1, i, j, "S", k, l), mul(1, j, k, "S", i, l),
+               mul(1, k, i, "S", j, l)])
     return records
 
 

@@ -23,7 +23,12 @@ eigenvalue guesses.
 Every linear combination, a pairwise sum included, is one `signed_sum`:
 one lcm denominator, one numerator accumulated in int64 under a proved
 62-bit bound (see `_signed_numerator`) or else on `object` arrays, and
-one canonicalisation.
+one canonicalisation.  A sum of T >= 2 Kronecker products a_t (x) b_t is
+one product (see `sum_of_krons`): the a_t read row-major as columns
+against the b_t read row-major as rows, over their lcm denominators.
+Entry ((i, k), (j, l)) of the sum is entry ((i, j), (k, l)) of the
+product, so the sum is the product's entries permuted and keeps its
+canonical form.
 
 Rank, kernel and the Sylvester positivity test all run through one
 Gauss-Jordan elimination over the field, on the {column: ExactScalar}
@@ -344,24 +349,32 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
+def _rescaled(mat: Matrix, den: int, wide: bool) -> np.ndarray:
+    """mat's numerator over den, a multiple of mat.den; on `object` arrays
+    when wide, which the caller sets when its bound does not prove int64."""
+    term = mat.num.astype(object) if wide else mat.num
+    return term if den == mat.den else term * (den // mat.den)
+
+
 def _signed_numerator(terms):
     """(num, den), num / den being the sum of sign * M over the (sign, M)
     pairs of terms (signs +-1, one shape), read one at a time; num is not
     canonical.  den is the lcm of the denominators read so far.
 
-    With k nonzero terms read, the sum runs in int64 while peak + bitlen(k)
-    <= 62, for peak = max_j(bits_j + bitlen(den / den_j)), and on `object`
-    arrays from the first term that breaks it (peak and k only grow).
-    Proof: a term's entries rescaled to den are below 2^bits_j * (den /
-    den_j) < 2^peak, so every partial sum, rescaled or not, is below
+    The sum starts from the first nonzero term, rescaled, rather than from
+    a zero array.  With k nonzero terms read, it runs in int64 while peak +
+    bitlen(k) <= 62, for peak = max_j(bits_j + bitlen(den / den_j)), and on
+    `object` arrays from the first term that breaks it (peak and k only
+    grow).  Proof: a term's entries rescaled to den are below 2^bits_j *
+    (den / den_j) < 2^peak, so every partial sum, rescaled or not, is below
     k * 2^peak < 2^(bitlen(k) + peak) <= 2^62.
     """
-    num, den, peak, sizes = None, 1, 0, []
+    num, shape, den, peak, sizes = None, None, 1, 0, []
     for sign, mat in terms:
-        if num is None:
-            num = np.zeros((4, *mat.shape), dtype=np.int64)
-        if mat.shape != num.shape[1:]:
-            raise ValueError(f"shape mismatch {num.shape[1:]} vs {mat.shape}")
+        if shape is None:
+            shape = mat.shape
+        elif mat.shape != shape:
+            raise ValueError(f"shape mismatch {shape} vs {mat.shape}")
         if not mat.comps:
             continue
         top = lcm(den, mat.den)
@@ -371,17 +384,23 @@ def _signed_numerator(terms):
         sizes.append((mat.bits, mat.den))
         peak = max(peak, mat.bits + (top // mat.den).bit_length())
         wide = peak + len(sizes).bit_length() > 62
-        term = mat.num.astype(object) if wide else mat.num
-        if top != mat.den:
-            term = term * (top // mat.den)
-        if wide:
-            num = num.astype(object, copy=False)
-        if top != den:
-            num *= top // den
-        (np.add if sign > 0 else np.subtract)(num, term, out=num)
+        term = _rescaled(mat, top, wide)
+        if num is None:
+            if sign < 0:
+                num = -term
+            else:  # mat.num is read-only: the accumulator owns its array
+                num = term.copy() if term is mat.num else term
+        else:
+            if wide:
+                num = num.astype(object, copy=False)
+            if top != den:
+                num *= top // den
+            (np.add if sign > 0 else np.subtract)(num, term, out=num)
         den = top
-    if num is None:
+    if shape is None:
         raise ValueError("a sum needs at least one term")
+    if num is None:
+        num = np.zeros((4, *shape), dtype=np.int64)
     return num, den
 
 
@@ -397,6 +416,47 @@ def first_nonzero(terms):
     num = _signed_numerator(terms)[0]
     spots = np.flatnonzero(num.any(axis=0))
     return divmod(int(spots[0]), num.shape[2]) if spots.size else None
+
+
+def _stacked(mats, axes) -> Matrix:
+    """The T matrices of mats, all of one shape, each read row-major over
+    their lcm denominator: an array of shape (T, 4, rows * cols), its axes
+    then permuted by axes.  Not canonical, and only ever a product's
+    operand: `bits` bounds the entries rather than being their bit length,
+    which is all `_fits` reads.  The entries widen to `object` by the rule
+    of `_signed_numerator` for one term: a rescaled entry is below 2^peak,
+    peak = max_j(bits_j + bitlen(den / den_j)), so int64 holds it when
+    peak + bitlen(1) <= 62."""
+    den = lcm(*(m.den for m in mats))
+    peak = max(m.bits + (den // m.den).bit_length() for m in mats)
+    wide = peak + 1 > 62
+    num = np.stack([_rescaled(m, den, wide).reshape(4, -1) for m in mats])
+    return Matrix._build(num.transpose(axes), den, peak, tuple(sorted(
+        set().union(*(m.comps for m in mats)))))
+
+
+def sum_of_krons(pairs) -> Matrix:
+    """The exact sum of a.kron(b) over the (a, b) pairs, every a of one
+    shape (r1, c1) and every b of another (r2, c2).
+
+    One pair is `Matrix.kron`.  T >= 2 pairs are one product P @ Q, P the
+    (r1 c1) x T matrix whose column t is a_t read row-major and Q the
+    T x (r2 c2) matrix whose row t is b_t read row-major: (P @ Q)[(i, j),
+    (k, l)] = sum_t a_t[i, j] b_t[k, l], which is entry ((i, k), (j, l))
+    of the sum.  So the sum's entries are a permutation of the product's,
+    and the product's canonical den, bits and comps are the sum's: the
+    permuted array needs no second canonicalisation.  The product runs
+    through `Matrix.__matmul__` and its proved bounds, with k = T.
+    """
+    (a, b), *rest = pairs
+    if not rest:
+        return a.kron(b)
+    (r1, c1), (r2, c2) = a.shape, b.shape
+    prod = (_stacked([a for a, _ in pairs], (1, 2, 0))
+            @ _stacked([b for _, b in pairs], (1, 0, 2)))
+    num = prod.num.reshape(4, r1, c1, r2, c2).transpose(0, 1, 3, 2, 4)
+    return Matrix._build(num.reshape(4, r1 * r2, c1 * c2), prod.den,
+                         prod.bits, prod.comps)
 
 
 def hstack(*mats: Matrix) -> Matrix:

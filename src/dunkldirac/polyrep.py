@@ -4,7 +4,11 @@ A ModuleFamily packages the module C[x_1..x_n] tensor tau, truncated at a
 top degree N, together with the operators acting on it: multiplication x_i
 (degree +1), Dunkl operators y_i (degree -1), and the group action (degree
 0).  Each atomic block is a `kron_sum` of C[x] blocks with tau matrices, the
-one builder that also attaches the spinors in diracops.  Each
+one builder that also attaches the spinors in diracops; a sum of two or
+more Kronecker terms is one exact product (`linalg.sum_of_krons`).  A
+group element other than a reflection or the identity is the product of
+its BFS parent's operator and a reflection's, which is exact because pi
+and tau are representations.  Each
 operator is a GradedOperator: one exact matrix per source degree, with a
 block present only where both source and target degrees sit inside the
 truncation window.  Identity checks quantify over the block keys both sides
@@ -37,7 +41,7 @@ from itertools import chain
 from math import comb
 
 from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
-                     signed_sum)
+                     signed_sum, sum_of_krons)
 from .scalars import ONE, ZERO, Combination, as_scalar, parse_terms, rat
 
 
@@ -557,17 +561,16 @@ def kron_sum(family, shift: int, keys, terms) -> GradedOperator:
     """The operator on family, of the given shift and keys, whose block m
     is the sum of block(m).kron(mat) over the (block, mat) terms, block
     being a function of the source degree.  A block is one exact
-    `signed_sum`, each Kronecker block added as it is made; a one-term
-    block is its Kronecker block, and no terms give zero blocks."""
+    `linalg.sum_of_krons`: for two or more terms one product of the
+    stacked blocks against the stacked matrices, whose entries are those
+    of the sum in another order; a one-term block is its Kronecker block,
+    and no terms give zero blocks."""
     terms = list(terms)
 
     def build(m):
-        if len(terms) == 1:
-            block, mat = terms[0]
-            return block(m).kron(mat)
-        return signed_sum(chain(
-            [(1, Matrix(family.dim(m + shift), family.dim(m)))],
-            ((1, block(m).kron(mat)) for block, mat in terms)))
+        if not terms:
+            return Matrix(family.dim(m + shift), family.dim(m))
+        return sum_of_krons([(block(m), mat) for block, mat in terms])
     return GradedOperator(family, shift, keys, build)
 
 
@@ -612,9 +615,11 @@ class ModuleFamily:
 
     Each atomic operator is a `kron_sum` of C[x]-only blocks with tau
     matrices: x_i = X_i (x) 1, y_i = d_i (x) 1 + sum_a c_a <a, e_i> D_a (x)
-    tau(s_a), w = pi(w) (x) tau(w) and the divided difference D_a (x) 1.
-    Only the D_a blocks, shared by every y_i, are kept per root and
-    degree; the others are made inside the tensored block's builder.
+    tau(s_a), w = pi(w) (x) tau(w) for a reflection or the identity, and
+    the divided difference D_a (x) 1.  Only the D_a blocks, shared by every
+    y_i, are kept per root and degree; the others are made inside the
+    tensored block's builder.  Any other group element is a product of
+    these along its BFS word (see `w_op`).
     """
 
     def __init__(self, rs, param, tau, max_degree: int = 6):
@@ -728,7 +733,20 @@ class ModuleFamily:
             (self._divided[root_idx].__getitem__, self._tau_one)])
 
     def w_op(self, w_index: int) -> GradedOperator:
-        """pi(w) tensor tau(w) on every slice."""
+        """pi(w) tensor tau(w) on every slice.
+
+        A reflection, or the identity, is its substituted C[x] block
+        tensored with tau(w).  Any other w is the product w_op(p) @
+        w_op(s_r) along its BFS word, words[w] = words[p] + (r,), so w =
+        p s_r: one exact matmul per block.  That is exact because pi and
+        tau are representations, (pi(p) (x) tau(p)) (pi(s_r) (x) tau(s_r))
+        = pi(p s_r) (x) tau(p s_r); `custom_rep` checks that a custom tau
+        is one."""
+        word = self.group.words[w_index]
+        if len(word) > 1:
+            return self._cached(("w", w_index), lambda: self.w_op(
+                self.group.parents[w_index]) @ self.reflection_op(word[-1]))
+
         def terms():
             action = self._action(w_index)
             return [(lambda m: self._images(m, 0, action),

@@ -20,7 +20,7 @@ from dunkldirac.angmom import (
     report_passes,
 )
 from dunkldirac.linalg import Matrix
-from dunkldirac.polyrep import ModuleFamily, harmonic_subspace
+from dunkldirac.polyrep import GradedOperator, ModuleFamily, harmonic_subspace
 from dunkldirac.roots import ParamFunction, root_system
 from dunkldirac.scalars import ZERO, rat
 
@@ -154,6 +154,30 @@ def test_memoised_relations_match_on_a_tuple_subset():
     assert [r["check_id"] for r in records[3:]] == [
         f"{kind} ({i},{j},{k},{l})" for (i, j, k, l) in tuples
         for kind in ("commutation", "crossing")]
+
+
+def test_collected_relations_match_on_an_s_perturbed_at_one_degree(
+        monkeypatch):
+    """S_12 off by 1/7 in one entry of its degree-2 block only: the
+    relations collected over the memo keys fail exactly where the
+    per-record loop fails, with the same witnesses, on the full run and on
+    a tuple subset."""
+    ctx = ctx_for("S3", "1/2", deg=3)
+    s12, dim = ctx.S(1, 2), ctx.family.dim(2)
+    bump = Matrix.from_row_dicts(dim, dim,
+                                 [{1: rat("1/7")}] + [{}] * (dim - 1))
+    monkeypatch.setitem(ctx._s, (1, 2), GradedOperator(
+        ctx.family, 0, s12.blocks,
+        lambda m: s12.blocks[m] + bump if m == 2 else s12.blocks[m]))
+    tuples = [(1, 3, 2, 1), (1, 2, 3, 3), (3, 1, 2, 3), (2, 3, 3, 1)]
+    for subset in (None, tuples):
+        records = same_records(ctx, subset)
+        failed = [r for r in records if r["status"] == "fail"]
+        assert failed[0]["check_id"] == "S12 = S21"
+        assert len(failed) < len(records)
+        assert {r["witness"]["degree"] for r in failed} == {2}
+    # the subset holds relations that the perturbation breaks and others
+    assert {r["status"] for r in records[3:]} == {"pass", "fail"}
 
 
 def test_ama_relation_negative_control():

@@ -103,11 +103,14 @@ def test_table_digest_s4_kernels(tmp_path):
 
 def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     """All suites on S4 at degree 3, c = 1/3: the report keeps its digest,
-    the products are as many as before, and a block-level sum is brought
-    to canonical form once rather than once per term."""
-    from dunkldirac import linalg
-    calls = {"make": 0, "matmul": 0}
+    the products are as many as before, a block-level sum is brought to
+    canonical form once rather than once per term, a Kronecker sum of two
+    or more terms is one product rather than one kron per term, and each
+    distinct collected AMA relation is summed once."""
+    from dunkldirac import linalg, polyrep
+    calls = {"make": 0, "matmul": 0, "kron": 0, "first_nonzero": 0}
     make, matmul = linalg.Matrix._make, linalg.Matrix.__matmul__
+    kron, first_nonzero = linalg.Matrix.kron, polyrep.first_nonzero
 
     def count_make(num, den):
         calls["make"] += 1
@@ -117,8 +120,18 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
         calls["matmul"] += 1
         return matmul(a, b)
 
+    def count_kron(a, b):
+        calls["kron"] += 1
+        return kron(a, b)
+
+    def count_first_nonzero(terms):
+        calls["first_nonzero"] += 1
+        return first_nonzero(terms)
+
     monkeypatch.setattr(linalg.Matrix, "_make", staticmethod(count_make))
     monkeypatch.setattr(linalg.Matrix, "__matmul__", count_matmul)
+    monkeypatch.setattr(linalg.Matrix, "kron", count_kron)
+    monkeypatch.setattr(polyrep, "first_nonzero", count_first_nonzero)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"group": "S4", "c": "1/3", "max_degree": 3,
                                 "tau": "trivial", "suites": "all"}),
@@ -127,6 +140,12 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     assert code == 0
     assert hashlib.sha256(cli._report_bytes(report)).hexdigest() == \
         "68a97dbd3a237d7ce2c3dc3d7ca638452a3bf037bf780e9cc084c809cec14142"
-    assert calls["matmul"] == 2965
+    # 2,965 with one kron per Kronecker term, every group element built by
+    # substitution and the zero M_ii products of the AMA relations formed
+    assert calls["matmul"] == 2942
     # 18,427 when every pairwise sum was canonicalised on its own
     assert calls["make"] < 7000
+    # 873 with one kron per Kronecker term
+    assert calls["kron"] == 115
+    # 2,820 with every AMA relation summed on its own
+    assert calls["first_nonzero"] == 980

@@ -9,9 +9,9 @@ import pytest
 import sympy
 
 from dunkldirac.linalg import (Matrix, _reduce, _signed_numerator,
-                               first_nonzero, hstack, intersection_dim,
-                               is_positive_definite, kernel, rank,
-                               signed_sum)
+                               _stacked, first_nonzero, hstack,
+                               intersection_dim, is_positive_definite,
+                               kernel, rank, signed_sum)
 from dunkldirac.scalars import ExactScalar, ONE, SQRT2, ZERO, rat
 
 
@@ -527,6 +527,55 @@ def test_signed_sum_rejects_a_shape_mismatch_and_an_empty_sum():
         Matrix.identity(2) + Matrix.identity(3)
     with pytest.raises(ValueError):
         signed_sum([])
+
+
+# -- Kronecker sums as one product ---------------------------------------------
+
+
+class Slices:
+    """The slice dimensions a zero-term kron_sum reads its shapes from."""
+    max_degree = 3
+
+    @staticmethod
+    def dim(m: int) -> int:
+        return 0 if m < 0 else 2 * m + 1
+
+
+def test_kron_sum_is_the_sum_of_its_krons():
+    """polyrep.kron_sum of 0, 1 and 3 terms, on rectangular blocks of shift
+    -1, against the explicit sum of Matrix.kron.  The blocks mix
+    denominators 1..6 and all four components, and one entry of the first
+    block, 2^61 + 1 over denominator 1, passes 62 bits once rescaled to
+    the common denominator, so the stacked blocks run on `object`
+    arrays."""
+    from dunkldirac.polyrep import kron_sum
+    rng = random.Random(1806)
+    keys = [1, 2, 3]
+    big = {m: Matrix.from_rows([[2 ** 61 + 1] + [0] * m] + [
+        [ExactScalar(rng.randint(-3, 3), rng.randint(-3, 3),
+                     rng.randint(-3, 3), rng.randint(-3, 3))
+         for _ in range(m + 1)] for _ in range(m - 1)]) for m in keys}
+    blocks = [big] + [{m: random_q_matrix(rng, m, m + 1) for m in keys}
+                      for _ in range(2)]
+    mats = [random_q_matrix(rng, 2, 3) for _ in range(3)]
+    terms = [(blk.__getitem__, mat) for blk, mat in zip(blocks, mats)]
+    for m in keys:
+        stacked = [blk[m] for blk in blocks]
+        assert len({a.den for a in stacked}) > 1
+        assert _stacked(stacked, (0, 1, 2)).num.dtype == object
+        assert _signed_numerator([(1, a) for a in stacked])[0].dtype == object
+    for count in (0, 1, 3):
+        op = kron_sum(Slices, -1, keys, terms[:count])
+        assert op.shift == -1 and op.degrees() == keys
+        for m in keys:
+            got = op.blocks[m]
+            assert_canonical(got)
+            if count:
+                assert got == signed_sum(
+                    (1, blk[m].kron(mat)) for blk, mat in
+                    zip(blocks[:count], mats))
+            else:
+                assert got == Matrix(Slices.dim(m - 1), Slices.dim(m))
 
 
 def scale_through_kron(m: Matrix, s) -> Matrix:

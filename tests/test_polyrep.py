@@ -486,6 +486,34 @@ def test_a_family_is_built_lazily():
     assert not any(memo._memo for memo in fam._divided)
 
 
+@pytest.mark.parametrize("name", [
+    "S3", "B3", "S4",
+    {"roots": [["1", "0"], ["0", "1"], ["1/2*sqrt2", "1/2*sqrt2"],
+               ["1/2*sqrt2", "-1/2*sqrt2"]]}],
+    ids=["S3", "B3", "S4", "I2(4)-sqrt2"])
+def test_group_blocks_along_bfs_words_match_substitution(name):
+    """Every element's block, a product along its BFS word for all but the
+    reflections and the identity, against its substituted C[x] block
+    tensored with tau(w), for the built-in taus and a custom one."""
+    rs = root_system(name)
+    grp = rs.group()
+    for w in range(1, grp.order):
+        assert grp.mul(grp.parents[w], grp.reflection_element_index(
+            grp.words[w][-1])) == w
+    flip = Matrix.from_rows([[-1, 0], [0, 1]])
+    custom = custom_rep(grp, {r: flip for r in rs.simple_root_indices()},
+                        form=Matrix.from_rows([[1, 0], [0, 2]]),
+                        name="sign + trivial")
+    for tau in ("trivial", "sign", "reflection", custom):
+        fam = ModuleFamily(rs, params(rs, "1/3"), tau, max_degree=3)
+        for w in range(grp.order):
+            op = fam.w_op(w)
+            assert op.degrees() == [0, 1, 2, 3]
+            for m in op.degrees():
+                assert op.blocks[m] == fam._images(
+                    m, 0, fam._action(w)).kron(fam.tau.mat(w))
+
+
 def test_kron_sum_without_terms_is_zero_on_its_keys():
     rs = root_system("S3")
     fam = ModuleFamily(rs, params(rs, "1/3"), "reflection", max_degree=3)
