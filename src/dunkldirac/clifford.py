@@ -33,14 +33,7 @@ def _merge_sign_and_mask(s: int, t: int) -> tuple[int, int]:
 
 
 def _mask_indices(mask: int):
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class CliffordElement(Combination):
@@ -55,13 +48,10 @@ class CliffordElement(Combination):
 
     def __init__(self, n: int, coeffs: dict | None = None):
         self.n = n
-        self.coeffs = {}
-        if coeffs:
-            for m, v in coeffs.items():
-                if m >> n:
-                    raise ValueError(f"generator index beyond n={n}")
-                if not v.is_zero():
-                    self.coeffs[m] = v
+        coeffs = coeffs or {}
+        if any(m >> n for m in coeffs):
+            raise ValueError(f"generator index beyond n={n}")
+        self.coeffs = {m: v for m, v in coeffs.items() if not v.is_zero()}
 
     @staticmethod
     def scalar(n: int, v) -> "CliffordElement":
@@ -75,13 +65,10 @@ class CliffordElement(Combination):
 
     @staticmethod
     def monomial(n: int, indices, coeff=ONE) -> "CliffordElement":
-        mask = 0
-        for i in indices:
-            bit = 1 << (i - 1)
-            if mask & bit:
-                raise ValueError("repeated index in monomial")
-            mask |= bit
-        return CliffordElement(n, {mask: coeff})
+        bits = [1 << (i - 1) for i in indices]
+        if len(set(bits)) < len(bits):
+            raise ValueError("repeated index in monomial")
+        return CliffordElement(n, {sum(bits): coeff})
 
     def _ctx(self):
         return self.n
@@ -212,28 +199,25 @@ def _product_table(n: int):
     return table[:, 0].reshape(size, size), table[:, 1].reshape(size, size)
 
 
-def right_multiplication(x: CliffordElement) -> Matrix:
-    """The exact 2^n x 2^n matrix R(x) with y x = y R(x) for every
-    coefficient row y over blade masks: R(x)[S, S xor T] = sign(c_S c_T)
-    times the coefficient of c_T in x."""
-    size = 1 << x.n
-    signs, masks = _product_table(x.n)
-    row = Matrix.from_row_dicts(1, size, [x.coeffs])
-    num = np.zeros((4, size, size), dtype=row.num.dtype)
-    num[:, np.arange(size)[:, None], masks] = signs * row.num
-    return Matrix._make(num, row.den)
+def right_multipliers(rows: Matrix):
+    """R(x) for each row x of rows, coefficient rows over the blade masks of
+    n generators: the exact 2^n x 2^n matrix with y x = y R(x) for every
+    such row y.  R(x)[S, U] = sign(c_S c_T) x_T for T = S xor U, one signed
+    gather of x's row, so x's canonical form as a 1-row matrix gives R(x)'s
+    den, bits and comps."""
+    signs, masks = _product_table(rows.ncols.bit_length() - 1)
+    gather = np.take_along_axis(signs, masks, axis=1)
+    for i in range(rows.nrows):
+        x = Matrix._make(rows.num[:, i:i + 1], rows.den)
+        yield Matrix._build(gather * x.num[:, 0, masks], x.den, x.bits,
+                            x.comps)
 
 
 def anticommutator_check(n: int) -> bool:
     """c_i c_j + c_j c_i = 2 delta_ij for all pairs."""
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ci = CliffordElement.generator(n, i)
-            cj = CliffordElement.generator(n, j)
-            want = CliffordElement.scalar(n, 2 if i == j else 0)
-            if ci * cj + cj * ci != want:
-                return False
-    return True
+    gens = [CliffordElement.generator(n, i) for i in range(1, n + 1)]
+    return all(ci * cj + cj * ci == (2 if i == j else 0)
+               for i, ci in enumerate(gens) for j, cj in enumerate(gens))
 
 
 class SpinorRep:
@@ -251,26 +235,19 @@ class SpinorRep:
         px = Matrix.from_rows([[0, 1], [1, 0]])
         py = Matrix.from_rows([[ZERO, -IUNIT], [IUNIT, ZERO]])
         pz = Matrix.from_rows([[1, 0], [0, -1]])
+        i2 = Matrix.identity(2)
         gens = []
         for j in range(1, k + 1):
             for p in (px, py):
                 m = Matrix.identity(1)
                 for slot in range(1, k + 1):
-                    if slot < j:
-                        m = m.kron(pz)
-                    elif slot == j:
-                        m = m.kron(p)
-                    else:
-                        m = m.kron(Matrix.identity(2))
+                    m = m.kron(pz if slot < j else p if slot == j else i2)
                 gens.append(m)
         if n % 2 == 1:
             last = Matrix.identity(self.dim)
             for g in gens:
                 last = last @ g
-            phase = ONE
-            for _ in range(k):
-                phase = phase * IUNIT
-            gens.append(last.scale(phase))
+            gens.append(last.scale((ONE, IUNIT, -ONE, -IUNIT)[k % 4]))
         self.generators = gens
         self._cache: dict = {}
 

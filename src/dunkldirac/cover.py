@@ -12,17 +12,18 @@ Clifford algebra, which can be a proper quotient.
 When -1 is in the group, the cover is extended by an extra central order-2
 generator g mapping to (group element -1) tensor (Clifford identity).
 
-The cocycle is an int8 table built on first use, every entry read off an
-exact lift product compared in full against the signed lift.
+The cocycle is an int8 table built on first use from one exact lift product
+per reflection, compared in full, then filled along the BFS words.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from .clifford import CliffordElement, right_multiplication, vector_embed
+from .clifford import (CliffordElement, _product_table, right_multipliers,
+                       vector_embed)
 from .linalg import Matrix
 from .roots import ReflectionGroup, RootSystem, dot
 from .scalars import HALF, ONE, Combination, accumulate, rat
@@ -53,29 +54,49 @@ class PinCover:
     def lift(self, elem_idx: int) -> CliffordElement:
         return self.lifts[elem_idx]
 
+    def _lift_rows(self, lifts) -> Matrix:
+        """The lifts as the rows of one exact matrix over blade masks."""
+        return Matrix.from_row_dicts(len(lifts), 1 << self.n,
+                                     (x.coeffs for x in lifts))
+
     @cached_property
     def cocycle_table(self) -> np.ndarray:
         """mu as an int8 array: cocycle_table[v, u] = mu(v, u).
 
-        Column u comes from one exact product: the lifts as the rows of a
-        matrix over blade masks, times the right multiplication by lift(u).
-        Row v, lift(v) lift(u), must equal +-lift(vu) in every component,
-        else RuntimeError.  Both sides are in canonical form, so that holds
-        when the denominators agree and the integer rows agree up to sign.
+        With l_a the lift of reflection a and L the lifts as the rows of one
+        exact matrix, one product L R(l_a) per positive root a gives every
+        lift(w) l_a.  Row w must equal E[w, a] lift(w s_a), E[w, a] = +-1,
+        in every component, else RuntimeError; both sides are canonical, so
+        that holds when the denominators agree and the integer rows agree
+        up to sign.  With lift(1) = 1 checked, column 1 of mu is 1, and for
+        u = p s_a, p the BFS parent of u and a its word's last letter,
+
+            mu(v, u) = E[p, a] mu(v, p) E[vp, a],
+
+        by associativity: lift(u) = E[p, a] lift(p) l_a, so lift(v) lift(u)
+        = E[p, a] lift(v) lift(p) l_a = E[p, a] mu(v, p) lift(vp) l_a
+        = E[p, a] mu(v, p) E[vp, a] lift(vu).
         """
-        order, mul = self.group.order, self.group.mul_table
-        lifts = Matrix.from_row_dicts(order, 1 << self.n,
-                                      (x.coeffs for x in self.lifts))
-        mu = np.empty((order, order), dtype=np.int8)
-        for u, lift in enumerate(self.lifts):
-            prod = lifts @ right_multiplication(lift)
-            want = lifts.num[:, mul[:, u]]
+        grp, mul = self.group, self.group.mul_table
+        if self.lifts[0] != 1:
+            raise RuntimeError("lift(1) is not 1; cover is corrupted")
+        lifts = self._lift_rows(self.lifts)
+        e_sign = np.empty((grp.order, len(self._refl_lifts)), dtype=np.int8)
+        for a, r in enumerate(right_multipliers(
+                self._lift_rows(self._refl_lifts))):
+            prod = lifts @ r
+            want = lifts.num[:, mul[:, grp.reflection_element_index(a)]]
             plus = (prod.num != want).any(axis=(0, 2))
             if prod.den != lifts.den or (
                     plus & (prod.num != -want).any(axis=(0, 2))).any():
                 raise RuntimeError(
                     "lift product is not a signed lift; cover is corrupted")
-            mu[:, u] = np.where(plus, -1, 1)
+            e_sign[:, a] = np.where(plus, -1, 1)
+        mu = np.empty((grp.order, grp.order), dtype=np.int8)
+        mu[:, 0] = 1
+        for u in range(1, grp.order):
+            p, a = grp.parents[u], grp.words[u][-1]
+            mu[:, u] = e_sign[p, a] * mu[:, p] * e_sign[mul[:, p], a]
         return mu
 
     _mu_rows = cached_property(lambda self: self.cocycle_table.tolist())
@@ -111,51 +132,55 @@ class PinCover:
         on basis vectors, as one exact product per element: the rows lift,
         epsilon(lift) c_1, ..., epsilon(lift) c_n times the right
         multiplication by lift^-1 = reversal(lift) (the factors of a lift
-        are unit vectors).
+        are unit vectors).  Row j >= 1 is a signed gather of the lift's
+        row: its entry at U is epsilon(T) sign(c_T c_j) lift_T, T = U xor
+        {j}.
         """
-        n, size = self.n, 1 << self.n
-        gens = [CliffordElement.generator(n, j) for j in range(1, n + 1)]
-        for lift, g in zip(self.lifts, self.group.matrices):
-            eps = lift.grading_sign()
-            rows = [lift] + [eps * c for c in gens]
-            got = Matrix.from_row_dicts(n + 1, size, (x.coeffs for x in rows))
-            want = Matrix.from_row_dicts(n + 1, size, [{0: ONE}] + [
-                {1 << k: v for k, v in col.items()}
-                for col in g.transpose().rows])
-            if got @ right_multiplication(lift.reversal()) != want:
+        n, lifts = self.n, self._lift_rows(self.lifts)
+        signs, masks = _product_table(n)
+        degree = np.array([m.bit_count() for m in range(1 << n)])
+        bits = np.array([0] + [1 << j for j in range(n)])
+        src = masks[:, bits].T
+        gather = signs[src, bits[:, None]] * (1 - 2 * (degree[src] & 1))
+        gather[0] = 1
+        reversed_lifts = Matrix._make(
+            lifts.num * (1 - 2 * (degree * (degree - 1) // 2 & 1)),
+            lifts.den)
+        for lift, inverse, g in zip(lifts.num.transpose(1, 0, 2),
+                                    right_multipliers(reversed_lifts),
+                                    self.group.matrices):
+            want = np.zeros((4, n + 1, 1 << n), dtype=g.num.dtype)
+            want[0, 0, 0] = g.den
+            want[:, 1:, bits[1:]] = g.num.transpose(0, 2, 1)
+            got = Matrix._make(lift[:, src] * gather, lifts.den) @ inverse
+            # want / g.den is canonical, as g is
+            if got.den != g.den or not np.array_equal(got.num, want):
                 return False
         return True
 
     def conjugation_sign_check(self) -> bool:
         """lift(a) lift(b) lift(a) = -s-tilde of the reflected root, over all
         pairs of positive roots."""
-        lifts, nroots = self._refl_lifts, len(self.rs.positive_roots)
-        for a, perm in enumerate(self.rs.reflection_permutations):
-            for b in range(nroots):
-                k = perm[b]
-                want = -lifts[k] if k < nroots else lifts[k - nroots]
-                if lifts[a] * lifts[b] * lifts[a] != want:
-                    return False
-        return True
+        lifts, perms = self._refl_lifts, self.rs.reflection_permutations
+        # minus the lift of root k; root k + |Phi+| is minus root k
+        want = [-x for x in lifts] + lifts
+        return all(la * lb * la == want[perm[b]]
+                   for la, perm in zip(lifts, perms)
+                   for b, lb in enumerate(lifts))
 
     def braid_sign_check(self) -> bool:
         """(lift(a) lift(b))^m = (-1)^(m-1) for simple roots a, b, where m is
         the order of s_a s_b in the group."""
-        simples = self.rs.simple_root_indices()
-        grp = self.group
-        for a in simples:
-            for b in simples:
-                ia = grp.reflection_element_index(a)
-                ib = grp.reflection_element_index(b)
-                m = grp.element_order(grp.mul(ia, ib)) if ia != ib else 1
-                prod = self._refl_lifts[a] * self._refl_lifts[b]
-                acc = CliffordElement.scalar(self.n, 1)
-                for _ in range(m):
-                    acc = acc * prod
-                want = CliffordElement.scalar(self.n, 1 if (m - 1) % 2 == 0
-                                              else -1)
-                if acc != want:
-                    return False
+        simples, grp = self.rs.simple_root_indices(), self.group
+        for a, b in product(simples, repeat=2):
+            m = grp.element_order(grp.mul(grp.reflection_element_index(a),
+                                          grp.reflection_element_index(b)))
+            prod = self._refl_lifts[a] * self._refl_lifts[b]
+            acc = CliffordElement.scalar(self.n, 1)
+            for _ in range(m):
+                acc = acc * prod
+            if acc != (-1) ** (m - 1):
+                return False
         return True
 
     def cocycle_identity_check(self) -> bool:
@@ -187,11 +212,9 @@ class HatElement(Combination):
 
     def __init__(self, cover: PinCover, p=None, m=None, gp=None, gm=None):
         self.cover = cover
-        self.coeffs = {}
-        for (t, g), part in zip(_PARTS.values(), (p, m, gp, gm)):
-            for k, v in (part or {}).items():
-                if not v.is_zero():
-                    self.coeffs[(t, g, k)] = v
+        self.coeffs = {(t, g, k): v
+                       for (t, g), part in zip(_PARTS.values(), (p, m, gp, gm))
+                       for k, v in (part or {}).items() if not v.is_zero()}
         if not cover.has_g() and any(g for _, g, _ in self.coeffs):
             raise ValueError("g-extension only exists when -1 is in the group")
 

@@ -7,12 +7,15 @@ bitmask implementation.
 """
 import random
 
+import numpy as np
 import pytest
 
 from dunkldirac.clifford import (
     CliffordElement,
     SpinorRep,
+    _product_table,
     anticommutator_check,
+    right_multipliers,
     vector_embed,
 )
 from dunkldirac.linalg import Matrix
@@ -107,6 +110,35 @@ def test_mul_against_naive_oracle():
             got = {w: c for c, w in to_naive(a * b)}
             want = naive_product(n, to_naive(a), to_naive(b))
             assert got == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_blade_sign_table_is_associative(n):
+    """sign(S, T) sign(S xor T, U) == sign(T, U) sign(S, T xor U) over all
+    triples of blade masks: the one assumption under the cocycle table's
+    derivation along BFS words."""
+    signs, masks = _product_table(n)
+    every = np.arange(1 << n)[:, None, None]
+    left = signs[:, :, None] * signs[masks]
+    right = signs[None, :, :] * signs[every, masks[None, :, :]]
+    assert left.shape == (1 << n,) * 3
+    assert np.array_equal(left, right)
+
+
+def test_right_multipliers_act_by_the_clifford_product():
+    rng = random.Random(5521)
+    for n in (1, 2, 3, 4):
+        size = 1 << n
+        xs = [random_element(n, rng) for _ in range(6)]
+        xs[0] = xs[0] * SQRT2 * HALF + CliffordElement.scalar(n, rat("1/3"))
+        rows = Matrix.from_row_dicts(len(xs), size, (x.coeffs for x in xs))
+        for x, r in zip(xs, right_multipliers(rows)):
+            assert r == Matrix.from_row_dicts(size, size, [
+                (CliffordElement(n, {s: ONE}) * x).coeffs
+                for s in range(size)])
+            y = random_element(n, rng)
+            got = Matrix.from_row_dicts(1, size, [y.coeffs]) @ r
+            assert got == Matrix.from_row_dicts(1, size, [(y * x).coeffs])
 
 
 def test_involutions():

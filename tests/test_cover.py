@@ -8,9 +8,11 @@ small groups and pin the conventions.
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from dunkldirac.clifford import CliffordElement
+from dunkldirac.clifford import CliffordElement, _merge_sign_and_mask
+from dunkldirac.linalg import Matrix
 from dunkldirac.polyrep import Polynomial
 from dunkldirac.cover import (
     HatElement,
@@ -417,6 +419,81 @@ def test_cocycle_table_matches_clifford_products(spec):
             prod, want = a * b, lifts[cov.group.mul(i, j)]
             sign = cov.cocycle(i, j)
             assert prod == (want if sign > 0 else -want)
+
+
+def full_product_cocycle_table(cov):
+    """The cocycle table from one exact product per element u: the lifts as
+    rows times the right multiplication by lift(u), built entry by entry
+    from the blade product, each row compared in full with +-lift(vu)."""
+    order, size = cov.group.order, 1 << cov.n
+    lifts = Matrix.from_row_dicts(order, size, (x.coeffs for x in cov.lifts))
+    mu = np.empty((order, order), dtype=np.int8)
+    for u, lift in enumerate(cov.lifts):
+        rows = [{} for _ in range(size)]
+        for s in range(size):
+            for t, v in lift.coeffs.items():
+                sign, mask = _merge_sign_and_mask(s, t)
+                rows[s][mask] = v if sign > 0 else -v
+        prod = lifts @ Matrix.from_row_dicts(size, size, rows)
+        want = lifts.num[:, cov.group.mul_table[:, u]]
+        plus = (prod.num != want).any(axis=(0, 2))
+        assert prod.den == lifts.den
+        assert not (plus & (prod.num != -want).any(axis=(0, 2))).any()
+        mu[:, u] = np.where(plus, -1, 1)
+    return mu
+
+
+@pytest.mark.parametrize("spec", ["S4", "S5", "B4", "D4", SQRT2_ROOTS],
+                         ids=["S4", "S5", "B4", "D4", "I2(4)-sqrt2"])
+def test_derived_cocycle_table_matches_full_products(spec):
+    cov = PinCover(root_system(spec))
+    assert np.array_equal(cov.cocycle_table, full_product_cocycle_table(cov))
+
+
+def test_derived_cocycle_table_follows_negated_lifts():
+    """Negating some lifts changes mu by a coboundary; the derivation reads
+    the signs E[p, a] of every BFS step, so it does not rest on lift(u) =
+    lift(p) l_a as the constructor builds it."""
+    cov = make("S4")
+    before = cov.cocycle_table.copy()
+    del cov.cocycle_table
+    rng = random.Random(2203)
+    for i in rng.sample(range(1, cov.group.order), 9):
+        cov.lifts[i] = -cov.lifts[i]
+    assert not np.array_equal(cov.cocycle_table, before)
+    assert np.array_equal(cov.cocycle_table, full_product_cocycle_table(cov))
+
+
+def test_corrupted_leaf_lift_breaks_the_cocycle_table():
+    """A BFS leaf is no element's parent, so the derivation along words
+    never reads its lift; the full comparison of the reflection products
+    still sees it."""
+    cov = make("S4")
+    parents = set(cov.group.parents)
+    leaf = next(i for i, x in enumerate(cov.lifts)
+                if i not in parents and len(x.coeffs) > 1)
+    mask, val = next(iter(cov.lifts[leaf].coeffs.items()))
+    cov.lifts[leaf] = CliffordElement(cov.n, {**cov.lifts[leaf].coeffs,
+                                              mask: -val})
+    with pytest.raises(RuntimeError, match="cover is corrupted"):
+        cov.cocycle(0, 0)
+
+
+def test_negated_identity_lift_breaks_the_cocycle_table():
+    """lift(1) = -1 passes every reflection product up to sign, so it is
+    checked on its own."""
+    cov = make("S3")
+    cov.lifts[0] = -cov.lifts[0]
+    with pytest.raises(RuntimeError, match="cover is corrupted"):
+        cov.cocycle(0, 0)
+
+
+def test_projection_check_rejects_swapped_lifts_of_equal_parity():
+    cov = make("S5")
+    assert cov.projection_check()
+    i, j = [k for k, w in enumerate(cov.group.words) if len(w) == 2][:2]
+    cov.lifts[i], cov.lifts[j] = cov.lifts[j], cov.lifts[i]
+    assert not cov.projection_check()
 
 
 def test_corrupted_lift_breaks_the_cocycle_table():

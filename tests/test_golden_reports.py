@@ -141,8 +141,10 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     assert hashlib.sha256(cli._report_bytes(report)).hexdigest() == \
         "68a97dbd3a237d7ce2c3dc3d7ca638452a3bf037bf780e9cc084c809cec14142"
     # 2,965 with one kron per Kronecker term, every group element built by
-    # substitution and the zero M_ii products of the AMA relations formed
-    assert calls["matmul"] == 2942
+    # substitution and the zero M_ii products of the AMA relations formed;
+    # 2,942 with one cocycle-table product per group element (24) rather
+    # than one per reflection (6)
+    assert calls["matmul"] == 2924
     # 18,427 when every pairwise sum was canonicalised on its own
     assert calls["make"] < 7000
     # 873 with one kron per Kronecker term
