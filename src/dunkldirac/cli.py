@@ -508,7 +508,7 @@ def _table_row(cfg, dctx, point) -> dict:
             row["omega_scalar"] = str(coh.omega_scalar)
     except KeyError as exc:
         row["status"] = f"error: degree {exc} outside the computed window"
-    except (ConfigError, ValueError, RuntimeError) as exc:
+    except (ConfigError, ValueError, RuntimeError, OverflowError) as exc:
         row["status"] = f"error: {exc}"
     return row
 
@@ -658,6 +658,11 @@ def main(argv=None) -> int:
             return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # an exact value whose float report cannot be written
+        print(f"error: {exc}; the reports need it as a float",
+              file=sys.stderr)
         return 2
     return 2
 

@@ -7,18 +7,17 @@ gcd of den and every entry of num is 1, and num is int64 exactly when
 every |entry| < 2^62, otherwise an `object` array of Python ints.  So
 equality and hashing are structural on (shape, den, num).
 
-A product is one integer matmul of A's nonzero components, side by side,
-against a block matrix of +-B and +-2B blocks read off the multiplication
-table of the basis.  A bit bound on the operands (see `_fits`) picks how
-it runs.  When it proves every operand, partial sum and result an integer
-below 2^53, the integer arrays run as one float64 BLAS product and the
-result is cast back to int64: float64 holds every such integer exactly,
-so no rounding can happen in any summation order.  Otherwise, when the
-bound proves that no sum overflows int64, the product runs in int64, and
-else on `object` arrays, slower but exact.  So no float ever decides a
-value: the float64 arrays only ever carry integers proved below 2^53, and
-floats that round appear only in `to_complex`, which feeds reports and
-eigenvalue guesses.
+A product is one integer matmul A_x @ B_y per live pair of components,
+x of A and y of B, added times +-1 or +-2 (e_x e_y in the table of the
+basis) into component x ^ y; a component no pair reaches is never
+computed.  A bit bound on the operands (see `_fits`) picks how they run.
+When it proves every operand, partial sum and result an integer below
+2^53, the planes run as float64 BLAS products cast back to int64:
+float64 holds every such integer exactly, so no summation order rounds.
+Otherwise, when the bound proves that no sum overflows int64, they run in
+int64, and else on `object` arrays, slower but exact.  So no float ever
+decides a value: floats that round appear only in `to_complex`, which
+feeds reports and eigenvalue guesses.
 
 Every linear combination, a pairwise sum included, is one `signed_sum`:
 one lcm denominator, one numerator accumulated in int64 under a proved
@@ -43,36 +42,39 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .scalars import (SQRT2_FLOAT, ExactScalar, ZERO, ONE, accumulate,
-                      as_scalar)
+from .scalars import (FLOAT_BITS, SQRT2_FLOAT, ExactScalar, ZERO, ONE,
+                      accumulate, as_scalar)
 
 # int64 arrays hold entries below 2^62 in absolute value, so the sum or
 # difference of two of them still fits
 _LIMIT = 1 << 62
 
-# e_a * e_b = _COEF[a][c] * e_c with b = _IDX[a][c] = a ^ c, for the basis
-# e_0..e_3 = 1, sqrt2, i, i*sqrt2
-_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_COEF = np.array([[1, 1, 1, 1], [2, 1, 2, 1],
-                  [-1, -1, 1, 1], [-2, -1, 2, 1]], dtype=np.int64)
+# e_a * e_b = _COEF[a][a ^ b] * e_(a ^ b), for the basis e_0..e_3 = 1,
+# sqrt2, i, i*sqrt2
+_COEF = ((1, 1, 1, 1), (2, 1, 2, 1), (-1, -1, 1, 1), (-2, -1, 2, 1))
 # complex conjugation flips the sign of the i and i*sqrt2 components
 _CONJ = np.array([1, 1, -1, -1], dtype=np.int64).reshape(4, 1, 1)
 
 
-def _companion(b: np.ndarray, comps: list) -> np.ndarray:
-    """Per component a in comps, the four arrays _COEF[a][c] * b[a ^ c]:
-    left-multiplying them by a's array gives e_a * B per output c."""
-    return _COEF[comps][:, :, None, None] * b[_IDX[comps]]
+def _by_pairs(ca, cb, product, shape, dtype) -> np.ndarray:
+    """The (4, *shape) numerator of the sum over x in ca and y in cb of
+    _COEF[x][x ^ y] * product(x, y) in component x ^ y; product returns a
+    fresh array, which the scaling may overwrite."""
+    out = np.zeros((4, *shape), dtype=dtype)
+    for x in ca:
+        for y in cb:
+            coef, term = _COEF[x][x ^ y], product(x, y)
+            if coef != 1:
+                term *= coef
+            out[x ^ y] += term
+    return out
 
 
 def _gemm(lhs: np.ndarray, rhs: np.ndarray, exact_float: bool):
-    """lhs @ rhs on integer arrays; as a float64 BLAS product cast back to
-    int64 when exact_float, which the caller sets only under the 53-bit
-    bound of `Matrix._fits`."""
-    if exact_float:
-        return (lhs.astype(np.float64) @ rhs.astype(np.float64)).astype(
-            np.int64)
-    return lhs @ rhs
+    """lhs @ rhs, cast back to int64 when exact_float: the caller then
+    passes float64 planes of integers under the 53-bit bound of `_fits`."""
+    prod = lhs @ rhs
+    return prod.astype(np.int64) if exact_float else prod
 
 
 class Matrix:
@@ -102,24 +104,24 @@ class Matrix:
     @staticmethod
     def _make(num: np.ndarray, den: int) -> "Matrix":
         """The canonical form of num / den, for den > 0: divide out the
-        common gcd, then store int64 exactly when every entry fits."""
-        if den != 1:
-            g = int(np.gcd.reduce(num, axis=None))
-            if g == 0:
-                return Matrix(num.shape[1], num.shape[2])
-            g = gcd(den, g)
-            if g != 1:
-                num = num // g
-                den //= g
+        gcd of den and the nonzero components, then store int64 exactly
+        when every entry fits."""
         peaks = np.abs(num).reshape(4, -1).max(axis=1, initial=0).tolist()
-        peak = max(peaks)
+        comps = tuple(c for c, p in enumerate(peaks) if p)
+        if not comps:
+            return Matrix(num.shape[1], num.shape[2])
+        g = den
+        for c in comps:  # stop reducing once g is 1
+            g = g if g == 1 else gcd(g, int(np.gcd.reduce(num[c], axis=None)))
+        if g != 1:
+            num, den = num // g, den // g
+        peak = max(peaks) // g
         if num.dtype == object:
             if peak < _LIMIT:
                 num = num.astype(np.int64)
         elif peak >= _LIMIT:
             num = num.astype(object)
-        return Matrix._build(num, den, peak.bit_length(),
-                             tuple(c for c, p in enumerate(peaks) if p))
+        return Matrix._build(num, den, peak.bit_length(), comps)
 
     # -- construction --
 
@@ -213,18 +215,17 @@ class Matrix:
         return self + Matrix.identity(self.nrows).scale(s)
 
     def scale(self, s) -> "Matrix":
-        """s * self: component c is the sum over nonzero components a of s
-        of s_a * _COEF[a][c] * num[a ^ c], one multiply for a rational s;
-        int64 under `_fits` with k = 1 and s's components as B's entries."""
+        """s * self, one multiply per live pair of components of s and
+        self (one for a rational s); int64 under `_fits` with k = 1 and
+        s's components as B's entries."""
         s = as_scalar(s)
         sc, num = (s._p, s._q, s._r, s._s), self.num
         if self.bits + max(map(abs, sc)).bit_length() + 5 > 62:
             num = num.astype(object)
-        parts = [np.array([sc[a] * c for c in _COEF[a].tolist()],
-                          dtype=num.dtype)[:, None, None] * num[_IDX[a]]
-                 for a in range(4) if sc[a]]
-        return (Matrix._make(sum(parts[1:], parts[0]), self.den * s._den)
-                if parts else Matrix(self.nrows, self.ncols))
+        return Matrix._make(_by_pairs(
+            [a for a in range(4) if sc[a]], self.comps,
+            lambda a, y: sc[a] * num[y], self.shape, num.dtype),
+            self.den * s._den)
 
     def _fits(self, other: "Matrix", k: int, limit: int = 62) -> bool:
         """True when every sum of k terms a * c * b, for entries a of self
@@ -236,14 +237,17 @@ class Matrix:
         sums are below 4k * 2 * 2^(bits(A) + bits(B)) < 2^(bits(A) + bits(B)
         + bitlen(k) + 3) <= 2^(limit - 1) when bits(A) + bits(B) + bitlen(k)
         + 4 <= limit.  An `object` array has bits >= 63 and never fits.
+        A product sums the k terms a * b of each live pair of components,
+        scales the sum by c and adds it into one output component: every
+        value it forms is, up to c, a sum of a subset of the 4k terms.
 
         limit = 62 keeps int64 sums from overflowing.  limit = 53 makes the
-        product exact in float64: each operand (a, or c * b) and each term
-        a * c * b is an integer below 2^(bits(A) + bits(B) + 1) <= 2^52, and
-        each partial sum, in whatever order or grouping a BLAS kernel forms
-        it, FMA included, is a sum of a subset of the terms, so below 2^52
-        too.  Float64 represents every integer below 2^53 exactly, so no
-        step rounds and the cast back to int64 is exact.
+        products exact in float64: each operand and each term a * b is an
+        integer below 2^(bits(A) + bits(B)) <= 2^52, and each partial sum,
+        in whatever order or grouping a BLAS kernel forms it, FMA included,
+        is such a subset sum, so below 2^52 too.  Float64 represents every
+        integer below 2^53 exactly, so no step rounds and the cast back to
+        int64 is exact.
         """
         return self.bits + other.bits + k.bit_length() + 4 <= limit
 
@@ -256,34 +260,25 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        r, k, n = self.nrows, self.ncols, other.ncols
-        ca, cb = self.comps, other.comps
-        if not ca or not cb:
-            return Matrix(r, n)
-        a, b = self._operands(other, k)
-        exact_float = self._fits(other, k, 53)
-        if ca == cb == (0,):
-            prod = _gemm(a[0], b[0], exact_float)
-            out = np.zeros((4, r, n), dtype=prod.dtype)
-            out[0] = prod
-        else:
-            ca = list(ca)
-            lhs = a[ca].transpose(1, 0, 2).reshape(r, len(ca) * k)
-            rhs = _companion(b, ca).transpose(0, 2, 1, 3).reshape(
-                len(ca) * k, 4 * n)
-            out = _gemm(lhs, rhs, exact_float).reshape(r, 4, n).transpose(
-                1, 0, 2)
-        return Matrix._make(out, self.den * other.den)
+        if not self.comps or not other.comps:
+            return Matrix(self.nrows, other.ncols)
+        a, b = self._operands(other, self.ncols)
+        exact_float = self._fits(other, self.ncols, 53)
+        dtype = np.float64 if exact_float else a.dtype
+        lhs = {x: a[x].astype(dtype, copy=False) for x in self.comps}
+        rhs = {y: b[y].astype(dtype, copy=False) for y in other.comps}
+        return Matrix._make(_by_pairs(
+            self.comps, other.comps,
+            lambda x, y: _gemm(lhs[x], rhs[y], exact_float),
+            (self.nrows, other.ncols), a.dtype), self.den * other.den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         (r1, c1), (r2, c2) = self.shape, other.shape
-        if not self.comps or not other.comps:
-            return Matrix(r1 * r2, c1 * c2)
         a, b = self._operands(other, 1)
-        ca = list(self.comps)
-        prod = (a[ca][:, None, :, None, :, None]
-                * _companion(b, ca)[:, :, None, :, None, :]).sum(axis=0)
-        return Matrix._make(prod.reshape(4, r1 * r2, c1 * c2),
+        out = _by_pairs(self.comps, other.comps,
+                        lambda x, y: a[x][:, None, :, None] * b[y][:, None],
+                        (r1, r2, c1, c2), a.dtype)
+        return Matrix._make(out.reshape(4, r1 * r2, c1 * c2),
                             self.den * other.den)
 
     def transpose(self) -> "Matrix":
@@ -333,7 +328,11 @@ class Matrix:
 
     def to_complex(self):
         """Complex float array, each entry rounded as ExactScalar.to_complex
-        rounds it: from its own reduced components and denominator."""
+        rounds it: from its own reduced components and denominator, and
+        through it when num or den is past float range."""
+        if max(self.bits, self.den.bit_length()) > FLOAT_BITS:
+            return np.array([x.to_complex() for row in self.to_dense()
+                             for x in row], dtype=complex).reshape(self.shape)
         num = self.num
         if self.den >= _LIMIT:
             num = num.astype(object)

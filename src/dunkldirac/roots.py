@@ -269,7 +269,9 @@ class ReflectionGroup:
     enumerated breadth-first over all reflection generators in root order,
     so words[i] is the lexicographically first factorization of element i
     of minimal reflection length, and words[i] = words[parents[i]] + (r,)
-    for the BFS parent parents[i] (None for the identity).
+    for the BFS parent parents[i] (None for the identity).  The BFS looks
+    up the right product of every element by every reflection generator;
+    they are kept as the table `_right`.
 
     The exact n x n matrices, the product table and the inverse table are
     built on first use.
@@ -283,10 +285,14 @@ class ReflectionGroup:
         self.words = [()]
         self.parents = [None]
         self._index = {perms[0].tobytes(): 0}
+        # frontiers hold increasing indices, one level after another, so
+        # right[ei] is appended in index order
+        right = []
         frontier = [0]
         while frontier:
             next_frontier = []
             for ei in frontier:
+                row = []
                 for gi, s in enumerate(gens):
                     h = perms[ei][s]
                     k = h.tobytes()
@@ -299,10 +305,12 @@ class ReflectionGroup:
                         if len(perms) > bound:
                             raise ValueError(
                                 f"group order exceeds bound {bound}")
+                    row.append(self._index[k])
+                right.append(row)
             frontier = next_frontier
         self.order = len(perms)
-        self._perms = np.array(perms)
-        self._reflection_idx = [self._index[s.tobytes()] for s in gens]
+        self._right = np.array(right, dtype=np.intp)
+        self._reflection_idx = right[0]
 
     @cached_property
     def matrices(self) -> list:
@@ -316,10 +324,14 @@ class ReflectionGroup:
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        """mul_table[i, j] = index of element i times element j."""
-        perms, index = self._perms, self._index
-        return np.array([[index[q.tobytes()] for q in p[perms]]
-                         for p in perms], dtype=np.intp)
+        """mul_table[i, j] = index of element i times element j, filled
+        column by column along the BFS words: j = parents[j] s for its
+        last letter s, so i j = (i parents[j]) s, read off `_right`."""
+        cols = np.empty((self.order, self.order), dtype=np.intp)
+        cols[0] = np.arange(self.order)
+        for j in range(1, self.order):
+            cols[j] = self._right[cols[self.parents[j]], self.words[j][-1]]
+        return cols.T.copy()
 
     @cached_property
     def inv_table(self) -> np.ndarray:

@@ -9,9 +9,12 @@ for the spinor matrices of every built-in root system.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 SQRT2_FLOAT = 1.4142135623730951
+# integers below 2^FLOAT_BITS convert to float, and p + q * SQRT2_FLOAT
+# for two of them stays below 2^1024, the top of the float range
+FLOAT_BITS = 1022
 
 RationalLike = "int | str | Fraction"
 
@@ -31,6 +34,23 @@ def as_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {x!r}") from exc
     raise ValueError(f"not a rational: {x!r}")
+
+
+def _surd_float(p: int, q: int, den: int) -> float:
+    """(p + q sqrt2) / den as a float: on floats while p, q and den are in
+    float range, else from the quotients p / den and q / den of Python
+    ints, each rounded once.  Raises OverflowError when the value itself
+    is past float range."""
+    if max(abs(p), abs(q), den).bit_length() <= FLOAT_BITS:
+        return (p + q * SQRT2_FLOAT) / den
+    try:
+        x = p / den + q / den * SQRT2_FLOAT
+    except OverflowError:
+        x = inf
+    if abs(x) == inf:
+        top = max(abs(p), abs(q)).bit_length() - den.bit_length()
+        raise OverflowError(f"a value near 2^{top} is past float range")
+    return x
 
 
 def format_fraction(x: Fraction) -> str:
@@ -250,9 +270,9 @@ class ExactScalar:
     # -- conversions --
 
     def to_complex(self) -> complex:
-        re = (self._p + self._q * SQRT2_FLOAT) / self._den
-        im = (self._r + self._s * SQRT2_FLOAT) / self._den
-        return complex(re, im)
+        den = self._den
+        return complex(_surd_float(self._p, self._q, den),
+                       _surd_float(self._r, self._s, den))
 
     def serialize(self) -> list:
         """4-tuple of rational strings [a, b, c, d]."""

@@ -288,18 +288,35 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
     ({"group": "S3", "c": "1/3", "max_degree": 3,
       "tau": {"matrices": {"0": [[-1]], "2": [[-1]]}, "form": [[-1]]}},
      "error: tau: form is not positive definite\n"),
+    # the Casimir scalar near 10^600 has no float for the spectrum report
+    ({"group": "S2", "c": "1e300", "suites": ["cohomology"]},
+     "error: a value near 2^"),
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
         "coroot-norm-outside-field", "no-roots", "roots-missing",
         "repeated-root", "opposite-root", "roots-not-closed",
         "not-a-positive-system", "root-entry-boolean",
         "empty-suites", "tau-zero-dimensional", "group-name-not-a-string",
-        "tau-name-not-a-string", "tau-form-zero", "tau-form-negative"])
+        "tau-name-not-a-string", "tau-form-zero", "tau-form-negative",
+        "casimir-past-float-range"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,
                                                  overrides, prefix):
     path = write_config(tmp_path, **overrides)
     assert cli.main(["verify", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("c", [
+    "1e-400", f"{10 ** 331 + 1}/{10 ** 331}"], ids=["tiny", "near-one"])
+def test_couplings_with_components_past_float_range_verify(tmp_path, c):
+    # exact values whose numerators or denominators have no float, though
+    # the values do: the float spectra are still reported
+    path = write_config(tmp_path, c=c, suites=["cohomology"])
+    report_path = tmp_path / "r.json"
+    assert cli.main(["verify", "--config", path,
+                     "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["summary"]["fail"] == 0 and report["summary"]["pass"] > 0
 
 
 def test_reducible_tau_skips_cohomology(tmp_path):

@@ -106,11 +106,18 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     the products are as many as before, a block-level sum is brought to
     canonical form once rather than once per term, a Kronecker sum of two
     or more terms is one product rather than one kron per term, and each
-    distinct collected AMA relation is summed once."""
+    distinct collected AMA relation is summed once.  Every GEMM multiplies
+    one component plane of each factor, so no right operand is wider than
+    the widest factor, 80 columns."""
     from dunkldirac import linalg, polyrep
     calls = {"make": 0, "matmul": 0, "kron": 0, "first_nonzero": 0}
     make, matmul = linalg.Matrix._make, linalg.Matrix.__matmul__
     kron, first_nonzero = linalg.Matrix.kron, polyrep.first_nonzero
+    gemm, gemm_widths = linalg._gemm, set()
+
+    def record_gemm(lhs, rhs, exact_float):
+        gemm_widths.add(rhs.shape[1])
+        return gemm(lhs, rhs, exact_float)
 
     def count_make(num, den):
         calls["make"] += 1
@@ -132,6 +139,7 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     monkeypatch.setattr(linalg.Matrix, "__matmul__", count_matmul)
     monkeypatch.setattr(linalg.Matrix, "kron", count_kron)
     monkeypatch.setattr(polyrep, "first_nonzero", count_first_nonzero)
+    monkeypatch.setattr(linalg, "_gemm", record_gemm)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"group": "S4", "c": "1/3", "max_degree": 3,
                                 "tau": "trivial", "suites": "all"}),
@@ -151,3 +159,5 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     assert calls["kron"] == 115
     # 2,820 with every AMA relation summed on its own
     assert calls["first_nonzero"] == 980
+    # 320 when a product ran against all four components of B side by side
+    assert max(gemm_widths) <= 80

@@ -332,6 +332,22 @@ def test_canonical_form():
     assert zero == Matrix(3, 3) and zero.den == 1 and zero.is_zero()
 
 
+def test_to_complex_past_float_range_rounds_each_entry_as_its_scalar():
+    huge = 10 ** 331
+    m = Matrix.from_rows([[Fraction(1, 3), Fraction(huge + 1, huge)],
+                          [ExactScalar(0, Fraction(7, 2 ** 1100)),
+                           ExactScalar(Fraction(2 ** 1030 + 1, 2 ** 1020),
+                                       0, 0, 1)]])
+    assert max(m.bits, m.den.bit_length()) > 1022
+    arr = m.to_complex()
+    assert arr.shape == (2, 2)
+    assert all(arr[i, j] == m.get(i, j).to_complex()
+               for i in range(2) for j in range(2))
+    assert arr[0, 0] == 1 / 3 and arr[0, 1] == 1.0
+    with pytest.raises(OverflowError, match="past float range"):
+        Matrix.from_rows([[1, 2 ** 1030]]).to_complex()
+
+
 # -- the float64 path under the 53-bit bound -----------------------------------
 
 
@@ -345,8 +361,9 @@ def q_matrix_from_components(comps) -> Matrix:
 
 def through_the_object_path(a: Matrix, b: Matrix) -> Matrix:
     """a @ b with a scaled past 2^62 first, so that the product runs on
-    Python ints, then scaled back."""
-    big = Fraction(2 ** 40)
+    Python ints, then scaled back; the scaling may divide at most 2^2 (of
+    a denominator up to 60) out of a."""
+    big = Fraction(2 ** max(40, 66 - a.bits))
     wide = a.scale(big)
     assert wide.num.dtype == object
     return (wide @ b).scale(1 / big)
@@ -403,7 +420,8 @@ def test_field_product_at_the_53_bit_bound_runs_in_float(gemm_paths):
                                                   (0, 1, 2, 3))
     assert a._fits(b, 5, 53) and not a._fits(b, 5, 52)
     prod = a @ b
-    assert gemm_paths == [True]
+    # one float product per live pair of components
+    assert gemm_paths == [True] * 16
     assert prod == through_the_object_path(a, b)
     assert sympy_equal(prod, to_sympy_matrix(a) * to_sympy_matrix(b))
 
@@ -430,13 +448,105 @@ def test_product_above_the_bound_where_float_rounds_stays_exact(gemm_paths):
     assert exact > 2 ** 53 and exact % 2 == 1
     floated = lhs.astype(np.float64) @ rhs.astype(np.float64)
     assert int(floated[0, 0]) != exact
-    # the product takes the int64 path and stays exact
+    # the product takes the int64 path, one product per live pair of
+    # components, and stays exact
     prod = a @ b
-    assert gemm_paths == [False]
+    assert gemm_paths == [False] * 16
     assert prod.num.dtype == np.int64
     assert int(prod.num[0, 0, 0]) == exact
     assert prod == through_the_object_path(a, b)
     assert sympy_equal(prod, to_sympy_matrix(a) * to_sympy_matrix(b))
+
+
+# -- products by live component pairs ------------------------------------------
+
+# the 15 nonempty subsets of the components 1, sqrt2, i, i*sqrt2
+SUBSETS = [tuple(c for c in range(4) if mask >> c & 1)
+           for mask in range(1, 16)]
+
+
+def subset_matrix(rng, nrows, ncols, comps) -> Matrix:
+    """Random entries over denominators 1..6 whose nonzero components are
+    exactly comps: entry (0, 0) has every one of them nonzero."""
+    def part(c, first):
+        if c not in comps:
+            return 0
+        return Fraction(rng.randint(1, 5) if first else rng.randint(-5, 5),
+                        rng.randint(1, 6))
+    m = Matrix.from_row_dicts(nrows, ncols, [
+        {j: ExactScalar(*(part(c, (i, j) == (0, 0)) for c in range(4)))
+         for j in range(ncols)} for i in range(nrows)])
+    assert m.comps == comps
+    return m
+
+
+def lifted(m: Matrix, bits: int) -> Matrix:
+    """m times a prime above every denominator, so that its numerator
+    keeps its gcd with den and has bit length bits or bits + 1."""
+    return m.scale(sympy.prevprime(2 ** (bits - m.bits + 1)))
+
+
+def dense_product(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b entry by entry in ExactScalar arithmetic."""
+    da, db = a.to_dense(), b.to_dense()
+    return Matrix.from_rows([[sum((da[i][t] * db[t][j]
+                                   for t in range(a.ncols)), ZERO)
+                              for j in range(b.ncols)]
+                             for i in range(a.nrows)])
+
+
+def dense_kron(a: Matrix, b: Matrix) -> Matrix:
+    da, db = a.to_dense(), b.to_dense()
+    return Matrix.from_rows([[x * y for x in ra for y in rb]
+                             for ra in da for rb in db])
+
+
+@pytest.mark.parametrize("path", ["float64", "int64", "object"])
+def test_products_of_every_pair_of_component_subsets(gemm_paths, path):
+    """@ and kron on every pair of nonempty component subsets (15 x 15),
+    with mixed denominators, under each of the three bounds: one GEMM per
+    live pair, only reachable components in the result, canonical form,
+    and the same matrix as the object path and entrywise ExactScalar
+    arithmetic; a sample is checked against sympy."""
+    rng = random.Random({"float64": 53, "int64": 62, "object": 63}[path])
+    pairs = [(ca, cb) for ca in SUBSETS for cb in SUBSETS]
+    sample = set(rng.sample(pairs, 4))
+    for ca, cb in pairs:
+        a = subset_matrix(rng, 2, 3, ca)
+        b = subset_matrix(rng, 3, 2, cb)
+        if path == "int64":  # bits(A) + bits(B) + bitlen(3) + 4 is 57 or 58
+            a = lifted(a, 51 - b.bits)
+        elif path == "object":  # entries of A past 2^62
+            a = lifted(a, 70)
+        assert a.comps == ca
+        assert a._fits(b, 3, 53) == (path == "float64")
+        assert a._fits(b, 3) == (path != "object")
+        del gemm_paths[:]
+        prod = a @ b
+        assert gemm_paths == [path == "float64"] * (len(ca) * len(cb))
+        assert set(prod.comps) <= {x ^ y for x in ca for y in cb}
+        kron = a.kron(b)
+        for m in (prod, kron):
+            assert_canonical(m)
+        assert prod == through_the_object_path(a, b) == dense_product(a, b)
+        assert kron == dense_kron(a, b)
+        if (ca, cb) in sample:
+            sa, sb = to_sympy_matrix(a), to_sympy_matrix(b)
+            assert sympy_equal(prod, sa * sb)
+            assert sympy_equal(kron, sympy.kronecker_product(sa, sb))
+
+
+def test_a_reachable_component_that_cancels_is_not_live():
+    i = ExactScalar(0, 0, 1)
+    # 1 * 1 + i * i: two pairs reach component 1 and cancel there
+    zero = Matrix.from_rows([[1, i]]) @ Matrix.from_rows([[1], [i]])
+    assert_canonical(zero)
+    assert zero == Matrix(1, 1) and zero.comps == () and zero.den == 1
+    # (1/2 + i/2)(1 - i) = 1: the i parts cancel and the 2 divides out
+    half = Matrix.from_rows([[ExactScalar(Fraction(1, 2), 0, Fraction(1, 2))]])
+    one = half @ Matrix.from_rows([[ExactScalar(1, 0, -1)]])
+    assert_canonical(one)
+    assert one == Matrix.identity(1) and one.comps == (0,) and one.den == 1
 
 
 # -- the one sum kernel ------------------------------------------------------

@@ -2,6 +2,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from dunkldirac.linalg import Matrix
@@ -233,6 +234,32 @@ def test_permutation_enumeration_matches_matrix_bfs(spec):
     words, mats = matrix_bfs(grp.rs)
     assert grp.words == words
     assert grp.matrices == mats
+
+
+def pairwise_mul_table(grp):
+    """The product table by composing the root permutations of every pair
+    of elements and looking each product up: the reference for the table
+    filled along the BFS words."""
+    gens = np.array(grp.rs.reflection_permutations, dtype=np.intp)
+    perms = [np.arange(gens.shape[1], dtype=np.intp)]
+    for p, w in zip(grp.parents[1:], grp.words[1:]):
+        perms.append(perms[p][gens[w[-1]]])
+    index = {q.tobytes(): i for i, q in enumerate(perms)}
+    assert len(index) == grp.order
+    perms = np.array(perms)
+    return np.array([[index[q.tobytes()] for q in p[perms]] for p in perms],
+                    dtype=np.intp)
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "S5", "B4", "D4", "I2(4)",
+                                  SQRT2_ROOTS],
+                         ids=["S3", "S4", "S5", "B4", "D4", "I2(4)",
+                              "I2(4)-sqrt2"])
+def test_product_table_along_bfs_words_matches_pairwise_products(spec):
+    grp = root_system(spec).group()
+    table = grp.mul_table
+    assert table.dtype == np.intp and table.flags.c_contiguous
+    assert np.array_equal(table, pairwise_mul_table(grp))
 
 
 def test_group_tables_are_built_on_first_use():

@@ -99,6 +99,35 @@ def test_to_complex_within_ulps():
     assert abs(approx - exact) <= 4e-16 * max(1.0, abs(exact))
 
 
+def test_to_complex_past_float_range():
+    import math
+    huge = 10 ** 331
+    # components or denominators past float range, values inside it
+    assert ExactScalar(Fraction(huge + 1, huge)).to_complex() == 1.0
+    assert ExactScalar(0, 0, Fraction(1, 10 ** 400)).to_complex() == 0j
+    x = ExactScalar(Fraction(-(2 ** 1100) - 1, 2 ** 1100),
+                    Fraction(10 ** 400 + 7, 10 ** 398))
+    assert x.to_complex() == complex(-1.0 + 100 * math.sqrt(2))
+    # at most one rounding each of p / den and q / den, then two float steps
+    y = ExactScalar(0, 0, Fraction(huge // 3, huge),
+                    Fraction(huge, 7 * huge + 1))
+    z = y.to_complex()
+    assert z.real == 0.0
+    assert abs(z.imag - (1 / 3 + math.sqrt(2) / 7)) <= 4e-16
+    # below 2^53 the float formula is kept bit for bit; for these
+    # components p / den + q / den * sqrt2 would round differently
+    p, q, den = -2154112740058294, 4036189520298237, 4226470459498410
+    w = ExactScalar(Fraction(p, den), Fraction(q, den))
+    assert (w._p, w._q, w._den) == (p, q, den)
+    assert w.to_complex() == complex((p + q * 1.4142135623730951) / den)
+    assert w.to_complex() != complex(p / den + q / den * 1.4142135623730951)
+    # values past float range raise
+    for big in (ExactScalar(10 ** 400), ExactScalar(0, 0, 0, -2 ** 1030),
+                ExactScalar(Fraction(10 ** 700, 10 ** 300))):
+        with pytest.raises(OverflowError, match="past float range"):
+            big.to_complex()
+
+
 def test_serialization_roundtrip():
     rng = random.Random(5)
     for _ in range(100):
