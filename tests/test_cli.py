@@ -386,8 +386,9 @@ def test_table_bad_points_become_rows(tmp_path):
                            {"m": 1, "C": "typo"},
                            {"C": "zero"},
                            "not a point",
-                           {"m": 1, "c": "1/0"}])
-    assert len(rows) == 10
+                           {"m": 1, "c": "1/0"},
+                           {"m": 0, "C": "zero", "c": "1e300"}])
+    assert len(rows) == 11
     assert "exact mode" in rows[0]["status"]
     assert "degree True" in rows[1]["status"]
     assert "group index 99" in rows[2]["status"]
@@ -401,6 +402,8 @@ def test_table_bad_points_become_rows(tmp_path):
     assert "degree None is not" in rows[7]["status"]
     assert "must be an object" in rows[8]["status"]
     assert "sweep c" in rows[9]["status"]
+    # a Casimir scalar past float range for the spectrum
+    assert "past float range" in rows[10]["status"]
     assert all(r["status"].startswith("error:") for r in rows[4:])
     assert all(r["group"] == "S3" and r["tau"] == "trivial" for r in rows)
 
