@@ -24,7 +24,7 @@ from .angmom import (
     msquared_identities_check,
 )
 from .clifford import CliffordElement, anticommutator_check
-from .cover import HatElement, build_C2, build_Z3, is_admissible, \
+from .cover import HatElement, build_Z3, is_admissible, \
     jm_elements, jm_symmetric_elements
 from .diracops import (
     basis_independence_check,
@@ -220,7 +220,7 @@ def resolve_element(dctx, name: str, custom: dict) -> HatElement:
     if name in ("zero", "0"):
         return HatElement.zero(dctx.cover)
     if name == "C2":
-        return build_C2(dctx.cover, dctx.family.param)
+        return dctx.c2
     if name in ("jm:e1", "jm:e2"):
         try:
             return jm_symmetric_elements(dctx.cover)[name.split(":")[1]]
@@ -302,8 +302,7 @@ def _suite_pincover(dctx, cfg) -> list:
         _check_record("cocycle 2-cocycle identity (full scan)",
                       cov.cocycle_identity_check()),
     ]
-    c2 = build_C2(cov, dctx.family.param)
-    ok, failures = is_admissible(c2)
+    ok, failures = is_admissible(dctx.c2)
     out.append(_check_record("distinguished twist is admissible", ok,
                              None if ok else {"reasons": failures}))
     try:
@@ -331,8 +330,7 @@ def _suite_dirac(dctx, cfg) -> list:
     out = dirac_square_check(dctx)
     out += basis_independence_check(dctx)
     out += c2_decomposition_check(dctx)
-    c2 = build_C2(dctx.cover, dctx.family.param)
-    out += rho_invariance_check(build_dirac(dctx, c2, name="C2"))
+    out += rho_invariance_check(build_dirac(dctx, dctx.c2, name="C2"))
     return out
 
 
@@ -342,7 +340,7 @@ def _suite_scasimir(dctx, cfg) -> list:
 
 def _suite_vogan(dctx, cfg) -> list:
     twists = [("zero", HatElement.zero(dctx.cover)),
-              ("C2", build_C2(dctx.cover, dctx.family.param))]
+              ("C2", dctx.c2)]
     if dctx.rs.has_transposition_roots():
         twists.append(("jm:e1", jm_symmetric_elements(dctx.cover)["e1"]))
     out = []
@@ -369,11 +367,6 @@ def _suite_cohomology(dctx, cfg) -> list:
         for m in degrees:
             ctx_tag = f"deg {m}, twist {el_name}"
             spec = unitarity_and_spectrum(dop, m)
-            if spec["status"] == "empty slice":
-                out.append(_check_record(f"slice data [{ctx_tag}]", True,
-                                         {"reason": "empty slice"},
-                                         status="skipped"))
-                continue
             if not spec["unitary"]:
                 out.append(_check_record(f"slice data [{ctx_tag}]", True,
                                          {"reason": spec["status"]},

@@ -36,23 +36,17 @@ class PinCover:
         self.rs = rs
         self.group: ReflectionGroup = rs.group()
         self.n = rs.n
-        self._refl_lifts = [self._unit_coroot(i)
-                            for i in range(len(rs.positive_roots))]
+        self.reflection_lifts = [self._unit_coroot(i)
+                                 for i in range(len(rs.positive_roots))]
         self.lifts = [CliffordElement.scalar(self.n, 1)]
         for p, word in zip(self.group.parents[1:], self.group.words[1:]):
-            self.lifts.append(self.lifts[p] * self._refl_lifts[word[-1]])
+            self.lifts.append(self.lifts[p] * self.reflection_lifts[word[-1]])
         self.g_index = self.group.minus_identity_index()
 
     def _unit_coroot(self, idx: int) -> CliffordElement:
         cr = self.rs.coroots[idx]
         nrm = self.rs.coroot_norm(idx)
         return vector_embed(self.n, cr) * nrm.inverse()
-
-    def reflection_lift(self, root_idx: int) -> CliffordElement:
-        return self._refl_lifts[root_idx]
-
-    def lift(self, elem_idx: int) -> CliffordElement:
-        return self.lifts[elem_idx]
 
     def _lift_rows(self, lifts) -> Matrix:
         """The lifts as the rows of one exact matrix over blade masks."""
@@ -81,9 +75,10 @@ class PinCover:
         if self.lifts[0] != 1:
             raise RuntimeError("lift(1) is not 1; cover is corrupted")
         lifts = self._lift_rows(self.lifts)
-        e_sign = np.empty((grp.order, len(self._refl_lifts)), dtype=np.int8)
+        e_sign = np.empty((grp.order, len(self.reflection_lifts)),
+                          dtype=np.int8)
         for a, r in enumerate(right_multipliers(
-                self._lift_rows(self._refl_lifts))):
+                self._lift_rows(self.reflection_lifts))):
             prod = lifts @ r
             want = lifts.num[:, mul[:, grp.reflection_element_index(a)]]
             plus = (prod.num != want).any(axis=(0, 2))
@@ -161,7 +156,7 @@ class PinCover:
     def conjugation_sign_check(self) -> bool:
         """lift(a) lift(b) lift(a) = -s-tilde of the reflected root, over all
         pairs of positive roots."""
-        lifts, perms = self._refl_lifts, self.rs.reflection_permutations
+        lifts, perms = self.reflection_lifts, self.rs.reflection_permutations
         # minus the lift of root k; root k + |Phi+| is minus root k
         want = [-x for x in lifts] + lifts
         return all(la * lb * la == want[perm[b]]
@@ -175,7 +170,7 @@ class PinCover:
         for a, b in product(simples, repeat=2):
             m = grp.element_order(grp.mul(grp.reflection_element_index(a),
                                           grp.reflection_element_index(b)))
-            prod = self._refl_lifts[a] * self._refl_lifts[b]
+            prod = self.reflection_lifts[a] * self.reflection_lifts[b]
             acc = CliffordElement.scalar(self.n, 1)
             for _ in range(m):
                 acc = acc * prod

@@ -62,8 +62,8 @@ class DiracContext:
     factor.
 
     Owns the cover (for twisted group algebra elements), the spinor
-    representation, and memoized lifts of the scalar-side operators onto
-    the tensored slices.
+    representation, the distinguished twist C2, and memoized lifts of the
+    scalar-side operators onto the tensored slices.
     """
 
     def __init__(self, ama: AmaContext):
@@ -94,6 +94,11 @@ class DiracContext:
         plain = graded_sum((op for op, _ in terms), self.family.scalar_op(0))
         return kron_sum(self.module, plain.shift, plain.blocks,
                         [(op.block, mat) for op, mat in terms])
+
+    @cached_property
+    def c2(self) -> HatElement:
+        """The distinguished twist C2 of the coupling, built once."""
+        return build_C2(self.cover, self.family.param)
 
     @cached_property
     def identity(self) -> GradedOperator:
@@ -380,7 +385,7 @@ def c2_decomposition_check(dctx: DiracContext) -> list:
     comms = {(i + 1, j + 1): dctx.family.from_group_algebra(
                  ts[i].commutator(ts[j]).p)
              for i in range(n) for j in range(i + 1, n)}
-    c2 = build_C2(cov, par)
+    c2 = dctx.c2
     z3 = dctx.group_factor(build_Z3(cov, par))
     _rec(records, "twist image = sum [T_i, T_j] c_i c_j + Z3",
          dctx.rho(c2),

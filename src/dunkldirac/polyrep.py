@@ -42,7 +42,7 @@ from math import comb
 
 from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
                      signed_sum, sum_of_krons)
-from .scalars import ONE, ZERO, Combination, as_scalar, parse_terms, rat
+from .scalars import ONE, Combination, as_scalar, parse_terms, rat
 
 
 def _add_exponents(e1, e2):
@@ -101,14 +101,6 @@ class Polynomial(Combination):
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.coeffs), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.coeffs}
-        return len(degs) <= 1
-
-    def homogeneous_part(self, m: int) -> "Polynomial":
-        return Polynomial(self.n, {e: v for e, v in self.coeffs.items()
-                                   if sum(e) == m})
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -207,11 +199,6 @@ def group_action(g, n: int):
     return apply
 
 
-def act(g, f: Polynomial) -> Polynomial:
-    """Group action (w.f)(x) = f(w^{-1} x); see group_action."""
-    return group_action(g, f.n)(f)
-
-
 def divide_by_linear(f: Polynomial, form: Polynomial) -> Polynomial:
     """Exact quotient f / form for a linear form, ValueError if inexact.
 
@@ -266,34 +253,6 @@ def root_form(rs, root_idx: int) -> Polynomial:
                              for j, v in enumerate(alpha) if not v.is_zero()})
 
 
-def dunkl_apply(yvec, f: Polynomial, rs, param) -> Polynomial:
-    """Dunkl operator for the direction y on a bare polynomial.
-
-    D_y f = d_y f + sum_a c_a <a, y> (f - s_a f)/a(x).  The tensor factor of
-    a standard module is handled by the matrix builders, not here.
-    """
-    n = rs.n
-    yv = [as_scalar(v) for v in yvec]
-    out = Polynomial.zero(n)
-    for i, v in enumerate(yv):
-        if not v.is_zero():
-            out = out + f.derivative(i + 1).scale(v)
-    for r, c in enumerate(param.per_root(rs)):
-        if c.is_zero():
-            continue
-        alpha = rs.positive_roots[r]
-        pair = ZERO
-        for ai, vi in zip(alpha, yv):
-            pair = pair + ai * vi
-        if pair.is_zero():
-            continue
-        diff = f - act(rs.reflection(r), f)
-        if diff.is_zero():
-            continue
-        out = out + divide_by_linear(diff, root_form(rs, r)).scale(c * pair)
-    return out
-
-
 # -- W-representations for the tensor factor ---------------------------------
 
 
@@ -339,9 +298,17 @@ def custom_rep(group, simple_mats: dict, form=None,
                name: str = "custom") -> TauRep:
     """Representation from matrices for the simple reflections.
 
-    simple_mats maps simple-root indices to matrices; the extension to all
-    of W goes along words in the simple generators, and both the
+    simple_mats maps simple-root indices to matrices; the extension rho to
+    all of W goes along words in the simple generators, and both the
     homomorphism property and invariance of the supplied form are verified.
+
+    The homomorphism check is rho(u s) = rho(u) rho(s) for every element u
+    and every simple reflection s, one product per pair.  That implies
+    rho(u v) = rho(u) rho(v) for all u, v, by induction on the length of a
+    word for v in the simple reflections: for v = 1 it holds as rho(1) =
+    1, and for v = v' s, rho(u v' s) = rho(u v') rho(s) = rho(u) rho(v')
+    rho(s) = rho(u) rho(v' s): the first and last steps are the check,
+    at u v' and at v', and the middle one is the induction hypothesis.
     """
     rs = group.rs
     simples = rs.simple_root_indices()
@@ -366,10 +333,10 @@ def custom_rep(group, simple_mats: dict, form=None,
     if any(m is None for m in mats):
         raise ValueError("simple reflections do not generate the group")
     for u in range(group.order):
-        for v in range(group.order):
-            if mats[group.mul(u, v)] != mats[u] @ mats[v]:
+        for s in gen_elems:
+            if mats[group.mul(u, s)] != mats[u] @ mats[s]:
                 raise ValueError(
-                    f"matrices are not a representation at pair ({u}, {v})")
+                    f"matrices are not a representation at pair ({u}, {s})")
     rep = TauRep(name, dim, mats, form)
     for si in gen_elems:
         if mats[si].dagger() @ rep.form @ mats[si] != rep.form:
@@ -666,9 +633,6 @@ class ModuleFamily:
     def basis_index(self, m: int, exps, t: int) -> int:
         return self._mono_pos[m][tuple(exps)] * self.tau.dim + t
 
-    def basis_labels(self, m: int):
-        return [(e, t) for e in self._monos[m] for t in range(self.tau.dim)]
-
     def _images(self, m: int, shift: int, image) -> Matrix:
         """The C[x] block from degree m to m + shift whose column p is
         image(x^e), x^e the p-th degree-m monomial; a target below degree
@@ -812,31 +776,6 @@ def center_op(family: ModuleFamily) -> GradedOperator:
                       family.scalar_op(0))
 
 
-def _is_operator_letter(tok: str) -> bool:
-    return tok == "e" or (tok[0] in "xysw" and tok[1:].isdigit())
-
-
-def operator_matrix(family: ModuleFamily, expr: str) -> GradedOperator:
-    """Assemble a GradedOperator from a word expression.
-
-    Grammar: signed sums of terms '<coef> <letters>', letters composed left
-    to right as operators.  Letters: x<i> and y<i> (1-based coordinates),
-    s<r> (reflection for positive root r, 0-based), w<k> (group element k),
-    e (identity).  Example: 'x1 y1 - y1 x1 + 2 s0'.
-    """
-    letter = {"x": family.x_op, "y": family.y_op, "s": family.reflection_op,
-              "w": family.w_op}
-
-    def term(coeff, letters):
-        op = family.identity_op()
-        for tok in letters:
-            op = op @ (family.identity_op() if tok == "e"
-                       else letter[tok[0]](int(tok[1:])))
-        return op.scale(coeff)
-    return graded_sum(term(coeff, letters) for coeff, letters
-                      in parse_terms(expr, _is_operator_letter))
-
-
 def rca_relation_check(family: ModuleFamily) -> dict:
     """Exact verification of the defining commutation relations.
 
@@ -934,11 +873,3 @@ def adjointness_check(family: ModuleFamily) -> bool:
                 return False
     return True
 
-
-def matrix_csv(mat: Matrix) -> str:
-    """CSV export, one compact ExactScalar cell per entry."""
-    lines = []
-    for i in range(mat.nrows):
-        lines.append(",".join(mat.get(i, j).compact()
-                              for j in range(mat.ncols)))
-    return "\n".join(lines)

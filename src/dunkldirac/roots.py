@@ -64,9 +64,6 @@ class ParamFunction:
         c = as_fraction(spec)
         return ParamFunction({lab: c for lab in set(labels)})
 
-    def of_root(self, rs: "RootSystem", idx: int) -> Fraction:
-        return self.values[rs.orbit_labels()[idx]]
-
     def per_root(self, rs: "RootSystem") -> list:
         """The coupling c_a as an ExactScalar, per positive root of rs."""
         return [rat(self.values[lab]) for lab in rs.orbit_labels()]
@@ -79,10 +76,10 @@ class ParamFunction:
 
 
 class RootSystem:
-    """Reduced root system with stored coroots and the generated group."""
+    """Reduced root system, its coroots 2 a / |a|^2 and the generated
+    group."""
 
-    def __init__(self, n: int, positive_roots, name: str = "custom",
-                 coroots=None):
+    def __init__(self, n: int, positive_roots, name: str = "custom"):
         self.n = n
         self.name = name
         self.positive_roots = [tuple(as_scalar(x) for x in r)
@@ -107,13 +104,8 @@ class RootSystem:
                 raise ValueError(f"root {idx} is not positive on the sum of "
                                  "the roots; list a positive system")
         self.norms_sq = [dot(r, r) for r in self.positive_roots]
-        if coroots is not None:
-            self.coroots = [tuple(as_scalar(x) for x in r)
-                            for r in coroots]
-        else:
-            self.coroots = [tuple(x * n2.inverse() * 2 for x in r)
-                            for r, n2 in zip(self.positive_roots,
-                                             self.norms_sq)]
+        self.coroots = [tuple(x * n2.inverse() * 2 for x in r)
+                        for r, n2 in zip(self.positive_roots, self.norms_sq)]
         self._root_norms = None
         self._reflections = None
         self._orbit_labels = None
@@ -154,18 +146,6 @@ class RootSystem:
 
     def reflections(self):
         return [self.reflection(i) for i in range(len(self.positive_roots))]
-
-    def pairing_check(self) -> bool:
-        """Validate stored coroots: <a, a-check> = 2 and proportionality
-        <x_i, a-check> = (|a-check|^2 / 2) <a, y_i>."""
-        for r, cr in zip(self.positive_roots, self.coroots):
-            if dot(r, cr) != rat(2):
-                return False
-            half_crn = dot(cr, cr) * rat(Fraction(1, 2))
-            for ri, cri in zip(r, cr):
-                if cri != half_crn * ri:
-                    return False
-        return True
 
     @cached_property
     def reflection_permutations(self) -> list:
@@ -366,9 +346,6 @@ class ReflectionGroup:
             return None
         return i
 
-    def has_minus_identity(self) -> bool:
-        return self.minus_identity_index() is not None
-
     def element_order(self, i: int) -> int:
         k, cur = 1, i
         while cur != 0:
@@ -382,34 +359,6 @@ class ReflectionGroup:
         return [list(c) for c in sorted(
             {tuple(np.unique(mul[mul[:, i], inv]).tolist())
              for i in range(self.order)})]
-
-
-def wedge2_trivial_elements(rs: RootSystem):
-    """Indices of group elements acting trivially on Lambda^2 R^n.
-
-    Returns them as a sorted list; {1} or {1, -1} by the classification.
-    """
-    if rs.n < 2:
-        raise ValueError("wedge^2 needs n >= 2")
-    grp = rs.group()
-    out = []
-    pairs = [(k, l) for k in range(rs.n) for l in range(rs.n) if k < l]
-    for idx, g in enumerate(grp.matrices):
-        m = g.to_dense()
-        trivial = True
-        for (i, j) in pairs:
-            for (k, l) in pairs:
-                # coefficient of e_k ^ e_l in g e_i ^ g e_j
-                v = m[k][i] * m[l][j] - m[l][i] * m[k][j]
-                want = ONE if (k, l) == (i, j) else ZERO
-                if v != want:
-                    trivial = False
-                    break
-            if not trivial:
-                break
-        if trivial:
-            out.append(idx)
-    return out
 
 
 # -- built-in systems --------------------------------------------------------

@@ -274,27 +274,6 @@ class ExactScalar:
         return complex(_surd_float(self._p, self._q, den),
                        _surd_float(self._r, self._s, den))
 
-    def serialize(self) -> list:
-        """4-tuple of rational strings [a, b, c, d]."""
-        return [format_fraction(x) for x in (self.a, self.b, self.c, self.d)]
-
-    @staticmethod
-    def deserialize(parts) -> "ExactScalar":
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 components, got {parts!r}")
-        return ExactScalar(*[as_fraction(p) for p in parts])
-
-    def compact(self) -> str:
-        """Single-string form '(a,b,c,d)' used in CSV cells."""
-        return "(" + ",".join(self.serialize()) + ")"
-
-    @staticmethod
-    def from_compact(text: str) -> "ExactScalar":
-        t = text.strip()
-        if not (t.startswith("(") and t.endswith(")")):
-            raise ValueError(f"malformed scalar cell: {text!r}")
-        return ExactScalar.deserialize(t[1:-1].split(","))
-
     def __str__(self):
         terms = []
         for coef, unit in ((self.a, ""), (self.b, "sqrt2"),

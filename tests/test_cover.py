@@ -45,13 +45,13 @@ def test_reflection_lifts_are_canonical():
     cov = make("S3")
     for idx in range(3):
         i = cov.group.reflection_element_index(idx)
-        assert cov.lift(i) == cov.reflection_lift(idx)
-    assert cov.lift(0) == CliffordElement.scalar(3, 1)
+        assert cov.lifts[i] == cov.reflection_lifts[idx]
+    assert cov.lifts[0] == CliffordElement.scalar(3, 1)
     # lift of s_{e1-e2} is (c1 - c2)/sqrt2
     h = HALF * SQRT2
     want = (CliffordElement.generator(3, 1) * h
             - CliffordElement.generator(3, 2) * h)
-    assert cov.reflection_lift(0) == want
+    assert cov.reflection_lifts[0] == want
 
 
 def test_projection_property():
@@ -80,7 +80,7 @@ def test_cocycle_values_and_identity():
 def test_spinorial_norm_of_lifts_tracks_length():
     cov = make("S3")
     for i, word in enumerate(cov.group.words):
-        lift = cov.lift(i)
+        lift = cov.lifts[i]
         norm = lift.star() * lift
         want = CliffordElement.scalar(3, 1 if len(word) % 2 == 0 else -1)
         assert norm == want
@@ -166,7 +166,7 @@ def test_rho_terms():
     terms = e.rho_terms()
     # plain part dies; twisted term carries its lift; g shifts by -1
     assert set(terms) == {2, gi}
-    assert terms[2] == cov.lift(2) * rat(3)
+    assert terms[2] == cov.lifts[2] * rat(3)
     assert terms[gi] == CliffordElement.scalar(2, 1)
 
 

@@ -108,11 +108,14 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     or more terms is one product rather than one kron per term, and each
     distinct collected AMA relation is summed once.  Every GEMM multiplies
     one component plane of each factor, so no right operand is wider than
-    the widest factor, 80 columns."""
-    from dunkldirac import linalg, polyrep
-    calls = {"make": 0, "matmul": 0, "kron": 0, "first_nonzero": 0}
+    the widest factor, 80 columns.  The twist C2 is built once for the
+    four suites that read it."""
+    from dunkldirac import cover, diracops, linalg, polyrep
+    calls = {"make": 0, "matmul": 0, "kron": 0, "first_nonzero": 0,
+             "build_C2": 0}
     make, matmul = linalg.Matrix._make, linalg.Matrix.__matmul__
     kron, first_nonzero = linalg.Matrix.kron, polyrep.first_nonzero
+    build_C2 = cover.build_C2
     gemm, gemm_widths = linalg._gemm, set()
 
     def record_gemm(lhs, rhs, exact_float):
@@ -135,10 +138,17 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
         calls["first_nonzero"] += 1
         return first_nonzero(terms)
 
+    def count_build_C2(cover, param):
+        calls["build_C2"] += 1
+        return build_C2(cover, param)
+
     monkeypatch.setattr(linalg.Matrix, "_make", staticmethod(count_make))
     monkeypatch.setattr(linalg.Matrix, "__matmul__", count_matmul)
     monkeypatch.setattr(linalg.Matrix, "kron", count_kron)
     monkeypatch.setattr(polyrep, "first_nonzero", count_first_nonzero)
+    for module in (cli, cover, diracops):
+        if hasattr(module, "build_C2"):
+            monkeypatch.setattr(module, "build_C2", count_build_C2)
     monkeypatch.setattr(linalg, "_gemm", record_gemm)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"group": "S4", "c": "1/3", "max_degree": 3,
@@ -161,3 +171,6 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     assert calls["first_nonzero"] == 980
     # 320 when a product ran against all four components of B side by side
     assert max(gemm_widths) <= 80
+    # 5 when the pincover, dirac (twice), vogan and cohomology suites each
+    # built their own
+    assert calls["build_C2"] == 1

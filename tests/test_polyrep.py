@@ -7,6 +7,7 @@ values; harmonic dimensions against the classical binomial formula.
 """
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,23 +15,20 @@ import sympy as sp
 
 from dunkldirac.linalg import Matrix, is_positive_definite
 from dunkldirac.polyrep import (
-    GradedOperator,
     ModuleFamily,
     _rec,
     Polynomial,
-    act,
     adjointness_check,
     center_op,
     classical_harmonic_dim,
     contravariant_form,
     custom_rep,
     divide_by_linear,
-    dunkl_apply,
+    graded_sum,
+    group_action,
     harmonic_dims,
     harmonic_subspace,
     kron_sum,
-    matrix_csv,
-    operator_matrix,
     rca_relation_check,
     reflection_rep,
     root_form,
@@ -93,8 +91,8 @@ def sympy_act(g, expr, xs):
 
 def sympy_dunkl(i, expr, rs, param, xs):
     out = sp.diff(expr, xs[i])
-    for r in range(len(rs.positive_roots)):
-        c = param.of_root(rs, r)
+    for r, c in enumerate(param.per_root(rs)):
+        c = c.as_rational()
         if c == 0:
             continue
         alpha = rs.positive_roots[r]
@@ -125,10 +123,7 @@ def test_polynomial_arithmetic():
     assert sq == Polynomial(n, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     assert sq.derivative(1) == x1.scale(2) + x2.scale(2)
     assert (x1 ** 3).derivative(1) == Polynomial(n, {(2, 0): 3})
-    assert sq.degree() == 2 and sq.is_homogeneous()
-    mixed = sq + Polynomial.one(n)
-    assert not mixed.is_homogeneous()
-    assert mixed.homogeneous_part(0) == Polynomial.one(n)
+    assert sq.degree() == 2
     rng = random.Random(11)
     for _ in range(5):
         a, b = random_poly(rng, 3), random_poly(rng, 3)
@@ -192,7 +187,8 @@ def test_group_action_matches_sympy_substitution():
         for _ in range(4):
             f = random_poly(rng, rs.n)
             g = grp.matrices[rng.randrange(grp.order)]
-            assert to_sympy(act(g, f), xs) == sympy_act(g, to_sympy(f, xs), xs)
+            assert to_sympy(group_action(g, rs.n)(f), xs) \
+                == sympy_act(g, to_sympy(f, xs), xs)
 
 
 def test_group_action_is_left_action():
@@ -200,51 +196,75 @@ def test_group_action_is_left_action():
     grp = rs.group()
     rng = random.Random(9)
     f = random_poly(rng, 3)
+
+    def act(w, f):
+        return group_action(grp.matrices[w], 3)(f)
     for _ in range(6):
         u = rng.randrange(grp.order)
         v = rng.randrange(grp.order)
-        uv = grp.mul(u, v)
-        lhs = act(grp.matrices[u], act(grp.matrices[v], f))
-        assert lhs == act(grp.matrices[uv], f)
+        assert act(u, act(v, f)) == act(grp.mul(u, v), f)
 
 
 # -- Dunkl operators -----------------------------------------------------------
 
 
+def through_block(fam, op, f):
+    """op applied to f (x) 1, f homogeneous and tau one dimensional: f's
+    coefficient vector through op.blocks[m], read back as a polynomial."""
+    m = f.degree()
+    col = Matrix.from_row_dicts(fam.dim(m), 1, [
+        {0: f.coeffs[e]} if e in f.coeffs else {} for e in fam.monomials(m)])
+    img = op.blocks[m] @ col
+    return Polynomial(fam.n, {e: img.get(k, 0) for k, e
+                              in enumerate(fam.monomials(m + op.shift))})
+
+
 def test_dunkl_frozen_values_s2():
     rs = root_system("S2")
-    c = params(rs, "1/4")
+    fam = ModuleFamily(rs, params(rs, "1/4"), "trivial", max_degree=2)
     x1 = Polynomial.variable(2, 1)
     x2 = Polynomial.variable(2, 2)
     # hand values: D_1 x_1 = 1 + c, D_1 x_2 = -c on the single root e1 - e2
-    assert dunkl_apply((1, 0), x1, rs, c) == Polynomial.one(2).scale(rat("5/4"))
-    assert dunkl_apply((1, 0), x2, rs, c) == Polynomial.one(2).scale(rat("-1/4"))
-    c0 = params(rs, 0)
-    assert dunkl_apply((1, 0), x1 * x1, rs, c0) == x1.scale(2)
+    y1 = fam.y_op(1)
+    assert through_block(fam, y1, x1) == Polynomial.one(2).scale(rat("5/4"))
+    assert through_block(fam, y1, x2) == Polynomial.one(2).scale(rat("-1/4"))
+    fam0 = ModuleFamily(rs, params(rs, 0), "trivial", max_degree=2)
+    assert through_block(fam0, fam0.y_op(1), x1 * x1) == x1.scale(2)
+
+
+def negated(param):
+    return ParamFunction({k: -v for k, v in param.values.items()})
 
 
 def test_dunkl_matches_sympy_oracle():
-    rng = random.Random(21)
+    """Every column of y_op(i).blocks[m], m = 1..3, against the sympy Dunkl
+    operator at c on the monomial: with trivial tau at c, and with sign
+    tau at -c, where tau(s_a) = -1 flips the divided-difference term
+    back.  B2 has two orbits with couplings of both signs."""
     cases = (("S3", "1/2"), ("B2", {"short": "1/3", "long": "-1/2"}))
     for name, spec in cases:
         rs = root_system(name)
         c = params(rs, spec)
         xs = sym_vars(rs.n)
-        for _ in range(4):
-            f = random_poly(rng, rs.n)
-            i = rng.randrange(rs.n)
-            yvec = tuple(1 if k == i else 0 for k in range(rs.n))
-            got = to_sympy(dunkl_apply(yvec, f, rs, c), xs)
-            want = sympy_dunkl(i, to_sympy(f, xs), rs, c, xs)
-            assert sp.expand(got - want) == 0
+        fams = [ModuleFamily(rs, c, "trivial", max_degree=3),
+                ModuleFamily(rs, negated(c), "sign", max_degree=3)]
+        for m in (1, 2, 3):
+            for e in fams[0].monomials(m):
+                f = Polynomial.monomial(rs.n, e)
+                for i in range(rs.n):
+                    want = sympy_dunkl(i, to_sympy(f, xs), rs, c, xs)
+                    for fam in fams:
+                        got = through_block(fam, fam.y_op(i + 1), f)
+                        assert to_sympy(got, xs) == want, \
+                            (name, fam.tau.name, e, i)
 
 
 def test_dunkl_lowers_degree_exactly():
     rs = root_system("S3")
-    c = params(rs, "2/3")
+    fam = ModuleFamily(rs, params(rs, "2/3"), "trivial", max_degree=4)
     f = Polynomial.monomial(3, (2, 1, 1))
-    out = dunkl_apply((0, 1, 0), f, rs, c)
-    assert out.is_homogeneous() and out.degree() == 3
+    out = through_block(fam, fam.y_op(2), f)
+    assert not out.is_zero() and out.degree() == 3
 
 
 # -- tau representations -------------------------------------------------------
@@ -297,6 +317,29 @@ def test_custom_rep_roundtrip_and_validation():
         assert False, "expected missing-generator rejection"
     except ValueError as e:
         assert "simple roots" in str(e)
+
+
+def test_custom_rep_refuses_involutions_that_break_the_braid_relation():
+    """Two reflections of the plane whose mirrors meet at 45 degrees: each
+    squares to 1, but their product has order 4, so (s t)^3 = 1 fails and
+    the S3 relations do not hold.  The per-(element, simple reflection)
+    check names a failing pair."""
+    rs = root_system("S3")
+    grp = rs.group()
+    s, t = rs.simple_root_indices()
+    flip = Matrix.from_rows([[1, 0], [0, -1]])
+    swap = Matrix.from_rows([[0, 1], [1, 0]])
+    assert flip @ flip == swap @ swap == Matrix.identity(2)
+    assert (flip @ swap) @ (flip @ swap) != Matrix.identity(2)
+    with pytest.raises(ValueError, match=r"not a representation at pair "
+                                         r"\(\d+, \d+\)"):
+        custom_rep(grp, {s: flip, t: swap})
+    # an accepted tau is a homomorphism on every pair, not only on the
+    # (element, simple reflection) pairs the check reads
+    rep = custom_rep(grp, {s: -Matrix.identity(2), t: -Matrix.identity(2)})
+    for u in range(grp.order):
+        for v in range(grp.order):
+            assert rep.mat(grp.mul(u, v)) == rep.mat(u) @ rep.mat(v)
 
 
 # -- module family and graded operators ----------------------------------------
@@ -549,27 +592,13 @@ def test_dunkl_operators_share_the_divided_differences(monkeypatch):
 def test_euler_operator_at_c0():
     rs = root_system("A1")
     fam = ModuleFamily(rs, params(rs, 0), "trivial", max_degree=4)
-    op = operator_matrix(fam, "x1 y1")
+    op = fam.x_op(1) @ fam.y_op(1)
     assert op.blocks[3] == Matrix.identity(1).scale(3)
     rs3 = root_system("S3")
     fam3 = ModuleFamily(rs3, params(rs3, 0), "trivial", max_degree=3)
-    euler = operator_matrix(fam3, "x1 y1 + x2 y2 + x3 y3")
+    euler = graded_sum(fam3.x_op(i) @ fam3.y_op(i) for i in (1, 2, 3))
     for m in euler.degrees():
         assert euler.blocks[m] == Matrix.identity(fam3.dim(m)).scale(m)
-
-
-def test_operator_matrix_parser():
-    rs = root_system("S2")
-    fam = ModuleFamily(rs, params(rs, "1/3"), "reflection", max_degree=3)
-    assert operator_matrix(fam, "s0") == fam.reflection_op(0)
-    assert operator_matrix(fam, "w0") == fam.identity_op()
-    comm = operator_matrix(fam, "y1 x1 - x1 y1")
-    assert comm == fam.y_op(1).commutator(fam.x_op(1))
-    scaled = operator_matrix(fam, "2 e - 1/2 s0")
-    assert scaled == fam.scalar_op(2) - fam.reflection_op(0).scale(rat("1/2"))
-    for bad in ("", "+", "x1 +", "x1 - - y1", "(1/2 s0", "x1 z1"):
-        with pytest.raises(ValueError):
-            operator_matrix(fam, bad)
 
 
 # -- the defining relations -----------------------------------------------------
@@ -752,7 +781,7 @@ def test_contravariant_matches_direct_definition():
         dim = fam.dim(m)
         direct = [{} for _ in range(dim)]
         form = fam.tau.form
-        for (e, t) in fam.basis_labels(m):
+        for e, t in product(fam.monomials(m), range(fam.tau.dim)):
             row = fam.basis_index(m, e, t)
             # chain of Dunkl matrices for the word D^e, top degree down
             op = None
@@ -788,11 +817,6 @@ def test_positivity():
     assert is_positive_definite(contravariant_form(fam, 1))
     neg = ModuleFamily(rs, params(rs, -2), "trivial", max_degree=2)
     assert not is_positive_definite(contravariant_form(neg, 1))
-
-
-def test_matrix_csv_format():
-    m = Matrix.from_rows([[1, "1/2"], [0, -1]])
-    assert matrix_csv(m) == "(1,0,0,0),(1/2,0,0,0)\n(0,0,0,0),(-1,0,0,0)"
 
 
 def test_root_form():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from dunkldirac.linalg import Matrix
-from dunkldirac.roots import (ParamFunction, RootSystem, root_system,
-                              wedge2_trivial_elements)
+from dunkldirac.roots import ParamFunction, RootSystem, root_system
 from dunkldirac.scalars import ExactScalar, ONE, rat
 
 
@@ -45,22 +44,11 @@ def test_group_bound():
         ReflectionGroup(root_system("B4"), bound=100)
 
 
-def test_pairing_check():
-    for name in ("S3", "B2", "S4"):
-        assert root_system(name).pairing_check()
-    rs = root_system("S3")
-    # corrupt one coroot
-    bad = RootSystem(3, [[1, -1, 0], [1, 0, -1], [0, 1, -1]],
-                     coroots=[[1, -1, 0], [1, 0, -1], [0, 2, -2]])
-    assert not bad.pairing_check()
-
-
 def test_minus_identity_detection():
-    assert root_system("B2").group().has_minus_identity()
-    assert not root_system("S3").group().has_minus_identity()
-    assert root_system("A1").group().has_minus_identity()
-    assert root_system("S2").group().has_minus_identity() is False
-    assert root_system("D4").group().has_minus_identity()
+    for name, present in (("B2", True), ("S3", False), ("A1", True),
+                          ("S2", False), ("D4", True)):
+        mi = root_system(name).group().minus_identity_index()
+        assert (mi is not None) == present
 
 
 def brute_wedge2(rs):
@@ -90,24 +78,21 @@ def test_wedge2_trivial_elements():
     # rank 2 is special: wedge^2 R^2 is the determinant line, so the full
     # rotation subgroup acts trivially (4 elements for B2, including -I)
     b2 = root_system("B2")
-    got = wedge2_trivial_elements(b2)
-    assert got == brute_wedge2(b2)
+    got = brute_wedge2(b2)
     grp = b2.group()
     assert len(got) == 4
     for i in got:
         m = grp.matrices[i]
         assert m.get(0, 0) * m.get(1, 1) - m.get(0, 1) * m.get(1, 0) == ONE
-    mi = grp.minus_identity_index()
-    assert 0 in got and mi in got
-    # rank >= 3: only the identity (and -I when present)
-    s3 = root_system("S3")
-    assert wedge2_trivial_elements(s3) == [0] == brute_wedge2(s3)
-    s4 = root_system("S4")
-    assert wedge2_trivial_elements(s4) == [0] == brute_wedge2(s4)
-    b3 = root_system("B3")
-    got3 = wedge2_trivial_elements(b3)
-    mi3 = b3.group().minus_identity_index()
-    assert set(got3) == {0, mi3}
+    # the identity and -1 (when present) act trivially; in rank >= 3 they
+    # are the only elements that do
+    for name in ("B2", "S3", "S4", "B3"):
+        rs = root_system(name)
+        mi = rs.group().minus_identity_index()
+        want = {0} if mi is None else {0, mi}
+        got = set(brute_wedge2(rs))
+        assert want <= got
+        assert got == want or rs.n == 2
 
 
 def test_orbit_labels():
@@ -125,11 +110,11 @@ def test_orbit_labels():
 def test_param_function():
     s3 = root_system("S3")
     c = ParamFunction.from_config("1/2", s3)
-    assert c.of_root(s3, 0) == Fraction(1, 2)
+    assert c.per_root(s3)[0] == rat(Fraction(1, 2))
     b2 = root_system("B2")
     c2 = ParamFunction.from_config({"short": "1/3", "long": "1/5"}, b2)
     shorts = [i for i, lab in enumerate(b2.orbit_labels()) if lab == "short"]
-    assert all(c2.of_root(b2, i) == Fraction(1, 3) for i in shorts)
+    assert all(c2.per_root(b2)[i] == rat(Fraction(1, 3)) for i in shorts)
     with pytest.raises(ValueError):
         ParamFunction.from_config({"bogus": "1"}, b2)
     with pytest.raises(ValueError):

