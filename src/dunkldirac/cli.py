@@ -24,8 +24,7 @@ from .angmom import (
     msquared_identities_check,
 )
 from .clifford import CliffordElement, anticommutator_check
-from .cover import HatElement, build_Z3, is_admissible, \
-    jm_elements, jm_symmetric_elements
+from .cover import HatElement, is_admissible, jm_symmetric_elements
 from .diracops import (
     basis_independence_check,
     build_context,
@@ -306,14 +305,14 @@ def _suite_pincover(dctx, cfg) -> list:
     out.append(_check_record("distinguished twist is admissible", ok,
                              None if ok else {"reasons": failures}))
     try:
-        build_Z3(cov, dctx.family.param)
+        dctx.z3  # built, and so validated, on first read
         out.append(_check_record("central cubic term validates", True))
     except (RuntimeError, ValueError) as exc:
         out.append(_check_record("central cubic term validates", False,
                                  {"error": str(exc)}))
     if dctx.rs.has_transposition_roots():
         try:
-            jm_elements(cov)
+            cov.jm  # built, and so validated, on first read
             out.append(_check_record(
                 "jucys-murphy sign conventions validate", True))
         except (RuntimeError, ValueError) as exc:

@@ -208,7 +208,7 @@ def right_multipliers(rows: Matrix):
     signs, masks = _product_table(rows.ncols.bit_length() - 1)
     gather = np.take_along_axis(signs, masks, axis=1)
     for i in range(rows.nrows):
-        x = Matrix._make(rows.num[:, i:i + 1], rows.den)
+        x = Matrix._make(rows.num[:, i:i + 1], rows.den, rows.comps)
         yield Matrix._build(gather * x.num[:, 0, masks], x.den, x.bits,
                             x.comps)
 

@@ -80,9 +80,12 @@ class PinCover:
         for a, r in enumerate(right_multipliers(
                 self._lift_rows(self.reflection_lifts))):
             prod = lifts @ r
+            # a signed permutation of the rows keeps den and the live
+            # components, so the planes line up
+            same = (prod.den, prod.comps) == (lifts.den, lifts.comps)
             want = lifts.num[:, mul[:, grp.reflection_element_index(a)]]
-            plus = (prod.num != want).any(axis=(0, 2))
-            if prod.den != lifts.den or (
+            plus = same and (prod.num != want).any(axis=(0, 2))
+            if not same or (
                     plus & (prod.num != -want).any(axis=(0, 2))).any():
                 raise RuntimeError(
                     "lift product is not a signed lift; cover is corrupted")
@@ -95,6 +98,9 @@ class PinCover:
         return mu
 
     _mu_rows = cached_property(lambda self: self.cocycle_table.tolist())
+    # the Jucys-Murphy elements depend on the cover alone; a build that
+    # raises stores nothing, so a second read raises again
+    jm = cached_property(lambda self: jm_elements(self))
 
     def cocycle(self, i: int, j: int) -> int:
         """mu(u, v) = +-1 with lift(u) lift(v) = mu(u, v) lift(uv)."""
@@ -140,16 +146,20 @@ class PinCover:
         gather[0] = 1
         reversed_lifts = Matrix._make(
             lifts.num * (1 - 2 * (degree * (degree - 1) // 2 & 1)),
-            lifts.den)
+            lifts.den, lifts.comps)
         for lift, inverse, g in zip(lifts.num.transpose(1, 0, 2),
                                     right_multipliers(reversed_lifts),
                                     self.group.matrices):
-            want = np.zeros((4, n + 1, 1 << n), dtype=g.num.dtype)
+            comps = tuple(sorted({0, *g.comps}))
+            want = np.zeros((len(comps), n + 1, 1 << n), dtype=g.num.dtype)
             want[0, 0, 0] = g.den
-            want[:, 1:, bits[1:]] = g.num.transpose(0, 2, 1)
-            got = Matrix._make(lift[:, src] * gather, lifts.den) @ inverse
-            # want / g.den is canonical, as g is
-            if got.den != g.den or not np.array_equal(got.num, want):
+            for k, c in enumerate(comps):
+                want[k][1:, bits[1:]] = g.plane(c).T
+            got = Matrix._make(lift[:, src] * gather, lifts.den,
+                               lifts.comps) @ inverse
+            # want / g.den is canonical over comps, as g is
+            if (got.den, got.comps) != (g.den, comps) or not np.array_equal(
+                    got.num, want):
                 return False
         return True
 
@@ -428,7 +438,7 @@ def jm_elements(cover: PinCover) -> list:
 def jm_symmetric_elements(cover: PinCover) -> dict:
     """e1 = sum of squares and e2 = second elementary symmetric polynomial
     of the squared Jucys-Murphy elements."""
-    squares = [mk * mk for mk in jm_elements(cover)[1:]]
+    squares = [mk * mk for mk in cover.jm[1:]]
     zero = HatElement.zero(cover)
     e1 = sum(squares, zero)
     e2 = sum((a * b for a, b in combinations(squares, 2)), zero)

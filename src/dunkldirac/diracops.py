@@ -101,6 +101,12 @@ class DiracContext:
         return build_C2(self.cover, self.family.param)
 
     @cached_property
+    def z3(self) -> HatElement:
+        """The central cubic term Z3 of the coupling, built once; a build
+        that raises stores nothing."""
+        return build_Z3(self.cover, self.family.param)
+
+    @cached_property
     def identity(self) -> GradedOperator:
         return self.lift(self.family.identity_op())
 
@@ -386,7 +392,7 @@ def c2_decomposition_check(dctx: DiracContext) -> list:
                  ts[i].commutator(ts[j]).p)
              for i in range(n) for j in range(i + 1, n)}
     c2 = dctx.c2
-    z3 = dctx.group_factor(build_Z3(cov, par))
+    z3 = dctx.group_factor(dctx.z3)
     _rec(records, "twist image = sum [T_i, T_j] c_i c_j + Z3",
          dctx.rho(c2),
          z3 + dctx.spin_sum((t, dctx._cpair(*ij)) for ij, t in comms.items()))
@@ -474,14 +480,13 @@ def _solve_columns(basis: Matrix, target: Matrix) -> Matrix:
     without an identity row, or a target outside the span, raises
     RuntimeError.
     """
-    num = basis.num
-    unit = (num != 0).sum(axis=(0, 2)) == 1
-    ii, kk = np.nonzero(unit[:, None] & (num[0] == basis.den))
+    unit = (basis.num != 0).sum(axis=(0, 2)) == 1
+    ii, kk = np.nonzero(unit[:, None] & (basis.plane(0) == basis.den))
     ks, first = np.unique(kk, return_index=True)
     if len(ks) != basis.ncols:
         raise RuntimeError("restriction failed: basis lacks an identity "
                            "row for some column")
-    sol = Matrix._make(target.num[:, ii[first]], target.den)
+    sol = Matrix._make(target.num[:, ii[first]], target.den, target.comps)
     if basis @ sol != target:
         raise RuntimeError("restriction failed verification")
     return sol
@@ -610,7 +615,8 @@ def _eigensplit(r: Matrix):
     s = r.is_scalar_multiple_of_identity()
     if s is not None:
         return [(s, Matrix.identity(d))] if d else []
-    x, xc = np.linalg.eigvals(np.tensordot(_BASES, r.num.astype(float), 1))
+    x, xc = np.linalg.eigvals(np.tensordot(_BASES[:, list(r.comps)],
+                                           r.num.astype(float), 1))
     a = (x[:, None] + xc) / 2
     b = (x[:, None] - xc) / SQRT2_FLOAT
     ra, rb = np.rint(a), np.rint(b)
@@ -728,6 +734,18 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
 # -- unitary structure and spectra ------------------------------------------------
 
 
+def _float_exponent(a: np.ndarray) -> int:
+    """The binary exponent of the largest real or imaginary part of a,
+    clamped to +-1000 so that 2 to its power is a normal float, when it
+    lies outside 2^+-500; else 0.  Dividing a by 2 to that power is exact
+    in float64 and brings its largest part near 1, so float products of
+    such arrays neither overflow nor underflow; arrays within 2^+-500 are
+    left as they are, their results bit for bit."""
+    top = max(np.abs(a.real).max(initial=0), np.abs(a.imag).max(initial=0))
+    e = int(np.frexp(top)[1])
+    return max(-1000, min(e, 1000)) if abs(e) > 500 else 0
+
+
 def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
     """Form positivity, exact self-adjointness, scalar Casimir data and
     the float spectrum on one harmonic slice.
@@ -736,9 +754,13 @@ def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
     harmonics, tensored with the standard spinor form (the identity in
     this realization: the generators are Hermitian and the operator is
     even).  Spectra are reported through a Cholesky conjugation so the
-    float solve sees an honestly Hermitian matrix.  For the zero twist
-    the exact identity r r = (Casimir + 1) I on the slice is checked, and
-    the float drift of the squared spectrum from it is reported beside.
+    float solve sees an honestly Hermitian matrix; when the float Gram
+    matrix is too ill-conditioned to factor, a self-adjoint r gives its
+    spectrum directly.  The float arrays are first scaled by powers of
+    two, which is exact, when their entries are far from 1.  For the zero
+    twist the exact identity r r = (Casimir + 1) I on the slice is
+    checked, and the float drift of the squared spectrum from it is
+    reported beside.
     """
     dctx = dop.ctx
     fam = dctx.family
@@ -765,10 +787,24 @@ def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
     lam = dctx.ama.h_scalar(m)
     lam_match = None if lam is None else om == lam * (lam - rat(2))
     chi_floor = (om + ONE).sign_real() >= 0
-    gl = np.linalg.cholesky(gs.to_complex())
-    herm = gl.conj().T @ r.to_complex() @ np.linalg.inv(gl.conj().T)
-    herm = (herm + herm.conj().T) / 2
-    spec = sorted(np.linalg.eigvalsh(herm).tolist())
+    # G / 4^k has Cholesky factor L / 2^k, and the similarity by it is
+    # the similarity by L; r / 2^e has spectrum spec / 2^e
+    g, rc = gs.to_complex(), r.to_complex()
+    k, e = _float_exponent(g) // 2, _float_exponent(rc)
+    rc = rc * 0.5 ** e
+    try:
+        gl = np.linalg.cholesky(g * 0.25 ** k)
+    except np.linalg.LinAlgError:
+        # the exact test proved G positive definite, so its float image
+        # lost the parts that make it so (entries far above its smallest
+        # eigenvalue): read the spectrum off r, real as r is self-adjoint
+        if not self_adj:
+            raise
+        eig = np.linalg.eigvals(rc).real
+    else:
+        herm = gl.conj().T @ rc @ np.linalg.inv(gl.conj().T)
+        eig = np.linalg.eigvalsh((herm + herm.conj().T) / 2)
+    spec = sorted((eig * 2.0 ** e).tolist())
     out = {"degree": m, "dim": r.nrows, "unitary": True, "status": "ok",
            "self_adjoint": self_adj,
            "omega_scalar": str(om),

@@ -1,16 +1,24 @@
 """Exact matrices over Q(i, sqrt2) and their elimination.
 
 A matrix is one positive integer denominator `den` over a numpy integer
-array `num` of shape (4, rows, cols): num[0..3] hold the 1, sqrt2, i and
-i*sqrt2 components of every entry.  The form is canonical: den > 0, the
-gcd of den and every entry of num is 1, and num is int64 exactly when
-every |entry| < 2^62, otherwise an `object` array of Python ints.  So
-equality and hashing are structural on (shape, den, num).
+array `num` that holds only its live component planes: `comps` lists, in
+increasing order, the components among 0..3 (1, sqrt2, i and i*sqrt2)
+that are nonzero somewhere in the matrix, and num has shape
+(len(comps), rows, cols), plane k holding component comps[k] of every
+entry.  A component that is zero everywhere has no plane, so a real
+matrix is one plane and the zero matrix none.  The form is canonical:
+den > 0, no plane is all zero, the gcd of den and every entry of num is
+1, and num is int64 exactly when every |entry| < 2^62, otherwise an
+`object` array of Python ints.  So equality and hashing are structural
+on (shape, den, comps, num).  Only this module reads the layout; other
+modules reach a component through `Matrix.plane` or keep `comps` beside
+the planes they pass back to `Matrix._make`.
 
 A product is one integer matmul A_x @ B_y per live pair of components,
 x of A and y of B, added times +-1 or +-2 (e_x e_y in the table of the
-basis) into component x ^ y; a component no pair reaches is never
-computed.  A bit bound on the operands (see `_fits`) picks how they run.
+basis) into component x ^ y; a component no pair reaches gets no plane
+and is never computed, and one that cancels is dropped by `_make`.  A
+bit bound on the operands (see `_fits`) picks how they run.
 When it proves every operand, partial sum and result an integer below
 2^53, the planes run as float64 BLAS products cast back to int64:
 float64 holds every such integer exactly, so no summation order rounds.
@@ -20,9 +28,10 @@ decides a value: floats that round appear only in `to_complex`, which
 feeds reports and eigenvalue guesses.
 
 Every linear combination, a pairwise sum included, is one `signed_sum`:
-one lcm denominator, one numerator accumulated in int64 under a proved
-62-bit bound (see `_signed_numerator`) or else on `object` arrays, and
-one canonicalisation.  A sum of T >= 2 Kronecker products a_t (x) b_t is
+one lcm denominator, one numerator over the union of the terms'
+components accumulated in int64 under a proved 62-bit bound (see
+`_signed_numerator`) or else on `object` arrays, and one
+canonicalisation.  A sum of T >= 2 Kronecker products a_t (x) b_t is
 one product (see `sum_of_krons`): the a_t read row-major as columns
 against the b_t read row-major as rows, over their lcm denominators.
 Entry ((i, k), (j, l)) of the sum is entry ((i, j), (k, l)) of the
@@ -52,22 +61,36 @@ _LIMIT = 1 << 62
 # e_a * e_b = _COEF[a][a ^ b] * e_(a ^ b), for the basis e_0..e_3 = 1,
 # sqrt2, i, i*sqrt2
 _COEF = ((1, 1, 1, 1), (2, 1, 2, 1), (-1, -1, 1, 1), (-2, -1, 2, 1))
-# complex conjugation flips the sign of the i and i*sqrt2 components
-_CONJ = np.array([1, 1, -1, -1], dtype=np.int64).reshape(4, 1, 1)
+_ALL = (0, 1, 2, 3)
 
 
-def _by_pairs(ca, cb, product, shape, dtype) -> np.ndarray:
-    """The (4, *shape) numerator of the sum over x in ca and y in cb of
-    _COEF[x][x ^ y] * product(x, y) in component x ^ y; product returns a
-    fresh array, which the scaling may overwrite."""
-    out = np.zeros((4, *shape), dtype=dtype)
-    for x in ca:
-        for y in cb:
-            coef, term = _COEF[x][x ^ y], product(x, y)
+def _union(mats) -> tuple:
+    """The sorted union of the live components of mats."""
+    return tuple(sorted(set().union(*(m.comps for m in mats))))
+
+
+def _by_pairs(ca, cb, product, shape, den) -> "Matrix":
+    """The canonical form of the sum over positions i of ca and j of cb
+    of _COEF[x][x ^ y] * product(i, j) in component x ^ y, x = ca[i] and
+    y = cb[j], over den; shape is the 2-d shape of each term.  Only the
+    components some pair reaches get a plane.  product returns a fresh
+    array, which the scaling and the accumulation may overwrite."""
+    planes = {}
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            coef, term = _COEF[x][x ^ y], product(i, j)
             if coef != 1:
                 term *= coef
-            out[x ^ y] += term
-    return out
+            if x ^ y in planes:
+                planes[x ^ y] += term
+            else:
+                planes[x ^ y] = term
+    comps = tuple(sorted(planes))
+    if not comps:
+        return Matrix(*shape)
+    num = (planes[comps[0]][None] if len(comps) == 1
+           else np.stack([planes[c] for c in comps]))
+    return Matrix._make(num, den, comps)
 
 
 def _gemm(lhs: np.ndarray, rhs: np.ndarray, exact_float: bool):
@@ -80,15 +103,16 @@ def _gemm(lhs: np.ndarray, rhs: np.ndarray, exact_float: bool):
 class Matrix:
     """Exact matrix num / den over Q(i, sqrt2); immutable.
 
-    `bits` (the bit length of the largest |entry| of num) and `comps`
-    (the indices of the nonzero components) are derived from num.
+    num holds one plane per live component, component comps[k] in plane
+    k (see the module docstring); `plane(c)` reads component c whether
+    live or not.  `bits` is the bit length of the largest |entry| of num.
     """
 
     __slots__ = ("nrows", "ncols", "den", "num", "bits", "comps")
 
     def __init__(self, nrows: int, ncols: int):
-        """The zero matrix."""
-        self._set(np.zeros((4, nrows, ncols), dtype=np.int64), 1, 0, ())
+        """The zero matrix: no planes."""
+        self._set(np.zeros((0, nrows, ncols), dtype=np.int64), 1, 0, ())
 
     def _set(self, num, den, bits, comps) -> None:
         num.flags.writeable = False
@@ -102,17 +126,24 @@ class Matrix:
         return out
 
     @staticmethod
-    def _make(num: np.ndarray, den: int) -> "Matrix":
-        """The canonical form of num / den, for den > 0: divide out the
-        gcd of den and the nonzero components, then store int64 exactly
+    def _make(num: np.ndarray, den: int, comps: tuple = _ALL) -> "Matrix":
+        """The canonical form of num / den, for den > 0 and num holding
+        the planes of comps in order: drop the planes that are all zero,
+        divide out the gcd of den and the rest, then store int64 exactly
         when every entry fits."""
-        peaks = np.abs(num).reshape(4, -1).max(axis=1, initial=0).tolist()
-        comps = tuple(c for c, p in enumerate(peaks) if p)
         if not comps:
             return Matrix(num.shape[1], num.shape[2])
+        peaks = np.abs(num).max(axis=(1, 2), initial=0).tolist()
+        live = [k for k, p in enumerate(peaks) if p]
+        if not live:
+            return Matrix(num.shape[1], num.shape[2])
+        if len(live) < len(comps):
+            num, comps = num[live], tuple(comps[k] for k in live)
         g = den
-        for c in comps:  # stop reducing once g is 1
-            g = g if g == 1 else gcd(g, int(np.gcd.reduce(num[c], axis=None)))
+        for plane in num:  # stop reducing once g is 1
+            if g == 1:
+                break
+            g = gcd(g, int(np.gcd.reduce(plane, axis=None)))
         if g != 1:
             num, den = num // g, den // g
         peak = max(peaks) // g
@@ -127,9 +158,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        num = np.zeros((4, n, n), dtype=np.int64)
-        num[0] = np.eye(n, dtype=np.int64)
-        return Matrix._make(num, 1)
+        return Matrix._make(np.eye(n, dtype=np.int64)[None], 1, (0,))
 
     @staticmethod
     def from_row_dicts(nrows: int, ncols: int, dicts) -> "Matrix":
@@ -149,14 +178,15 @@ class Matrix:
                     jj.append(j)
                     vals.append(v)
         den = lcm(*(v._den for v in vals))
-        comps = [[x * (den // v._den) for x in (v._p, v._q, v._r, v._s)]
+        parts = [[x * (den // v._den) for x in (v._p, v._q, v._r, v._s)]
                  for v in vals]
-        big = any(abs(x) >= _LIMIT for c in comps for x in c)
-        num = np.zeros((4, nrows, ncols),
+        comps = tuple(c for c in _ALL if any(p[c] for p in parts))
+        big = any(abs(x) >= _LIMIT for p in parts for x in p)
+        num = np.zeros((len(comps), nrows, ncols),
                        dtype=object if big else np.int64)
         if vals:
-            num[:, ii, jj] = np.array(comps, dtype=num.dtype).T
-        return Matrix._make(num, den)
+            num[:, ii, jj] = np.array(parts, dtype=num.dtype).T[list(comps)]
+        return Matrix._make(num, den, comps)
 
     @staticmethod
     def from_rows(data) -> "Matrix":
@@ -170,12 +200,23 @@ class Matrix:
 
     # -- reading entries --
 
+    def plane(self, c: int) -> np.ndarray:
+        """The numerator of component c (0..3: 1, sqrt2, i, i*sqrt2) as a
+        rows x cols array over den; a zero int64 array when c is not
+        live.  Read-only."""
+        if c in self.comps:
+            return self.num[self.comps.index(c)]
+        out = np.zeros(self.shape, dtype=np.int64)
+        out.flags.writeable = False
+        return out
+
     def _entries(self):
         """(row, col, [p, q, r, s]) of each nonzero entry, row-major; the
         entry is (p + q sqrt2 + i (r + s sqrt2)) / den."""
         ii, jj = np.nonzero(self.num.any(axis=0))
-        vals = self.num[:, ii, jj].T.tolist()
-        return zip(ii.tolist(), jj.tolist(), vals)
+        vals = np.zeros((4, len(ii)), dtype=self.num.dtype)
+        vals[list(self.comps)] = self.num[:, ii, jj]
+        return zip(ii.tolist(), jj.tolist(), vals.T.tolist())
 
     @property
     def rows(self) -> list:
@@ -186,8 +227,16 @@ class Matrix:
             out[i][j] = ExactScalar._raw(*v, den)
         return out
 
+    def _scalar(self, values) -> ExactScalar:
+        """The scalar over den with the given values of the live
+        components and zero elsewhere."""
+        v = [0] * 4
+        for c, x in zip(self.comps, values):
+            v[c] = int(x)
+        return ExactScalar._raw(*v, self.den)
+
     def get(self, i: int, j: int) -> ExactScalar:
-        return ExactScalar._raw(*self.num[:, i, j].tolist(), self.den)
+        return self._scalar(self.num[:, i, j].tolist())
 
     @property
     def shape(self):
@@ -222,10 +271,9 @@ class Matrix:
         sc, num = (s._p, s._q, s._r, s._s), self.num
         if self.bits + max(map(abs, sc)).bit_length() + 5 > 62:
             num = num.astype(object)
-        return Matrix._make(_by_pairs(
-            [a for a in range(4) if sc[a]], self.comps,
-            lambda a, y: sc[a] * num[y], self.shape, num.dtype),
-            self.den * s._den)
+        ca = [a for a in _ALL if sc[a]]
+        return _by_pairs(ca, self.comps, lambda i, j: sc[ca[i]] * num[j],
+                         self.shape, self.den * s._den)
 
     def _fits(self, other: "Matrix", k: int, limit: int = 62) -> bool:
         """True when every sum of k terms a * c * b, for entries a of self
@@ -265,46 +313,45 @@ class Matrix:
         a, b = self._operands(other, self.ncols)
         exact_float = self._fits(other, self.ncols, 53)
         dtype = np.float64 if exact_float else a.dtype
-        lhs = {x: a[x].astype(dtype, copy=False) for x in self.comps}
-        rhs = {y: b[y].astype(dtype, copy=False) for y in other.comps}
-        return Matrix._make(_by_pairs(
-            self.comps, other.comps,
-            lambda x, y: _gemm(lhs[x], rhs[y], exact_float),
-            (self.nrows, other.ncols), a.dtype), self.den * other.den)
+        lhs = [p.astype(dtype, copy=False) for p in a]
+        rhs = [p.astype(dtype, copy=False) for p in b]
+        return _by_pairs(self.comps, other.comps,
+                         lambda i, j: _gemm(lhs[i], rhs[j], exact_float),
+                         (self.nrows, other.ncols), self.den * other.den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         (r1, c1), (r2, c2) = self.shape, other.shape
         a, b = self._operands(other, 1)
-        out = _by_pairs(self.comps, other.comps,
-                        lambda x, y: a[x][:, None, :, None] * b[y][:, None],
-                        (r1, r2, c1, c2), a.dtype)
-        return Matrix._make(out.reshape(4, r1 * r2, c1 * c2),
-                            self.den * other.den)
-
-    def transpose(self) -> "Matrix":
-        return Matrix._build(self.num.transpose(0, 2, 1), self.den,
-                             self.bits, self.comps)
+        return _by_pairs(self.comps, other.comps,
+                         lambda i, j: (a[i][:, None, :, None] * b[j][:, None])
+                         .reshape(r1 * r2, c1 * c2),
+                         (r1 * r2, c1 * c2), self.den * other.den)
 
     def dagger(self) -> "Matrix":
-        """Conjugate transpose."""
-        return Matrix._build((self.num * _CONJ).transpose(0, 2, 1),
-                             self.den, self.bits, self.comps)
+        """Conjugate transpose: the planes transposed, the i and i*sqrt2
+        planes negated."""
+        num = self.num.transpose(0, 2, 1)
+        if self.comps and self.comps[-1] >= 2:
+            num = num * np.array([1 - (c & 2) for c in self.comps]).reshape(
+                -1, 1, 1)
+        return Matrix._build(num, self.den, self.bits, self.comps)
 
     def trace(self):
-        t = self.num.diagonal(axis1=1, axis2=2).sum(axis=1)
-        return ExactScalar._raw(*(int(x) for x in t), self.den)
+        return self._scalar(
+            self.num.diagonal(axis1=1, axis2=2).sum(axis=1).tolist())
 
     def key(self):
-        """Hashable canonical form (shape, den, entries)."""
+        """Hashable canonical form (shape, den, comps, entries)."""
         num = self.num
         body = (tuple(num.ravel().tolist()) if num.dtype == object
                 else num.tobytes())
-        return (self.shape, self.den, body)
+        return (self.shape, self.den, self.comps, body)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.shape == other.shape and self.den == other.den
+                and self.comps == other.comps
                 and np.array_equal(self.num, other.num))
 
     def __hash__(self):
@@ -333,15 +380,24 @@ class Matrix:
         if max(self.bits, self.den.bit_length()) > FLOAT_BITS:
             return np.array([x.to_complex() for row in self.to_dense()
                              for x in row], dtype=complex).reshape(self.shape)
+        arr = np.zeros(self.shape, dtype=complex)
+        if not self.comps:
+            return arr
         num = self.num
         if self.den >= _LIMIT:
             num = num.astype(object)
         g = np.gcd(np.gcd.reduce(num, axis=0), self.den)
-        p = (num // g).astype(float)
         d = (self.den // g).astype(float)
-        arr = np.zeros(self.shape, dtype=complex)
-        arr.real = (p[0] + p[1] * SQRT2_FLOAT) / d
-        arr.imag = (p[2] + p[3] * SQRT2_FLOAT) / d
+        planes = dict(zip(self.comps, (num // g).astype(float)))
+
+        def part(lo, hi):
+            # (p_lo + p_hi sqrt2) / d, a missing plane read as zero
+            x, y = planes.get(lo), planes.get(hi)
+            if y is not None:
+                y = y * SQRT2_FLOAT
+                x = y if x is None else x + y
+            return 0.0 if x is None else x / d
+        arr.real, arr.imag = part(0, 1), part(2, 3)
         return arr
 
     def __repr__(self):
@@ -356,26 +412,31 @@ def _rescaled(mat: Matrix, den: int, wide: bool) -> np.ndarray:
 
 
 def _signed_numerator(terms):
-    """(num, den), num / den being the sum of sign * M over the (sign, M)
-    pairs of terms (signs +-1, one shape), read one at a time; num is not
-    canonical.  den is the lcm of the denominators read so far.
+    """(num, den, comps): num / den is the sum of sign * M over the
+    (sign, M) pairs of terms (signs +-1, one shape), num holding one plane
+    per component of comps, the union of the terms' live components; num
+    is not canonical.  den is the lcm of the denominators.
 
-    The sum starts from the first nonzero term, rescaled, rather than from
-    a zero array.  With k nonzero terms read, it runs in int64 while peak +
-    bitlen(k) <= 62, for peak = max_j(bits_j + bitlen(den / den_j)), and on
-    `object` arrays from the first term that breaks it (peak and k only
-    grow).  Proof: a term's entries rescaled to den are below 2^bits_j *
-    (den / den_j) < 2^peak, so every partial sum, rescaled or not, is below
-    k * 2^peak < 2^(bitlen(k) + peak) <= 2^62.
+    The sum starts from the first nonzero term, rescaled, when that term
+    has every component of comps, and otherwise from zeros; a term adds
+    only into its own planes.  With k nonzero terms read, it runs in int64
+    while peak + bitlen(k) <= 62, for peak = max_j(bits_j + bitlen(den /
+    den_j)), and on `object` arrays from the first term that breaks it
+    (peak and k only grow).  Proof: a term's entries rescaled to den are
+    below 2^bits_j * (den / den_j) < 2^peak, so every partial sum,
+    rescaled or not, is below k * 2^peak < 2^(bitlen(k) + peak) <= 2^62.
     """
-    num, shape, den, peak, sizes = None, None, 1, 0, []
-    for sign, mat in terms:
-        if shape is None:
-            shape = mat.shape
-        elif mat.shape != shape:
+    terms = list(terms)
+    if not terms:
+        raise ValueError("a sum needs at least one term")
+    shape = terms[0][1].shape
+    for _, mat in terms:
+        if mat.shape != shape:
             raise ValueError(f"shape mismatch {shape} vs {mat.shape}")
-        if not mat.comps:
-            continue
+    terms = [(sign, mat) for sign, mat in terms if mat.comps]
+    comps = _union(mat for _, mat in terms)
+    num, den, peak, sizes = None, 1, 0, []
+    for sign, mat in terms:
         top = lcm(den, mat.den)
         if top != den:
             peak = max((b + (top // d).bit_length() for b, d in sizes),
@@ -384,23 +445,29 @@ def _signed_numerator(terms):
         peak = max(peak, mat.bits + (top // mat.den).bit_length())
         wide = peak + len(sizes).bit_length() > 62
         term = _rescaled(mat, top, wide)
-        if num is None:
-            if sign < 0:
-                num = -term
-            else:  # mat.num is read-only: the accumulator owns its array
-                num = term.copy() if term is mat.num else term
+        if num is None and mat.comps == comps:
+            # mat.num is read-only: the accumulator owns its array
+            num = -term if sign < 0 else (
+                term.copy() if term is mat.num else term)
         else:
-            if wide:
-                num = num.astype(object, copy=False)
-            if top != den:
-                num *= top // den
-            (np.add if sign > 0 else np.subtract)(num, term, out=num)
+            if num is None:  # the first term lacks a plane of comps
+                num = np.zeros((len(comps), *shape), dtype=term.dtype)
+            else:
+                if wide:
+                    num = num.astype(object, copy=False)
+                if top != den:
+                    num *= top // den
+            op = np.add if sign > 0 else np.subtract
+            if mat.comps == comps:
+                op(num, term, out=num)
+            else:
+                for c, plane in zip(mat.comps, term):
+                    k = comps.index(c)
+                    op(num[k], plane, out=num[k])
         den = top
-    if shape is None:
-        raise ValueError("a sum needs at least one term")
     if num is None:
-        num = np.zeros((4, *shape), dtype=np.int64)
-    return num, den
+        num = np.zeros((0, *shape), dtype=np.int64)
+    return num, den, comps
 
 
 def signed_sum(terms) -> Matrix:
@@ -419,19 +486,26 @@ def first_nonzero(terms):
 
 def _stacked(mats, axes) -> Matrix:
     """The T matrices of mats, all of one shape, each read row-major over
-    their lcm denominator: an array of shape (T, 4, rows * cols), its axes
-    then permuted by axes.  Not canonical, and only ever a product's
-    operand: `bits` bounds the entries rather than being their bit length,
-    which is all `_fits` reads.  The entries widen to `object` by the rule
-    of `_signed_numerator` for one term: a rescaled entry is below 2^peak,
+    their lcm denominator: an array of shape (T, len(comps), rows * cols)
+    over the union comps of their live components, a matrix without a
+    component reading zero there, its axes then permuted by axes.  Not
+    canonical, and only ever a product's operand: `bits` bounds the
+    entries rather than being their bit length, which is all `_fits`
+    reads.  The entries widen to `object` by the rule of
+    `_signed_numerator` for one term: a rescaled entry is below 2^peak,
     peak = max_j(bits_j + bitlen(den / den_j)), so int64 holds it when
     peak + bitlen(1) <= 62."""
     den = lcm(*(m.den for m in mats))
     peak = max(m.bits + (den // m.den).bit_length() for m in mats)
     wide = peak + 1 > 62
-    num = np.stack([_rescaled(m, den, wide).reshape(4, -1) for m in mats])
-    return Matrix._build(num.transpose(axes), den, peak, tuple(sorted(
-        set().union(*(m.comps for m in mats)))))
+    comps = _union(mats)
+    num = np.zeros((len(mats), len(comps), mats[0].nrows * mats[0].ncols),
+                   dtype=object if wide else np.int64)
+    for t, m in enumerate(mats):
+        if m.comps:
+            num[t, [comps.index(c) for c in m.comps]] = _rescaled(
+                m, den, wide).reshape(len(m.comps), -1)
+    return Matrix._build(num.transpose(axes), den, peak, comps)
 
 
 def sum_of_krons(pairs) -> Matrix:
@@ -444,7 +518,7 @@ def sum_of_krons(pairs) -> Matrix:
     (k, l)] = sum_t a_t[i, j] b_t[k, l], which is entry ((i, k), (j, l))
     of the sum.  So the sum's entries are a permutation of the product's,
     and the product's canonical den, bits and comps are the sum's: the
-    permuted array needs no second canonicalisation.  The product runs
+    permuted planes need no second canonicalisation.  The product runs
     through `Matrix.__matmul__` and its proved bounds, with k = T.
     """
     (a, b), *rest = pairs
@@ -453,18 +527,27 @@ def sum_of_krons(pairs) -> Matrix:
     (r1, c1), (r2, c2) = a.shape, b.shape
     prod = (_stacked([a for a, _ in pairs], (1, 2, 0))
             @ _stacked([b for _, b in pairs], (1, 0, 2)))
-    num = prod.num.reshape(4, r1, c1, r2, c2).transpose(0, 1, 3, 2, 4)
-    return Matrix._build(num.reshape(4, r1 * r2, c1 * c2), prod.den,
+    k = len(prod.comps)
+    num = prod.num.reshape(k, r1, c1, r2, c2).transpose(0, 1, 3, 2, 4)
+    return Matrix._build(num.reshape(k, r1 * r2, c1 * c2), prod.den,
                          prod.bits, prod.comps)
 
 
 def hstack(*mats: Matrix) -> Matrix:
-    """The concatenation [A | B | ...], formed on `object` arrays."""
+    """The concatenation [A | B | ...], formed on `object` arrays over
+    the union of the live components."""
     if any(mm.nrows != mats[0].nrows for mm in mats):
         raise ValueError("row mismatch in concatenation")
     den = lcm(*(mm.den for mm in mats))
-    return Matrix._make(np.concatenate(
-        [mm.num.astype(object) * (den // mm.den) for mm in mats], axis=2), den)
+    comps = _union(mats)
+    num = np.zeros((len(comps), mats[0].nrows, sum(mm.ncols for mm in mats)),
+                   dtype=object)
+    col = 0
+    for mm in mats:
+        num[[comps.index(c) for c in mm.comps], :, col:col + mm.ncols] = \
+            _rescaled(mm, den, True)
+        col += mm.ncols
+    return Matrix._make(num, den, comps)
 
 
 # -- elimination over the field ----------------------------------------------

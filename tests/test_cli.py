@@ -408,6 +408,33 @@ def test_table_bad_points_become_rows(tmp_path):
     assert all(r["group"] == "S3" and r["tau"] == "trivial" for r in rows)
 
 
+@pytest.mark.parametrize("group", ["S2", "S3"])
+def test_table_rows_at_huge_couplings_are_ok_or_past_float_range(tmp_path,
+                                                                 group):
+    """Degrees 0-3 of the zero twist and C2 at c = 1e20, 1e152 and 1e300.
+    At 1e20 the float Gram matrix is singular (its O(1) parts are lost
+    beside entries near 1e20) though the exact test proves it positive
+    definite; at 1e152 the float operator has entries above 2^500 and is
+    scaled by a power of two; at 1e300 the float Cholesky and the
+    similarity transform overflowed unscaled.  No row may report a float
+    Cholesky or eigensolver failure: each is ok or the one-line error of a
+    value past float range, and every row at 1e20, and at 1e152 up to
+    degree 2, is ok (at degree 3 a value near 2^1520 is past range)."""
+    cfg = load_config(write_config(tmp_path, group=group, c="1/2"))
+    points = [{"m": m, "C": name, "c": c} for c in ("1e20", "1e152", "1e300")
+              for m in range(4) for name in ("zero", "C2")]
+    rows = run_table(cfg, points)
+    assert len(rows) == len(points)
+    for point, row in zip(points, rows):
+        status = row["status"]
+        assert status == "ok" or (
+            status.startswith("error: a value near 2^")
+            and status.endswith("is past float range")), (point, status)
+        if point["c"] == "1e20" or (point["c"] == "1e152"
+                                    and point["m"] <= 2):
+            assert status == "ok", (point, status)
+
+
 def test_table_builds_one_context_per_coupling(tmp_path, monkeypatch):
     # a point without c and a point naming the config's own c share one
     # context; a different c gets its own
@@ -502,3 +529,39 @@ def test_spectrum_bad_element_exits_two_with_one_line(tmp_path, capsys,
 
 def test_missing_required_argument_is_usage_error():
     assert cli.main(["verify"]) == 2
+
+
+def test_z3_and_jucys_murphy_are_built_once_unless_building_raises(
+        tmp_path, monkeypatch):
+    """Z3 is cached on the context and the Jucys-Murphy elements on its
+    cover, so any number of reads builds each once.  A build that raises
+    stores nothing: the pincover suite records the error text, and a
+    later reader gets the same error from a second build."""
+    from dunkldirac import cover, diracops
+    dctx = cli._build(load_config(write_config(tmp_path, group="S3",
+                                               c="1/3")))
+    builds = []
+
+    def failing(name, message):
+        def build(*args):
+            builds.append(name)
+            raise RuntimeError(message)
+        return build
+
+    monkeypatch.setattr(diracops, "build_Z3",
+                        failing("Z3", "Z3 is not central in the group"))
+    monkeypatch.setattr(cover, "jm_elements",
+                        failing("jm", "element 2 is not star-negated"))
+    records = {r["check_id"]: r for r in cli._suite_pincover(dctx, {})}
+    assert records["central cubic term validates"]["witness"] == {
+        "error": "Z3 is not central in the group"}
+    assert records["jucys-murphy sign conventions validate"]["witness"] \
+        == {"error": "element 2 is not star-negated"}
+    with pytest.raises(RuntimeError, match="not central"):
+        diracops.c2_decomposition_check(dctx)
+    with pytest.raises(RuntimeError, match="star-negated"):
+        cover.jm_symmetric_elements(dctx.cover)
+    assert builds == ["Z3", "jm", "Z3", "jm"]
+    monkeypatch.undo()
+    assert dctx.z3 is dctx.z3 and dctx.cover.jm is dctx.cover.jm
+    assert all(r["status"] == "pass" for r in cli._suite_pincover(dctx, {}))

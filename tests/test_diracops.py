@@ -512,6 +512,25 @@ def test_spectrum_s3_interior():
     assert max(abs(a - b) for a, b in zip(out["spectrum"], want)) < 1e-9
 
 
+@pytest.mark.parametrize("c", [10 ** 20, 10 ** 152], ids=["1e20", "1e152"])
+def test_spectrum_at_huge_couplings_squares_to_the_casimir(c):
+    """At c = 1e20 the float Gram matrix is singular to float precision,
+    though exactly positive definite, so no float Cholesky factor exists
+    and the spectrum is read off the self-adjoint operator; at 1e152 the
+    float operator has entries above 2^500 and runs scaled by a power of
+    two.  On the zero twist every reported eigenvalue still squares to
+    Casimir + 1 to float accuracy."""
+    dop = zero_twist_op(ctx("S3", Fraction(c), 2))
+    for m in (1, 2):
+        out = unitarity_and_spectrum(dop, m)
+        assert out["status"] == "ok" and out["self_adjoint"] is True
+        assert out["square_is_casimir_plus_one"] is True
+        root = math.sqrt(float(Fraction(out["omega_scalar"]) + 1))
+        spec = out["spectrum"]
+        assert len(spec) == out["dim"]
+        assert all(math.isclose(abs(s), root, rel_tol=1e-12) for s in spec)
+
+
 def test_spectrum_plane_boundary():
     # lambda = 1 sits on the unitarity boundary: chi + 1 = 0 and the
     # operator is nilpotent, so both eigenvalues vanish

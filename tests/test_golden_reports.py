@@ -109,22 +109,23 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     distinct collected AMA relation is summed once.  Every GEMM multiplies
     one component plane of each factor, so no right operand is wider than
     the widest factor, 80 columns.  The twist C2 is built once for the
-    four suites that read it."""
+    four suites that read it, Z3 once for the pincover and dirac suites,
+    and the Jucys-Murphy elements once for the pincover suite and the
+    jm:e1 twist."""
     from dunkldirac import cover, diracops, linalg, polyrep
     calls = {"make": 0, "matmul": 0, "kron": 0, "first_nonzero": 0,
-             "build_C2": 0}
+             "build_C2": 0, "build_Z3": 0, "jm_elements": 0}
     make, matmul = linalg.Matrix._make, linalg.Matrix.__matmul__
     kron, first_nonzero = linalg.Matrix.kron, polyrep.first_nonzero
-    build_C2 = cover.build_C2
     gemm, gemm_widths = linalg._gemm, set()
 
     def record_gemm(lhs, rhs, exact_float):
         gemm_widths.add(rhs.shape[1])
         return gemm(lhs, rhs, exact_float)
 
-    def count_make(num, den):
+    def count_make(*args):
         calls["make"] += 1
-        return make(num, den)
+        return make(*args)
 
     def count_matmul(a, b):
         calls["matmul"] += 1
@@ -138,17 +139,23 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
         calls["first_nonzero"] += 1
         return first_nonzero(terms)
 
-    def count_build_C2(cover, param):
-        calls["build_C2"] += 1
-        return build_C2(cover, param)
+    def counting(name):
+        build = getattr(cover, name)
+
+        def count(*args):
+            calls[name] += 1
+            return build(*args)
+        return count
 
     monkeypatch.setattr(linalg.Matrix, "_make", staticmethod(count_make))
     monkeypatch.setattr(linalg.Matrix, "__matmul__", count_matmul)
     monkeypatch.setattr(linalg.Matrix, "kron", count_kron)
     monkeypatch.setattr(polyrep, "first_nonzero", count_first_nonzero)
-    for module in (cli, cover, diracops):
-        if hasattr(module, "build_C2"):
-            monkeypatch.setattr(module, "build_C2", count_build_C2)
+    for name in ("build_C2", "build_Z3", "jm_elements"):
+        count = counting(name)
+        for module in (cli, cover, diracops):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, count)
     monkeypatch.setattr(linalg, "_gemm", record_gemm)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"group": "S4", "c": "1/3", "max_degree": 3,
@@ -174,3 +181,35 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # 5 when the pincover, dirac (twice), vogan and cohomology suites each
     # built their own
     assert calls["build_C2"] == 1
+    # 2 each when the pincover suite built its own
+    assert calls["build_Z3"] == 1 and calls["jm_elements"] == 1
+
+
+def test_verify_s4_blocks_hold_only_live_planes(tmp_path, monkeypatch):
+    """After the verify-s4 config (all suites on S4 at degree 3, c = 1/3)
+    the cached degree-3 blocks of the Dirac element and the Casimir are
+    80 x 80 and store one int64 plane per live component: two (1 and i)
+    and one (1), 102,400 and 51,200 bytes, where four planes took
+    204,800 bytes each."""
+    built = []
+    build = cli._build
+
+    def keep_build(cfg):
+        built.append(build(cfg))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build", keep_build)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"group": "S4", "c": "1/3", "max_degree": 3,
+                                "tau": "trivial", "suites": "all"}),
+                    encoding="utf-8")
+    assert cli.run_verify(cli.load_config(str(path)))[1] == 0
+    (dctx,) = built
+    dirac, casimir = (vars(dctx)[name].blocks[3]
+                      for name in ("dirac", "casimir"))
+    assert (dirac.comps, casimir.comps) == ((0, 2), (0,))
+    for blk in (dirac, casimir):
+        assert blk.num.shape == (len(blk.comps), 80, 80)
+        assert blk.num.dtype == "int64"
+        assert all(plane.any() for plane in blk.num)
+    assert (dirac.num.nbytes, casimir.num.nbytes) == (102400, 51200)

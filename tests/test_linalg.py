@@ -11,7 +11,7 @@ import sympy
 from dunkldirac.linalg import (Matrix, _reduce, _signed_numerator,
                                _stacked, first_nonzero, hstack,
                                intersection_dim, is_positive_definite,
-                               kernel, rank, signed_sum)
+                               kernel, rank, signed_sum, sum_of_krons)
 from dunkldirac.scalars import ExactScalar, ONE, SQRT2, ZERO, rat
 
 
@@ -287,7 +287,16 @@ def test_products_beyond_the_int64_bound_take_the_object_path():
         assert ((prod + small) - prod).num.dtype == np.int64
 
 
+def assert_live_planes(m: Matrix):
+    """One plane per live component, in increasing order, none all zero."""
+    assert m.num.shape == (len(m.comps), m.nrows, m.ncols)
+    assert list(m.comps) == sorted(set(m.comps)) and set(m.comps) <= {
+        0, 1, 2, 3}
+    assert all(plane.any() for plane in m.num)
+
+
 def assert_canonical(m: Matrix):
+    assert_live_planes(m)
     assert m.den > 0
     entries = [int(x) for x in m.num.ravel()]
     assert math.gcd(m.den, *entries) == 1
@@ -547,6 +556,92 @@ def test_a_reachable_component_that_cancels_is_not_live():
     one = half @ Matrix.from_rows([[ExactScalar(1, 0, -1)]])
     assert_canonical(one)
     assert one == Matrix.identity(1) and one.comps == (0,) and one.den == 1
+    # (1 + i)(1 - i) = 2 keeps one plane by product, scaling, kron and sum
+    one_i, conj = (Matrix.from_rows([[ExactScalar(1, 0, s)]]) for s in (1, -1))
+    two = Matrix.from_rows([[2]])
+    for got in (one_i @ conj, one_i.scale(ExactScalar(1, 0, -1)),
+                one_i.kron(conj), one_i + conj):
+        assert got == two and got.num.shape == (1, 1, 1)
+    # (1 + sqrt2)(1 - sqrt2) = -1 on 2 x 2 blocks: the sqrt2 planes cancel
+    s, t = (Matrix.identity(2).scale(ExactScalar(1, q)) for q in (1, -1))
+    assert (s @ t).num.shape == (1, 2, 2) and s @ t == Matrix.identity(
+        2).scale(-1)
+
+
+# -- the live-plane layout -----------------------------------------------------
+
+
+def dense_sum(*signed):
+    """The entrywise sum of sign * dense matrix over (sign, dense) pairs."""
+    rows, cols = len(signed[0][1]), len(signed[0][1][0])
+    return [[sum((d[i][j] if sign > 0 else -d[i][j] for sign, d in signed),
+                 ZERO) for j in range(cols)] for i in range(rows)]
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
+def test_every_routine_keeps_only_live_planes(wide):
+    """Every routine that returns a matrix, on operands whose live
+    components run over all 15 nonempty sets, with int64 numerators and
+    with `object` numerators above 62 bits: each result holds exactly
+    len(comps) planes, none all zero, and its entries match the
+    reference built from `rows` in ExactScalar arithmetic; products also
+    match sympy on a sample."""
+    rng = random.Random(1523 + wide)
+    sample = set(rng.sample(range(len(SUBSETS)), 3))
+    zero = Matrix(2, 3)
+    assert zero.num.shape == (0, 2, 3) and zero.comps == ()
+    assert zero.rows == [{}, {}] and zero.get(1, 2) == ZERO
+    assert not zero.to_complex().any()
+    for n, ca in enumerate(SUBSETS):
+        cb = SUBSETS[(7 * n + 3) % 15]
+        a = subset_matrix(rng, 2, 3, ca)
+        c = subset_matrix(rng, 2, 3, cb)
+        if wide:
+            a = lifted(a, 70)
+            assert a.num.dtype == object and a.comps == ca
+        b = subset_matrix(rng, 3, 3, SUBSETS[(4 * n + 1) % 15])
+        da, db, dc = a.to_dense(), b.to_dense(), c.to_dense()
+        assert_canonical(a)
+        # reading entries: get, rows, to_complex, key and equality
+        assert all(a.get(i, j) == da[i][j] for i in range(2)
+                   for j in range(3))
+        assert Matrix.from_row_dicts(2, 3, a.rows) == a
+        assert a == Matrix.from_rows(da) and hash(a) == hash(
+            Matrix.from_rows(da))
+        assert a != c or ca == cb
+        arr = a.to_complex()
+        assert all(arr[i, j] == da[i][j].to_complex() for i in range(2)
+                   for j in range(3))
+        # sums, scaling, conjugate transpose and trace
+        s = ExactScalar(*(Fraction(rng.randint(1, 5), rng.randint(1, 4))
+                          if k in cb else 0 for k in range(4)))
+        checks = [
+            (a + c, dense_sum((1, da), (1, dc))),
+            (a - c, dense_sum((1, da), (-1, dc))),
+            (signed_sum([(1, a), (-1, c), (-1, a)]), dense_sum((-1, dc))),
+            (a.scale(s), [[s * x for x in row] for row in da]),
+            (a.dagger(), [[da[i][j].conjugate() for i in range(2)]
+                          for j in range(3)]),
+            (hstack(a, c, zero), [ra + rc + [ZERO] * 3
+                                  for ra, rc in zip(da, dc)]),
+            (a @ b, dense_product(a, b).to_dense()),
+            (a.kron(c), dense_kron(a, c).to_dense()),
+            (sum_of_krons([(a, c), (c, a), (zero, a)]),
+             dense_sum((1, dense_kron(a, c).to_dense()),
+                       (1, dense_kron(c, a).to_dense()))),
+        ]
+        for got, want in checks:
+            assert_canonical(got)
+            assert got.to_dense() == want
+        assert (b.trace() == b.get(0, 0) + b.get(1, 1) + b.get(2, 2))
+        spot = next(((i, j) for i in range(2) for j in range(3)
+                     if da[i][j] != dc[i][j]), None)
+        assert first_nonzero([(1, a), (-1, c)]) == spot
+        assert first_nonzero([(1, a), (1, zero), (-1, a)]) is None
+        if n in sample:
+            sa, sb, sc = (to_sympy_matrix(x) for x in (a, b, c))
+            assert sympy_equal(a @ b, sa * sb)
+            assert sympy_equal(a.kron(c), sympy.kronecker_product(sa, sc))
 
 
 # -- the one sum kernel ------------------------------------------------------
@@ -594,7 +689,7 @@ def python_sum(terms):
         for c in range(4):
             for i in range(m.nrows):
                 for j in range(m.ncols):
-                    num[c][i][j] += f * int(m.num[c, i, j])
+                    num[c][i][j] += f * int(m.plane(c)[i, j])
     return num, den
 
 
@@ -607,10 +702,11 @@ def test_signed_sum_takes_int64_exactly_up_to_the_62_bit_bound(top_bits,
     # at the bound; 59 gives 63, past it.
     terms = [(1, peaked(top_bits, 1)), (1, peaked(top_bits + 1, 3)),
              (-1, peaked(50, 3, -1))]
-    num, den = _signed_numerator(terms)
-    assert num.dtype == dtype and den == 3
+    num, den, comps = _signed_numerator(terms)
+    assert num.dtype == dtype and den == 3 and comps == (0, 3)
     want, den = python_sum(terms)
-    assert num.tolist() == want
+    assert num.tolist() == [want[c] for c in comps]
+    assert not any(map(any, want[1] + want[2]))
     got = signed_sum(terms)
     assert_canonical(got)
     assert got == Matrix._make(np.array(want, dtype=object), den)

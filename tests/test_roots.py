@@ -188,7 +188,7 @@ def test_product_and_inverse_tables_match_matrix_products(spec):
     for i, g in enumerate(mats):
         for j, h in enumerate(mats):
             assert mats[grp.mul(i, j)] == g @ h
-        assert mats[grp.inv(i)] == g.transpose()
+        assert mats[grp.inv(i)] == g.dagger()
 
 
 def matrix_bfs(rs):
