@@ -13,8 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import Matrix, signed_sum
-from .scalars import (Combination, ExactScalar, IUNIT, ONE, ZERO, as_scalar,
-                      parse_terms)
+from .scalars import Combination, ExactScalar, IUNIT, ONE, ZERO, as_scalar
 
 
 def _merge_sign_and_mask(s: int, t: int) -> tuple[int, int]:
@@ -170,16 +169,6 @@ class CliffordElement(Combination):
         return out
 
     __repr__ = __str__
-
-    @staticmethod
-    def parse(n: int, text: str) -> "CliffordElement":
-        """Parse the __str__ grammar: signed sums of '<coef> c1 c3' terms."""
-        out = CliffordElement(n)
-        for coeff, letters in parse_terms(
-                text, lambda tok: tok.startswith("c") and tok[1:].isdigit()):
-            out = out + CliffordElement.monomial(
-                n, [int(tok[1:]) for tok in letters], coeff)
-        return out
 
 
 def vector_embed(n: int, vec) -> CliffordElement:

@@ -275,11 +275,6 @@ def flip_frame(n: int) -> list:
     return _frame(n, [[-ONE]])
 
 
-def shear_frame(n: int) -> list:
-    """e1 -> e1 + e2, not orthogonal; the negative control."""
-    return _frame(n, [[ONE, ONE], [ZERO, ONE]])
-
-
 def dirac_in_basis(dctx: DiracContext, rows) -> GradedOperator:
     """The Dirac element rebuilt from the frame e'_i = sum_k rows[i][k] e_k.
 
@@ -760,7 +755,10 @@ def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
     two, which is exact, when their entries are far from 1.  For the zero
     twist the exact identity r r = (Casimir + 1) I on the slice is
     checked, and the float drift of the squared spectrum from it is
-    reported beside.
+    reported beside.  That drift, square_deviation, is absolute,
+    max |s^2 - (Casimir + 1)|, so it grows with |Casimir + 1|: on S2 at
+    c = 1e152 and degree 0 it reads 1.2e288 while each s^2 matches
+    Casimir + 1 to about 1e-16 relatively.
     """
     dctx = dop.ctx
     fam = dctx.family

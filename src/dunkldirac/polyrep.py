@@ -42,16 +42,12 @@ from math import comb
 
 from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
                      signed_sum, sum_of_krons)
-from .scalars import ONE, Combination, as_scalar, parse_terms, rat
+from .scalars import ONE, Combination, as_scalar, rat
 
 
 def _add_exponents(e1, e2):
     # the monomial product rule x^e1 x^e2 = x^(e1 + e2)
     return 1, tuple(a + b for a, b in zip(e1, e2))
-
-
-def _is_variable(tok: str) -> bool:
-    return tok.startswith("x") and tok[1:].split("^")[0].isdigit()
 
 
 class Polynomial(Combination):
@@ -88,7 +84,7 @@ class Polynomial(Combination):
 
     @staticmethod
     def variable(n: int, i: int) -> "Polynomial":
-        """x_i, 1-based to match the printing grammar."""
+        """x_i, 1-based."""
         if not (1 <= i <= n):
             raise ValueError(f"variable index {i} out of range 1..{n}")
         e = tuple(1 if k == i - 1 else 0 for k in range(n))
@@ -120,52 +116,6 @@ class Polynomial(Combination):
             e2 = e[:k] + (e[k] - 1,) + e[k + 1:]
             out[e2] = v * rat(e[k])
         return self._like(out)
-
-    def sorted_terms(self):
-        """(exponent, coeff) pairs, graded-lex descending."""
-        return [(e, self.coeffs[e]) for e in
-                sorted(self.coeffs, key=lambda e: (sum(e), e), reverse=True)]
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for e, v in self.sorted_terms():
-            mono = " ".join(
-                f"x{k + 1}" if d == 1 else f"x{k + 1}^{d}"
-                for k, d in enumerate(e) if d > 0)
-            if not mono:
-                bits.append(str(v))
-            elif v == ONE:
-                bits.append(mono)
-            elif v == -ONE:
-                bits.append(f"-{mono}")
-            else:
-                sv = str(v)
-                if " " in sv:
-                    sv = f"({sv})"
-                bits.append(f"{sv} {mono}")
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
-
-    __repr__ = __str__
-
-    @staticmethod
-    def parse(n: int, text: str) -> "Polynomial":
-        """Parse the __str__ grammar: signed sums of '<coef> x1^2 x3'."""
-        out = Polynomial(n)
-        for coeff, letters in parse_terms(text, _is_variable):
-            exps = [0] * n
-            for tok in letters:
-                parts = tok[1:].split("^")
-                k = int(parts[0])
-                if not (1 <= k <= n):
-                    raise ValueError(f"variable out of range: {tok}")
-                exps[k - 1] += int(parts[1]) if len(parts) > 1 else 1
-            out = out + Polynomial.monomial(n, exps, coeff)
-        return out
 
 
 def group_action(g, n: int):

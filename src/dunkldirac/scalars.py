@@ -16,8 +16,6 @@ SQRT2_FLOAT = 1.4142135623730951
 # for two of them stays below 2^1024, the top of the float range
 FLOAT_BITS = 1022
 
-RationalLike = "int | str | Fraction"
-
 
 def as_fraction(x) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to Fraction.
@@ -299,31 +297,6 @@ class ExactScalar:
     def __repr__(self):
         return f"ExactScalar({self})"
 
-    @staticmethod
-    def parse(text: str) -> "ExactScalar":
-        """Parse the __str__ grammar: signed sums of [coef*][i][*][sqrt2]."""
-        out = ExactScalar()
-        for sgn, body in split_signed(text.replace(" ", "")):
-            has_i = False
-            has_s = False
-            rest = body
-            while True:
-                if rest.endswith("sqrt2") and not has_s:
-                    has_s = True
-                    rest = rest[:-5].rstrip("*")
-                elif rest.endswith("i") and not has_i:
-                    has_i = True
-                    rest = rest[:-1].rstrip("*")
-                else:
-                    break
-            coef = as_fraction(rest) if rest else Fraction(1)
-            coef *= sgn
-            idx = (1 if has_s else 0) + (2 if has_i else 0)
-            comp = [Fraction(0)] * 4
-            comp[idx] = coef
-            out = out + ExactScalar(*comp)
-        return out
-
 
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
@@ -339,11 +312,9 @@ def rat(x) -> ExactScalar:
 
 
 def as_scalar(x) -> ExactScalar:
-    """Pass an ExactScalar through; parse a string with ExactScalar.parse
-    and coerce an int or Fraction with rat()."""
-    if isinstance(x, ExactScalar):
-        return x
-    return ExactScalar.parse(x) if isinstance(x, str) else rat(x)
+    """Pass an ExactScalar through; coerce an int, Fraction or 'p/q'
+    string with rat()."""
+    return x if isinstance(x, ExactScalar) else rat(x)
 
 
 # -- sparse combinations: dicts basis key -> nonzero coefficient ---------------
@@ -446,59 +417,6 @@ class Combination:
         except (TypeError, ValueError):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-
-# -- the term grammar shared by every parser -------------------------------------
-
-
-def split_signed(text: str) -> list:
-    """Split on top-level + and -, keeping signs; parentheses protected.
-
-    Returns (sign, body) pairs; an empty text or an empty term raises
-    ValueError.
-    """
-    t = text.strip()
-    if not t:
-        raise ValueError("empty expression")
-    chunks = []
-    cur, sign, depth = "", 1, 0
-    if t[0] in "+-":
-        sign = -1 if t[0] == "-" else 1
-        t = t[1:]
-    for ch in t:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            chunks.append((sign, cur.strip()))
-            sign = -1 if ch == "-" else 1
-            cur = ""
-        else:
-            cur += ch
-    chunks.append((sign, cur.strip()))
-    if not all(body for _, body in chunks):
-        raise ValueError(f"malformed expression: {text!r}")
-    return chunks
-
-
-def parse_terms(text: str, is_letter):
-    """Yield (coefficient, letter tokens) for each signed term of a sum.
-
-    A term is whitespace-separated tokens; those passing is_letter are
-    the caller's letters, in order, and the rest form an ExactScalar
-    coefficient (optionally parenthesized, 1 when absent) with the
-    term's sign applied.
-    """
-    for sign, body in split_signed(text):
-        letters, coeff_toks = [], []
-        for tok in body.split():
-            (letters if is_letter(tok) else coeff_toks).append(tok)
-        cstr = " ".join(coeff_toks)
-        if cstr.startswith("(") and cstr.endswith(")"):
-            cstr = cstr[1:-1]
-        coeff = ExactScalar.parse(cstr) if cstr else ONE
-        yield (coeff if sign > 0 else -coeff), letters
 
 
 def sqrt_in_real_subfield(x: ExactScalar):

@@ -271,6 +271,15 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
     # JSON booleans are not root coordinates
     ({"group": {"roots": [[True, False], [False, True]]}},
      "error: group: "),
+    # a root entry is p/q or p/q*sqrt2; the message quotes the whole entry
+    ({"group": {"roots": [["i", "0"], ["0", "1"]]}},
+     "error: group: not a rational: 'i'\n"),
+    ({"group": {"roots": [["1+sqrt2", "0"], ["0", "1"]]}},
+     "error: group: not a rational times sqrt2: '1+sqrt2'\n"),
+    ({"group": {"roots": [["sqrt2*sqrt2"]]}},
+     "error: group: not a rational times sqrt2: 'sqrt2*sqrt2'\n"),
+    ({"group": {"roots": [["1", "0"], ["0", "0"]]}},
+     "error: group: zero root\n"),
     # a verify run that would check nothing
     ({"group": "S3", "suites": []}, "error: suites: "),
     # every check would run on a zero-dimensional module
@@ -295,6 +304,8 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
         "coroot-norm-outside-field", "no-roots", "roots-missing",
         "repeated-root", "opposite-root", "roots-not-closed",
         "not-a-positive-system", "root-entry-boolean",
+        "root-entry-imaginary", "root-entry-sum", "root-entry-sqrt2-squared",
+        "zero-root",
         "empty-suites", "tau-zero-dimensional", "group-name-not-a-string",
         "tau-name-not-a-string", "tau-form-zero", "tau-form-negative",
         "casimir-past-float-range"])

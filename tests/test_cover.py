@@ -392,15 +392,23 @@ def test_elements_of_different_algebras_do_not_combine():
 
 def test_scale_by_a_string_agrees_across_the_algebras():
     cov = make("B2")
-    elems = [Polynomial.parse(2, "x1 - 3 x2^2"),
-             CliffordElement.parse(2, "1/2 + c1 c2"),
+    elems = [Polynomial.monomial(2, (1, 0))
+             - Polynomial.monomial(2, (0, 2), rat(3)),
+             CliffordElement.scalar(2, rat("1/2"))
+             + CliffordElement.monomial(2, (1, 2)),
              HatElement(cov, p={1: ONE}, m={2: IUNIT}, gm={0: rat(3)})]
+    r = rat("-3/2")
     for e in elems:
-        want = e.scale(SQRT2)
-        assert e.scale("sqrt2") == want
-        assert e * "sqrt2" == want == SQRT2 * e
-        assert want.coeffs == {k: v * SQRT2 for k, v in e.coeffs.items()}
+        want = e.scale(r)
+        assert e.scale("-3/2") == want
+        assert e * "-3/2" == want == "-3/2" * e
+        assert want.coeffs == {k: v * r for k, v in e.coeffs.items()}
+        surd = e.scale(SQRT2)
+        assert e * SQRT2 == surd == SQRT2 * e
+        assert surd.coeffs == {k: v * SQRT2 for k, v in e.coeffs.items()}
         assert e.scale("0").is_zero()
+        with pytest.raises(ValueError, match="not a rational"):
+            e.scale("sqrt2")
 
 
 # the dihedral group of order 8 with roots in Q(sqrt2)

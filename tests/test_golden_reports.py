@@ -168,8 +168,9 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # 2,965 with one kron per Kronecker term, every group element built by
     # substitution and the zero M_ii products of the AMA relations formed;
     # 2,942 with one cocycle-table product per group element (24) rather
-    # than one per reflection (6)
-    assert calls["matmul"] == 2924
+    # than one per reflection (6); 2,924 while each reflection of S4 (6)
+    # was squared to check that it is an involution
+    assert calls["matmul"] == 2918
     # 18,427 when every pairwise sum was canonicalised on its own
     assert calls["make"] < 7000
     # 873 with one kron per Kronecker term

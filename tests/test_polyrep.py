@@ -37,7 +37,7 @@ from dunkldirac.polyrep import (
     trivial_rep,
 )
 from dunkldirac.roots import ParamFunction, root_system
-from dunkldirac.scalars import ONE, SQRT2, ZERO, rat
+from dunkldirac.scalars import ONE, ZERO, rat
 
 
 def params(rs, spec):
@@ -131,23 +131,6 @@ def test_polynomial_arithmetic():
         xs = sym_vars(3)
         assert to_sympy(a * b, xs) == sp.expand(to_sympy(a, xs)
                                                 * to_sympy(b, xs))
-
-
-def test_polynomial_str_parse_roundtrip():
-    n = 3
-    p = Polynomial(n, {(2, 0, 1): rat("3/2"), (0, 1, 0): rat("-1/2")})
-    assert str(p) == "3/2 x1^2 x3 - 1/2 x2"
-    assert Polynomial.parse(n, str(p)) == p
-    q = Polynomial(n, {(1, 0, 0): rat("1/2") + SQRT2, (0, 0, 0): -ONE})
-    assert Polynomial.parse(n, str(q)) == q
-    rng = random.Random(7)
-    for _ in range(6):
-        r = random_poly(rng, 3)
-        assert Polynomial.parse(3, str(r)) == r
-    assert str(Polynomial.zero(2)) == "0"
-    for bad in ("", "+", "x1 +", "x1 - - x2", "(1/2 x1", "x1 z2"):
-        with pytest.raises(ValueError):
-            Polynomial.parse(3, bad)
 
 
 def test_divide_by_linear_roundtrip():
@@ -573,7 +556,8 @@ def test_dunkl_operators_share_the_divided_differences(monkeypatch):
     seen = []
 
     def spy(f, form):
-        seen.append((str(form), str(f)))
+        seen.append((frozenset(form.coeffs.items()),
+                     frozenset(f.coeffs.items())))
         return divide_by_linear(f, form)
 
     monkeypatch.setattr(polyrep, "divide_by_linear", spy)
@@ -584,7 +568,7 @@ def test_dunkl_operators_share_the_divided_differences(monkeypatch):
     for r in range(len(rs.positive_roots)):
         fam.divided_difference_op(r).blocks[3]
     # a monomial that s_a fixes gives f = 0, the same call for every one
-    nonzero = [call for call in seen if call[1] != "0"]
+    nonzero = [call for call in seen if call[1]]
     assert len(nonzero) == len(set(nonzero))
     assert len(seen) <= len(rs.positive_roots) * len(fam.monomials(3))
 

@@ -21,8 +21,10 @@ def test_reflection_matrices():
 
 
 def test_reflections_are_involutions():
-    for name in ("S2", "S3", "S4", "B2", "B3", "D3", "A1"):
-        rs = root_system(name)
+    # every built-in system the README lists, and roots in Q(sqrt2)
+    for spec in ("S2", "S3", "S4", "S5", "A1", "B2", "B3", "B4", "D2", "D3",
+                 "D4", "I2(4)", SQRT2_ROOTS):
+        rs = root_system(spec)
         for i in range(len(rs.positive_roots)):
             s = rs.reflection(i)
             assert s @ s == Matrix.identity(rs.n)

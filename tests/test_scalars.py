@@ -128,13 +128,6 @@ def test_to_complex_past_float_range():
             big.to_complex()
 
 
-def test_serialization_roundtrip():
-    rng = random.Random(5)
-    for _ in range(100):
-        x = random_scalar(rng)
-        assert ExactScalar.parse(str(x)) == x
-
-
 def test_rational_string_rules():
     assert format_fraction(Fraction(3, 4)) == "3/4"
     assert format_fraction(Fraction(5)) == "5"
@@ -143,9 +136,6 @@ def test_rational_string_rules():
         as_fraction("1/0")
     with pytest.raises(ValueError):
         as_fraction("x")
-    for bad in ("", "+", "1 +", "1 - - i", "(1/2", "j"):
-        with pytest.raises(ValueError):
-            ExactScalar.parse(bad)
 
 
 def test_sign_real():
