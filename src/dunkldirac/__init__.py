@@ -20,7 +20,6 @@ from .roots import ParamFunction, ReflectionGroup, RootSystem, root_system
 from .polyrep import (
     GradedOperator,
     ModuleFamily,
-    Polynomial,
     TauRep,
     adjointness_check,
     builtin_rep,
@@ -86,7 +85,7 @@ __all__ = [
     "AmaContext", "CliffordElement", "CohomologyResult", "DiracContext",
     "DiracOperator", "ExactScalar", "GradedOperator",
     "HALF", "HatElement", "IUNIT", "Matrix",
-    "ModuleFamily", "ONE", "ParamFunction", "PinCover", "Polynomial",
+    "ModuleFamily", "ONE", "ParamFunction", "PinCover",
     "ReflectionGroup", "RootSystem", "SQRT2", "SpinorRep", "TauRep",
     "ZERO", "adjointness_check", "ama_relations_check",
     "anticommutator_check", "basis_independence_check",

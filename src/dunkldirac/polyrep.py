@@ -30,177 +30,27 @@ The Dunkl operator acts on f tensor u by
 
     y (f (x) u) = d_y f (x) u + sum_a c_a <a, y> (f - s_a f)/a(x) (x) tau(s_a) u
 
-with the division by the linear form a(x) performed exactly (synthetic
-division along a coordinate where a has a nonzero coefficient; the remainder
-is asserted zero).
+Its C[x] blocks, the derivatives d_i and divided differences D_a, and
+those of the group action come from Leibniz rules in one variable,
+
+    w (x_p f) = (w.x_p) (w f)
+    d_i (x_p f) = delta_ip f + x_p d_i f
+    D_a (x_p f) = a^v_p f + (s_a.x_p) D_a f
+
+each block a few exact products of the block one degree down and two 0/1
+index maps (see `ModuleFamily._leibniz`): no polynomial is formed and
+nothing is divided by a(x).
 """
 
+from collections import namedtuple
 from collections.abc import Mapping
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 from math import comb
 
-from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
-                     signed_sum, sum_of_krons)
-from .scalars import ONE, Combination, as_scalar, rat
-
-
-def _add_exponents(e1, e2):
-    # the monomial product rule x^e1 x^e2 = x^(e1 + e2)
-    return 1, tuple(a + b for a, b in zip(e1, e2))
-
-
-class Polynomial(Combination):
-    """Exact multivariate polynomial, exponent tuple -> scalar."""
-
-    __slots__ = ("n",)
-
-    _rule = staticmethod(_add_exponents)
-
-    def __init__(self, n: int, coeffs=None):
-        self.n = n
-        self.coeffs = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = as_scalar(v)
-                if not v.is_zero():
-                    self.coeffs[tuple(e)] = v
-
-    def _ctx(self):
-        return self.n
-
-    def _like(self, coeffs: dict) -> "Polynomial":
-        p = Polynomial(self.n)
-        p.coeffs = coeffs
-        return p
-
-    @staticmethod
-    def zero(n: int) -> "Polynomial":
-        return Polynomial(n)
-
-    @staticmethod
-    def one(n: int) -> "Polynomial":
-        return Polynomial(n, {(0,) * n: ONE})
-
-    @staticmethod
-    def variable(n: int, i: int) -> "Polynomial":
-        """x_i, 1-based."""
-        if not (1 <= i <= n):
-            raise ValueError(f"variable index {i} out of range 1..{n}")
-        e = tuple(1 if k == i - 1 else 0 for k in range(n))
-        return Polynomial(n, {e: ONE})
-
-    @staticmethod
-    def monomial(n: int, exps, coeff=ONE) -> "Polynomial":
-        return Polynomial(n, {tuple(exps): coeff})
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.coeffs), default=-1)
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Polynomial.one(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def derivative(self, i: int) -> "Polynomial":
-        """d/dx_i, 1-based."""
-        out: dict = {}
-        k = i - 1
-        for e, v in self.coeffs.items():
-            if e[k] == 0:
-                continue
-            e2 = e[:k] + (e[k] - 1,) + e[k + 1:]
-            out[e2] = v * rat(e[k])
-        return self._like(out)
-
-
-def group_action(g, n: int):
-    """The action f -> w.f of one group element, given by its exact
-    matrix, on polynomials in n variables, (w.f)(x) = f(w^{-1} x), as a
-    function.
-
-    For orthogonal w this sends x_i to sum_j w_{ji} x_j, i.e. each variable
-    maps to the linear form read off a column of the matrix.  The forms
-    and their powers are built once and shared by every call.
-    """
-    units = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-    rows = g.rows
-    forms = [Polynomial(n, {units[j]: row[i]
-                            for j, row in enumerate(rows) if i in row})
-             for i in range(n)]
-
-    @lru_cache(maxsize=None)
-    def fpow(i, k):
-        return forms[i] ** k
-
-    def apply(f: Polynomial) -> Polynomial:
-        out = Polynomial(n)
-        for e, v in f.coeffs.items():
-            term = Polynomial.one(n).scale(v)
-            for i, d in enumerate(e):
-                if d:
-                    term = term * fpow(i, d)
-            out = out + term
-        return out
-    return apply
-
-
-def divide_by_linear(f: Polynomial, form: Polynomial) -> Polynomial:
-    """Exact quotient f / form for a linear form, ValueError if inexact.
-
-    Synthetic division along the first coordinate p where the form has a
-    nonzero coefficient: writing f = sum_j g_j x_p^j and form = a x_p + S,
-    the quotient coefficients satisfy g_j = a q_{j-1} + S q_j and are solved
-    descending from the top degree; the leftover g_0 - S q_0 must vanish.
-    """
-    n = f.n
-    pivot, a = None, None
-    for k in range(n):
-        e = tuple(1 if j == k else 0 for j in range(n))
-        v = form.coeffs.get(e)
-        if v is not None:
-            pivot, a = k, v
-            break
-    if pivot is None or form.degree() != 1 or (0,) * n in form.coeffs:
-        raise ValueError("divisor is not a homogeneous linear form")
-    if f.is_zero():
-        return Polynomial.zero(n)
-    s_part = Polynomial(n, {e: v for e, v in form.coeffs.items()
-                            if e[pivot] == 0})
-    parts: dict = {}
-    for e, v in f.coeffs.items():
-        j = e[pivot]
-        e0 = e[:pivot] + (0,) + e[pivot + 1:]
-        parts.setdefault(j, Polynomial(n)).coeffs[e0] = v
-    d = max(parts)
-    ainv = a.inverse()
-    q: dict = {}
-    for j in range(d, 0, -1):
-        g = parts.get(j, Polynomial.zero(n))
-        if j in q:
-            g = g - s_part * q[j]
-        q[j - 1] = g.scale(ainv)
-    r = parts.get(0, Polynomial.zero(n))
-    if 0 in q:
-        r = r - s_part * q[0]
-    if not r.is_zero():
-        raise ValueError("nonzero remainder in linear division")
-    out = Polynomial(n)
-    for j, qj in q.items():
-        xp = Polynomial.monomial(n, tuple(j if k == pivot else 0
-                                          for k in range(n)))
-        out = out + qj * xp
-    return out
-
-
-def root_form(rs, root_idx: int) -> Polynomial:
-    alpha = rs.positive_roots[root_idx]
-    return Polynomial(rs.n, {tuple(1 if k == j else 0 for k in range(rs.n)): v
-                             for j, v in enumerate(alpha) if not v.is_zero()})
+from .linalg import (Matrix, first_nonzero, hstack, is_positive_definite,
+                     kernel, signed_sum, sum_of_krons)
+from .scalars import ONE, as_scalar
 
 
 # -- W-representations for the tensor factor ---------------------------------
@@ -526,6 +376,23 @@ def _rec(records: list, check_id: str, lhs: GradedOperator,
 # -- the module family --------------------------------------------------------
 
 
+# the 0/1 C[x] maps between two adjacent degrees; see ModuleFamily._step
+_Step = namedtuple("_Step", "ups up_all downs down_all")
+
+
+def _zero_one(nrows: int, ncols: int, spots) -> Matrix:
+    """The nrows x ncols matrix with a 1 at each (row, col) of spots."""
+    rows = [{} for _ in range(nrows)]
+    for i, j in spots:
+        rows[i][j] = 1
+    return Matrix.from_row_dicts(nrows, ncols, rows)
+
+
+def _bump(e: tuple, p: int, d: int) -> tuple:
+    """The exponent tuple e with d added at position p."""
+    return e[:p] + (e[p] + d,) + e[p + 1:]
+
+
 class ModuleFamily:
     """Truncated standard module M_c(tau) = C[x] tensor tau with cached
     operator matrices.
@@ -533,10 +400,17 @@ class ModuleFamily:
     Each atomic operator is a `kron_sum` of C[x]-only blocks with tau
     matrices: x_i = X_i (x) 1, y_i = d_i (x) 1 + sum_a c_a <a, e_i> D_a (x)
     tau(s_a), w = pi(w) (x) tau(w) for a reflection or the identity, and
-    the divided difference D_a (x) 1.  Only the D_a blocks, shared by every
-    y_i, are kept per root and degree; the others are made inside the
-    tensored block's builder.  Any other group element is a product of
-    these along its BFS word (see `w_op`).
+    the divided difference D_a (x) 1.  X_i is an index map (see `_step`);
+    pi(w), d_i and D_a are `_leibniz` blocks, by the rules
+
+        pi(w) (x_p f) = (w.x_p) pi(w) f           g = w,    kappa = 0
+        d_i (x_p f) = delta_ip f + x_p d_i f      g = 1,    kappa = e_i
+        D_a (x_p f) = a^v_p f + (s_a.x_p) D_a f   g = s_a,  kappa = a^v
+
+    with w.x_p = sum_j w_jp x_j.  The D_a blocks, shared by every y_i, are
+    kept per root and degree; the others by the operator that reads them.
+    Any other group element is a product of these along its BFS word (see
+    `w_op`).
     """
 
     def __init__(self, rs, param, tau, max_degree: int = 6):
@@ -556,12 +430,11 @@ class ModuleFamily:
             self._monos.append(monos)
             self._mono_pos.append({e: k for k, e in enumerate(monos)})
         self._ops: dict = {}
-        # group_action per group element index, built once per family
-        self._action = lru_cache(maxsize=None)(
-            lambda w: group_action(self.group.matrices[w], self.n))
-        degrees = range(max_degree + 1)
-        self._divided = [DegreeMemo(degrees, partial(self._divided_block, r))
+        self._steps = DegreeMemo(range(1, max_degree + 1), self._step)
+        self._divided = [self._leibniz(-1, rs.reflection(r),
+                                       Matrix.from_rows([rs.coroots[r]]))
                          for r in range(len(rs.positive_roots))]
+        degrees = range(max_degree + 1)
         self._gram = DegreeMemo(degrees, partial(_gram_block, self))
         self._harmonics = DegreeMemo(
             degrees, lambda m: kernel(self.laplacian().blocks[m]))
@@ -580,30 +453,75 @@ class ModuleFamily:
             raise ValueError(f"degree {m} beyond truncation {self.max_degree}")
         return len(self._monos[m]) * self.tau.dim
 
-    def basis_index(self, m: int, exps, t: int) -> int:
-        return self._mono_pos[m][tuple(exps)] * self.tau.dim + t
+    # -- C[x] blocks -----------------------------------------------------------
 
-    def _images(self, m: int, shift: int, image) -> Matrix:
-        """The C[x] block from degree m to m + shift whose column p is
-        image(x^e), x^e the p-th degree-m monomial; a target below degree
-        0 gives a 0-row block."""
-        target, ncols = m + shift, len(self._monos[m])
-        if target < 0:
-            return Matrix(0, ncols)
-        pos = self._mono_pos[target]
-        rows = [{} for _ in pos]
-        for p, e in enumerate(self._monos[m]):
-            for f, v in image(Polynomial.monomial(self.n, e)).coeffs.items():
-                rows[pos[f]][p] = v
-        return Matrix.from_row_dicts(len(rows), ncols, rows)
+    def _step(self, m: int) -> _Step:
+        """The 0/1 C[x] maps between degrees m - 1 and m, read through the
+        memo self._steps: ups[j] = X_j, multiplication by x_j from degree
+        m - 1 up; downs[p] = S_p from degree m down, x^e -> x^(e - e_p) on
+        the monomials whose first nonzero exponent is p and 0 on the
+        others; and their stacks up_all = [X_1 | ... | X_n] and down_all =
+        [S_1; ...; S_n]."""
+        up, down = self._mono_pos[m], self._mono_pos[m - 1]
+        ups = [_zero_one(len(up), len(down), [
+            (up[_bump(e, j, 1)], k) for k, e in enumerate(down)])
+            for j in range(self.n)]
+        spots = [[] for _ in range(self.n)]
+        for k, e in enumerate(up):
+            p = next(j for j, d in enumerate(e) if d)
+            spots[p].append((down[_bump(e, p, -1)], k))
+        downs = [_zero_one(len(down), len(up), s) for s in spots]
+        return _Step(ups, hstack(*ups), downs,
+                     hstack(*(s.dagger() for s in downs)).dagger())
 
-    def _divided_block(self, r: int, m: int) -> Matrix:
-        """D_r on degree m, f -> (f - s_r f)/a_r(x), read through the memo
-        self._divided[r]."""
-        reflect = self._action(self.group.reflection_element_index(r))
-        form = root_form(self.rs, r)
-        return self._images(m, -1, lambda f: divide_by_linear(f - reflect(f),
-                                                              form))
+    def _leibniz(self, shift: int, g: Matrix, kappa: Matrix = None):
+        """The C[x] blocks on degrees 0..N, in a DegreeMemo, of the
+        operator A of degree shift 0 or -1 with A 1 = 1 or 0 and
+
+            A (x_p f) = kappa_p f + (g.x_p) A f     for every p and f,
+
+        g.x_p = sum_j g_jp x_j, g an n x n matrix and kappa a 1 x n row
+        (None for zero).
+
+        A degree-m monomial is x_p times the degree-(m - 1) monomial S_p
+        sends it to, p its first nonzero exponent, so A_m = sum_p (kappa_p
+        S_p + L_p A_(m-1) S_p), L_p = sum_j g_jp X_j multiplying by g.x_p.
+        With the stacks of `_step`, and g_jp A_(m-1) block (j, p) of
+        g (x) A_(m-1), that is one Kronecker product and two exact
+        products per degree:
+
+            A_m = ([X_1 | ... | X_n] (g (x) A_(m-1)) + kappa (x) 1)
+                  [S_1; ...; S_n]
+
+        The operators of the family obey the rule.  pi(w), (pi(w) f)(x) =
+        f(w^-1 x), is an algebra map, so pi(w)(x_p f) = (w.x_p) pi(w) f,
+        and w.x_p = sum_j w_jp x_j as w is orthogonal: g = w, kappa = 0.
+        The product rule is d_i's: g = 1, kappa = e_i.  For D_a f = (f -
+        s_a f)/a(x), adding and subtracting (s_a.x_p) f,
+
+            D_a (x_p f) = ((x_p - s_a.x_p) f + (s_a.x_p) (f - s_a f))/a(x)
+                        = a^v_p f + (s_a.x_p) D_a f,
+
+        because x_p - s_a.x_p = a^v_p a(x) identically: s_a = 1 - a^v a^T
+        gives s_a.x_p = x_p - a_p a^v(x), and a_p a^v(x) = a^v_p a(x) as
+        the coroot a^v = 2 a/|a|^2 is a multiple of a.  So g = s_a and
+        kappa = a^v, and by induction on the degree from D_a 1 = 0 every
+        D_a f is a polynomial: nothing is divided and no remainder can
+        arise.
+        """
+        def build(m):
+            if m == 0:
+                return Matrix.identity(1) if shift == 0 else Matrix(0, 1)
+            terms = []
+            if m + shift > 0:
+                terms.append((1, self._steps[m + shift].up_all
+                              @ g.kron(blocks[m - 1])))
+            if kappa is not None:
+                terms.append((1, kappa.kron(
+                    Matrix.identity(len(self._monos[m - 1])))))
+            return signed_sum(terms) @ self._steps[m].down_all
+        blocks = DegreeMemo(range(self.max_degree + 1), build)
+        return blocks
 
     def _tensored(self, key, shift: int, terms) -> GradedOperator:
         """The cached kron_sum of the (C[x] block, tau matrix) pairs that
@@ -622,16 +540,16 @@ class ModuleFamily:
 
     def x_op(self, i: int) -> GradedOperator:
         """Multiplication by x_i, 1-based: X_i tensor 1."""
-        xi = Polynomial.variable(self.n, i)
         return self._tensored(("x", i), 1, lambda: [
-            (lambda m: self._images(m, 1, xi.__mul__), self._tau_one)])
+            (lambda m: self._steps[m + 1].ups[i - 1], self._tau_one)])
 
     def y_op(self, i: int) -> GradedOperator:
         """Dunkl operator along e_i, 1-based: d_i tensor 1 plus, per root
         a, D_a tensor c_a <a, e_i> tau(s_a)."""
         def terms():
-            out = [(lambda m: self._images(m, -1, lambda f: f.derivative(i)),
-                    self._tau_one)]
+            e_i = Matrix.from_row_dicts(1, self.n, [{i - 1: 1}])
+            out = [(self._leibniz(-1, Matrix.identity(self.n), e_i)
+                    .__getitem__, self._tau_one)]
             for r, c in enumerate(self._cs):
                 weight = c * self.rs.positive_roots[r][i - 1]
                 if not weight.is_zero():
@@ -649,7 +567,7 @@ class ModuleFamily:
     def w_op(self, w_index: int) -> GradedOperator:
         """pi(w) tensor tau(w) on every slice.
 
-        A reflection, or the identity, is its substituted C[x] block
+        A reflection, or the identity, is its `_leibniz` C[x] block
         tensored with tau(w).  Any other w is the product w_op(p) @
         w_op(s_r) along its BFS word, words[w] = words[p] + (r,), so w =
         p s_r: one exact matmul per block.  That is exact because pi and
@@ -660,12 +578,9 @@ class ModuleFamily:
         if len(word) > 1:
             return self._cached(("w", w_index), lambda: self.w_op(
                 self.group.parents[w_index]) @ self.reflection_op(word[-1]))
-
-        def terms():
-            action = self._action(w_index)
-            return [(lambda m: self._images(m, 0, action),
-                     self.tau.mat(w_index))]
-        return self._tensored(("w", w_index), 0, terms)
+        return self._tensored(("w", w_index), 0, lambda: [
+            (self._leibniz(0, self.group.matrices[w_index]).__getitem__,
+             self.tau.mat(w_index))])
 
     def reflection_op(self, root_idx: int) -> GradedOperator:
         return self.w_op(self.group.reflection_element_index(root_idx))
@@ -788,24 +703,19 @@ def contravariant_form(family: ModuleFamily, m: int) -> Matrix:
 
 
 def _gram_block(family: ModuleFamily, k: int) -> Matrix:
-    """G_k, read through the memo family._gram; see contravariant_form."""
+    """G_k, read through the memo family._gram; see contravariant_form.
+
+    Row (e, t) of G_k, p the first nonzero exponent of e, is row (e - e_p,
+    t) of G_(k-1) Y_p, Y_p the block of y_(p+1) on degree k, and the 0/1
+    map (S_p (x) 1)^dagger of `ModuleFamily._step` moves it there: G_k =
+    sum_p (S_p (x) 1)^dagger G_(k-1) Y_p."""
     if k == 0:
         return family.tau.form
-    td = family.tau.dim
     prev = family._gram[k - 1]
-    pulled: dict = {}
-    rows = [{} for _ in range(family.dim(k))]
-    for e in family.monomials(k):
-        pivot = next(i for i in range(family.n) if e[i] > 0)
-        pm = pulled.get(pivot)
-        if pm is None:
-            pm = (prev @ family.y_op(pivot + 1).blocks[k]).rows
-            pulled[pivot] = pm
-        e2 = e[:pivot] + (e[pivot] - 1,) + e[pivot + 1:]
-        for t in range(td):
-            row = family.basis_index(k, e, t)
-            rows[row] = pm[family.basis_index(k - 1, e2, t)]
-    mat = Matrix.from_row_dicts(len(rows), len(rows), rows)
+    mat = signed_sum(
+        (1, s.kron(family._tau_one).dagger()
+         @ (prev @ family.y_op(p + 1).blocks[k]))
+        for p, s in enumerate(family._steps[k].downs))
     if mat.dagger() != mat:
         raise RuntimeError("contravariant form came out non-Hermitian")
     return mat

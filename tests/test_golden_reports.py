@@ -169,12 +169,17 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # substitution and the zero M_ii products of the AMA relations formed;
     # 2,942 with one cocycle-table product per group element (24) rather
     # than one per reflection (6); 2,924 while each reflection of S4 (6)
-    # was squared to check that it is an involution
-    assert calls["matmul"] == 2918
+    # was squared to check that it is an involution; 2,918 while the C[x]
+    # blocks were read off substituted and divided polynomials, with no
+    # product, and the contravariant form took one product per variable
+    # and degree rather than two
+    assert calls["matmul"] == 3014
     # 18,427 when every pairwise sum was canonicalised on its own
     assert calls["make"] < 7000
-    # 873 with one kron per Kronecker term
-    assert calls["kron"] == 115
+    # 873 with one kron per Kronecker term; 115 before the C[x] blocks came
+    # from the Leibniz recursion, one or two krons per block, and the
+    # contravariant form one kron per variable and degree
+    assert calls["kron"] == 190
     # 2,820 with every AMA relation summed on its own
     assert calls["first_nonzero"] == 980
     # 320 when a product ran against all four components of B side by side

@@ -1,12 +1,15 @@
 """Polynomial realization tests.
 
 Oracles: sympy implements an independent Dunkl operator (symbolic division
-with remainder check) and the substitution action; contravariant forms are
+with remainder check) and the substitution action, and is the polynomial
+algebra the tests feed through the blocks; contravariant forms are
 checked against the direct Dunkl-word definition and hand-computed frozen
 values; harmonic dimensions against the classical binomial formula.
 """
 
 import random
+import re
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -17,42 +20,27 @@ from dunkldirac.linalg import Matrix, is_positive_definite
 from dunkldirac.polyrep import (
     ModuleFamily,
     _rec,
-    Polynomial,
     adjointness_check,
     center_op,
     classical_harmonic_dim,
     contravariant_form,
     custom_rep,
-    divide_by_linear,
     graded_sum,
-    group_action,
     harmonic_dims,
     harmonic_subspace,
     kron_sum,
     rca_relation_check,
     reflection_rep,
-    root_form,
     s_op,
     sign_rep,
     trivial_rep,
 )
 from dunkldirac.roots import ParamFunction, root_system
-from dunkldirac.scalars import ONE, ZERO, rat
+from dunkldirac.scalars import ONE, ZERO, ExactScalar, rat
 
 
 def params(rs, spec):
     return ParamFunction.from_config(spec, rs)
-
-
-def random_poly(rng, n, max_deg=3, terms=4):
-    p = Polynomial.zero(n)
-    for _ in range(terms):
-        e = [0] * n
-        for _ in range(rng.randint(0, max_deg)):
-            e[rng.randrange(n)] += 1
-        coeff = rat(rng.randint(-4, 4)) + rat(rng.randint(-2, 2)) / rat(3)
-        p = p + Polynomial.monomial(n, tuple(e), coeff)
-    return p
 
 
 # -- sympy bridges -------------------------------------------------------------
@@ -62,31 +50,67 @@ def sym_vars(n):
     return sp.symbols(f"x1:{n + 1}")
 
 
-def to_sympy(p, xs):
-    expr = sp.Integer(0)
-    for e, v in p.coeffs.items():
-        assert v.is_rational(), "oracle handles rational coefficients only"
-        f = v.as_rational()
-        term = sp.Rational(f.numerator, f.denominator)
-        for x, d in zip(xs, e):
-            term *= x ** d
-        expr += term
-    return sp.expand(expr)
+def monomial(e, xs):
+    return sp.Mul(*(x ** d for x, d in zip(xs, e)))
+
+
+def sym(v):
+    """An exact scalar as a sympy number."""
+    r2 = sp.sqrt(2)
+    return (sp.Rational(v.a) + sp.Rational(v.b) * r2
+            + sp.I * (sp.Rational(v.c) + sp.Rational(v.d) * r2))
+
+
+def exact(c):
+    """A sympy number a + b sqrt2, a and b rational, as an exact scalar."""
+    c = sp.expand(c)
+    b = c.coeff(sp.sqrt(2))
+    a = sp.expand(c - b * sp.sqrt(2))
+    return ExactScalar(Fraction(int(a.p), int(a.q)),
+                       Fraction(int(b.p), int(b.q)))
+
+
+def random_poly(rng, fam, m, xs, terms=4):
+    """A nonzero homogeneous degree-m polynomial with random rational
+    coefficients on up to `terms` distinct monomials."""
+    monos = fam.monomials(m)
+    return sp.Add(*(sp.Rational(rng.choice([-1, 1]) * rng.randint(1, 12), 3)
+                    * monomial(e, xs)
+                    for e in rng.sample(monos, min(terms, len(monos)))))
+
+
+def to_sympy(fam, col, m, xs):
+    """The degree-m polynomial whose coefficient on the k-th monomial of
+    fam is entry k of the one-column matrix col."""
+    return sp.expand(sp.Add(*(sym(col.get(k, 0)) * monomial(e, xs)
+                              for k, e in enumerate(fam.monomials(m)))))
+
+
+def coefficients(fam, f, m, xs):
+    """The homogeneous degree-m polynomial f as its coefficient column over
+    the degree-m monomials of fam."""
+    poly = sp.Poly(f, *xs)
+    return Matrix.from_row_dicts(len(fam.monomials(m)), 1, [
+        {0: exact(poly.coeff_monomial(e))} for e in fam.monomials(m)])
 
 
 def sympy_act(g, expr, xs):
     # (w.f)(x) = f(w^{-1} x); w orthogonal, so (w^{-1})_{kl} = w_{lk}
     n = len(xs)
-    subs = {}
-    for k in range(n):
-        acc = sp.Integer(0)
-        for l in range(n):
-            v = g.get(l, k)
-            if not v.is_zero():
-                f = v.as_rational()
-                acc += sp.Rational(f.numerator, f.denominator) * xs[l]
-        subs[xs[k]] = acc
-    return sp.expand(expr.subs(subs, simultaneous=True))
+    subs = {xs[k]: sum((sym(g.get(l, k)) * xs[l] for l in range(n)),
+                       sp.Integer(0))
+            for k in range(n)}
+    return sp.expand(sp.sympify(expr).subs(subs, simultaneous=True))
+
+
+def substituted_block(fam, g, m, xs):
+    """The C[x] block of the matrix g on degree m by sympy substitution:
+    column k holds the coefficients of g.x^e, x^e the k-th monomial."""
+    monos = fam.monomials(m)
+    images = [sp.Poly(sympy_act(g, monomial(e, xs), xs), *xs) for e in monos]
+    return Matrix.from_row_dicts(len(monos), len(monos), [
+        {k: exact(img.coeff_monomial(f)) for k, img in enumerate(images)}
+        for f in monos])
 
 
 def sympy_dunkl(i, expr, rs, param, xs):
@@ -112,107 +136,61 @@ def sympy_dunkl(i, expr, rs, param, xs):
     return sp.expand(out)
 
 
-# -- polynomials ---------------------------------------------------------------
+# -- the group action -----------------------------------------------------------
 
 
-def test_polynomial_arithmetic():
-    n = 2
-    x1 = Polynomial.variable(n, 1)
-    x2 = Polynomial.variable(n, 2)
-    sq = (x1 + x2) * (x1 + x2)
-    assert sq == Polynomial(n, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    assert sq.derivative(1) == x1.scale(2) + x2.scale(2)
-    assert (x1 ** 3).derivative(1) == Polynomial(n, {(2, 0): 3})
-    assert sq.degree() == 2
-    rng = random.Random(11)
-    for _ in range(5):
-        a, b = random_poly(rng, 3), random_poly(rng, 3)
-        assert a * b == b * a
-        xs = sym_vars(3)
-        assert to_sympy(a * b, xs) == sp.expand(to_sympy(a, xs)
-                                                * to_sympy(b, xs))
-
-
-def test_divide_by_linear_roundtrip():
-    rng = random.Random(3)
-    n = 3
-    for _ in range(8):
-        q = random_poly(rng, n)
-        if q.is_zero():
-            continue
-        form = Polynomial(n, {(1, 0, 0): rat(rng.randint(1, 3)),
-                              (0, 1, 0): rat(rng.randint(-2, 2)),
-                              (0, 0, 1): rat(rng.randint(-2, 2))})
-        assert divide_by_linear(form * q, form) == q
-
-
-def test_divide_by_linear_rejects_inexact():
-    n = 2
-    form = Polynomial(n, {(1, 0): 1, (0, 1): -1})
-    try:
-        divide_by_linear(Polynomial.variable(n, 1), form)
-        assert False, "expected nonzero remainder"
-    except ValueError as e:
-        assert "remainder" in str(e)
-    try:
-        divide_by_linear(Polynomial.one(n), Polynomial.one(n))
-        assert False, "expected bad divisor"
-    except ValueError as e:
-        assert "linear form" in str(e)
+SQRT2_DIHEDRAL = {"roots": [["1", "0"], ["0", "1"], ["1/2*sqrt2", "1/2*sqrt2"],
+                            ["1/2*sqrt2", "-1/2*sqrt2"]]}
 
 
 def test_group_action_matches_sympy_substitution():
-    rng = random.Random(5)
-    for name in ("S3", "B2"):
+    """The Leibniz C[x] block of every group element, not only the
+    reflections and the identity that w_op reads, on degrees 0-4."""
+    for name in ("S3", "B2", SQRT2_DIHEDRAL):
         rs = root_system(name)
-        grp = rs.group()
+        fam = ModuleFamily(rs, params(rs, "1/3"), "trivial", max_degree=4)
         xs = sym_vars(rs.n)
-        for _ in range(4):
-            f = random_poly(rng, rs.n)
-            g = grp.matrices[rng.randrange(grp.order)]
-            assert to_sympy(group_action(g, rs.n)(f), xs) \
-                == sympy_act(g, to_sympy(f, xs), xs)
+        for w, g in enumerate(fam.group.matrices):
+            blocks = fam._leibniz(0, g)
+            for m in range(5):
+                assert blocks[m] == substituted_block(fam, g, m, xs), \
+                    (rs.name, w, m)
 
 
 def test_group_action_is_left_action():
+    """w_op(u) w_op(v) = w_op(uv) on every block, for every pair of S3
+    elements with the reflection tau."""
     rs = root_system("S3")
-    grp = rs.group()
-    rng = random.Random(9)
-    f = random_poly(rng, 3)
-
-    def act(w, f):
-        return group_action(grp.matrices[w], 3)(f)
-    for _ in range(6):
-        u = rng.randrange(grp.order)
-        v = rng.randrange(grp.order)
-        assert act(u, act(v, f)) == act(grp.mul(u, v), f)
+    fam = ModuleFamily(rs, params(rs, "1/3"), "reflection", max_degree=3)
+    grp = fam.group
+    for u in range(grp.order):
+        for v in range(grp.order):
+            lhs = fam.w_op(u) @ fam.w_op(v)
+            assert lhs.degrees() == [0, 1, 2, 3]
+            assert lhs.matches(fam.w_op(grp.mul(u, v))), (u, v)
 
 
 # -- Dunkl operators -----------------------------------------------------------
 
 
-def through_block(fam, op, f):
-    """op applied to f (x) 1, f homogeneous and tau one dimensional: f's
-    coefficient vector through op.blocks[m], read back as a polynomial."""
-    m = f.degree()
-    col = Matrix.from_row_dicts(fam.dim(m), 1, [
-        {0: f.coeffs[e]} if e in f.coeffs else {} for e in fam.monomials(m)])
-    img = op.blocks[m] @ col
-    return Polynomial(fam.n, {e: img.get(k, 0) for k, e
-                              in enumerate(fam.monomials(m + op.shift))})
+def through_block(fam, op, f, xs):
+    """op applied to f (x) 1, f a homogeneous sympy polynomial and tau one
+    dimensional: f's coefficient column through op's block, read back."""
+    m = sp.Poly(f, *xs).total_degree()
+    img = op.blocks[m] @ coefficients(fam, f, m, xs)
+    return to_sympy(fam, img, m + op.shift, xs)
 
 
 def test_dunkl_frozen_values_s2():
     rs = root_system("S2")
     fam = ModuleFamily(rs, params(rs, "1/4"), "trivial", max_degree=2)
-    x1 = Polynomial.variable(2, 1)
-    x2 = Polynomial.variable(2, 2)
+    x1, x2 = xs = sym_vars(2)
     # hand values: D_1 x_1 = 1 + c, D_1 x_2 = -c on the single root e1 - e2
     y1 = fam.y_op(1)
-    assert through_block(fam, y1, x1) == Polynomial.one(2).scale(rat("5/4"))
-    assert through_block(fam, y1, x2) == Polynomial.one(2).scale(rat("-1/4"))
+    assert through_block(fam, y1, x1, xs) == sp.Rational(5, 4)
+    assert through_block(fam, y1, x2, xs) == sp.Rational(-1, 4)
     fam0 = ModuleFamily(rs, params(rs, 0), "trivial", max_degree=2)
-    assert through_block(fam0, fam0.y_op(1), x1 * x1) == x1.scale(2)
+    assert through_block(fam0, fam0.y_op(1), x1 * x1, xs) == 2 * x1
 
 
 def negated(param):
@@ -233,21 +211,28 @@ def test_dunkl_matches_sympy_oracle():
                 ModuleFamily(rs, negated(c), "sign", max_degree=3)]
         for m in (1, 2, 3):
             for e in fams[0].monomials(m):
-                f = Polynomial.monomial(rs.n, e)
+                f = monomial(e, xs)
                 for i in range(rs.n):
-                    want = sympy_dunkl(i, to_sympy(f, xs), rs, c, xs)
+                    want = sympy_dunkl(i, f, rs, c, xs)
                     for fam in fams:
-                        got = through_block(fam, fam.y_op(i + 1), f)
-                        assert to_sympy(got, xs) == want, \
-                            (name, fam.tau.name, e, i)
+                        got = through_block(fam, fam.y_op(i + 1), f, xs)
+                        assert got == want, (name, fam.tau.name, e, i)
 
 
 def test_dunkl_lowers_degree_exactly():
     rs = root_system("S3")
-    fam = ModuleFamily(rs, params(rs, "2/3"), "trivial", max_degree=4)
-    f = Polynomial.monomial(3, (2, 1, 1))
-    out = through_block(fam, fam.y_op(2), f)
-    assert not out.is_zero() and out.degree() == 3
+    c = params(rs, "2/3")
+    fam = ModuleFamily(rs, c, "trivial", max_degree=4)
+    xs = sym_vars(3)
+    x1, x2, x3 = xs
+    out = through_block(fam, fam.y_op(2), x1 ** 2 * x2 * x3, xs)
+    assert out != 0 and sp.Poly(out, *xs).total_degree() == 3
+    # a random polynomial, not only a monomial, through the block
+    rng = random.Random(7)
+    for m in (2, 3, 4):
+        f = random_poly(rng, fam, m, xs)
+        assert through_block(fam, fam.y_op(2), f, xs) \
+            == sympy_dunkl(1, f, rs, c, xs)
 
 
 # -- tau representations -------------------------------------------------------
@@ -506,21 +491,18 @@ def test_a_family_is_built_lazily():
     rs = root_system("S3")
     fam = ModuleFamily(rs, params(rs, "1/3"), "trivial", max_degree=3)
     assert "matrices" not in vars(fam.group)
-    assert fam._action.cache_info().currsize == 0
+    assert not fam._steps._memo
     assert not any(memo._memo for memo in fam._divided)
     fam.y_op(1)
     assert not any(memo._memo for memo in fam._divided)
 
 
-@pytest.mark.parametrize("name", [
-    "S3", "B3", "S4",
-    {"roots": [["1", "0"], ["0", "1"], ["1/2*sqrt2", "1/2*sqrt2"],
-               ["1/2*sqrt2", "-1/2*sqrt2"]]}],
-    ids=["S3", "B3", "S4", "I2(4)-sqrt2"])
+@pytest.mark.parametrize("name", ["S3", "B3", "S4", SQRT2_DIHEDRAL],
+                         ids=["S3", "B3", "S4", "I2(4)-sqrt2"])
 def test_group_blocks_along_bfs_words_match_substitution(name):
     """Every element's block, a product along its BFS word for all but the
-    reflections and the identity, against its substituted C[x] block
-    tensored with tau(w), for the built-in taus and a custom one."""
+    reflections and the identity, against its sympy-substituted C[x]
+    block tensored with tau(w), for the built-in taus and a custom one."""
     rs = root_system(name)
     grp = rs.group()
     for w in range(1, grp.order):
@@ -530,14 +512,16 @@ def test_group_blocks_along_bfs_words_match_substitution(name):
     custom = custom_rep(grp, {r: flip for r in rs.simple_root_indices()},
                         form=Matrix.from_rows([[1, 0], [0, 2]]),
                         name="sign + trivial")
-    for tau in ("trivial", "sign", "reflection", custom):
-        fam = ModuleFamily(rs, params(rs, "1/3"), tau, max_degree=3)
-        for w in range(grp.order):
-            op = fam.w_op(w)
-            assert op.degrees() == [0, 1, 2, 3]
-            for m in op.degrees():
-                assert op.blocks[m] == fam._images(
-                    m, 0, fam._action(w)).kron(fam.tau.mat(w))
+    xs = sym_vars(rs.n)
+    fams = [ModuleFamily(rs, params(rs, "1/3"), tau, max_degree=3)
+            for tau in ("trivial", "sign", "reflection", custom)]
+    for w, g in enumerate(grp.matrices):
+        for m in range(4):
+            want = substituted_block(fams[0], g, m, xs)
+            for fam in fams:
+                op = fam.w_op(w)
+                assert op.degrees() == [0, 1, 2, 3]
+                assert op.blocks[m] == want.kron(fam.tau.mat(w))
 
 
 def test_kron_sum_without_terms_is_zero_on_its_keys():
@@ -551,26 +535,36 @@ def test_kron_sum_without_terms_is_zero_on_its_keys():
 
 def test_dunkl_operators_share_the_divided_differences(monkeypatch):
     """y_1..y_n and every D_a read one memoised D_a block per root and
-    degree: no (root, monomial) quotient is formed twice."""
-    from dunkldirac import polyrep
-    seen = []
+    degree: the Leibniz builder makes each (root, degree) block once."""
+    built = []
+    leibniz = ModuleFamily._leibniz
 
-    def spy(f, form):
-        seen.append((frozenset(form.coeffs.items()),
-                     frozenset(f.coeffs.items())))
-        return divide_by_linear(f, form)
+    def spy(self, shift, g, kappa=None):
+        blocks = leibniz(self, shift, g, kappa)
+        build = blocks.build
 
-    monkeypatch.setattr(polyrep, "divide_by_linear", spy)
+        def counted(m):
+            built.append((g, kappa, m))
+            return build(m)
+        blocks.build = counted
+        return blocks
+
+    monkeypatch.setattr(ModuleFamily, "_leibniz", spy)
     rs = root_system("S4")
     fam = ModuleFamily(rs, params(rs, "1/3"), "reflection", max_degree=3)
     for i in range(1, rs.n + 1):
         fam.y_op(i).blocks[3]
     for r in range(len(rs.positive_roots)):
         fam.divided_difference_op(r).blocks[3]
-    # a monomial that s_a fixes gives f = 0, the same call for every one
-    nonzero = [call for call in seen if call[1]]
-    assert len(nonzero) == len(set(nonzero))
-    assert len(seen) <= len(rs.positive_roots) * len(fam.monomials(3))
+    divided = [(rs.reflection(r), Matrix.from_rows([rs.coroots[r]]))
+               for r in range(len(rs.positive_roots))]
+    # the way down from degree 3 never reads the 0 x 1 block of degree 0
+    for g, kappa in divided:
+        assert sorted(m for h, k, m in built
+                      if (h, k) == (g, kappa)) == [1, 2, 3]
+    # the rest are the blocks of the n partial derivatives, once each
+    assert len(built) == (len(divided) + rs.n) * 3
+    assert len(set(built)) == len(built)
 
 
 def test_euler_operator_at_c0():
@@ -612,6 +606,23 @@ def test_rca_negative_control():
     assert not comm.matches(s_op(fam, 2, 1))
     bad = comm.first_mismatch(s_op(fam, 2, 1))
     assert bad is not None and bad[0] == 0
+
+
+def test_rca_check_catches_a_wrong_leibniz_coefficient():
+    """D_a with kappa = 2 a^v for one root, in place of the a^v that makes
+    it (1 - s_a)/a(x): the relation suite fails at a [y_i, x_j] record.
+    That is the error a remainder check on the division by a(x) stood
+    for."""
+    rs = root_system("S3")
+    c = params(rs, "1/3")
+    assert rca_relation_check(ModuleFamily(rs, c, "trivial", 3))["pass"]
+    fam = ModuleFamily(rs, c, "trivial", max_degree=3)
+    fam._divided[0] = fam._leibniz(-1, rs.reflection(0), Matrix.from_rows(
+        [rs.coroots[0]]).scale(2))
+    report = rca_relation_check(fam)
+    assert not report["pass"]
+    assert any(re.fullmatch(r"\[y\d,x\d\]", f["relation"])
+               for f in report["failures"])
 
 
 def block_by_block_mismatch(lhs, rhs):
@@ -765,8 +776,8 @@ def test_contravariant_matches_direct_definition():
         dim = fam.dim(m)
         direct = [{} for _ in range(dim)]
         form = fam.tau.form
-        for e, t in product(fam.monomials(m), range(fam.tau.dim)):
-            row = fam.basis_index(m, e, t)
+        for row, (e, t) in enumerate(product(fam.monomials(m),
+                                             range(fam.tau.dim))):
             # chain of Dunkl matrices for the word D^e, top degree down
             op = None
             deg = m
@@ -801,9 +812,3 @@ def test_positivity():
     assert is_positive_definite(contravariant_form(fam, 1))
     neg = ModuleFamily(rs, params(rs, -2), "trivial", max_degree=2)
     assert not is_positive_definite(contravariant_form(neg, 1))
-
-
-def test_root_form():
-    rs = root_system("S2")
-    f = root_form(rs, 0)
-    assert f == Polynomial(2, {(1, 0): 1, (0, 1): -1})
