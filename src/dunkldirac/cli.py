@@ -99,9 +99,15 @@ def _parse_tau(spec, group):
                               "over simple-root indices")
         simple = {}
         for key, rows in mats.items():
+            try:
+                idx = int(key)
+            except ValueError:
+                raise ConfigError(
+                    f"tau: matrix keys are simple-root indices "
+                    f"{group.rs.simple_root_indices()}, got {key!r}")
             entries = [[rat(_fraction(v, f"tau matrix {key}", False))
                         for v in row] for row in rows]
-            simple[int(key)] = Matrix.from_rows(entries)
+            simple[idx] = Matrix.from_rows(entries)
         form = None
         if "form" in spec:
             form = Matrix.from_rows(

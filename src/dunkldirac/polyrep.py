@@ -8,10 +8,9 @@ one builder that also attaches the spinors in diracops; a sum of two or
 more Kronecker terms is one exact product (`linalg.sum_of_krons`).  A
 group element other than a reflection or the identity is the product of
 its BFS parent's operator and a reflection's, which is exact because pi
-and tau are representations.  Each
-operator is a GradedOperator: one exact matrix per source degree, with a
-block present only where both source and target degrees sit inside the
-truncation window.  Identity checks quantify over the block keys both sides
+and tau are representations.  Each operator is a GradedOperator: one
+exact matrix per source degree, with a block present only where both
+source and target degrees sit inside the truncation window.  Identity checks quantify over the block keys both sides
 share, so a composite that would need data above degree N loses those keys
 instead of producing wrong matrices.  The keys are fixed when an operator
 is formed, but a block is built only on its first read and then kept (a
@@ -30,16 +29,16 @@ The Dunkl operator acts on f tensor u by
 
     y (f (x) u) = d_y f (x) u + sum_a c_a <a, y> (f - s_a f)/a(x) (x) tau(s_a) u
 
-Its C[x] blocks, the derivatives d_i and divided differences D_a, and
-those of the group action come from Leibniz rules in one variable,
+Its C[x] blocks, the derivatives d_i and divided differences D_a, come
+from Leibniz rules in one variable,
 
-    w (x_p f) = (w.x_p) (w f)
     d_i (x_p f) = delta_ip f + x_p d_i f
     D_a (x_p f) = a^v_p f + (s_a.x_p) D_a f
 
 each block a few exact products of the block one degree down and two 0/1
 index maps (see `ModuleFamily._leibniz`): no polynomial is formed and
-nothing is divided by a(x).
+nothing is divided by a(x).  A reflection's C[x] block is read off the
+same memoised D_a, as s_a = 1 - a(x) D_a (see `ModuleFamily.w_op`).
 """
 
 from collections import namedtuple
@@ -117,6 +116,12 @@ def custom_rep(group, simple_mats: dict, form=None,
     dim = simple_mats[simples[0]].nrows
     if dim < 1:
         raise ValueError("a custom tau needs dimension at least 1")
+    for what, mat in chain(((f"matrix {r}", simple_mats[r]) for r in simples),
+                           [("form", form)] if form is not None else ()):
+        if mat.shape != (dim, dim):
+            raise ValueError(
+                f"{what} is {mat.nrows} x {mat.ncols}, expected {dim} x {dim}"
+                f" (tau's dimension, the rows of matrix {simples[0]})")
     gen_elems = [group.reflection_element_index(i) for i in simples]
     mats: list = [None] * group.order
     mats[0] = Matrix.identity(dim)
@@ -399,18 +404,16 @@ class ModuleFamily:
 
     Each atomic operator is a `kron_sum` of C[x]-only blocks with tau
     matrices: x_i = X_i (x) 1, y_i = d_i (x) 1 + sum_a c_a <a, e_i> D_a (x)
-    tau(s_a), w = pi(w) (x) tau(w) for a reflection or the identity, and
-    the divided difference D_a (x) 1.  X_i is an index map (see `_step`);
-    pi(w), d_i and D_a are `_leibniz` blocks, by the rules
+    tau(s_a), and s_a = (1 - a(x) D_a) (x) tau(s_a) for a reflection.  X_i
+    is an index map (see `_step`); d_i and D_a are `_leibniz` blocks, by
+    the rules
 
-        pi(w) (x_p f) = (w.x_p) pi(w) f           g = w,    kappa = 0
         d_i (x_p f) = delta_ip f + x_p d_i f      g = 1,    kappa = e_i
         D_a (x_p f) = a^v_p f + (s_a.x_p) D_a f   g = s_a,  kappa = a^v
 
-    with w.x_p = sum_j w_jp x_j.  The D_a blocks, shared by every y_i, are
-    kept per root and degree; the others by the operator that reads them.
-    Any other group element is a product of these along its BFS word (see
-    `w_op`).
+    with g.x_p = sum_j g_jp x_j.  The D_a blocks, shared by every y_i and
+    every reflection, are kept per root and degree; the d_i blocks by the
+    y_i that reads them.  The other group elements are as in `w_op`.
     """
 
     def __init__(self, rs, param, tau, max_degree: int = 6):
@@ -431,7 +434,7 @@ class ModuleFamily:
             self._mono_pos.append({e: k for k, e in enumerate(monos)})
         self._ops: dict = {}
         self._steps = DegreeMemo(range(1, max_degree + 1), self._step)
-        self._divided = [self._leibniz(-1, rs.reflection(r),
+        self._divided = [self._leibniz(rs.reflection(r),
                                        Matrix.from_rows([rs.coroots[r]]))
                          for r in range(len(rs.positive_roots))]
         degrees = range(max_degree + 1)
@@ -474,14 +477,13 @@ class ModuleFamily:
         return _Step(ups, hstack(*ups), downs,
                      hstack(*(s.dagger() for s in downs)).dagger())
 
-    def _leibniz(self, shift: int, g: Matrix, kappa: Matrix = None):
+    def _leibniz(self, g: Matrix, kappa: Matrix):
         """The C[x] blocks on degrees 0..N, in a DegreeMemo, of the
-        operator A of degree shift 0 or -1 with A 1 = 1 or 0 and
+        operator A of degree -1 with A 1 = 0 and
 
             A (x_p f) = kappa_p f + (g.x_p) A f     for every p and f,
 
-        g.x_p = sum_j g_jp x_j, g an n x n matrix and kappa a 1 x n row
-        (None for zero).
+        g.x_p = sum_j g_jp x_j, g an n x n matrix and kappa a 1 x n row.
 
         A degree-m monomial is x_p times the degree-(m - 1) monomial S_p
         sends it to, p its first nonzero exponent, so A_m = sum_p (kappa_p
@@ -493,9 +495,6 @@ class ModuleFamily:
             A_m = ([X_1 | ... | X_n] (g (x) A_(m-1)) + kappa (x) 1)
                   [S_1; ...; S_n]
 
-        The operators of the family obey the rule.  pi(w), (pi(w) f)(x) =
-        f(w^-1 x), is an algebra map, so pi(w)(x_p f) = (w.x_p) pi(w) f,
-        and w.x_p = sum_j w_jp x_j as w is orthogonal: g = w, kappa = 0.
         The product rule is d_i's: g = 1, kappa = e_i.  For D_a f = (f -
         s_a f)/a(x), adding and subtracting (s_a.x_p) f,
 
@@ -511,15 +510,11 @@ class ModuleFamily:
         """
         def build(m):
             if m == 0:
-                return Matrix.identity(1) if shift == 0 else Matrix(0, 1)
-            terms = []
-            if m + shift > 0:
-                terms.append((1, self._steps[m + shift].up_all
-                              @ g.kron(blocks[m - 1])))
-            if kappa is not None:
-                terms.append((1, kappa.kron(
-                    Matrix.identity(len(self._monos[m - 1])))))
-            return signed_sum(terms) @ self._steps[m].down_all
+                return Matrix(0, 1)
+            low = kappa.kron(Matrix.identity(len(self._monos[m - 1])))
+            if m > 1:
+                low += self._steps[m - 1].up_all @ g.kron(blocks[m - 1])
+            return low @ self._steps[m].down_all
         blocks = DegreeMemo(range(self.max_degree + 1), build)
         return blocks
 
@@ -548,7 +543,7 @@ class ModuleFamily:
         a, D_a tensor c_a <a, e_i> tau(s_a)."""
         def terms():
             e_i = Matrix.from_row_dicts(1, self.n, [{i - 1: 1}])
-            out = [(self._leibniz(-1, Matrix.identity(self.n), e_i)
+            out = [(self._leibniz(Matrix.identity(self.n), e_i)
                     .__getitem__, self._tau_one)]
             for r, c in enumerate(self._cs):
                 weight = c * self.rs.positive_roots[r][i - 1]
@@ -559,28 +554,32 @@ class ModuleFamily:
             return out
         return self._tensored(("y", i), -1, terms)
 
-    def divided_difference_op(self, root_idx: int) -> GradedOperator:
-        """f tensor u -> (f - s_a f)/a(x) tensor u, no tau factor."""
-        return self._tensored(("dd", root_idx), -1, lambda: [
-            (self._divided[root_idx].__getitem__, self._tau_one)])
-
     def w_op(self, w_index: int) -> GradedOperator:
         """pi(w) tensor tau(w) on every slice.
 
-        A reflection, or the identity, is its `_leibniz` C[x] block
-        tensored with tau(w).  Any other w is the product w_op(p) @
-        w_op(s_r) along its BFS word, words[w] = words[p] + (r,), so w =
-        p s_r: one exact matmul per block.  That is exact because pi and
-        tau are representations, (pi(p) (x) tau(p)) (pi(s_r) (x) tau(s_r))
-        = pi(p s_r) (x) tau(p s_r); `custom_rep` checks that a custom tau
-        is one."""
+        The identity is `identity_op`.  A reflection s_a is (1 - a(x) D_a)
+        (x) tau(s_a), exact as D_a f = (f - s_a f)/a(x); on degree m, a(x)
+        D_a is [X_1 | ... | X_n] (a (x) D_a), a the root as a column, one
+        product with the memoised D_a block.  Any other w is w_op(p) @
+        w_op(s_r) along its BFS word, words[w] = words[p] + (r,): one exact
+        matmul per block, exact as pi and tau are representations, (pi(p)
+        (x) tau(p)) (pi(s_r) (x) tau(s_r)) = pi(p s_r) (x) tau(p s_r);
+        `custom_rep` checks that a custom tau is one."""
         word = self.group.words[w_index]
+        if not word:
+            return self.identity_op()
         if len(word) > 1:
             return self._cached(("w", w_index), lambda: self.w_op(
                 self.group.parents[w_index]) @ self.reflection_op(word[-1]))
+
+        def block(m):
+            if m == 0:
+                return Matrix.identity(1)
+            a = Matrix.from_rows([[v] for v in self.rs.positive_roots[word[0]]])
+            return Matrix.identity(len(self._monos[m])) - (
+                self._steps[m].up_all @ a.kron(self._divided[word[0]][m]))
         return self._tensored(("w", w_index), 0, lambda: [
-            (self._leibniz(0, self.group.matrices[w_index]).__getitem__,
-             self.tau.mat(w_index))])
+            (block, self.tau.mat(w_index))])
 
     def reflection_op(self, root_idx: int) -> GradedOperator:
         return self.w_op(self.group.reflection_element_index(root_idx))

@@ -300,6 +300,17 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
     # the Casimir scalar near 10^600 has no float for the spectrum report
     ({"group": "S2", "c": "1e300", "suites": ["cohomology"]},
      "error: a value near 2^"),
+    # the refusal names the mistake rather than a failed int() or product
+    ({"group": "S3", "tau": {"matrices": {"x": [["-1"]]}}},
+     "error: tau: matrix keys are simple-root indices [0, 2], got 'x'\n"),
+    ({"group": "S3", "tau": {"matrices": {"0": [["-1"]],
+                                          "2": [["-1", "0"], ["0", "1"]]}}},
+     "error: tau: matrix 2 is 2 x 2, expected 1 x 1 (tau's dimension, the "
+     "rows of matrix 0)\n"),
+    ({"group": "S3", "tau": {"matrices": {"0": [["-1"]], "2": [["-1"]]},
+                             "form": [["1", "0"], ["0", "1"]]}},
+     "error: tau: form is 2 x 2, expected 1 x 1 (tau's dimension, the rows "
+     "of matrix 0)\n"),
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
         "coroot-norm-outside-field", "no-roots", "roots-missing",
         "repeated-root", "opposite-root", "roots-not-closed",
@@ -308,7 +319,8 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
         "zero-root",
         "empty-suites", "tau-zero-dimensional", "group-name-not-a-string",
         "tau-name-not-a-string", "tau-form-zero", "tau-form-negative",
-        "casimir-past-float-range"])
+        "casimir-past-float-range", "tau-key-not-an-index",
+        "tau-matrix-size-differs", "tau-form-size-differs"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,
                                                  overrides, prefix):
     path = write_config(tmp_path, **overrides)

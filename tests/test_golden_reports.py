@@ -172,14 +172,19 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # was squared to check that it is an involution; 2,918 while the C[x]
     # blocks were read off substituted and divided polynomials, with no
     # product, and the contravariant form took one product per variable
-    # and degree rather than two
-    assert calls["matmul"] == 3014
+    # and degree rather than two; 3,014 while each reflection's C[x] block
+    # and the identity's came from their own Leibniz recursions, two
+    # products per degree, where a reflection now takes one product of its
+    # shared divided difference and the identity none
+    assert calls["matmul"] == 2990
     # 18,427 when every pairwise sum was canonicalised on its own
     assert calls["make"] < 7000
     # 873 with one kron per Kronecker term; 115 before the C[x] blocks came
     # from the Leibniz recursion, one or two krons per block, and the
-    # contravariant form one kron per variable and degree
-    assert calls["kron"] == 190
+    # contravariant form one kron per variable and degree; 190 while the
+    # identity element was a Leibniz recursion tensored with tau(1) rather
+    # than `identity_op`
+    assert calls["kron"] == 183
     # 2,820 with every AMA relation summed on its own
     assert calls["first_nonzero"] == 980
     # 320 when a product ran against all four components of B side by side

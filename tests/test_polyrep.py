@@ -144,17 +144,54 @@ SQRT2_DIHEDRAL = {"roots": [["1", "0"], ["0", "1"], ["1/2*sqrt2", "1/2*sqrt2"],
 
 
 def test_group_action_matches_sympy_substitution():
-    """The Leibniz C[x] block of every group element, not only the
-    reflections and the identity that w_op reads, on degrees 0-4."""
+    """The C[x] block of every group element, trivial tau, on degrees 0-4:
+    the identity, each reflection read off its divided difference, and
+    the products along BFS words."""
     for name in ("S3", "B2", SQRT2_DIHEDRAL):
         rs = root_system(name)
         fam = ModuleFamily(rs, params(rs, "1/3"), "trivial", max_degree=4)
         xs = sym_vars(rs.n)
         for w, g in enumerate(fam.group.matrices):
-            blocks = fam._leibniz(0, g)
+            op = fam.w_op(w)
             for m in range(5):
-                assert blocks[m] == substituted_block(fam, g, m, xs), \
+                assert op.blocks[m] == substituted_block(fam, g, m, xs), \
                     (rs.name, w, m)
+
+
+def one_minus_times_divided(fam, r, m, column):
+    """1 - v(x) D_a on degree m, v(x) = sum_p v_p x_p for the n-entry list
+    column and D_a the memoised divided difference of root r."""
+    if m == 0:
+        return Matrix.identity(1)
+    v = Matrix.from_rows([[e] for e in column])
+    return Matrix.identity(len(fam.monomials(m))) - (
+        fam._steps[m].up_all @ v.kron(fam._divided[r][m]))
+
+
+def test_reflection_read_off_the_coroot_fails_on_short_roots():
+    """Negative control for s_a = 1 - a(x) D_a: with the coroot a^v in
+    place of a the block is wrong on B2's short roots, where a^v = 2a, and
+    right on its long ones, where a^v = a."""
+    rs = root_system("B2")
+    fam = ModuleFamily(rs, params(rs, "1/3"), "trivial", max_degree=3)
+    xs = sym_vars(rs.n)
+    short = []
+    for r, root in enumerate(rs.positive_roots):
+        w = fam.group.reflection_element_index(r)
+        want = [substituted_block(fam, rs.reflection(r), m, xs)
+                for m in range(4)]
+        for m in range(4):
+            assert one_minus_times_divided(fam, r, m, root) == want[m]
+            assert fam.w_op(w).blocks[m] == want[m]
+        wrong = [one_minus_times_divided(fam, r, m, rs.coroots[r])
+                 for m in range(4)]
+        is_short = tuple(rs.coroots[r]) != tuple(root)
+        if is_short:
+            short.append(r)
+            assert all(wrong[m] != want[m] for m in range(1, 4)), r
+        else:
+            assert wrong == want, r
+    assert len(short) == 2
 
 
 def test_group_action_is_left_action():
@@ -534,13 +571,15 @@ def test_kron_sum_without_terms_is_zero_on_its_keys():
 
 
 def test_dunkl_operators_share_the_divided_differences(monkeypatch):
-    """y_1..y_n and every D_a read one memoised D_a block per root and
-    degree: the Leibniz builder makes each (root, degree) block once."""
-    built = []
+    """y_1..y_n, every D_a and every group element read one memoised D_a
+    block per root and degree: the Leibniz builder runs once per root and
+    per d_i, n + |Phi+| memos, and makes each (root, degree) block once."""
+    built, memos = [], []
     leibniz = ModuleFamily._leibniz
 
-    def spy(self, shift, g, kappa=None):
-        blocks = leibniz(self, shift, g, kappa)
+    def spy(self, g, kappa):
+        memos.append((g, kappa))
+        blocks = leibniz(self, g, kappa)
         build = blocks.build
 
         def counted(m):
@@ -552,18 +591,21 @@ def test_dunkl_operators_share_the_divided_differences(monkeypatch):
     monkeypatch.setattr(ModuleFamily, "_leibniz", spy)
     rs = root_system("S4")
     fam = ModuleFamily(rs, params(rs, "1/3"), "reflection", max_degree=3)
-    for i in range(1, rs.n + 1):
-        fam.y_op(i).blocks[3]
-    for r in range(len(rs.positive_roots)):
-        fam.divided_difference_op(r).blocks[3]
+    for m in range(4):
+        for i in range(1, rs.n + 1):
+            fam.y_op(i).blocks[m]
+        for memo in fam._divided:
+            memo[m]
+        for w in range(fam.group.order):
+            fam.w_op(w).blocks[m]
     divided = [(rs.reflection(r), Matrix.from_rows([rs.coroots[r]]))
                for r in range(len(rs.positive_roots))]
-    # the way down from degree 3 never reads the 0 x 1 block of degree 0
+    assert len(memos) == rs.n + len(divided)
     for g, kappa in divided:
         assert sorted(m for h, k, m in built
-                      if (h, k) == (g, kappa)) == [1, 2, 3]
+                      if (h, k) == (g, kappa)) == [0, 1, 2, 3]
     # the rest are the blocks of the n partial derivatives, once each
-    assert len(built) == (len(divided) + rs.n) * 3
+    assert len(built) == (len(divided) + rs.n) * 4
     assert len(set(built)) == len(built)
 
 
@@ -600,29 +642,47 @@ def test_rca_negative_control():
     rs = root_system("S2")
     fam = ModuleFamily(rs, params(rs, "1/2"), "trivial", max_degree=3)
     alpha = rs.positive_roots[0]
-    broken = fam.y_op(1) - fam.divided_difference_op(0).scale(
-        rat("1/2") * alpha[0])
+    y1 = fam.y_op(1)
+    broken = y1 - kron_sum(fam, -1, y1.blocks, [
+        (fam._divided[0].__getitem__,
+         Matrix.identity(1).scale(rat("1/2") * alpha[0]))])
     comm = broken.commutator(fam.x_op(2))
     assert not comm.matches(s_op(fam, 2, 1))
     bad = comm.first_mismatch(s_op(fam, 2, 1))
     assert bad is not None and bad[0] == 0
 
 
-def test_rca_check_catches_a_wrong_leibniz_coefficient():
-    """D_a with kappa = 2 a^v for one root, in place of the a^v that makes
-    it (1 - s_a)/a(x): the relation suite fails at a [y_i, x_j] record.
-    That is the error a remainder check on the division by a(x) stood
-    for."""
+def assert_rca_fails_at_a_crossing(g, kappa):
+    """rca_relation_check on S3, c = 1/3, with D_a of the first root built
+    from g and kappa: it fails, and at a [y_i, x_j] record."""
     rs = root_system("S3")
     c = params(rs, "1/3")
     assert rca_relation_check(ModuleFamily(rs, c, "trivial", 3))["pass"]
     fam = ModuleFamily(rs, c, "trivial", max_degree=3)
-    fam._divided[0] = fam._leibniz(-1, rs.reflection(0), Matrix.from_rows(
-        [rs.coroots[0]]).scale(2))
+    fam._divided[0] = fam._leibniz(g, kappa)
     report = rca_relation_check(fam)
     assert not report["pass"]
     assert any(re.fullmatch(r"\[y\d,x\d\]", f["relation"])
                for f in report["failures"])
+
+
+def test_rca_check_catches_a_wrong_leibniz_coefficient():
+    """D_a with kappa = 2 a^v for one root, in place of the a^v that makes
+    it (1 - s_a)/a(x): the relation suite fails at a [y_i, x_j] record,
+    although the reflection s_a = 1 - a(x) D_a is read off the same wrong
+    D_a.  That is the error a remainder check on the division by a(x)
+    stood for."""
+    rs = root_system("S3")
+    assert_rca_fails_at_a_crossing(
+        rs.reflection(0), Matrix.from_rows([rs.coroots[0]]).scale(2))
+
+
+def test_rca_check_catches_a_divided_difference_built_with_g_one():
+    """D_a with g = 1 in place of s_a, the right a^v kept: a derivative
+    along a^v rather than a divided difference, caught the same way."""
+    rs = root_system("S3")
+    assert_rca_fails_at_a_crossing(
+        Matrix.identity(rs.n), Matrix.from_rows([rs.coroots[0]]))
 
 
 def block_by_block_mismatch(lhs, rhs):
