@@ -8,6 +8,15 @@ relations, the centralizer property of the triple, and the closed-form
 expressions tying the Casimir to the angular momentum square, all as exact
 matrix identities on every degree both sides of an equation know about.
 
+The three sweeps over many items (the relations over index tuples, and
+the commutators of the triple, the Casimir, Z and -I with every M_ij and
+group element) form their products a few at a time per degree: one
+`linalg.stacked_product` holds every product of one operator with a list
+of others, and each item's verdict is read off its blocks by one signed
+gather-sum (`linalg.vanishing_sums`).  An item that holds gets its record
+from that verdict alone; one that fails is compared again on its own, so
+its witness is the one a per-item comparison gives.
+
 Reports are lists of {check_id, status, witness} records; a witness pins
 the first differing matrix entry (degree, position, both values).
 """
@@ -15,6 +24,9 @@ the first differing matrix entry (degree, position, both values).
 from functools import cached_property
 from itertools import chain
 
+import numpy as np
+
+from .linalg import stacked_product, vanishing_sums
 from .polyrep import (GradedOperator, ModuleFamily, _check_record, _rec,
                       _signed_sum, _zero, center_op, graded_sum, s_op)
 from .scalars import rat
@@ -175,31 +187,21 @@ def ama_relations_check(ctx: AmaContext, tuples=None) -> list:
 
     Every product is M_ij @ M_kl or M_ij @ S_kl.  Since `AmaContext.M`
     defines M_ji = -M_ij and M_ii = 0, each is +-(M_ab @ M_cd) or
-    +-(M_ab @ S_kl) with a < b and c < d, or zero, so each distinct product
-    is formed once, in a memo local to this call.  S_kl and S_lk stay
+    +-(M_ab @ S_kl) with a < b and c < d, or zero.  S_kl and S_lk stay
     distinct factors: S_ij = S_ji is one of the checked relations, not an
     assumption.  A relation lhs = rhs then holds exactly when lhs - rhs,
-    its terms collected over the memo keys and the zero products dropped,
-    vanishes.  Each distinct collected combination, taken up to sign, is
-    summed once, on every degree of the window, which every product is
-    defined on.  Only a relation whose combination does not vanish is
-    compared side by side, for the witness of its first differing entry.
+    its terms collected over those products and the zero products
+    dropped, vanishes.  Each distinct collected combination, taken up to
+    sign, is decided once, on every degree of the window, which every
+    product is defined on (see `_vanishing_combinations`).  Only a
+    relation whose combination does not vanish is compared side by side,
+    for the witness of its first differing entry.
     """
     records: list = []
     n = ctx.n
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             _rec(records, f"S{i}{j} = S{j}{i}", ctx.S(i, j), ctx.S(j, i))
-    memo: dict = {}
-    vanishes: dict = {}
-
-    def product(key) -> GradedOperator:
-        got = memo.get(key)
-        if got is None:
-            left, kind, right = key
-            factor = ctx.M(*right) if kind == "M" else ctx.S(*right)
-            got = memo[key] = ctx.M(*left) @ factor
-        return got
 
     def mul(sign: int, i: int, j: int, kind: str, k: int, l: int):
         """sign * M_ij @ (M_kl or S_kl, by kind) as a (sign, key) pair."""
@@ -207,7 +209,7 @@ def ama_relations_check(ctx: AmaContext, tuples=None) -> list:
         t, right = _m_key(k, l) if kind == "M" else (1, (k, l))
         return sign * s * t, (left, kind, right)
 
-    def check(check_id: str, lhs, rhs) -> None:
+    def collected(lhs, rhs) -> tuple:
         coeffs: dict = {}
         for sign, key in chain(lhs, ((-s, key) for s, key in rhs)):
             coeffs[key] = coeffs.get(key, 0) + sign
@@ -215,49 +217,152 @@ def ama_relations_check(ctx: AmaContext, tuples=None) -> list:
                        if c and (0, 0) not in (key[0], key[2]))
         if combo and combo[0][1] < 0:
             combo = [(key, -c) for key, c in combo]
-        combo = tuple(combo)
-        ok = vanishes.get(combo)
-        if ok is None:
-            terms = [(1 if c > 0 else -1, product(key))
-                     for key, c in combo for _ in range(abs(c))]
-            ok = vanishes[combo] = not terms or _signed_sum(terms).matches(
-                _zero(terms[0][1]))
-        if ok:
+        return tuple(combo)
+
+    def sides(kind: str, i: int, j: int, k: int, l: int):
+        """(lhs, rhs) of the relation kind at (i, j, k, l), each a list of
+        (sign, key) pairs."""
+        if kind == "commutation":
+            return ([mul(1, i, j, "M", k, l), mul(-1, k, l, "M", i, j)],
+                    [mul(1, i, l, "S", j, k), mul(1, j, k, "S", i, l),
+                     mul(-1, i, k, "S", j, l), mul(-1, j, l, "S", i, k)])
+        return ([mul(1, i, j, "M", k, l), mul(1, j, k, "M", i, l),
+                 mul(1, k, i, "M", j, l)],
+                [mul(1, i, j, "S", k, l), mul(1, j, k, "S", i, l),
+                 mul(1, k, i, "S", j, l)])
+
+    relations = [(kind, t) for t in (tuples if tuples is not None
+                                     else _index_tuples(n))
+                 for kind in ("commutation", "crossing")]
+    distinct: dict = {}  # one object per distinct combination
+    combos = [distinct.setdefault(c, c) for c in (
+        collected(*sides(kind, *t)) for kind, t in relations)]
+    vanishes = _vanishing_combinations(ctx, [c for c in distinct if c])
+
+    def product(key) -> GradedOperator:
+        left, kind, right = key
+        factor = ctx.M(*right) if kind == "M" else ctx.S(*right)
+        return ctx.M(*left) @ factor
+
+    for (kind, t), combo in zip(relations, combos):
+        check_id = f"{kind} ({t[0]},{t[1]},{t[2]},{t[3]})"
+        if not combo or vanishes[combo]:
             records.append(_check_record(check_id, True))
         else:
+            lhs, rhs = sides(kind, *t)
             _rec(records, check_id,
                  _signed_sum([(s, product(key)) for s, key in lhs]),
                  _signed_sum([(s, product(key)) for s, key in rhs]))
-
-    for (i, j, k, l) in (tuples if tuples is not None else _index_tuples(n)):
-        check(f"commutation ({i},{j},{k},{l})",
-              [mul(1, i, j, "M", k, l), mul(-1, k, l, "M", i, j)],
-              [mul(1, i, l, "S", j, k), mul(1, j, k, "S", i, l),
-               mul(-1, i, k, "S", j, l), mul(-1, j, l, "S", i, k)])
-        check(f"crossing ({i},{j},{k},{l})",
-              [mul(1, i, j, "M", k, l), mul(1, j, k, "M", i, l),
-               mul(1, k, i, "M", j, l)],
-              [mul(1, i, j, "S", k, l), mul(1, j, k, "S", i, l),
-               mul(1, k, i, "S", j, l)])
     return records
 
 
+def _vanishing_combinations(ctx: AmaContext, combos) -> dict:
+    """{combo: whether it vanishes} for collected combinations of products
+    M_ab @ F, each combo a tuple of ((a, b), kind, right) keys with integer
+    coefficients and F = M_right or S_right by kind.
+
+    On each degree m, every product the combos name is a block of one
+    `linalg.stacked_product`, the M_ab blocks one above the next times the
+    F blocks side by side, and every combo is one signed gather-sum of
+    those blocks (`linalg.vanishing_sums`).  A combo vanishes when its sum
+    does on every degree the M and S operators share, the whole window.
+    """
+    combos = sorted(combos)
+    if not combos:
+        return {}
+    lefts = sorted({key[0] for combo in combos for key, _ in combo})
+    rights = sorted({key[1:] for combo in combos for key, _ in combo})
+    row = {key: p for p, key in enumerate(lefts)}
+    col = {key: q for q, key in enumerate(rights)}
+    width = max(len(combo) for combo in combos)
+    index = np.zeros((len(combos), width), dtype=np.int64)
+    coef = np.zeros((len(combos), width), dtype=np.int64)
+    for s, combo in enumerate(combos):
+        for t, (key, c) in enumerate(combo):
+            index[s, t] = row[key[0]] * len(rights) + col[key[1:]]
+            coef[s, t] = c
+    left_ops = [ctx.M(*key) for key in lefts]
+    right_ops = [ctx.M(*key) if kind == "M" else ctx.S(*key)
+                 for kind, key in rights]
+    ok = np.ones(len(combos), dtype=bool)
+    for m in sorted(set.intersection(*(set(op.blocks)
+                                       for op in left_ops + right_ops))):
+        d = ctx.family.dim(m)
+        prod = stacked_product([op.blocks[m] for op in left_ops],
+                               [op.blocks[m] for op in right_ops])
+        ok &= vanishing_sums([prod], (d, d), index, coef)
+    return dict(zip(combos, ok.tolist()))
+
+
+def _commuting(a: GradedOperator, ops) -> list:
+    """For each operator of ops, all of one shift s, whether it commutes
+    with a on every degree of their commutator; False when there is none,
+    which `_rec` refuses.
+
+    With t the shift of a, op @ a reads op_(m+t) a_m on degree m and
+    a @ op reads a_(m+s) op_m, so one `linalg.stacked_product` of the
+    op_(m+t) one above the next with a_m, and one of a_(m+s) with the op_m
+    side by side, hold every product; block j of the one equals block j of
+    the other exactly when op j commutes with a there, one signed
+    gather-sum each (`linalg.vanishing_sums`).
+    """
+    if not ops:
+        return []
+    t, s = a.shift, ops[0].shift
+    # the commutator's degrees depend on a and the degrees of op alone
+    known: dict = {}
+    degrees = []
+    for op in ops:
+        key = tuple(op.blocks)
+        if key not in known:
+            known[key] = set(op.commutator(a).blocks)
+        degrees.append(known[key])
+    ok = [bool(d) for d in degrees]
+    for m in sorted(set().union(*degrees)):
+        live = [j for j, d in enumerate(degrees) if m in d and ok[j]]
+        if not live:
+            continue
+        after = stacked_product([ops[j].block(m + t) for j in live],
+                                [a.blocks[m]])
+        before = stacked_product([a.block(m + s)],
+                                 [ops[j].blocks[m] for j in live])
+        k = len(live)
+        same = vanishing_sums([after, before], (before.nrows, after.ncols),
+                              [[j, k + j] for j in range(k)], [[1, -1]] * k)
+        for j, x in zip(live, same.tolist()):
+            ok[j] = x
+    return ok
+
+
+def _commutator_record(records: list, check_id: str, a: GradedOperator,
+                       b: GradedOperator, ok: bool) -> None:
+    """Append the record that [a, b] = 0, a pass when ok (see
+    `_commuting`), else the `_rec` comparison with its witness."""
+    if ok:
+        records.append(_check_record(check_id, True))
+    else:
+        comm = a.commutator(b)
+        _rec(records, check_id, comm, _zero(comm))
+
+
 def centralizer_check(ctx: AmaContext) -> list:
-    """M_ij and every group element commute with the sl(2) triple."""
+    """M_ij and every group element commute with the sl(2) triple.
+
+    Each of H, X and Y is tried against all the M_ij and group elements
+    at once (see `_commuting`); a failing pair is then compared alone for
+    its witness."""
     records: list = []
     triple = (("H", ctx.H), ("X", ctx.X), ("Y", ctx.Y))
     n = ctx.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            mij = ctx.M(i, j)
-            for name, op in triple:
-                comm = mij.commutator(op)
-                _rec(records, f"[M{i}{j},{name}] = 0", comm, _zero(comm))
-    for wi in range(ctx.family.group.order):
-        wop = ctx.w(wi)
-        for name, op in triple:
-            comm = wop.commutator(op)
-            _rec(records, f"[w{wi},{name}] = 0", comm, _zero(comm))
+    named = [(f"M{i}{j}", ctx.M(i, j)) for i in range(1, n + 1)
+             for j in range(i + 1, n + 1)]
+    named += [(f"w{wi}", ctx.w(wi)) for wi in range(ctx.family.group.order)]
+    ops = [op for _, op in named]
+    verdicts = [_commuting(a, ops) for _, a in triple]
+    for k, (label, op) in enumerate(named):
+        for (name, a), ok in zip(triple, verdicts):
+            _commutator_record(records, f"[{label},{name}] = 0", op, a,
+                               ok[k])
     return records
 
 
@@ -294,23 +399,28 @@ def msquared_identities_check(ctx: AmaContext) -> list:
 
 def casimir_centrality_check(ctx: AmaContext) -> list:
     """omega commutes with every M_ij and every group element; Z is central
-    in the group algebra; when -I is in W its matrix commutes with all M_ij."""
+    in the group algebra; when -I is in W its matrix commutes with all M_ij.
+
+    omega is tried against all the M_ij and group elements at once, Z
+    against the group elements and -I against the M_ij (see
+    `_commuting`); a failing pair is then compared alone for its witness.
+    """
     records: list = []
     n = ctx.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            comm = ctx.omega.commutator(ctx.M(i, j))
-            _rec(records, f"[omega,M{i}{j}] = 0", comm, _zero(comm))
-    for wi in range(ctx.family.group.order):
-        comm = ctx.omega.commutator(ctx.w(wi))
-        _rec(records, f"[omega,w{wi}] = 0", comm, _zero(comm))
-        comm = ctx.Z.commutator(ctx.w(wi))
-        _rec(records, f"[Z,w{wi}] = 0", comm, _zero(comm))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    ms = [ctx.M(i, j) for i, j in pairs]
+    ws = [ctx.w(wi) for wi in range(ctx.family.group.order)]
+    omega_ok = _commuting(ctx.omega, ms + ws)
+    for (i, j), op, ok in zip(pairs, ms, omega_ok):
+        _commutator_record(records, f"[omega,M{i}{j}] = 0", ctx.omega, op,
+                           ok)
+    for wi, (op, ok, z_ok) in enumerate(zip(ws, omega_ok[len(ms):],
+                                            _commuting(ctx.Z, ws))):
+        _commutator_record(records, f"[omega,w{wi}] = 0", ctx.omega, op, ok)
+        _commutator_record(records, f"[Z,w{wi}] = 0", ctx.Z, op, z_ok)
     mi = ctx.family.group.minus_identity_index()
     if mi is not None:
         wop = ctx.w(mi)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                comm = wop.commutator(ctx.M(i, j))
-                _rec(records, f"[(-1),M{i}{j}] = 0", comm, _zero(comm))
+        for (i, j), op, ok in zip(pairs, ms, _commuting(wop, ms)):
+            _commutator_record(records, f"[(-1),M{i}{j}] = 0", wop, op, ok)
     return records

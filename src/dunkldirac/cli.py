@@ -23,7 +23,8 @@ from .angmom import (
     centralizer_check,
     msquared_identities_check,
 )
-from .clifford import CliffordElement, anticommutator_check
+from .clifford import (CliffordElement, anticommutator_check,
+                       monomial_product_check)
 from .cover import HatElement, is_admissible, jm_symmetric_elements
 from .diracops import (
     basis_independence_check,
@@ -88,6 +89,20 @@ def _coupling(spec, where: str, allow_float: bool):
     return _fraction(spec, where, allow_float)
 
 
+def _tau_matrix(rows, what: str) -> Matrix:
+    """The custom-tau matrix `what` (matrix <key> or form) from its
+    config entry, a list of rows of rationals."""
+    if not isinstance(rows, list):
+        got = type(rows).__name__
+    else:
+        got = next((f"a row of type {type(row).__name__}" for row in rows
+                    if not isinstance(row, list)), None)
+    if got is not None:
+        raise ConfigError(f"tau: {what} must be a list of rows, got {got}")
+    return Matrix.from_rows([[rat(_fraction(v, f"tau {what}", False))
+                              for v in row] for row in rows])
+
+
 def _parse_tau(spec, group):
     if isinstance(spec, str):
         builtin_rep(group, spec)  # rejects an unknown name up front
@@ -105,14 +120,10 @@ def _parse_tau(spec, group):
                 raise ConfigError(
                     f"tau: matrix keys are simple-root indices "
                     f"{group.rs.simple_root_indices()}, got {key!r}")
-            entries = [[rat(_fraction(v, f"tau matrix {key}", False))
-                        for v in row] for row in rows]
-            simple[idx] = Matrix.from_rows(entries)
+            simple[idx] = _tau_matrix(rows, f"matrix {key}")
         form = None
         if "form" in spec:
-            form = Matrix.from_rows(
-                [[rat(_fraction(v, "tau form", False)) for v in row]
-                 for row in spec["form"]])
+            form = _tau_matrix(spec["form"], "form")
         name = spec.get("name", "custom")
         if not isinstance(name, str):
             raise ConfigError(f"tau: name must be a string, got {name!r}")
@@ -176,6 +187,9 @@ def load_config(path: str) -> dict:
     elements = raw.get("elements", {})
     if not isinstance(elements, dict):
         raise ConfigError("elements: expected a map of name -> part lists")
+    # every entry is parsed here, read by a verb or not
+    elements = {name: _element_parts(spec, name, group.order)
+                for name, spec in elements.items()}
 
     return {"rs": rs, "param": param, "tau": tau, "max_degree": max_degree,
             "backend": backend, "suites": suites, "elements": elements,
@@ -185,7 +199,10 @@ def load_config(path: str) -> dict:
 ELEMENT_PARTS = ("p", "m", "gp", "gm")
 
 
-def _custom_element(cover, spec, name: str) -> HatElement:
+def _element_parts(spec, name: str, order: int) -> dict:
+    """The {part: {group index: rational}} maps of the config element
+    `name`, for a group of the given order; `resolve_element` builds the
+    element from them on the cover."""
     if not isinstance(spec, dict):
         raise ConfigError(f"elements[{name}]: expected a map of part name "
                           "-> term list")
@@ -193,7 +210,6 @@ def _custom_element(cover, spec, name: str) -> HatElement:
     if unknown:
         raise ConfigError(f"elements[{name}]: unknown part {unknown[0]!r}; "
                           "parts are p, m, gp and gm")
-    order = cover.group.order
     parts = {}
     for key in ELEMENT_PARTS:
         terms = spec.get(key, [])
@@ -213,15 +229,13 @@ def _custom_element(cover, spec, name: str) -> HatElement:
                                   f"0..{order - 1}")
             coeffs[idx] = rat(_fraction(val, f"elements[{name}]", False))
         parts[key] = coeffs
-    try:
-        return HatElement(cover, **parts)
-    except ValueError as exc:
-        raise ConfigError(f"elements[{name}]: {exc}")
+    return parts
 
 
 def resolve_element(dctx, name: str, custom: dict) -> HatElement:
     """Twist elements by name: zero, C2, jm:e1, jm:e2, scale:<r>:<name>,
-    or a name defined in the config's elements map."""
+    or a name of the config's elements map, whose parts `load_config` has
+    parsed and the cover builds into an element here."""
     if name in ("zero", "0"):
         return HatElement.zero(dctx.cover)
     if name == "C2":
@@ -244,7 +258,10 @@ def resolve_element(dctx, name: str, custom: dict) -> HatElement:
             raise ConfigError(f"element {name!r}: bad scale ({exc})")
         return base.scale(rat(r))
     if name in custom:
-        return _custom_element(dctx.cover, custom[name], name)
+        try:
+            return HatElement(dctx.cover, **custom[name])
+        except ValueError as exc:
+            raise ConfigError(f"elements[{name}]: {exc}")
     raise ConfigError(f"unknown element {name!r}; named elements are "
                       f"{list(NAMED_ELEMENTS)} plus the config's own")
 
@@ -279,20 +296,23 @@ def _suite_ama(dctx, cfg) -> list:
 
 
 def _suite_clifford(dctx, cfg) -> list:
+    """The generators anticommute, their spinor images are Hermitian, and
+    sigma(c_a) sigma(c_b) = sigma(c_a c_b) for every pair of blades c_a,
+    c_b, all 4^n pairs decided from one stacked product of the 2^n blade
+    images (`clifford.monomial_product_check`)."""
     n = dctx.n
     out = [_check_record("generator anticommutation relations",
                          anticommutator_check(n))]
     sig = dctx.spin
-    # each blade monomial c_S and its image, made once for both checks
+    # the image of each blade monomial c_S, made once for both checks
     blades = [CliffordElement(n, {mask: ONE}) for mask in range(1 << n)]
     images = [sig.sigma(x) for x in blades]
     herm = all(images[1 << i].dagger() == images[1 << i] for i in range(n))
     out.append(_check_record("spinor images of the generators are Hermitian",
                              herm))
-    mult = all(sig.sigma(xa * xb) == images[a] @ images[b]
-               for a, xa in enumerate(blades) for b, xb in enumerate(blades))
     out.append(_check_record("spinor representation respects every "
-                             "monomial product", mult))
+                             "monomial product",
+                             monomial_product_check(images)))
     return out
 
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Matrix, signed_sum
+from .linalg import Matrix, signed_sum, stacked_product, vanishing_sums
 from .scalars import Combination, ExactScalar, IUNIT, ONE, ZERO, as_scalar
 
 
@@ -200,6 +200,24 @@ def right_multipliers(rows: Matrix):
         x = Matrix._make(rows.num[:, i:i + 1], rows.den, rows.comps)
         yield Matrix._build(gather * x.num[:, 0, masks], x.den, x.bits,
                             x.comps)
+
+
+def monomial_product_check(images) -> bool:
+    """Whether images[a] @ images[b] = sign(c_a c_b) images[a ^ b] for
+    every pair of blade masks a, b, images[S] being the matrix of the
+    blade c_S in a representation of the Clifford algebra on n generators.
+
+    One `stacked_product` of the 2^n images one above the next with the
+    same images side by side holds every product, block (a, b); each is
+    compared with the signed image that `_product_table` names by one
+    signed gather-sum (`linalg.vanishing_sums`)."""
+    size = len(images)
+    signs, masks = _product_table(size.bit_length() - 1)
+    pairs = np.arange(size * size)
+    index = np.stack([pairs, size * size + masks.ravel()], axis=1)
+    coef = np.stack([np.ones_like(pairs), -signs.ravel()], axis=1)
+    return bool(vanishing_sums([stacked_product(images, images), *images],
+                               images[0].shape, index, coef).all())
 
 
 def anticommutator_check(n: int) -> bool:

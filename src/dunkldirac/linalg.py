@@ -38,6 +38,14 @@ Entry ((i, k), (j, l)) of the sum is entry ((i, j), (k, l)) of the
 product, so the sum is the product's entries permuted and keeps its
 canonical form.
 
+Many products of blocks of one shape are one `stacked_product`: the left
+blocks one above the next times the right blocks side by side, block
+(i, j) of the result being the (i, j) product, run in pieces of at most
+`GEMM_MADDS` multiply-adds each.  `vanishing_sums` decides many signed
+sums of blocks at once, one gather of their numerators over one lcm
+denominator, summed in int64 under a proved bound.  Matrices are joined
+by `stack`, all three over the rescale rule of `_signed_numerator`.
+
 Rank, kernel and the Sylvester positivity test all run through one
 Gauss-Jordan elimination over the field, on the {column: ExactScalar}
 rows of `Matrix.rows`.  No denominator is cleared: every ExactScalar
@@ -484,6 +492,28 @@ def first_nonzero(terms):
     return divmod(int(spots[0]), num.shape[2]) if spots.size else None
 
 
+def _common(mats) -> tuple:
+    """(den, comps, peak) for reading the matrices of mats over one
+    denominator: den the lcm of theirs, comps the union of their live
+    components, and peak = max_j(bits_j + bitlen(den / den_j)), so that
+    every entry rescaled to den is below 2^peak."""
+    den = lcm(*(m.den for m in mats))
+    return (den, _union(mats),
+            max(m.bits + (den // m.den).bit_length() for m in mats))
+
+
+def _planes(mat: Matrix, den: int, comps: tuple, wide: bool) -> np.ndarray:
+    """mat's numerator over den (see `_rescaled`) on one plane per
+    component of comps, a superset of mat.comps, a plane mat lacks reading
+    zero."""
+    term = _rescaled(mat, den, wide)
+    if mat.comps == comps:
+        return term
+    out = np.zeros((len(comps), *mat.shape), dtype=term.dtype)
+    out[[comps.index(c) for c in mat.comps]] = term
+    return out
+
+
 def _stacked(mats, axes) -> Matrix:
     """The T matrices of mats, all of one shape, each read row-major over
     their lcm denominator: an array of shape (T, len(comps), rows * cols)
@@ -492,20 +522,125 @@ def _stacked(mats, axes) -> Matrix:
     canonical, and only ever a product's operand: `bits` bounds the
     entries rather than being their bit length, which is all `_fits`
     reads.  The entries widen to `object` by the rule of
-    `_signed_numerator` for one term: a rescaled entry is below 2^peak,
-    peak = max_j(bits_j + bitlen(den / den_j)), so int64 holds it when
-    peak + bitlen(1) <= 62."""
-    den = lcm(*(m.den for m in mats))
-    peak = max(m.bits + (den // m.den).bit_length() for m in mats)
-    wide = peak + 1 > 62
-    comps = _union(mats)
-    num = np.zeros((len(mats), len(comps), mats[0].nrows * mats[0].ncols),
-                   dtype=object if wide else np.int64)
-    for t, m in enumerate(mats):
-        if m.comps:
-            num[t, [comps.index(c) for c in m.comps]] = _rescaled(
-                m, den, wide).reshape(len(m.comps), -1)
+    `_signed_numerator` for one term: a rescaled entry is below 2^peak
+    (see `_common`), so int64 holds it when peak + bitlen(1) <= 62."""
+    den, comps, peak = _common(mats)
+    size = mats[0].nrows * mats[0].ncols
+    num = np.stack([_planes(m, den, comps, peak + 1 > 62)
+                    .reshape(len(comps), size) for m in mats])
     return Matrix._build(num.transpose(axes), den, peak, comps)
+
+
+def _joined(mats, axis: int) -> tuple:
+    """(num, den, comps, peak) of the matrices of mats one above the next
+    (axis 0) or side by side (axis 1), each rescaled to their lcm
+    denominator den over the union comps of their live components: in
+    int64 by the rule of `_stacked`, every entry below 2^peak (see
+    `_common`), and on `object` arrays only past it.  num is not
+    canonical."""
+    den, comps, peak = _common(mats)
+    num = np.concatenate([_planes(m, den, comps, peak + 1 > 62)
+                          for m in mats], axis=axis + 1)
+    return num, den, comps, peak
+
+
+def stack(mats, axis: int) -> Matrix:
+    """The matrices of mats one above the next (axis 0) or side by side
+    (axis 1), in canonical form (see `_joined`); one matrix is returned as
+    it is."""
+    mats = list(mats)
+    if len(mats) == 1:
+        return mats[0]
+    if any(m.shape[1 - axis] != mats[0].shape[1 - axis] for m in mats):
+        raise ValueError("shape mismatch in concatenation")
+    num, den, comps, _ = _joined(mats, axis)
+    return Matrix._make(num, den, comps)
+
+
+def _operand(mats, axis: int) -> Matrix:
+    """`stack(mats, axis)` as a product's operand only, like `_stacked`'s:
+    `bits` is the bound peak, and the form is not canonical."""
+    if len(mats) == 1:
+        return mats[0]
+    num, den, comps, peak = _joined(mats, axis)
+    return Matrix._build(num, den, peak, comps)
+
+
+# the most multiply-adds one GEMM of `stacked_product` may run: 80^3, as
+# the 80 x 80 blocks of the S4 degree-3 verify run take.  On a 2-core host
+# with two OpenBLAS threads, a float GEMM of 1.06M multiply-adds (120 x 20
+# @ 20 x 440) took a median 0.24 ms and up to 24 ms, against 63 us on one
+# thread, while one of 352,000 (40 x 20 @ 20 x 440) took 16 us on either:
+# a stack past the cap is split rather than formed whole.
+GEMM_MADDS = 80 ** 3
+
+
+def stacked_product(lefts, rights) -> Matrix:
+    """[L_1; ...; L_p] @ [R_1 | ... | R_q] for the p matrices lefts, all
+    of one shape r x k, and the q matrices rights, all k x c: block (i, j)
+    of the canonical (p r) x (q c) result is L_i @ R_j.
+
+    Every product runs through `Matrix.__matmul__` and its proved bounds,
+    on runs of the stacks small enough that no GEMM exceeds `GEMM_MADDS`
+    multiply-adds when one pair of blocks does not: all of rights against
+    as many of lefts as fit, or else one of lefts against as many of
+    rights as fit.  The pieces are joined by `stack`."""
+    lefts, rights = list(lefts), list(rights)
+    for mats in (lefts, rights):
+        if any(m.shape != mats[0].shape for m in mats):
+            raise ValueError("stacked blocks differ in shape")
+    (r, k), c = lefts[0].shape, rights[0].ncols
+    pair = max(1, r * k * c)
+    if len(rights) * pair <= GEMM_MADDS:
+        rows, cols = GEMM_MADDS // (len(rights) * pair), len(rights)
+    else:
+        rows, cols = 1, max(1, GEMM_MADDS // pair)
+    runs = [_operand(rights[j:j + cols], 1)
+            for j in range(0, len(rights), cols)]
+    return stack((stack([_operand(lefts[i:i + rows], 0) @ run
+                         for run in runs], 1)
+                  for i in range(0, len(lefts), rows)), 0)
+
+
+def vanishing_sums(mats, shape, index, coef) -> np.ndarray:
+    """Whether each of S signed sums of blocks vanishes, as a length-S
+    bool array.
+
+    Each matrix of mats is cut into blocks of shape (r, c), read row-major
+    over its blocks and mat after mat as B_0, B_1, ...; sum s is
+    sum_t coef[s, t] B_index[s, t] over the S x T integer arrays index and
+    coef (a zero coefficient pads a shorter sum).  All blocks are read
+    over the lcm denominator, so each sum is one gather of its blocks'
+    numerators, summed: in int64 when peak + bitlen(w) <= 62, w the
+    largest sum of |coef[s, t]| over t and peak as in `_common`, else on
+    `object` arrays.  Proof: every rescaled entry is below 2^peak, so
+    every partial sum is below w 2^peak < 2^(peak + bitlen(w)) <= 2^62.
+    """
+    index, coef = np.asarray(index), np.asarray(coef)
+    r, c = shape
+    if not r * c or not len(index):
+        return np.ones(len(index), dtype=bool)
+    if any(m.nrows % r or m.ncols % c for m in mats):
+        raise ValueError(f"a matrix does not split into {r} x {c} blocks")
+    den, comps, peak = _common(mats)
+    weight = int(np.abs(coef).sum(axis=1).max(initial=0))
+    wide = peak + weight.bit_length() > 62
+    blocks = []
+    for m in mats:
+        rows, cols = m.nrows // r, m.ncols // c
+        blocks.append(_planes(m, den, comps, wide).reshape(
+            len(comps), rows, r, cols, c).swapaxes(2, 3).reshape(
+            len(comps), rows * cols, r, c))
+    blocks = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    if wide:
+        coef = coef.astype(object)
+    total = None
+    for t in range(index.shape[1]):
+        term = blocks[:, index[:, t]]  # a fresh array, safe to scale
+        if (coef[:, t] != 1).any():
+            term *= coef[:, t, None, None]
+        total = term if total is None else np.add(total, term, out=total)
+    return ~total.any(axis=(0, 2, 3))
 
 
 def sum_of_krons(pairs) -> Matrix:
@@ -531,23 +666,6 @@ def sum_of_krons(pairs) -> Matrix:
     num = prod.num.reshape(k, r1, c1, r2, c2).transpose(0, 1, 3, 2, 4)
     return Matrix._build(num.reshape(k, r1 * r2, c1 * c2), prod.den,
                          prod.bits, prod.comps)
-
-
-def hstack(*mats: Matrix) -> Matrix:
-    """The concatenation [A | B | ...], formed on `object` arrays over
-    the union of the live components."""
-    if any(mm.nrows != mats[0].nrows for mm in mats):
-        raise ValueError("row mismatch in concatenation")
-    den = lcm(*(mm.den for mm in mats))
-    comps = _union(mats)
-    num = np.zeros((len(comps), mats[0].nrows, sum(mm.ncols for mm in mats)),
-                   dtype=object)
-    col = 0
-    for mm in mats:
-        num[[comps.index(c) for c in mm.comps], :, col:col + mm.ncols] = \
-            _rescaled(mm, den, True)
-        col += mm.ncols
-    return Matrix._make(num, den, comps)
 
 
 # -- elimination over the field ----------------------------------------------
@@ -624,7 +742,7 @@ def kernel(m: Matrix) -> Matrix:
 def intersection_dim(a: Matrix, b: Matrix) -> int:
     """dim(colspace(a) & colspace(b)) by inclusion-exclusion on ranks."""
     ra, rb = rank(a), rank(b)
-    return ra + rb - rank(hstack(a, b))
+    return ra + rb - rank(stack([a, b], 1))
 
 
 def is_positive_definite(h: Matrix) -> bool:

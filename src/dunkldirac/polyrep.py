@@ -47,8 +47,8 @@ from functools import partial
 from itertools import chain
 from math import comb
 
-from .linalg import (Matrix, first_nonzero, hstack, is_positive_definite,
-                     kernel, signed_sum, sum_of_krons)
+from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
+                     signed_sum, stack, sum_of_krons)
 from .scalars import ONE, as_scalar
 
 
@@ -474,8 +474,7 @@ class ModuleFamily:
             p = next(j for j, d in enumerate(e) if d)
             spots[p].append((down[_bump(e, p, -1)], k))
         downs = [_zero_one(len(down), len(up), s) for s in spots]
-        return _Step(ups, hstack(*ups), downs,
-                     hstack(*(s.dagger() for s in downs)).dagger())
+        return _Step(ups, stack(ups, 1), downs, stack(downs, 0))
 
     def _leibniz(self, g: Matrix, kappa: Matrix):
         """The C[x] blocks on degrees 0..N, in a DegreeMemo, of the

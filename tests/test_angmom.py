@@ -20,7 +20,8 @@ from dunkldirac.angmom import (
     report_passes,
 )
 from dunkldirac.linalg import Matrix
-from dunkldirac.polyrep import GradedOperator, ModuleFamily, harmonic_subspace
+from dunkldirac.polyrep import (GradedOperator, ModuleFamily, _zero,
+                                harmonic_subspace)
 from dunkldirac.roots import ParamFunction, root_system
 from dunkldirac.scalars import ZERO, rat
 
@@ -178,6 +179,100 @@ def test_collected_relations_match_on_an_s_perturbed_at_one_degree(
         assert {r["witness"]["degree"] for r in failed} == {2}
     # the subset holds relations that the perturbation breaks and others
     assert {r["status"] for r in records[3:]} == {"pass", "fail"}
+
+
+def per_item_centralizer(ctx):
+    """centralizer_check as a plain loop: each commutator formed and
+    compared on its own, the reference for the stacked check."""
+    records: list = []
+    n = ctx.n
+    named = [(f"M{i}{j}", ctx.M(i, j)) for i in range(1, n + 1)
+             for j in range(i + 1, n + 1)]
+    named += [(f"w{wi}", ctx.w(wi)) for wi in range(ctx.family.group.order)]
+    for label, op in named:
+        for name, a in (("H", ctx.H), ("X", ctx.X), ("Y", ctx.Y)):
+            comm = op.commutator(a)
+            _rec(records, f"[{label},{name}] = 0", comm, _zero(comm))
+    return records
+
+
+def per_item_casimir(ctx):
+    """casimir_centrality_check as a plain loop, like per_item_centralizer."""
+    records: list = []
+    n = ctx.n
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+    def rec(check_id, a, b):
+        comm = a.commutator(b)
+        _rec(records, check_id, comm, _zero(comm))
+    for i, j in pairs:
+        rec(f"[omega,M{i}{j}] = 0", ctx.omega, ctx.M(i, j))
+    for wi in range(ctx.family.group.order):
+        rec(f"[omega,w{wi}] = 0", ctx.omega, ctx.w(wi))
+        rec(f"[Z,w{wi}] = 0", ctx.Z, ctx.w(wi))
+    mi = ctx.family.group.minus_identity_index()
+    if mi is not None:
+        for i, j in pairs:
+            rec(f"[(-1),M{i}{j}] = 0", ctx.w(mi), ctx.M(i, j))
+    return records
+
+
+def same_commutator_records(ctx):
+    """The stacked centralizer and Casimir checks against their loops."""
+    got = centralizer_check(ctx) + casimir_centrality_check(ctx)
+    want = per_item_centralizer(ctx) + per_item_casimir(ctx)
+    assert json.dumps(got) == json.dumps(want)
+    return got
+
+
+I24_SQRT2 = {"roots": [["1", "0"], ["0", "1"], ["1/2*sqrt2", "1/2*sqrt2"],
+                       ["1/2*sqrt2", "-1/2*sqrt2"]]}
+
+
+@pytest.mark.parametrize("tau", ["trivial", "reflection"])
+@pytest.mark.parametrize("name, spec, deg", [
+    ("S3", "1/3", 3),
+    ("B2", {"short": "1/3", "long": "1/5"}, 3),
+    ("B3", {"long": "1/3", "short": "1/5"}, 2),
+    ("S4", "1/3", 2),
+    ("I2(4)-sqrt2", "1/3", 3),
+])
+def test_stacked_sweeps_match_the_per_item_loops(name, spec, deg, tau):
+    """The relations, centralizer and Casimir checks, each deciding its
+    items from a few stacked products per degree, give records
+    JSON-equal to the loops that compare every item on its own.  B2, B3
+    and I2(4) contain -I, so the [(-1),M_ij] records are among theirs."""
+    rs = root_system(I24_SQRT2 if name == "I2(4)-sqrt2" else name)
+    ctx = AmaContext(ModuleFamily(rs, ParamFunction.from_config(spec, rs),
+                                  tau, max_degree=deg))
+    records = same_records(ctx) + same_commutator_records(ctx)
+    assert report_passes(records)
+    assert any(r["check_id"].startswith("[(-1),M") for r in records) == (
+        name in ("B2", "B3", "I2(4)-sqrt2"))
+
+
+def test_stacked_commutators_match_on_a_w_perturbed_at_one_degree(
+        monkeypatch):
+    """One group element off by 1/7 in one entry of its degree-2 block:
+    the stacked checks fail exactly the records the loops fail, with the
+    same witnesses, and pass the others, [w,H] among them since H is a
+    scalar on each slice."""
+    ctx = ctx_for("S3", "1/2", deg=3)
+    wop, dim = ctx.w(3), ctx.family.dim(2)
+    bump = Matrix.from_row_dicts(dim, dim,
+                                 [{1: rat("1/7")}] + [{}] * (dim - 1))
+    bad = GradedOperator(ctx.family, 0, wop.blocks, lambda m: (
+        wop.blocks[m] + bump if m == 2 else wop.blocks[m]))
+    w = ctx.w
+    monkeypatch.setattr(ctx, "w", lambda wi: bad if wi == 3 else w(wi))
+    records = same_commutator_records(ctx)
+    failed = {r["check_id"]: r["witness"] for r in records
+              if r["status"] == "fail"}
+    assert {"[w3,Y] = 0", "[Z,w3] = 0"} <= set(failed)
+    assert "[w3,H] = 0" not in failed
+    assert all(k.startswith(("[w3,", "[omega,w3]", "[Z,w3]"))
+               for k in failed)
+    assert {w["degree"] for w in failed.values()} <= {0, 1, 2}
 
 
 def test_ama_relation_negative_control():

@@ -311,6 +311,21 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
                              "form": [["1", "0"], ["0", "1"]]}},
      "error: tau: form is 2 x 2, expected 1 x 1 (tau's dimension, the rows "
      "of matrix 0)\n"),
+    ({"group": "S3", "tau": {"matrices": {"0": 5, "2": [["-1"]]}}},
+     "error: tau: matrix 0 must be a list of rows, got int\n"),
+    ({"group": "S3", "tau": {"matrices": {"0": [["-1"]], "2": [["-1"]]},
+                             "form": 5}},
+     "error: tau: form must be a list of rows, got int\n"),
+    ({"group": "S3", "tau": {"matrices": {"0": ["-1"], "2": [["-1"]]}}},
+     "error: tau: matrix 0 must be a list of rows, got a row of type str\n"),
+    # every element is parsed on loading, whether or not a verb reads it
+    ({"group": "S3", "elements": {"X": 5}},
+     "error: elements[X]: expected a map of part name -> term list\n"),
+    ({"group": "S3", "elements": {"far": {"m": [[99, "1"]]}}},
+     "error: elements[far].m: group index 99 is not an integer in 0..5\n"),
+    ({"group": "S3", "elements": {"typo": {"mm": [[0, "1"]]}}},
+     "error: elements[typo]: unknown part 'mm'; parts are p, m, gp and "
+     "gm\n"),
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
         "coroot-norm-outside-field", "no-roots", "roots-missing",
         "repeated-root", "opposite-root", "roots-not-closed",
@@ -320,7 +335,10 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
         "empty-suites", "tau-zero-dimensional", "group-name-not-a-string",
         "tau-name-not-a-string", "tau-form-zero", "tau-form-negative",
         "casimir-past-float-range", "tau-key-not-an-index",
-        "tau-matrix-size-differs", "tau-form-size-differs"])
+        "tau-matrix-size-differs", "tau-form-size-differs",
+        "tau-matrix-not-rows", "tau-form-not-rows", "tau-row-not-a-list",
+        "element-not-a-map", "element-index-out-of-range",
+        "element-misspelled-part"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,
                                                  overrides, prefix):
     path = write_config(tmp_path, **overrides)
@@ -395,18 +413,21 @@ def test_table_boundary_row_on_the_plane(tmp_path):
 
 
 def test_table_bad_points_become_rows(tmp_path):
-    # a float scale in exact mode, a boolean degree and an out-of-range
-    # custom element each give an error row; the sweep goes on around them
+    # a float scale in exact mode, a boolean degree and a custom element
+    # that S3's cover cannot build each give an error row; the sweep goes
+    # on around them.  A malformed element never gets this far: load_config
+    # refuses it (see test_unusable_config_exits_two_with_one_line)
     cfg = load_config(write_config(
         tmp_path, group="S3", c="1/2", max_degree=3,
-        elements={"far": {"m": [[99, "1"]]}, "typo": {"mm": [[0, "1"]]}}))
+        elements={"g-part": {"gp": [[0, "1"]]},
+                  "not-admissible": {"p": [[1, "1"]]}}))
     rows = run_table(cfg, [{"m": 0, "C": "zero", "scale": 0.1},
                            {"m": True, "C": "zero"},
-                           {"m": 1, "C": "far"},
+                           {"m": 1, "C": "g-part"},
                            {"m": 1, "C": "C2"},
                            {"m": 1, "C": 5},
                            {"m": 1, "C": None},
-                           {"m": 1, "C": "typo"},
+                           {"m": 1, "C": "not-admissible"},
                            {"C": "zero"},
                            "not a point",
                            {"m": 1, "c": "1/0"},
@@ -414,13 +435,13 @@ def test_table_bad_points_become_rows(tmp_path):
     assert len(rows) == 11
     assert "exact mode" in rows[0]["status"]
     assert "degree True" in rows[1]["status"]
-    assert "group index 99" in rows[2]["status"]
+    assert "elements[g-part]: g-extension only exists" in rows[2]["status"]
     assert all(r["status"].startswith("error:") for r in rows[:3])
     assert rows[3]["status"] == "ok" and rows[3]["dim_X"] == 3
-    # a non-string element name and a misspelled part key
+    # a non-string element name and an element that is not admissible
     assert "element 5 " in rows[4]["status"]
     assert "element None " in rows[5]["status"]
-    assert "unknown part 'mm'" in rows[6]["status"]
+    assert "admissible" in rows[6]["status"]
     # a point without a degree, a point that is not an object, a bad c
     assert "degree None is not" in rows[7]["status"]
     assert "must be an object" in rows[8]["status"]

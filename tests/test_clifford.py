@@ -5,7 +5,9 @@ explicit index lists and products are sorted one adjacent transposition at a
 time, cancelling equal neighbours via c_i^2 = 1.  Slow but independent of the
 bitmask implementation.
 """
+import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from dunkldirac.clifford import (
     SpinorRep,
     _product_table,
     anticommutator_check,
+    monomial_product_check,
     right_multipliers,
     vector_embed,
 )
@@ -248,6 +251,56 @@ def test_spinor_image_is_one_sum_of_scaled_monomials():
             for mask, v in a.coeffs.items():
                 chained = chained + rep._monomial_matrix(mask).scale(v)
             assert rep.sigma(a) == chained
+
+
+def per_pair_clifford_suite(n: int, sig) -> list:
+    """The clifford suite with its monomial check as the plain loop over
+    all 4^n pairs of blades, each product formed on its own: the
+    reference for the stacked check."""
+    from dunkldirac.polyrep import _check_record
+    blades = [CliffordElement(n, {mask: ONE}) for mask in range(1 << n)]
+    images = [sig.sigma(x) for x in blades]
+    herm = all(images[1 << i].dagger() == images[1 << i] for i in range(n))
+    mult = all(sig.sigma(xa * xb) == images[a] @ images[b]
+               for a, xa in enumerate(blades) for b, xb in enumerate(blades))
+    return [_check_record("generator anticommutation relations",
+                          anticommutator_check(n)),
+            _check_record("spinor images of the generators are Hermitian",
+                          herm),
+            _check_record("spinor representation respects every "
+                          "monomial product", mult)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_stacked_monomial_check_matches_the_pairwise_loop(n):
+    """The clifford suite, whose monomial check reads all 4^n products off
+    one stacked product, gives records JSON-equal to the pairwise loop,
+    for the ranks of S3, B2, B3, S4 and I2(4) and beyond; at n = 6 the
+    stacked product runs in five pieces under the GEMM cap."""
+    from dunkldirac.cli import _suite_clifford
+    sig = SpinorRep(n)
+    got = _suite_clifford(SimpleNamespace(n=n, spin=sig), None)
+    want = per_pair_clifford_suite(n, sig)
+    assert json.dumps(got) == json.dumps(want)
+    assert all(r["status"] == "pass" for r in got)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_monomial_check_catches_one_wrong_entry(n):
+    """One entry of one blade's spinor image off by one: the stacked check
+    fails, as does the pairwise comparison of the same images."""
+    sig = SpinorRep(n)
+    size = 1 << n
+    images = [sig.sigma(CliffordElement(n, {mask: ONE}))
+              for mask in range(size)]
+    assert monomial_product_check(images)
+    images[size - 1] = images[size - 1] + Matrix.from_row_dicts(
+        sig.dim, sig.dim, [{0: 1}] + [{}] * (sig.dim - 1))
+    assert not monomial_product_check(images)
+    signs, masks = _product_table(n)
+    assert not all(images[a] @ images[b]
+                   == images[masks[a, b]].scale(int(signs[a, b]))
+                   for a in range(size) for b in range(size))
 
 
 def test_spinor_rep_odd_n_last_generator():

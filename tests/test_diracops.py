@@ -38,7 +38,7 @@ from dunkldirac.diracops import (
     _eigensplit,
     _solve_columns,
 )
-from dunkldirac.linalg import Matrix, hstack, intersection_dim, kernel, rank
+from dunkldirac.linalg import Matrix, intersection_dim, kernel, rank, stack
 from dunkldirac.roots import ParamFunction, root_system
 from dunkldirac.scalars import ExactScalar, IUNIT, ONE, SQRT2, ZERO, rat
 from test_linalg import (random_q_matrix, sympy_is_zero, to_sympy,
@@ -298,7 +298,7 @@ def solve_stacked(basis, target):
     """Reference solve: the free-column identity block of the kernel of
     [basis | target] carries -X in its top rows."""
     cb, ct = basis.ncols, target.ncols
-    ker = kernel(hstack(basis, target))
+    ker = kernel(stack([basis, target], 1))
     assert ker.ncols == ct
     rows = ker.rows
     assert Matrix.from_row_dicts(ct, ct, rows[cb:]) == Matrix.identity(ct)

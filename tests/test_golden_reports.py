@@ -106,9 +106,11 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     the products are as many as before, a block-level sum is brought to
     canonical form once rather than once per term, a Kronecker sum of two
     or more terms is one product rather than one kron per term, and each
-    distinct collected AMA relation is summed once.  Every GEMM multiplies
-    one component plane of each factor, so no right operand is wider than
-    the widest factor, 80 columns.  The twist C2 is built once for the
+    distinct collected AMA relation is decided once.  The AMA sweeps and
+    the Clifford monomial check form their products a few stacked
+    products per degree, and no GEMM runs more than 512,000 = 80^3
+    multiply-adds, the largest single product of the run: on two BLAS
+    threads larger float GEMMs stalled.  The twist C2 is built once for the
     four suites that read it, Z3 once for the pincover and dirac suites,
     and the Jucys-Murphy elements once for the pincover suite and the
     jm:e1 twist."""
@@ -117,10 +119,10 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
              "build_C2": 0, "build_Z3": 0, "jm_elements": 0}
     make, matmul = linalg.Matrix._make, linalg.Matrix.__matmul__
     kron, first_nonzero = linalg.Matrix.kron, polyrep.first_nonzero
-    gemm, gemm_widths = linalg._gemm, set()
+    gemm, gemm_madds = linalg._gemm, set()
 
     def record_gemm(lhs, rhs, exact_float):
-        gemm_widths.add(rhs.shape[1])
+        gemm_madds.add(lhs.shape[0] * lhs.shape[1] * rhs.shape[1])
         return gemm(lhs, rhs, exact_float)
 
     def count_make(*args):
@@ -175,8 +177,11 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # and degree rather than two; 3,014 while each reflection's C[x] block
     # and the identity's came from their own Leibniz recursions, two
     # products per degree, where a reflection now takes one product of its
-    # shared divided difference and the identity none
-    assert calls["matmul"] == 2990
+    # shared divided difference and the identity none; 2,990 while every
+    # AMA product and commutator side, and every Clifford monomial product,
+    # was its own product, where a few stacked products per degree now
+    # hold them all
+    assert calls["matmul"] == 1289
     # 18,427 when every pairwise sum was canonicalised on its own
     assert calls["make"] < 7000
     # 873 with one kron per Kronecker term; 115 before the C[x] blocks came
@@ -185,10 +190,15 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # identity element was a Leibniz recursion tensored with tau(1) rather
     # than `identity_op`
     assert calls["kron"] == 183
-    # 2,820 with every AMA relation summed on its own
-    assert calls["first_nonzero"] == 980
-    # 320 when a product ran against all four components of B side by side
-    assert max(gemm_widths) <= 80
+    # 2,820 with every AMA relation summed on its own; 980 while every
+    # passing AMA combination and commutator was read for its first nonzero
+    # entry degree by degree, where a stacked product's blocks are now
+    # compared by one signed gather-sum
+    assert calls["first_nonzero"] == 256
+    # pinned as widths (at most 80 columns) before the products were
+    # stacked; a stacked operand is wider, and the stall depends on the
+    # multiply-adds
+    assert max(gemm_madds) <= 512_000
     # 5 when the pincover, dirac (twice), vogan and cohomology suites each
     # built their own
     assert calls["build_C2"] == 1
@@ -224,3 +234,26 @@ def test_verify_s4_blocks_hold_only_live_planes(tmp_path, monkeypatch):
         assert blk.num.dtype == "int64"
         assert all(plane.any() for plane in blk.num)
     assert (dirac.num.nbytes, casimir.num.nbytes) == (102400, 51200)
+
+
+def test_b4_ama_suite_gemms_stay_under_the_cap(tmp_path, monkeypatch):
+    """The ama suite on B4 at degree 4 (c long 1/3, short 1/5) passes and
+    runs no GEMM of more than 512,000 multiply-adds, although stacking all
+    390 M_ij and group elements side by side would need 16.7M on one
+    degree-4 block product."""
+    from dunkldirac import linalg
+    gemm, gemm_madds = linalg._gemm, []
+
+    def record_gemm(lhs, rhs, exact_float):
+        gemm_madds.append(lhs.shape[0] * lhs.shape[1] * rhs.shape[1])
+        return gemm(lhs, rhs, exact_float)
+
+    monkeypatch.setattr(linalg, "_gemm", record_gemm)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"group": "B4",
+                                "c": {"long": "1/3", "short": "1/5"},
+                                "max_degree": 4, "suites": ["ama"]}),
+                    encoding="utf-8")
+    report, code = cli.run_verify(cli.load_config(str(path)))
+    assert code == 0 and report["summary"]["fail"] == 0
+    assert max(gemm_madds) <= 512_000

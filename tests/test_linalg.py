@@ -9,9 +9,10 @@ import pytest
 import sympy
 
 from dunkldirac.linalg import (Matrix, _reduce, _signed_numerator,
-                               _stacked, first_nonzero, hstack,
-                               intersection_dim, is_positive_definite,
-                               kernel, rank, signed_sum, sum_of_krons)
+                               _stacked, first_nonzero, intersection_dim,
+                               is_positive_definite, kernel, rank,
+                               signed_sum, stack, stacked_product,
+                               sum_of_krons, vanishing_sums)
 from dunkldirac.scalars import ExactScalar, ONE, SQRT2, ZERO, rat
 
 
@@ -215,7 +216,7 @@ def test_positive_definite():
 def test_intersection_dim():
     a = Matrix.from_rows([[1, 0], [0, 1], [0, 0]])
     b = Matrix.from_rows([[0], [1], [1]])
-    assert rank(hstack(a, b)) == 3
+    assert rank(stack([a, b], 1)) == 3
     assert intersection_dim(a, b) == 0
     c = Matrix.from_rows([[1], [1], [0]])
     assert intersection_dim(a, c) == 1
@@ -622,8 +623,9 @@ def test_every_routine_keeps_only_live_planes(wide):
             (a.scale(s), [[s * x for x in row] for row in da]),
             (a.dagger(), [[da[i][j].conjugate() for i in range(2)]
                           for j in range(3)]),
-            (hstack(a, c, zero), [ra + rc + [ZERO] * 3
-                                  for ra, rc in zip(da, dc)]),
+            (stack([a, c, zero], 1), [ra + rc + [ZERO] * 3
+                                      for ra, rc in zip(da, dc)]),
+            (stack([a, zero, c], 0), da + [[ZERO] * 3] * 2 + dc),
             (a @ b, dense_product(a, b).to_dense()),
             (a.kron(c), dense_kron(a, c).to_dense()),
             (sum_of_krons([(a, c), (c, a), (zero, a)]),
@@ -809,3 +811,80 @@ def test_scale_matches_the_kron_form_and_sympy():
             assert sympy_equal(got, to_sympy_matrix(a) * to_sympy(s))
     assert Matrix(2, 2).scale(SQRT2) == Matrix(2, 2)
     assert Matrix.identity(2).scale(ZERO) == Matrix(2, 2)
+
+
+# -- stacked products and signed gather-sums ------------------------------------
+
+
+def block_of(m: Matrix, i: int, j: int, r: int, c: int) -> Matrix:
+    """Block (i, j) of m cut into r x c blocks."""
+    return Matrix.from_rows([row[j * c:(j + 1) * c]
+                             for row in m.to_dense()[i * r:(i + 1) * r]])
+
+
+@pytest.mark.parametrize("cap", [512_000, 130, 60, 12, 1])
+def test_stacked_product_blocks_are_the_products(monkeypatch, cap):
+    """Block (i, j) of stacked_product is lefts[i] @ rights[j] and the
+    result is canonical, whether it runs whole (the real cap), rights
+    whole against two lefts at a time (130), rights whole against one
+    left (60), or one pair at a time (12, the cost of a pair, and 1, below
+    it); no GEMM exceeds the cap unless one pair does.  The blocks mix
+    denominators and components, one left holds entries past 2^62 and one
+    right is zero."""
+    from dunkldirac import linalg
+    rng = random.Random(2904)
+    lefts = [random_q_matrix(rng, 2, 3) for _ in range(3)]
+    lefts.append(random_q_matrix(rng, 2, 3, big=62))
+    rights = [random_q_matrix(rng, 3, 2) for _ in range(4)] + [Matrix(3, 2)]
+    gemm, madds = linalg._gemm, []
+
+    def record_gemm(lhs, rhs, exact_float):
+        madds.append(lhs.shape[0] * lhs.shape[1] * rhs.shape[1])
+        return gemm(lhs, rhs, exact_float)
+
+    monkeypatch.setattr(linalg, "GEMM_MADDS", cap)
+    monkeypatch.setattr(linalg, "_gemm", record_gemm)
+    got = stacked_product(lefts, rights)
+    assert max(madds) <= max(cap, 2 * 3 * 2)
+    assert_canonical(got)
+    assert got.shape == (8, 10)
+    for i, a in enumerate(lefts):
+        for j, b in enumerate(rights):
+            assert block_of(got, i, j, 2, 2) == a @ b
+    with pytest.raises(ValueError, match="differ in shape"):
+        stacked_product([Matrix(2, 3), Matrix(3, 3)], rights)
+
+
+def test_vanishing_sums_match_signed_sums():
+    """Each signed gather-sum of blocks, taken over two matrices cut into
+    2 x 2 blocks, decides exactly what the signed_sum of the same scaled
+    blocks does: sums that cancel and sums that do not, a coefficient of
+    2, and zero coefficients padding the shorter sums.  With entries near
+    2^59 over denominators 1..6 the rescaled sums pass 2^62 and run on
+    `object` arrays, as does a sum of 2^64, which int64 would wrap to
+    zero."""
+    rng = random.Random(2905)
+    sums = [[(1, 0), (-1, 0)], [(1, 2), (1, 6), (-1, 2), (-1, 6)],
+            [(2, 1), (-1, 1), (-1, 1)], [(1, 3)], [(1, 4), (-1, 5)],
+            [(1, 0), (1, 1)], [(1, 6), (-1, 6), (1, 5)]]
+    width = max(len(t) for t in sums)
+    index = [[k for _, k in t] + [0] * (width - len(t)) for t in sums]
+    coef = [[c for c, _ in t] + [0] * (width - len(t)) for t in sums]
+    for big in (0, 59):
+        mats = [random_q_matrix(rng, 4, 6, big=big),
+                random_q_matrix(rng, 2, 2, big=big)]
+        blocks = [block_of(mats[0], i, j, 2, 2)
+                  for i in range(2) for j in range(3)] + [mats[1]]
+        got = vanishing_sums(mats, (2, 2), index, coef)
+        want = [signed_sum([(1, blocks[k].scale(c)) for c, k in t]).is_zero()
+                for t in sums]
+        assert got.tolist() == want
+        assert want == [True, True, True, False, False, False, False]
+    # 8 * 2^61 = 2^64 wraps to zero in int64: only the object path sees
+    # that the sum does not vanish
+    assert vanishing_sums([Matrix.from_rows([[2 ** 61]])], (1, 1), [[0]],
+                          [[8]]).tolist() == [False]
+    assert vanishing_sums([Matrix(0, 3)], (0, 3), [[0]], [[1]]).tolist() \
+        == [True]
+    with pytest.raises(ValueError, match="does not split"):
+        vanishing_sums([Matrix(3, 3)], (2, 2), [[0]], [[1]])
