@@ -29,8 +29,7 @@ feeds reports and eigenvalue guesses.
 
 Every linear combination, a pairwise sum included, is one `signed_sum`:
 one lcm denominator, one numerator over the union of the terms'
-components accumulated in int64 under a proved 62-bit bound (see
-`_signed_numerator`) or else on `object` arrays, and one
+components accumulated in int64 or else on `object` arrays, and one
 canonicalisation.  A sum of T >= 2 Kronecker products a_t (x) b_t is
 one product (see `sum_of_krons`): the a_t read row-major as columns
 against the b_t read row-major as rows, over their lcm denominators.
@@ -43,8 +42,10 @@ blocks one above the next times the right blocks side by side, block
 (i, j) of the result being the (i, j) product, run in pieces of at most
 `GEMM_MADDS` multiply-adds each.  `vanishing_sums` decides many signed
 sums of blocks at once, one gather of their numerators over one lcm
-denominator, summed in int64 under a proved bound.  Matrices are joined
-by `stack`, all three over the rescale rule of `_signed_numerator`.
+denominator.  Matrices are joined by `stack`.  Every sum, stack and
+gather reads its matrices over one denominator by one rule, `_common`,
+which carries the proof that int64 holds the result or else sends it to
+`object` arrays.
 
 Rank, kernel and the Sylvester positivity test all run through one
 Gauss-Jordan elimination over the field, on the {column: ExactScalar}
@@ -412,28 +413,45 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def _rescaled(mat: Matrix, den: int, wide: bool) -> np.ndarray:
-    """mat's numerator over den, a multiple of mat.den; on `object` arrays
-    when wide, which the caller sets when its bound does not prove int64."""
+def _common(mats, weight: int = 1) -> tuple:
+    """(den, comps, peak, wide) to read the matrices of mats over one
+    denominator in sums of weight: den the lcm of theirs, comps the union
+    of their live components, peak = max_j(bits_j + bitlen(den / den_j))
+    and wide = peak + bitlen(weight) > 62.  Every sum, stack and gather
+    of this module runs on `object` arrays when wide, else in int64.
+
+    Proof: an entry of matrix j rescaled to den is below 2^bits_j *
+    (den / den_j) < 2^peak.  A sum of such entries whose integer
+    coefficients add up to at most weight in absolute value, and each of
+    its partial sums, is below weight * 2^peak < 2^(peak +
+    bitlen(weight)), which is at most 2^62 unless wide.
+    """
+    den = lcm(*(m.den for m in mats))
+    peak = max(m.bits + (den // m.den).bit_length() for m in mats)
+    return den, _union(mats), peak, peak + weight.bit_length() > 62
+
+
+def _planes(mat: Matrix, den: int, comps: tuple, wide: bool) -> np.ndarray:
+    """mat's numerator over den, a multiple of mat.den, on one plane per
+    component of comps, a superset of mat.comps, a plane mat lacks reading
+    zero; on `object` arrays when wide (see `_common`).  A fresh array
+    unless it is mat.num itself, read-only."""
     term = mat.num.astype(object) if wide else mat.num
-    return term if den == mat.den else term * (den // mat.den)
+    if den != mat.den:
+        term = term * (den // mat.den)
+    if mat.comps == comps:
+        return term
+    out = np.zeros((len(comps), *mat.shape), dtype=term.dtype)
+    out[[comps.index(c) for c in mat.comps]] = term
+    return out
 
 
 def _signed_numerator(terms):
     """(num, den, comps): num / den is the sum of sign * M over the
     (sign, M) pairs of terms (signs +-1, one shape), num holding one plane
     per component of comps, the union of the terms' live components; num
-    is not canonical.  den is the lcm of the denominators.
-
-    The sum starts from the first nonzero term, rescaled, when that term
-    has every component of comps, and otherwise from zeros; a term adds
-    only into its own planes.  With k nonzero terms read, it runs in int64
-    while peak + bitlen(k) <= 62, for peak = max_j(bits_j + bitlen(den /
-    den_j)), and on `object` arrays from the first term that breaks it
-    (peak and k only grow).  Proof: a term's entries rescaled to den are
-    below 2^bits_j * (den / den_j) < 2^peak, so every partial sum,
-    rescaled or not, is below k * 2^peak < 2^(bitlen(k) + peak) <= 2^62.
-    """
+    is not canonical.  den is the lcm of the denominators; the k nonzero
+    terms add by the rule of `_common` with weight k."""
     terms = list(terms)
     if not terms:
         raise ValueError("a sum needs at least one term")
@@ -442,39 +460,20 @@ def _signed_numerator(terms):
         if mat.shape != shape:
             raise ValueError(f"shape mismatch {shape} vs {mat.shape}")
     terms = [(sign, mat) for sign, mat in terms if mat.comps]
-    comps = _union(mat for _, mat in terms)
-    num, den, peak, sizes = None, 1, 0, []
+    if not terms:
+        return np.zeros((0, *shape), dtype=np.int64), 1, ()
+    den, comps, _, wide = _common([mat for _, mat in terms], len(terms))
+    num = None
     for sign, mat in terms:
-        top = lcm(den, mat.den)
-        if top != den:
-            peak = max((b + (top // d).bit_length() for b, d in sizes),
-                       default=0)
-        sizes.append((mat.bits, mat.den))
-        peak = max(peak, mat.bits + (top // mat.den).bit_length())
-        wide = peak + len(sizes).bit_length() > 62
-        term = _rescaled(mat, top, wide)
-        if num is None and mat.comps == comps:
+        term = _planes(mat, den, comps, wide)
+        if num is None:
             # mat.num is read-only: the accumulator owns its array
             num = -term if sign < 0 else (
                 term.copy() if term is mat.num else term)
+        elif sign > 0:
+            num += term
         else:
-            if num is None:  # the first term lacks a plane of comps
-                num = np.zeros((len(comps), *shape), dtype=term.dtype)
-            else:
-                if wide:
-                    num = num.astype(object, copy=False)
-                if top != den:
-                    num *= top // den
-            op = np.add if sign > 0 else np.subtract
-            if mat.comps == comps:
-                op(num, term, out=num)
-            else:
-                for c, plane in zip(mat.comps, term):
-                    k = comps.index(c)
-                    op(num[k], plane, out=num[k])
-        den = top
-    if num is None:
-        num = np.zeros((0, *shape), dtype=np.int64)
+            num -= term
     return num, den, comps
 
 
@@ -492,55 +491,13 @@ def first_nonzero(terms):
     return divmod(int(spots[0]), num.shape[2]) if spots.size else None
 
 
-def _common(mats) -> tuple:
-    """(den, comps, peak) for reading the matrices of mats over one
-    denominator: den the lcm of theirs, comps the union of their live
-    components, and peak = max_j(bits_j + bitlen(den / den_j)), so that
-    every entry rescaled to den is below 2^peak."""
-    den = lcm(*(m.den for m in mats))
-    return (den, _union(mats),
-            max(m.bits + (den // m.den).bit_length() for m in mats))
-
-
-def _planes(mat: Matrix, den: int, comps: tuple, wide: bool) -> np.ndarray:
-    """mat's numerator over den (see `_rescaled`) on one plane per
-    component of comps, a superset of mat.comps, a plane mat lacks reading
-    zero."""
-    term = _rescaled(mat, den, wide)
-    if mat.comps == comps:
-        return term
-    out = np.zeros((len(comps), *mat.shape), dtype=term.dtype)
-    out[[comps.index(c) for c in mat.comps]] = term
-    return out
-
-
-def _stacked(mats, axes) -> Matrix:
-    """The T matrices of mats, all of one shape, each read row-major over
-    their lcm denominator: an array of shape (T, len(comps), rows * cols)
-    over the union comps of their live components, a matrix without a
-    component reading zero there, its axes then permuted by axes.  Not
-    canonical, and only ever a product's operand: `bits` bounds the
-    entries rather than being their bit length, which is all `_fits`
-    reads.  The entries widen to `object` by the rule of
-    `_signed_numerator` for one term: a rescaled entry is below 2^peak
-    (see `_common`), so int64 holds it when peak + bitlen(1) <= 62."""
-    den, comps, peak = _common(mats)
-    size = mats[0].nrows * mats[0].ncols
-    num = np.stack([_planes(m, den, comps, peak + 1 > 62)
-                    .reshape(len(comps), size) for m in mats])
-    return Matrix._build(num.transpose(axes), den, peak, comps)
-
-
 def _joined(mats, axis: int) -> tuple:
     """(num, den, comps, peak) of the matrices of mats one above the next
-    (axis 0) or side by side (axis 1), each rescaled to their lcm
-    denominator den over the union comps of their live components: in
-    int64 by the rule of `_stacked`, every entry below 2^peak (see
-    `_common`), and on `object` arrays only past it.  num is not
+    (axis 0) or side by side (axis 1), read by `_common(mats)`; num is not
     canonical."""
-    den, comps, peak = _common(mats)
-    num = np.concatenate([_planes(m, den, comps, peak + 1 > 62)
-                          for m in mats], axis=axis + 1)
+    den, comps, peak, wide = _common(mats)
+    num = np.concatenate([_planes(m, den, comps, wide) for m in mats],
+                         axis=axis + 1)
     return num, den, comps, peak
 
 
@@ -558,12 +515,20 @@ def stack(mats, axis: int) -> Matrix:
 
 
 def _operand(mats, axis: int) -> Matrix:
-    """`stack(mats, axis)` as a product's operand only, like `_stacked`'s:
-    `bits` is the bound peak, and the form is not canonical."""
+    """`stack(mats, axis)` as a product's operand only: not canonical, and
+    `bits` is the bound peak rather than the entries' bit length, which is
+    all `_fits` reads."""
     if len(mats) == 1:
         return mats[0]
     num, den, comps, peak = _joined(mats, axis)
     return Matrix._build(num, den, peak, comps)
+
+
+def _reshaped(mat: Matrix, rows: int, cols: int) -> Matrix:
+    """mat's entries read row-major into a rows x cols matrix, canonical
+    as mat is: den, bits and comps do not depend on the shape."""
+    num = mat.num.reshape(len(mat.comps), rows, cols)
+    return Matrix._build(num, mat.den, mat.bits, mat.comps)
 
 
 # the most multiply-adds one GEMM of `stacked_product` may run: 80^3, as
@@ -611,10 +576,8 @@ def vanishing_sums(mats, shape, index, coef) -> np.ndarray:
     sum_t coef[s, t] B_index[s, t] over the S x T integer arrays index and
     coef (a zero coefficient pads a shorter sum).  All blocks are read
     over the lcm denominator, so each sum is one gather of its blocks'
-    numerators, summed: in int64 when peak + bitlen(w) <= 62, w the
-    largest sum of |coef[s, t]| over t and peak as in `_common`, else on
-    `object` arrays.  Proof: every rescaled entry is below 2^peak, so
-    every partial sum is below w 2^peak < 2^(peak + bitlen(w)) <= 2^62.
+    numerators, summed in int64 unless `_common` with weight the largest
+    sum of |coef[s, t]| over t rules it out.
     """
     index, coef = np.asarray(index), np.asarray(coef)
     r, c = shape
@@ -622,9 +585,8 @@ def vanishing_sums(mats, shape, index, coef) -> np.ndarray:
         return np.ones(len(index), dtype=bool)
     if any(m.nrows % r or m.ncols % c for m in mats):
         raise ValueError(f"a matrix does not split into {r} x {c} blocks")
-    den, comps, peak = _common(mats)
     weight = int(np.abs(coef).sum(axis=1).max(initial=0))
-    wide = peak + weight.bit_length() > 62
+    den, comps, _, wide = _common(mats, weight)
     blocks = []
     for m in mats:
         rows, cols = m.nrows // r, m.ncols // c
@@ -653,15 +615,16 @@ def sum_of_krons(pairs) -> Matrix:
     (k, l)] = sum_t a_t[i, j] b_t[k, l], which is entry ((i, k), (j, l))
     of the sum.  So the sum's entries are a permutation of the product's,
     and the product's canonical den, bits and comps are the sum's: the
-    permuted planes need no second canonicalisation.  The product runs
-    through `Matrix.__matmul__` and its proved bounds, with k = T.
+    permuted planes need no second canonicalisation.  P and Q are
+    `_operand`s over `_common`, and the product runs through
+    `Matrix.__matmul__` and its proved bounds, with k = T.
     """
     (a, b), *rest = pairs
     if not rest:
         return a.kron(b)
     (r1, c1), (r2, c2) = a.shape, b.shape
-    prod = (_stacked([a for a, _ in pairs], (1, 2, 0))
-            @ _stacked([b for _, b in pairs], (1, 0, 2)))
+    prod = (_operand([_reshaped(a, r1 * c1, 1) for a, _ in pairs], 1)
+            @ _operand([_reshaped(b, 1, r2 * c2) for _, b in pairs], 0))
     k = len(prod.comps)
     num = prod.num.reshape(k, r1, c1, r2, c2).transpose(0, 1, 3, 2, 4)
     return Matrix._build(num.reshape(k, r1 * r2, c1 * c2), prod.den,

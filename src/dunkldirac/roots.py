@@ -414,7 +414,7 @@ def root_system(name_or_spec) -> RootSystem:
         name = "B2"
     if name == "A1":
         return RootSystem(1, [[1]], name="A1")
-    kind, num = name[0], name[1:]
+    kind, num = name[:1], name[1:]
     if not num.isdigit():
         raise ValueError(f"unknown root system {name!r}")
     k = int(num)

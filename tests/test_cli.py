@@ -326,6 +326,9 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
     ({"group": "S3", "elements": {"typo": {"mm": [[0, "1"]]}}},
      "error: elements[typo]: unknown part 'mm'; parts are p, m, gp and "
      "gm\n"),
+    # an empty or blank name is an unknown one, not an index error
+    ({"group": ""}, "error: group: unknown root system ''\n"),
+    ({"group": "  "}, "error: group: unknown root system ''\n"),
 ], ids=["order-above-bound", "tau-missing-simple-root", "tau-unknown-name",
         "coroot-norm-outside-field", "no-roots", "roots-missing",
         "repeated-root", "opposite-root", "roots-not-closed",
@@ -338,7 +341,7 @@ def test_verify_bad_config_is_usage_error(tmp_path, capsys):
         "tau-matrix-size-differs", "tau-form-size-differs",
         "tau-matrix-not-rows", "tau-form-not-rows", "tau-row-not-a-list",
         "element-not-a-map", "element-index-out-of-range",
-        "element-misspelled-part"])
+        "element-misspelled-part", "group-name-empty", "group-name-blank"])
 def test_unusable_config_exits_two_with_one_line(tmp_path, capsys,
                                                  overrides, prefix):
     path = write_config(tmp_path, **overrides)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import sympy
 
-from dunkldirac.linalg import (Matrix, _reduce, _signed_numerator,
-                               _stacked, first_nonzero, intersection_dim,
+from dunkldirac.linalg import (Matrix, _operand, _reduce,
+                               _signed_numerator, first_nonzero,
+                               intersection_dim,
                                is_positive_definite, kernel, rank,
                                signed_sum, stack, stacked_product,
                                sum_of_krons, vanishing_sums)
@@ -631,6 +632,11 @@ def test_every_routine_keeps_only_live_planes(wide):
             (sum_of_krons([(a, c), (c, a), (zero, a)]),
              dense_sum((1, dense_kron(a, c).to_dense()),
                        (1, dense_kron(c, a).to_dense()))),
+            # transposed planes, which the row-major reading must copy
+            (sum_of_krons([(a.dagger(), c.dagger()),
+                           (c.dagger(), a.dagger())]),
+             dense_sum((1, dense_kron(a.dagger(), c.dagger()).to_dense()),
+                       (1, dense_kron(c.dagger(), a.dagger()).to_dense()))),
         ]
         for got, want in checks:
             assert_canonical(got)
@@ -712,6 +718,12 @@ def test_signed_sum_takes_int64_exactly_up_to_the_62_bit_bound(top_bits,
     got = signed_sum(terms)
     assert_canonical(got)
     assert got == Matrix._make(np.array(want, dtype=object), den)
+    # a stack adds nothing, weight 1: one bit more on both terms gives the
+    # peak top_bits + 3, so 61 at 58 and 62, past the bound, at 59
+    mats = [peaked(top_bits + 1, 1), peaked(top_bits + 2, 3)]
+    assert _operand(mats, 0).num.dtype == dtype
+    assert stack(mats, 0) == Matrix.from_rows(
+        [[m.get(0, j) for j in range(2)] for m in mats])
 
 
 def test_signed_sum_of_a_cancelling_combination_is_the_canonical_zero():
@@ -770,7 +782,7 @@ def test_kron_sum_is_the_sum_of_its_krons():
     for m in keys:
         stacked = [blk[m] for blk in blocks]
         assert len({a.den for a in stacked}) > 1
-        assert _stacked(stacked, (0, 1, 2)).num.dtype == object
+        assert _operand(stacked, 0).num.dtype == object
         assert _signed_numerator([(1, a) for a in stacked])[0].dtype == object
     for count in (0, 1, 3):
         op = kron_sum(Slices, -1, keys, terms[:count])
@@ -880,10 +892,12 @@ def test_vanishing_sums_match_signed_sums():
                 for t in sums]
         assert got.tolist() == want
         assert want == [True, True, True, False, False, False, False]
-    # 8 * 2^61 = 2^64 wraps to zero in int64: only the object path sees
-    # that the sum does not vanish
-    assert vanishing_sums([Matrix.from_rows([[2 ** 61]])], (1, 1), [[0]],
-                          [[8]]).tolist() == [False]
+    # 8 * 2^61 = 32 * 2^59 = 2^64 wraps to zero in int64: only the object
+    # path sees that the sum does not vanish.  2^59 alone has the peak 61,
+    # inside the bound, so only the weight 32 of the sum sends it there.
+    for entry, weight in ((2 ** 61, 8), (2 ** 59, 32)):
+        assert vanishing_sums([Matrix.from_rows([[entry]])], (1, 1), [[0]],
+                              [[weight]]).tolist() == [False]
     assert vanishing_sums([Matrix(0, 3)], (0, 3), [[0]], [[1]]).tolist() \
         == [True]
     with pytest.raises(ValueError, match="does not split"):
