@@ -21,12 +21,9 @@ from .polyrep import (
     GradedOperator,
     ModuleFamily,
     TauRep,
-    adjointness_check,
     builtin_rep,
-    classical_harmonic_dim,
     contravariant_form,
     custom_rep,
-    harmonic_dims,
     harmonic_subspace,
     rca_relation_check,
 )
@@ -56,7 +53,6 @@ from .angmom import (
     casimir_centrality_check,
     centralizer_check,
     msquared_identities_check,
-    report_passes,
 )
 from .diracops import (
     CohomologyResult,
@@ -66,7 +62,6 @@ from .diracops import (
     build_context,
     build_dirac,
     c2_decomposition_check,
-    center_transport,
     central_character_check,
     dirac_cohomology,
     dirac_in_basis,
@@ -87,20 +82,20 @@ __all__ = [
     "HALF", "HatElement", "IUNIT", "Matrix",
     "ModuleFamily", "ONE", "ParamFunction", "PinCover",
     "ReflectionGroup", "RootSystem", "SQRT2", "SpinorRep", "TauRep",
-    "ZERO", "adjointness_check", "ama_relations_check",
+    "ZERO", "ama_relations_check",
     "anticommutator_check", "basis_independence_check",
     "build_C2", "build_T", "build_T_bullet", "build_Z3",
     "build_context", "build_dirac",
     "builtin_rep", "c2_decomposition_check", "casimir_centrality_check",
-    "center_shift", "center_transport", "central_character_check",
-    "centralizer_check", "classical_harmonic_dim", "contravariant_form",
+    "center_shift", "central_character_check",
+    "centralizer_check", "contravariant_form",
     "custom_rep", "dirac_cohomology", "dirac_in_basis",
-    "dirac_square_check", "harmonic_dims", "harmonic_spin_basis",
+    "dirac_square_check", "harmonic_spin_basis",
     "harmonic_subspace", "intersection_dim", "is_admissible",
     "is_positive_definite", "jm_elements", "jm_symmetric_elements",
     "jucys_murphy", "kernel", "msquared_identities_check",
     "nonzero_cohomology_search", "rat",
-    "rca_relation_check", "report_passes", "rho_invariance_check",
+    "rca_relation_check", "rho_invariance_check",
     "root_system", "scasimir_check", "unitarity_and_spectrum",
     "vector_embed", "vogan_witness_check", "ztilde",
 ]

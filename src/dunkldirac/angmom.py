@@ -158,10 +158,6 @@ class AmaContext:
 # -- reports -------------------------------------------------------------------
 
 
-def report_passes(records: list) -> bool:
-    return all(r["status"] == "pass" for r in records)
-
-
 def _index_tuples(n: int):
     for i in range(1, n + 1):
         for j in range(1, n + 1):

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import Matrix, signed_sum, stacked_product, vanishing_sums
-from .scalars import Combination, ExactScalar, IUNIT, ONE, ZERO, as_scalar
+from .scalars import Combination, IUNIT, ONE, ZERO, as_scalar
 
 
 def _merge_sign_and_mask(s: int, t: int) -> tuple[int, int]:
@@ -84,64 +84,6 @@ class CliffordElement(Combination):
 
     def __bool__(self):
         return not self.is_zero()
-
-    # -- involutions -------------------------------------------------------
-
-    def _signed(self, flip, conj: bool) -> "CliffordElement":
-        """Each monomial of degree k times (-1)^flip(k), with conjugated
-        coefficients when conj."""
-        out = {}
-        for m, v in self.coeffs.items():
-            if conj:
-                v = v.conjugate()
-            out[m] = -v if flip(m.bit_count()) & 1 else v
-        return self._like(out)
-
-    def grading_sign(self) -> "CliffordElement":
-        """epsilon: multiply odd-degree monomials by -1."""
-        return self._signed(lambda k: k, False)
-
-    def reversal(self) -> "CliffordElement":
-        """Transpose: reverse each monomial, sign (-1)^(k(k-1)/2)."""
-        return self._signed(lambda k: k * (k - 1) // 2, False)
-
-    def star(self) -> "CliffordElement":
-        """The anti-linear anti-involution epsilon o reversal, with complex
-        conjugation of coefficients."""
-        return self._signed(lambda k: k * (k + 1) // 2, True)
-
-    def conjugate_reversal(self) -> "CliffordElement":
-        """Anti-linear reversal, without the grading sign.
-
-        With c_i^2 = +1 the spinor matrices of the generators are Hermitian,
-        so this (not star) is the involution matching the matrix adjoint;
-        the two agree on the even subalgebra.
-        """
-        return self._signed(lambda k: k * (k - 1) // 2, True)
-
-    def spinorial_norm(self) -> "CliffordElement":
-        return self.star() * self
-
-    def is_even(self) -> bool:
-        return all(m.bit_count() % 2 == 0 for m in self.coeffs)
-
-    def is_odd(self) -> bool:
-        return all(m.bit_count() % 2 == 1 for m in self.coeffs)
-
-    def degree_parts(self):
-        """Dict degree -> CliffordElement."""
-        parts: dict = {}
-        for m, v in self.coeffs.items():
-            parts.setdefault(m.bit_count(), {})[m] = v
-        return {k: CliffordElement(self.n, d) for k, d in sorted(parts.items())}
-
-    def scalar_part(self) -> ExactScalar:
-        return self.coeffs.get(0, ZERO)
-
-    # -- structure -----------------------------------------------------------
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.coeffs.items()))))
 
     def __str__(self):
         if not self.coeffs:

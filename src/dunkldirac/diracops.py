@@ -399,36 +399,6 @@ def c2_decomposition_check(dctx: DiracContext) -> list:
     return records
 
 
-# -- center transport ------------------------------------------------------------
-
-
-def center_transport(dctx: DiracContext, poly: dict,
-                     twist: HatElement) -> HatElement:
-    """Push a central polynomial through the kernel correspondence.
-
-    poly maps exponent pairs (a, b) to coefficients, encoding
-    sum coeff . casimir^a . (point reflection)^b.  The image substitutes
-    twist^2 - 1 for the Casimir and the extension factor for the point
-    reflection; terms with odd b demand that -1 lie in the group.
-    """
-    cov = dctx.cover
-    base = twist * twist - HatElement.one(cov)
-    out = HatElement.zero(cov)
-    for (a, b), coeff in sorted(poly.items()):
-        if a < 0 or b < 0:
-            raise ValueError("exponents must be nonnegative")
-        if b % 2 and not cov.has_g():
-            raise ValueError("the point-reflection factor needs -1 "
-                             "in the group")
-        term = HatElement.one(cov)
-        for _ in range(a):
-            term = term * base
-        if b % 2:
-            term = term * HatElement.g(cov)
-        out = out + term.scale(as_scalar(coeff))
-    return out
-
-
 def vogan_witness_check(dctx: DiracContext, twist: HatElement,
                         max_power: int = 2, name: str = "C") -> list:
     """Witness recursion for the lifted center.

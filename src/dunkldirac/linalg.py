@@ -251,9 +251,6 @@ class Matrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.num.any(axis=0)))
-
     def is_zero(self) -> bool:
         return not self.comps
 
@@ -349,22 +346,12 @@ class Matrix:
         return self._scalar(
             self.num.diagonal(axis1=1, axis2=2).sum(axis=1).tolist())
 
-    def key(self):
-        """Hashable canonical form (shape, den, comps, entries)."""
-        num = self.num
-        body = (tuple(num.ravel().tolist()) if num.dtype == object
-                else num.tobytes())
-        return (self.shape, self.den, self.comps, body)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.shape == other.shape and self.den == other.den
                 and self.comps == other.comps
                 and np.array_equal(self.num, other.num))
-
-    def __hash__(self):
-        return hash(self.key())
 
     def is_scalar_multiple_of_identity(self):
         """Return the scalar if self == s*I, else None."""
@@ -410,7 +397,7 @@ class Matrix:
         return arr
 
     def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+        return f"Matrix({self.nrows}x{self.ncols})"
 
 
 def _common(mats, weight: int = 1) -> tuple:
@@ -703,7 +690,10 @@ def kernel(m: Matrix) -> Matrix:
 
 
 def intersection_dim(a: Matrix, b: Matrix) -> int:
-    """dim(colspace(a) & colspace(b)) by inclusion-exclusion on ranks."""
+    """dim(colspace(a) & colspace(b)) by inclusion-exclusion on ranks.
+
+    The engine never calls it; it stays as a library entry point that the
+    benchmark tracer (`perfbench/tracer.py`) wraps by name."""
     ra, rb = rank(a), rank(b)
     return ra + rb - rank(stack([a, b], 1))
 

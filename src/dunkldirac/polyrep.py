@@ -45,7 +45,6 @@ from collections import namedtuple
 from collections.abc import Mapping
 from functools import partial
 from itertools import chain
-from math import comb
 
 from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
                      signed_sum, stack, sum_of_krons)
@@ -216,9 +215,6 @@ class GradedOperator:
         self.shift = shift
         self.blocks = DegreeMemo(keys, build)
 
-    def degrees(self):
-        return list(self.blocks)
-
     def block(self, m: int) -> Matrix:
         """Block m; below degree 0 a synthesized zero-column matrix."""
         if m >= 0:
@@ -262,11 +258,6 @@ class GradedOperator:
     def anticommutator(self, other: "GradedOperator") -> "GradedOperator":
         return (self @ other) + (other @ self)
 
-    def __eq__(self, other):
-        return (isinstance(other, GradedOperator)
-                and self.family is other.family and self.shift == other.shift
-                and self.blocks == other.blocks)
-
     def matches(self, other: "GradedOperator") -> bool:
         """Equality on the degrees both sides know about."""
         return self.first_mismatch(other) is None
@@ -284,11 +275,6 @@ class GradedOperator:
                 a, b = self.blocks[m], other.blocks[m]
                 return (m, spot, a.get(*spot), b.get(*spot))
         return None
-
-    def is_zero(self) -> bool:
-        if not self.blocks:
-            raise ValueError("operator has no valid degrees")
-        return all(b.is_zero() for b in self.blocks.values())
 
 
 class _Sum(list):
@@ -445,9 +431,6 @@ class ModuleFamily:
         self._tau_one = Matrix.identity(self.tau.dim)
 
     # -- bases ---------------------------------------------------------------
-
-    def monomials(self, m: int):
-        return self._monos[m]
 
     def dim(self, m: int) -> int:
         if m < 0:
@@ -677,17 +660,6 @@ def harmonic_subspace(family: ModuleFamily, m: int) -> Matrix:
     return family._harmonics[m]
 
 
-def harmonic_dims(family: ModuleFamily):
-    return [harmonic_subspace(family, m).ncols
-            for m in range(family.max_degree + 1)]
-
-
-def classical_harmonic_dim(n: int, m: int) -> int:
-    """dim of degree-m harmonics for the ordinary Laplacian, trivial tau."""
-    below = comb(m - 2 + n - 1, n - 1) if m >= 2 else 0
-    return comb(m + n - 1, n - 1) - below
-
-
 def contravariant_form(family: ModuleFamily, m: int) -> Matrix:
     """Gram matrix of the pairing that makes y_i adjoint to x_i.
 
@@ -717,17 +689,3 @@ def _gram_block(family: ModuleFamily, k: int) -> Matrix:
     if mat.dagger() != mat:
         raise RuntimeError("contravariant form came out non-Hermitian")
     return mat
-
-
-def adjointness_check(family: ModuleFamily) -> bool:
-    """x_i^dagger G_{m+1} = G_m y_i for all i and all degrees below the top."""
-    for m in range(family.max_degree):
-        g_low = contravariant_form(family, m)
-        g_high = contravariant_form(family, m + 1)
-        for i in range(1, family.n + 1):
-            lhs = family.x_op(i).blocks[m].dagger() @ g_high
-            rhs = g_low @ family.y_op(i).blocks[m + 1]
-            if lhs != rhs:
-                return False
-    return True
-

@@ -258,9 +258,8 @@ class ReflectionGroup:
     built on first use.
     """
 
-    def __init__(self, rs: RootSystem, bound: int = GROUP_ORDER_BOUND):
+    def __init__(self, rs: RootSystem):
         self.rs = rs
-        rs.reflections()  # each reflection matrix must square to I
         gens = np.array(rs.reflection_permutations, dtype=np.intp)
         perms = [np.arange(2 * len(rs.positive_roots), dtype=np.intp)]
         self.words = [()]
@@ -283,9 +282,9 @@ class ReflectionGroup:
                         self.words.append(self.words[ei] + (gi,))
                         self.parents.append(ei)
                         next_frontier.append(len(perms) - 1)
-                        if len(perms) > bound:
-                            raise ValueError(
-                                f"group order exceeds bound {bound}")
+                        if len(perms) > GROUP_ORDER_BOUND:
+                            raise ValueError("group order exceeds bound "
+                                             f"{GROUP_ORDER_BOUND}")
                     row.append(self._index[k])
                 right.append(row)
             frontier = next_frontier
@@ -353,13 +352,6 @@ class ReflectionGroup:
             cur = self.mul(cur, i)
             k += 1
         return k
-
-    def conjugacy_classes(self):
-        """List of sorted element-index lists, ordered by least element."""
-        mul, inv = self.mul_table, self.inv_table
-        return [list(c) for c in sorted(
-            {tuple(np.unique(mul[mul[:, i], inv]).tolist())
-             for i in range(self.order)})]
 
 
 # -- built-in systems --------------------------------------------------------

@@ -135,11 +135,6 @@ class ExactScalar:
     def is_rational(self) -> bool:
         return self._q == 0 and self._r == 0 and self._s == 0
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self}")
-        return Fraction(self._p, self._den)
-
     # -- arithmetic --
 
     @staticmethod
@@ -174,12 +169,6 @@ class ExactScalar:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        o = ExactScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = ExactScalar._coerce(other)
@@ -219,20 +208,9 @@ class ExactScalar:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = ExactScalar._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def conjugate(self) -> "ExactScalar":
         """Complex conjugation: i -> -i."""
         return ExactScalar._raw(self._p, self._q, -self._r, -self._s,
-                                self._den)
-
-    def surd_conjugate(self) -> "ExactScalar":
-        """Galois twist sqrt2 -> -sqrt2."""
-        return ExactScalar._raw(self._p, -self._q, self._r, -self._s,
                                 self._den)
 
     def sign_real(self) -> int:

@@ -20,11 +20,10 @@ from dunkldirac import (
     c2_decomposition_check,
     central_character_check,
     centralizer_check,
-    classical_harmonic_dim,
     contravariant_form,
     dirac_cohomology,
     dirac_square_check,
-    harmonic_dims,
+    harmonic_subspace,
     is_admissible,
     is_positive_definite,
     jm_elements,
@@ -32,7 +31,6 @@ from dunkldirac import (
     msquared_identities_check,
     nonzero_cohomology_search,
     rca_relation_check,
-    report_passes,
     root_system,
     scasimir_check,
     unitarity_and_spectrum,
@@ -40,6 +38,8 @@ from dunkldirac import (
 )
 from dunkldirac import ParamFunction
 from dunkldirac import cli
+
+from oracles import classical_harmonic_dim, report_passes, same_operator
 
 GRID_GROUPS = (("S2", 4), ("S3", 4), ("S4", 2), ("B2", 4))
 GRID_CS = (Fraction(0), Fraction(1, 2), Fraction(-1, 3))
@@ -85,7 +85,7 @@ def test_02_crossing_relations_and_trace():
     a = dctx("S3", Fraction(1, 2), 4).ama
     total = a.S(1, 1) + a.S(2, 2) + a.S(3, 3)
     want = a.family.scalar_op(3) + a.Z.scale(2)
-    if total != want:
+    if not same_operator(total, want):
         bad.append("S3 diagonal sum")
     _report(2, "crossing relations and the diagonal sum", not bad, str(bad))
 
@@ -190,7 +190,8 @@ def test_11_harmonics_and_unitarity():
     bad = []
     for name, deg in GRID_GROUPS:
         d = dctx(name, Fraction(0), deg)
-        dims = harmonic_dims(d.family)
+        dims = [harmonic_subspace(d.family, m).ncols
+                for m in range(deg + 1)]
         want = [classical_harmonic_dim(d.n, m) for m in range(deg + 1)]
         if dims != want:
             bad.append(f"{name} harmonic dims {dims} != {want}")

@@ -30,6 +30,8 @@ from dunkldirac.cover import (
 from dunkldirac.roots import ParamFunction, root_system
 from dunkldirac.scalars import HALF, IUNIT, ONE, SQRT2, rat
 
+from oracles import conjugacy_classes, star
+
 
 def make(name):
     rs = root_system(name)
@@ -80,7 +82,7 @@ def test_spinorial_norm_of_lifts_tracks_length():
     cov = make("S3")
     for i, word in enumerate(cov.group.words):
         lift = cov.lifts[i]
-        norm = lift.star() * lift
+        norm = star(lift) * lift
         want = CliffordElement.scalar(3, 1 if len(word) % 2 == 0 else -1)
         assert norm == want
 
@@ -529,5 +531,5 @@ def test_cover_checks_at_the_order_bound(name, classes):
     assert cov.conjugation_sign_check()
     assert cov.braid_sign_check()
     assert cov.cocycle_identity_check()
-    sizes = [len(c) for c in cov.group.conjugacy_classes()]
+    sizes = [len(c) for c in conjugacy_classes(cov.group)]
     assert len(sizes) == classes and sum(sizes) == cov.group.order

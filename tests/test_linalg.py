@@ -16,6 +16,8 @@ from dunkldirac.linalg import (Matrix, _operand, _reduce,
                                sum_of_krons, vanishing_sums)
 from dunkldirac.scalars import ExactScalar, ONE, SQRT2, ZERO, rat
 
+from oracles import rational
+
 
 def random_matrix(rng, nrows, ncols, density=0.6):
     rows = [{} for _ in range(nrows)]
@@ -51,7 +53,7 @@ def test_rank_matches_fraction_oracle():
     for _ in range(60):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         m = random_matrix(rng, nr, nc)
-        dense = [[m.get(i, j).as_rational() for j in range(nc)]
+        dense = [[rational(m.get(i, j)) for j in range(nc)]
                  for i in range(nr)]
         assert rank(m) == naive_rank_fraction(dense)
 
@@ -324,15 +326,15 @@ def test_canonical_form():
                   (a - b) + b,
                   a.kron(Matrix.identity(1))]
         for m in routes:
-            assert m == a and hash(m) == hash(a) and m.key() == a.key()
+            assert m == a and m.num.dtype == a.num.dtype
         # each entry of the float array is rounded from its own reduced form
         arr = a.to_complex()
         assert all(arr[i, j] == a.get(i, j).to_complex()
                    for i in range(3) for j in range(3))
     big = Matrix.from_rows([[2 ** 63, 1], [0, ExactScalar(0, 0, 0, -2 ** 80)]])
     assert_canonical(big)
-    assert big.num.dtype == object and hash(big) == hash(Matrix.from_rows(
-        [[2 ** 63, 1], [0, ExactScalar(0, 0, 0, -2 ** 80)]]))
+    assert big.num.dtype == object and big == Matrix.from_rows(
+        [[2 ** 63, 1], [0, ExactScalar(0, 0, 0, -2 ** 80)]])
     assert big.scale(Fraction(1, 2 ** 80)).num.dtype == object
     third = Matrix.from_rows([[Fraction(2 ** 63, 3), 0]])
     assert third.num.dtype == object and third.den == 3
@@ -604,12 +606,11 @@ def test_every_routine_keeps_only_live_planes(wide):
         b = subset_matrix(rng, 3, 3, SUBSETS[(4 * n + 1) % 15])
         da, db, dc = a.to_dense(), b.to_dense(), c.to_dense()
         assert_canonical(a)
-        # reading entries: get, rows, to_complex, key and equality
+        # reading entries: get, rows, to_complex and equality
         assert all(a.get(i, j) == da[i][j] for i in range(2)
                    for j in range(3))
         assert Matrix.from_row_dicts(2, 3, a.rows) == a
-        assert a == Matrix.from_rows(da) and hash(a) == hash(
-            Matrix.from_rows(da))
+        assert a == Matrix.from_rows(da)
         assert a != c or ca == cb
         arr = a.to_complex()
         assert all(arr[i, j] == da[i][j].to_complex() for i in range(2)
@@ -786,7 +787,7 @@ def test_kron_sum_is_the_sum_of_its_krons():
         assert _signed_numerator([(1, a) for a in stacked])[0].dtype == object
     for count in (0, 1, 3):
         op = kron_sum(Slices, -1, keys, terms[:count])
-        assert op.shift == -1 and op.degrees() == keys
+        assert op.shift == -1 and list(op.blocks) == keys
         for m in keys:
             got = op.blocks[m]
             assert_canonical(got)
