@@ -66,7 +66,6 @@ from .diracops import (
     dirac_cohomology,
     dirac_in_basis,
     dirac_square_check,
-    harmonic_spin_basis,
     nonzero_cohomology_search,
     rho_invariance_check,
     scasimir_check,
@@ -90,7 +89,7 @@ __all__ = [
     "center_shift", "central_character_check",
     "centralizer_check", "contravariant_form",
     "custom_rep", "dirac_cohomology", "dirac_in_basis",
-    "dirac_square_check", "harmonic_spin_basis",
+    "dirac_square_check",
     "harmonic_subspace", "intersection_dim", "is_admissible",
     "is_positive_definite", "jm_elements", "jm_symmetric_elements",
     "jucys_murphy", "kernel", "msquared_identities_check",

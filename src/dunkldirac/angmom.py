@@ -174,12 +174,12 @@ def _m_key(i: int, j: int):
     return (1, (i, j)) if i < j else (-1, (j, i))
 
 
-def ama_relations_check(ctx: AmaContext, tuples=None) -> list:
+def ama_relations_check(ctx: AmaContext) -> list:
     """Commutation and crossing relations over index tuples, plus S_ij = S_ji.
 
     [M_ij, M_kl] = M_il S_jk + M_jk S_il - M_ik S_jl - M_jl S_ik and
     M_ij M_kl + M_jk M_il + M_ki M_jl = M_ij S_kl + M_jk S_il + M_ki S_jl,
-    for all 1 <= i,j,k,l <= n by default.
+    for all 1 <= i,j,k,l <= n.
 
     Every product is M_ij @ M_kl or M_ij @ S_kl.  Since `AmaContext.M`
     defines M_ji = -M_ij and M_ii = 0, each is +-(M_ab @ M_cd) or
@@ -227,8 +227,7 @@ def ama_relations_check(ctx: AmaContext, tuples=None) -> list:
                 [mul(1, i, j, "S", k, l), mul(1, j, k, "S", i, l),
                  mul(1, k, i, "S", j, l)])
 
-    relations = [(kind, t) for t in (tuples if tuples is not None
-                                     else _index_tuples(n))
+    relations = [(kind, t) for t in _index_tuples(n)
                  for kind in ("commutation", "crossing")]
     distinct: dict = {}  # one object per distinct combination
     combos = [distinct.setdefault(c, c) for c in (

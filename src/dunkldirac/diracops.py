@@ -12,11 +12,11 @@ eigenvalue candidates that an exact kernel then confirms or discards.
 Contents: the degree-preserving Dirac element sum_{i<j} M_ij c_i c_j with
 its overlap-partitioned square, the twisted family (D - phi) + rho(C) for
 admissible twists, bracket identities for the raising and lowering odd
-elements, the center transport Omega -> C^2 - 1 with its witness
-recursion, kernel cohomology on harmonic slices, central characters
-refined over the isotypic pieces that the twisted class sums cut out,
-unitary spectra, and the rescaling search that produces twists with
-nonzero kernel cohomology.
+elements, the witness recursion for the lifted center, the harmonic
+slices with their form data, kernel cohomology on them, central
+characters refined over the isotypic pieces that the twisted class sums
+cut out, unitary spectra, and the rescaling search that produces twists
+with nonzero kernel cohomology.
 """
 
 from dataclasses import dataclass
@@ -32,9 +32,9 @@ from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
 from .clifford import CliffordElement, SpinorRep, vector_embed
 from .cover import (PinCover, HatElement, is_admissible, ztilde, build_C2,
                     build_T, build_T_bullet, build_Z3)
-from .polyrep import (GradedOperator, ModuleFamily, _check_record, _rec,
-                      _witness, _zero, graded_sum, harmonic_subspace,
-                      contravariant_form, kron_sum)
+from .polyrep import (DegreeMemo, GradedOperator, ModuleFamily,
+                      _check_record, _rec, _witness, _zero, graded_sum,
+                      harmonic_subspace, contravariant_form, kron_sum)
 from .angmom import AmaContext
 
 
@@ -62,8 +62,8 @@ class DiracContext:
     factor.
 
     Owns the cover (for twisted group algebra elements), the spinor
-    representation, the distinguished twist C2, and memoized lifts of the
-    scalar-side operators onto the tensored slices.
+    representation, the distinguished twist C2, memoized lifts of the
+    scalar-side operators onto the tensored slices, and their `slices`.
     """
 
     def __init__(self, ama: AmaContext):
@@ -74,6 +74,20 @@ class DiracContext:
         self.cover = PinCover(self.rs)
         self.spin = SpinorRep(self.n)
         self.module = SpinModule(self.family, self.spin.dim)
+        self.slices = DegreeMemo(range(self.family.max_degree + 1),
+                                 self._slice)
+
+    def _slice(self, m: int) -> "HarmonicSlice":
+        eye = Matrix.identity(self.spin.dim)
+        b = harmonic_subspace(self.family, m)
+        bs = b.kron(eye)
+        if b.ncols:
+            gx = b.dagger() @ contravariant_form(self.family, m) @ b
+            if is_positive_definite(gx):
+                om = _restrict(self.casimir.blocks[m],
+                               bs).is_scalar_multiple_of_identity()
+                return HarmonicSlice(b, bs, gx.kron(eye), om)
+        return HarmonicSlice(b, bs)
 
     # -- lifting ---------------------------------------------------------------
 
@@ -400,15 +414,13 @@ def c2_decomposition_check(dctx: DiracContext) -> list:
 
 
 def vogan_witness_check(dctx: DiracContext, twist: HatElement,
-                        max_power: int = 2, name: str = "C") -> list:
-    """Witness recursion for the lifted center.
+                        name: str = "C") -> list:
+    """Witness recursion for the lifted center, to the second power.
 
     gamma = rho(twist^2) - 1 and a_1 = D/2 - rho(twist) satisfy
     casimir tensor 1 = gamma + {D, a_1}; higher powers follow from
     a_{m+1} = a_m gamma + a_1 gamma^m + 2 D a_m a_1.
     """
-    if max_power < 1:
-        raise ValueError("max_power must be at least 1")
     records: list = []
     dop = build_dirac(dctx, twist, name=name)
     d = dop.op
@@ -420,7 +432,7 @@ def vogan_witness_check(dctx: DiracContext, twist: HatElement,
     om_pow = om
     gam_pow = gamma
     a_m = a1
-    for p in range(1, max_power + 1):
+    for p in (1, 2):
         if p > 1:
             a_m = (a_m @ gamma) + (a1 @ gam_pow) + ((d @ a_m) @ a1).scale(2)
             gam_pow = gam_pow @ gamma
@@ -462,10 +474,19 @@ def _restrict(block: Matrix, basis: Matrix) -> Matrix:
     return _solve_columns(basis, block @ basis)
 
 
-def harmonic_spin_basis(dctx: DiracContext, m: int) -> Matrix:
-    """Columns spanning (harmonics tensor S) inside the degree-m slice."""
-    eye = Matrix.identity(dctx.spin.dim)
-    return harmonic_subspace(dctx.family, m).kron(eye)
+@dataclass(frozen=True)
+class HarmonicSlice:
+    """One harmonic slice, made once by `DiracContext.slices`: its basis b
+    in X_m and spin_basis = b tensor I_S.  When the slice is unitary (not
+    empty, and b^dagger G_m b positive definite by the exact Sylvester
+    test), form is that form tensored with the spinor form, the identity,
+    and omega the Casimir scalar on spin_basis, None if the Casimir acts
+    by no scalar; on other slices both are None."""
+
+    basis: Matrix
+    spin_basis: Matrix
+    form: Matrix | None = None
+    omega: ExactScalar | None = None
 
 
 # -- kernel cohomology -----------------------------------------------------------
@@ -501,7 +522,7 @@ def dirac_cohomology(dop: DiracOperator, m: int) -> CohomologyResult:
     onto ker r meet im r, and the kernel of that map is ker r.
     """
     dctx = dop.ctx
-    bs = harmonic_spin_basis(dctx, m)
+    bs = dctx.slices[m].spin_basis
     d = bs.ncols
     if d == 0:
         return CohomologyResult(m, 0, 0, 0, 0, 0, Matrix(bs.nrows, 0), None)
@@ -711,53 +732,54 @@ def _float_exponent(a: np.ndarray) -> int:
     return max(-1000, min(e, 1000)) if abs(e) > 500 else 0
 
 
-def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
-    """Form positivity, exact self-adjointness, scalar Casimir data and
-    the float spectrum on one harmonic slice.
-
-    The form on the slice is the contravariant Gram matrix restricted to
-    harmonics, tensored with the standard spinor form (the identity in
-    this realization: the generators are Hermitian and the operator is
-    even).  Spectra are reported through a Cholesky conjugation so the
-    float solve sees an honestly Hermitian matrix; when the float Gram
-    matrix is too ill-conditioned to factor, a self-adjoint r gives its
-    spectrum directly.  The float arrays are first scaled by powers of
-    two, which is exact, when their entries are far from 1.  For the zero
-    twist the exact identity r r = (Casimir + 1) I on the slice is
-    checked, and the float drift of the squared spectrum from it is
-    reported beside.  That drift, square_deviation, is absolute,
-    max |s^2 - (Casimir + 1)|, so it grows with |Casimir + 1|: on S2 at
-    c = 1e152 and degree 0 it reads 1.2e288 while each s^2 matches
-    Casimir + 1 to about 1e-16 relatively.
-    """
+def unitarity(dop: DiracOperator, m: int) -> dict:
+    """Form positivity, self-adjointness and scalar Casimir data on one
+    harmonic slice, all exact, and for the zero twist the identity
+    r r = (Casimir + 1) I.  A unitary slice on which the Casimir acts by no
+    scalar raises RuntimeError."""
     dctx = dop.ctx
-    fam = dctx.family
-    b = harmonic_subspace(fam, m)
-    if b.ncols == 0:
-        return {"degree": m, "dim": 0, "unitary": False,
-                "status": "empty slice", "spectrum": []}
-    gx = b.dagger() @ contravariant_form(fam, m) @ b
-    if not is_positive_definite(gx):
-        return {"degree": m, "dim": b.ncols * dctx.spin.dim,
-                "unitary": False, "status": "non-unitary, skipped",
-                "spectrum": []}
-    eye = Matrix.identity(dctx.spin.dim)
-    gs = gx.kron(eye)
-    bs = b.kron(eye)
-    r = _restrict(dop.op.blocks[m], bs)
-    self_adj = (r.dagger() @ gs) == (gs @ r)
-    om = _restrict(dctx.casimir.blocks[m],
-                   bs).is_scalar_multiple_of_identity()
+    sl = dctx.slices[m]
+    if sl.form is None:
+        return {"degree": m, "dim": sl.spin_basis.ncols, "unitary": False,
+                "status": "non-unitary, skipped" if sl.basis.ncols
+                else "empty slice"}
+    om = sl.omega
     if om is None:
         raise RuntimeError("Casimir is not scalar on the slice; scalar "
                            "spectra need an irreducible twist of the "
                            "module")
+    r = _restrict(dop.op.blocks[m], sl.spin_basis)
     lam = dctx.ama.h_scalar(m)
-    lam_match = None if lam is None else om == lam * (lam - rat(2))
-    chi_floor = (om + ONE).sign_real() >= 0
+    out = {"degree": m, "dim": r.nrows, "unitary": True, "status": "ok",
+           "self_adjoint": (r.dagger() @ sl.form) == (sl.form @ r),
+           "omega_scalar": str(om),
+           "lambda": str(lam) if lam is not None else None,
+           "omega_matches_lambda":
+               None if lam is None else om == lam * (lam - rat(2)),
+           "chi_plus_one_nonneg": (om + ONE).sign_real() >= 0}
+    if dop.twist.is_zero():
+        out["square_is_casimir_plus_one"] = (
+            r @ r == Matrix.identity(r.nrows).scale(om + ONE))
+    return out
+
+
+def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
+    """`unitarity` plus the float spectrum of the slice, empty when it is
+    not unitary, through a Cholesky conjugation so the float solve sees an
+    honestly Hermitian matrix; when the float Gram matrix is too
+    ill-conditioned to factor, a self-adjoint r gives its spectrum
+    directly.  The float arrays are first scaled by powers of two, which
+    is exact, when their entries are far from 1.  A value past float range
+    raises OverflowError."""
+    out = unitarity(dop, m)
+    out["spectrum"] = []
+    if not out["unitary"]:
+        return out
+    sl = dop.ctx.slices[m]
+    r = _restrict(dop.op.blocks[m], sl.spin_basis)
     # G / 4^k has Cholesky factor L / 2^k, and the similarity by it is
     # the similarity by L; r / 2^e has spectrum spec / 2^e
-    g, rc = gs.to_complex(), r.to_complex()
+    g, rc = sl.form.to_complex(), r.to_complex()
     k, e = _float_exponent(g) // 2, _float_exponent(rc)
     rc = rc * 0.5 ** e
     try:
@@ -766,28 +788,13 @@ def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
         # the exact test proved G positive definite, so its float image
         # lost the parts that make it so (entries far above its smallest
         # eigenvalue): read the spectrum off r, real as r is self-adjoint
-        if not self_adj:
+        if not out["self_adjoint"]:
             raise
         eig = np.linalg.eigvals(rc).real
     else:
         herm = gl.conj().T @ rc @ np.linalg.inv(gl.conj().T)
         eig = np.linalg.eigvalsh((herm + herm.conj().T) / 2)
-    spec = sorted((eig * 2.0 ** e).tolist())
-    out = {"degree": m, "dim": r.nrows, "unitary": True, "status": "ok",
-           "self_adjoint": self_adj,
-           "omega_scalar": str(om),
-           "lambda": str(lam) if lam is not None else None,
-           "omega_matches_lambda": lam_match,
-           "chi": str(om),
-           "chi_plus_one_nonneg": chi_floor,
-           "spectrum": spec}
-    if dop.twist.is_zero():
-        # the exact identity decides; the float drift is reported only
-        out["square_is_casimir_plus_one"] = (
-            r @ r == Matrix.identity(r.nrows).scale(om + ONE))
-        chi1 = float((om + ONE).to_complex().real)
-        out["square_deviation"] = max(
-            abs(s * s - chi1) for s in spec) if spec else 0.0
+    out["spectrum"] = sorted((eig * 2.0 ** e).tolist())
     return out
 
 
@@ -815,17 +822,13 @@ def nonzero_cohomology_search(dctx: DiracContext, m: int, seed: HatElement,
     if not ok:
         raise ValueError("seed element is not admissible: "
                          + "; ".join(failures))
-    fam = dctx.family
-    b = harmonic_subspace(fam, m)
-    if b.ncols == 0:
+    sl = dctx.slices[m]
+    if sl.basis.ncols == 0:
         raise ValueError(f"empty harmonic slice at degree {m}")
-    gx = b.dagger() @ contravariant_form(fam, m) @ b
-    if not is_positive_definite(gx):
+    if sl.form is None:
         raise ValueError("slice is not unitary; the rescaling argument "
                          "needs a positive form")
-    bs = b.kron(Matrix.identity(dctx.spin.dim))
-    om = _restrict(dctx.casimir.blocks[m],
-                   bs).is_scalar_multiple_of_identity()
+    bs, om = sl.spin_basis, sl.omega
     if om is None:
         raise RuntimeError("Casimir is not scalar on the slice")
     r0 = _restrict(dctx.rho(seed).blocks[m], bs)

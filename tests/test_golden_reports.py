@@ -113,10 +113,14 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     threads larger float GEMMs stalled.  The twist C2 is built once for the
     four suites that read it, Z3 once for the pincover and dirac suites,
     and the Jucys-Murphy elements once for the pincover suite and the
-    jm:e1 twist."""
+    jm:e1 twist.  Each harmonic slice is prepared once, with one Sylvester
+    test, and no float eigensolver or factorization runs."""
+    import numpy as np
+
     from dunkldirac import cover, diracops, linalg, polyrep
     calls = {"make": 0, "matmul": 0, "kron": 0, "first_nonzero": 0,
-             "build_C2": 0, "build_Z3": 0, "jm_elements": 0}
+             "build_C2": 0, "build_Z3": 0, "jm_elements": 0,
+             "is_positive_definite": 0}
     make, matmul = linalg.Matrix._make, linalg.Matrix.__matmul__
     kron, first_nonzero = linalg.Matrix.kron, polyrep.first_nonzero
     gemm, gemm_madds = linalg._gemm, set()
@@ -141,24 +145,31 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
         calls["first_nonzero"] += 1
         return first_nonzero(terms)
 
-    def counting(name):
-        build = getattr(cover, name)
+    def counting(name, module=cover):
+        build = getattr(module, name)
 
         def count(*args):
             calls[name] += 1
             return build(*args)
         return count
 
+    def no_float_linalg(*args, **kwargs):
+        raise AssertionError("float linear algebra in a verify run")
+
     monkeypatch.setattr(linalg.Matrix, "_make", staticmethod(count_make))
     monkeypatch.setattr(linalg.Matrix, "__matmul__", count_matmul)
     monkeypatch.setattr(linalg.Matrix, "kron", count_kron)
     monkeypatch.setattr(polyrep, "first_nonzero", count_first_nonzero)
-    for name in ("build_C2", "build_Z3", "jm_elements"):
-        count = counting(name)
-        for module in (cli, cover, diracops):
+    for name, home in (("build_C2", cover), ("build_Z3", cover),
+                       ("jm_elements", cover),
+                       ("is_positive_definite", linalg)):
+        count = counting(name, home)
+        for module in (cli, cover, diracops, polyrep):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, count)
     monkeypatch.setattr(linalg, "_gemm", record_gemm)
+    for name in ("cholesky", "inv", "eigvalsh", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, no_float_linalg)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"group": "S4", "c": "1/3", "max_degree": 3,
                                 "tau": "trivial", "suites": "all"}),
@@ -180,16 +191,19 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # shared divided difference and the identity none; 2,990 while every
     # AMA product and commutator side, and every Clifford monomial product,
     # was its own product, where a few stacked products per degree now
-    # hold them all
-    assert calls["matmul"] == 1289
+    # hold them all; 1,289 while the form and the Casimir of each harmonic
+    # slice were formed once per twist rather than once per slice
+    assert calls["matmul"] == 1281
     # 18,427 when every pairwise sum was canonicalised on its own
     assert calls["make"] < 7000
     # 873 with one kron per Kronecker term; 115 before the C[x] blocks came
     # from the Leibniz recursion, one or two krons per block, and the
     # contravariant form one kron per variable and degree; 190 while the
     # identity element was a Leibniz recursion tensored with tau(1) rather
-    # than `identity_op`
-    assert calls["kron"] == 183
+    # than `identity_op`; 183 while each harmonic slice tensored its basis
+    # and form with I_S once per twist, and its basis once more for the
+    # kernel cohomology
+    assert calls["kron"] == 175
     # 2,820 with every AMA relation summed on its own; 980 while every
     # passing AMA combination and commutator was read for its first nonzero
     # entry degree by degree, where a stacked product's blocks are now
@@ -204,6 +218,9 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     assert calls["build_C2"] == 1
     # 2 each when the pincover suite built its own
     assert calls["build_Z3"] == 1 and calls["jm_elements"] == 1
+    # 4 when each twist (zero and C2) tested the form of each slice
+    # (degrees 0 and 1)
+    assert calls["is_positive_definite"] == 2
 
 
 def test_verify_s4_blocks_hold_only_live_planes(tmp_path, monkeypatch):
