@@ -15,14 +15,16 @@ group element) form their products a few at a time per degree: one
 of others, and each item's verdict is read off its blocks by one signed
 gather-sum (`linalg.vanishing_sums`).  An item that holds gets its record
 from that verdict alone; one that fails is compared again on its own, so
-its witness is the one a per-item comparison gives.
+its witness is the one a per-item comparison gives.  The relations
+themselves, collected over their products, depend on n alone and are
+collected once per n (`_relation_table`).
 
 Reports are lists of {check_id, status, witness} records; a witness pins
 the first differing matrix entry (degree, position, both values).
 """
 
-from functools import cached_property
-from itertools import chain
+from functools import cache, cached_property
+from itertools import chain, product
 
 import numpy as np
 
@@ -33,18 +35,17 @@ from .scalars import rat
 
 
 class AmaContext:
-    """Cached operator bundle for one (root system, c, tau, degree) choice.
+    """Operator bundle for one (root system, c, tau, degree) choice.
 
     The constructor verifies the normal-ordering identity
-    H = x.y + n/2 + Z; everything else is built lazily.
+    H = x.y + n/2 + Z; everything else is built on first read and kept,
+    the M_ij and S_ij in the family's operator memo.
     """
 
     def __init__(self, family: ModuleFamily):
         self.family = family
         self.rs = family.rs
         self.n = family.n
-        self._m: dict = {}
-        self._s: dict = {}
         if not self._sym_h().matches(self.H):
             raise RuntimeError("H = x.y + n/2 + Z failed at build time")
 
@@ -65,18 +66,12 @@ class AmaContext:
             return self.family.scalar_op(0)
         if i > j:
             return -self.M(j, i)
-        got = self._m.get((i, j))
-        if got is None:
-            got = (self.x(i) @ self.y(j)) - (self.x(j) @ self.y(i))
-            self._m[(i, j)] = got
-        return got
+        return self.family._cached(("M", i, j), lambda: (
+            self.x(i) @ self.y(j)) - (self.x(j) @ self.y(i)))
 
     def S(self, i: int, j: int) -> GradedOperator:
-        got = self._s.get((i, j))
-        if got is None:
-            got = s_op(self.family, i, j)
-            self._s[(i, j)] = got
-        return got
+        return self.family._cached(("S", i, j),
+                                   lambda: s_op(self.family, i, j))
 
     @cached_property
     def Z(self) -> GradedOperator:
@@ -158,20 +153,31 @@ class AmaContext:
 # -- reports -------------------------------------------------------------------
 
 
-def _index_tuples(n: int):
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    yield (i, j, k, l)
-
-
 def _m_key(i: int, j: int):
     """(sign, key) with M_ij = sign * ctx.M(*key): M_ji = -M_ij, and every
     M_ii is the zero operator, keyed (0, 0)."""
     if i == j:
         return 1, (0, 0)
     return (1, (i, j)) if i < j else (-1, (j, i))
+
+
+def _sides(kind: str, i: int, j: int, k: int, l: int) -> tuple:
+    """(lhs, rhs) of the relation kind at (i, j, k, l), each a tuple of
+    (sign, key) pairs, one per product sign * M_ab @ (M_right or S_right,
+    by kind) for key = ((a, b), kind, right)."""
+    def mul(sign: int, i: int, j: int, kind: str, k: int, l: int):
+        s, left = _m_key(i, j)
+        t, right = _m_key(k, l) if kind == "M" else (1, (k, l))
+        return sign * s * t, (left, kind, right)
+
+    if kind == "commutation":
+        return ((mul(1, i, j, "M", k, l), mul(-1, k, l, "M", i, j)),
+                (mul(1, i, l, "S", j, k), mul(1, j, k, "S", i, l),
+                 mul(-1, i, k, "S", j, l), mul(-1, j, l, "S", i, k)))
+    return ((mul(1, i, j, "M", k, l), mul(1, j, k, "M", i, l),
+             mul(1, k, i, "M", j, l)),
+            (mul(1, i, j, "S", k, l), mul(1, j, k, "S", i, l),
+             mul(1, k, i, "S", j, l)))
 
 
 def ama_relations_check(ctx: AmaContext) -> list:
@@ -181,30 +187,51 @@ def ama_relations_check(ctx: AmaContext) -> list:
     M_ij M_kl + M_jk M_il + M_ki M_jl = M_ij S_kl + M_jk S_il + M_ki S_jl,
     for all 1 <= i,j,k,l <= n.
 
-    Every product is M_ij @ M_kl or M_ij @ S_kl.  Since `AmaContext.M`
-    defines M_ji = -M_ij and M_ii = 0, each is +-(M_ab @ M_cd) or
-    +-(M_ab @ S_kl) with a < b and c < d, or zero.  S_kl and S_lk stay
-    distinct factors: S_ij = S_ji is one of the checked relations, not an
-    assumption.  A relation lhs = rhs then holds exactly when lhs - rhs,
-    its terms collected over those products and the zero products
-    dropped, vanishes.  Each distinct collected combination, taken up to
-    sign, is decided once, on every degree of the window, which every
-    product is defined on (see `_vanishing_combinations`).  Only a
-    relation whose combination does not vanish is compared side by side,
-    for the witness of its first differing entry.
+    Each distinct collected combination of `_relation_table` is decided
+    once, on every degree of the window, which every product is defined
+    on (see `_vanishing_combinations`).  Only a relation whose combination
+    does not vanish is compared side by side, for the witness of its first
+    differing entry.
     """
     records: list = []
     n = ctx.n
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             _rec(records, f"S{i}{j} = S{j}{i}", ctx.S(i, j), ctx.S(j, i))
+    relations, distinct = _relation_table(n)
+    vanishes = _vanishing_combinations(ctx, distinct)
 
-    def mul(sign: int, i: int, j: int, kind: str, k: int, l: int):
-        """sign * M_ij @ (M_kl or S_kl, by kind) as a (sign, key) pair."""
-        s, left = _m_key(i, j)
-        t, right = _m_key(k, l) if kind == "M" else (1, (k, l))
-        return sign * s * t, (left, kind, right)
+    def side(terms) -> GradedOperator:
+        return _signed_sum([
+            (s, ctx.M(*left) @ (ctx.M if kind == "M" else ctx.S)(*right))
+            for s, (left, kind, right) in terms])
 
+    for kind, t, combo in relations:
+        check_id = f"{kind} ({t[0]},{t[1]},{t[2]},{t[3]})"
+        if not combo or vanishes[combo]:
+            records.append(_check_record(check_id, True))
+        else:
+            lhs, rhs = _sides(kind, *t)
+            _rec(records, check_id, side(lhs), side(rhs))
+    return records
+
+
+@cache
+def _relation_table(n: int) -> tuple:
+    """The relations of `ama_relations_check`, which depend on n alone:
+    (relations, distinct), one (kind, index tuple, combo) per relation and
+    the distinct nonzero combos.
+
+    Every product is M_ij @ M_kl or M_ij @ S_kl.  Since `AmaContext.M`
+    defines M_ji = -M_ij and M_ii = 0, each is +-(M_ab @ M_cd) or
+    +-(M_ab @ S_kl) with a < b and c < d, or zero (see `_sides`).  S_kl
+    and S_lk stay distinct factors: S_ij = S_ji is one of the checked
+    relations, not an assumption.  A relation lhs = rhs then holds exactly
+    when lhs - rhs, its terms collected over those products and the zero
+    products dropped, vanishes; combo is that collection, up to sign.
+    The sides themselves are not kept: only a failing relation needs
+    them again.
+    """
     def collected(lhs, rhs) -> tuple:
         coeffs: dict = {}
         for sign, key in chain(lhs, ((-s, key) for s, key in rhs)):
@@ -215,40 +242,13 @@ def ama_relations_check(ctx: AmaContext) -> list:
             combo = [(key, -c) for key, c in combo]
         return tuple(combo)
 
-    def sides(kind: str, i: int, j: int, k: int, l: int):
-        """(lhs, rhs) of the relation kind at (i, j, k, l), each a list of
-        (sign, key) pairs."""
-        if kind == "commutation":
-            return ([mul(1, i, j, "M", k, l), mul(-1, k, l, "M", i, j)],
-                    [mul(1, i, l, "S", j, k), mul(1, j, k, "S", i, l),
-                     mul(-1, i, k, "S", j, l), mul(-1, j, l, "S", i, k)])
-        return ([mul(1, i, j, "M", k, l), mul(1, j, k, "M", i, l),
-                 mul(1, k, i, "M", j, l)],
-                [mul(1, i, j, "S", k, l), mul(1, j, k, "S", i, l),
-                 mul(1, k, i, "S", j, l)])
-
-    relations = [(kind, t) for t in _index_tuples(n)
-                 for kind in ("commutation", "crossing")]
+    relations = []
     distinct: dict = {}  # one object per distinct combination
-    combos = [distinct.setdefault(c, c) for c in (
-        collected(*sides(kind, *t)) for kind, t in relations)]
-    vanishes = _vanishing_combinations(ctx, [c for c in distinct if c])
-
-    def product(key) -> GradedOperator:
-        left, kind, right = key
-        factor = ctx.M(*right) if kind == "M" else ctx.S(*right)
-        return ctx.M(*left) @ factor
-
-    for (kind, t), combo in zip(relations, combos):
-        check_id = f"{kind} ({t[0]},{t[1]},{t[2]},{t[3]})"
-        if not combo or vanishes[combo]:
-            records.append(_check_record(check_id, True))
-        else:
-            lhs, rhs = sides(kind, *t)
-            _rec(records, check_id,
-                 _signed_sum([(s, product(key)) for s, key in lhs]),
-                 _signed_sum([(s, product(key)) for s, key in rhs]))
-    return records
+    for t in product(range(1, n + 1), repeat=4):
+        for kind in ("commutation", "crossing"):
+            combo = collected(*_sides(kind, *t))
+            relations.append((kind, t, distinct.setdefault(combo, combo)))
+    return tuple(relations), tuple(c for c in distinct if c)
 
 
 def _vanishing_combinations(ctx: AmaContext, combos) -> dict:
@@ -304,14 +304,8 @@ def _commuting(a: GradedOperator, ops) -> list:
     if not ops:
         return []
     t, s = a.shift, ops[0].shift
-    # the commutator's degrees depend on a and the degrees of op alone
-    known: dict = {}
-    degrees = []
-    for op in ops:
-        key = tuple(op.blocks)
-        if key not in known:
-            known[key] = set(op.commutator(a).blocks)
-        degrees.append(known[key])
+    # forming a commutator fixes its degrees and builds no block
+    degrees = [set(op.commutator(a).blocks) for op in ops]
     ok = [bool(d) for d in degrees]
     for m in sorted(set().union(*degrees)):
         live = [j for j, d in enumerate(degrees) if m in d and ok[j]]

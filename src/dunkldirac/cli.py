@@ -23,8 +23,7 @@ from .angmom import (
     centralizer_check,
     msquared_identities_check,
 )
-from .clifford import (CliffordElement, anticommutator_check,
-                       monomial_product_check)
+from .clifford import anticommutator_check, monomial_product_check
 from .cover import HatElement, is_admissible, jm_symmetric_elements
 from .diracops import (
     basis_independence_check,
@@ -43,7 +42,7 @@ from .linalg import Matrix
 from .polyrep import (_check_record, builtin_rep, custom_rep,
                       rca_relation_check)
 from .roots import ParamFunction, root_system
-from .scalars import ONE, rat
+from .scalars import rat
 
 SUITES = ("rca", "ama", "clifford", "pincover", "dirac", "scasimir",
           "vogan", "cohomology")
@@ -154,9 +153,7 @@ def load_config(path: str) -> dict:
     try:
         rs = root_system(group_spec)
         group = rs.group()
-        # the pin cover divides by every coroot length
-        for idx in range(len(rs.positive_roots)):
-            rs.coroot_norm(idx)
+        rs.coroot_norms  # the pin cover divides by every coroot length
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ConfigError(f"group: {exc}")
 
@@ -304,10 +301,7 @@ def _suite_clifford(dctx, cfg) -> list:
     n = dctx.n
     out = [_check_record("generator anticommutation relations",
                          anticommutator_check(n))]
-    sig = dctx.spin
-    # the image of each blade monomial c_S, made once for both checks
-    blades = [CliffordElement(n, {mask: ONE}) for mask in range(1 << n)]
-    images = [sig.sigma(x) for x in blades]
+    images = dctx.spin.blade_images
     herm = all(images[1 << i].dagger() == images[1 << i] for i in range(n))
     out.append(_check_record("spinor images of the generators are Hermitian",
                              herm))
@@ -360,10 +354,6 @@ def _suite_dirac(dctx, cfg) -> list:
     return out
 
 
-def _suite_scasimir(dctx, cfg) -> list:
-    return scasimir_check(dctx)
-
-
 def _suite_vogan(dctx, cfg) -> list:
     twists = [("zero", HatElement.zero(dctx.cover)),
               ("C2", dctx.c2)]
@@ -371,7 +361,7 @@ def _suite_vogan(dctx, cfg) -> list:
         twists.append(("jm:e1", jm_symmetric_elements(dctx.cover)["e1"]))
     out = []
     for name, tw in twists:
-        out += _tagged(vogan_witness_check(dctx, tw, name=name),
+        out += _tagged(vogan_witness_check(dctx, tw),
                        context=f"twist {name}")
     return out
 
@@ -418,7 +408,9 @@ def _suite_cohomology(dctx, cfg) -> list:
 
 _SUITE_FNS = {"rca": _suite_rca, "ama": _suite_ama,
               "clifford": _suite_clifford, "pincover": _suite_pincover,
-              "dirac": _suite_dirac, "scasimir": _suite_scasimir,
+              "dirac": _suite_dirac,
+              # every suite takes (dctx, cfg); this check needs dctx alone
+              "scasimir": lambda dctx, cfg: scasimir_check(dctx),
               "vogan": _suite_vogan, "cohomology": _suite_cohomology}
 
 

@@ -4,11 +4,13 @@ Monomials c_S are encoded as bitmasks over sorted index sets; the product
 sign counts the transpositions needed to merge two sorted monomials, with
 c_i^2 = +1.  The spinor representation is the standard Fock-space model
 with Pauli-type matrices; for odd n the last generator is the signed
-product of the others ("+" class).
+product of the others ("+" class).  The images of the 2^n blades are
+built once per representation, and the product table of the blades once
+per n.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -121,7 +123,7 @@ def vector_embed(n: int, vec) -> CliffordElement:
                                for i, v in enumerate(vec)})
 
 
-@lru_cache(maxsize=None)
+@cache
 def _product_table(n: int):
     """(sign, mask) arrays of c_S * c_T, indexed [S, T] over blade masks."""
     size = 1 << n
@@ -198,21 +200,22 @@ class SpinorRep:
                 last = last @ g
             gens.append(last.scale((ONE, IUNIT, -ONE, -IUNIT)[k % 4]))
         self.generators = gens
-        self._cache: dict = {}
+
+    @cached_property
+    def blade_images(self) -> list:
+        """sigma(c_S) for every blade mask S, the identity for S = 0: one
+        product each, the image of S without its last generator times that
+        generator."""
+        images = [Matrix.identity(self.dim)]
+        for mask in range(1, 1 << self.n):
+            top = mask.bit_length() - 1
+            images.append(images[mask ^ (1 << top)] @ self.generators[top])
+        return images
 
     def sigma(self, elem: CliffordElement) -> Matrix:
         """Matrix of a Clifford element."""
         if elem.n != self.n:
             raise ValueError("generator count mismatch")
         return signed_sum([(1, Matrix(self.dim, self.dim))] + [
-            (1, self._monomial_matrix(mask).scale(v))
+            (1, self.blade_images[mask].scale(v))
             for mask, v in elem.coeffs.items()])
-
-    def _monomial_matrix(self, mask: int) -> Matrix:
-        m = self._cache.get(mask)
-        if m is None:
-            m = Matrix.identity(self.dim)
-            for i in _mask_indices(mask):
-                m = m @ self.generators[i - 1]
-            self._cache[mask] = m
-        return m

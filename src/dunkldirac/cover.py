@@ -13,7 +13,8 @@ When -1 is in the group, the cover is extended by an extra central order-2
 generator g mapping to (group element -1) tensor (Clifford identity).
 
 The cocycle is an int8 table built on first use from one exact lift product
-per reflection, compared in full, then filled along the BFS words.
+per reflection, compared in full, then filled along the BFS words; the
+conjugacy classes of the cover are read off it once, on first use too.
 """
 from __future__ import annotations
 
@@ -36,17 +37,14 @@ class PinCover:
         self.rs = rs
         self.group: ReflectionGroup = rs.group()
         self.n = rs.n
-        self.reflection_lifts = [self._unit_coroot(i)
-                                 for i in range(len(rs.positive_roots))]
+        # iota(coroot) / |coroot| per positive root
+        self.reflection_lifts = [vector_embed(self.n, cr) * nrm.inverse()
+                                 for cr, nrm in zip(rs.coroots,
+                                                    rs.coroot_norms)]
         self.lifts = [CliffordElement.scalar(self.n, 1)]
         for p, word in zip(self.group.parents[1:], self.group.words[1:]):
             self.lifts.append(self.lifts[p] * self.reflection_lifts[word[-1]])
         self.g_index = self.group.minus_identity_index()
-
-    def _unit_coroot(self, idx: int) -> CliffordElement:
-        cr = self.rs.coroots[idx]
-        nrm = self.rs.coroot_norm(idx)
-        return vector_embed(self.n, cr) * nrm.inverse()
 
     def _lift_rows(self, lifts) -> Matrix:
         """The lifts as the rows of one exact matrix over blade masks."""
@@ -101,6 +99,38 @@ class PinCover:
     # the Jucys-Murphy elements depend on the cover alone; a build that
     # raises stores nothing, so a second read raises again
     jm = cached_property(lambda self: jm_elements(self))
+
+    @cached_property
+    def tilde_classes(self) -> list:
+        """Conjugacy classes of the double cover, as twisted coefficient
+        dicts.
+
+        Elements are (group index, sign power) pairs multiplying through
+        the cocycle; the central sign is fixed by conjugation, so
+        conjugating by the plain sheet suffices.  Classes whose two sheets
+        merge contribute nothing to the twisted part and are dropped.
+        """
+        grp = self.group
+        mul, inv = grp.mul_table, grp.inv_table
+        # the sign power picked up by each product of two plain-sheet lifts
+        flip = (self.cocycle_table < 0).astype(np.intp)
+        inv_flip = flip[inv, np.arange(grp.order)]
+        seen: set = set()
+        classes = []
+        for i, sheet in [(k, s) for k in range(grp.order) for s in (0, 1)]:
+            if (i, sheet) in seen:
+                continue
+            # (k, 0) (i, sheet) (k, 0)^-1 for every k
+            ki = mul[:, i]
+            signs = (sheet + flip[:, i] + inv_flip + flip[ki, inv]) % 2
+            orbit = set(zip(mul[ki, inv].tolist(), signs.tolist()))
+            seen |= orbit
+            md: dict = {}
+            for (k, s) in sorted(orbit):
+                accumulate(md, k, ONE if s == 0 else -ONE)
+            if md:
+                classes.append(md)
+        return classes
 
     def cocycle(self, i: int, j: int) -> int:
         """mu(u, v) = +-1 with lift(u) lift(v) = mu(u, v) lift(uv)."""
@@ -356,17 +386,18 @@ def build_T(cover: PinCover, param, i: int) -> HatElement:
     """T_i = 1/2 sum_a c_a <x_i, coroot_a>/|coroot_a| s_a."""
     rs = cover.rs
     return _reflection_sum(cover, [
-        c * HALF * cr[i] * rs.coroot_norm(a).inverse()
-        for a, (c, cr) in enumerate(zip(param.per_root(rs), rs.coroots))])
+        c * HALF * cr[i] * nrm.inverse()
+        for c, cr, nrm in zip(param.per_root(rs), rs.coroots,
+                              rs.coroot_norms)])
 
 
 def build_T_bullet(cover: PinCover, param, i: int) -> HatElement:
     """The bullet variant 1/2 sum_a c_a <a, y_i>/|a| s_a; equals build_T."""
     rs = cover.rs
     return _reflection_sum(cover, [
-        c * HALF * r[i] * rs.root_norm(a).inverse()
-        for a, (c, r) in enumerate(zip(param.per_root(rs),
-                                       rs.positive_roots))])
+        c * HALF * r[i] * nrm.inverse()
+        for c, r, nrm in zip(param.per_root(rs), rs.positive_roots,
+                             rs.root_norms)])
 
 
 def build_Z3(cover: PinCover, param) -> HatElement:
@@ -379,13 +410,13 @@ def build_Z3(cover: PinCover, param) -> HatElement:
     cs = param.per_root(rs)
     out: dict = {}
     for a in range(len(rs.positive_roots)):
-        ca = cs[a] * rs.coroot_norm(a).inverse()
+        ca = cs[a] * rs.coroot_norms[a].inverse()
         ia = grp.reflection_element_index(a)
         for b in range(len(rs.positive_roots)):
             pair = dot(rs.positive_roots[b], rs.coroots[a])
             if pair.is_zero():
                 continue
-            cb = cs[b] * rs.root_norm(b).inverse()
+            cb = cs[b] * rs.root_norms[b].inverse()
             ib = grp.reflection_element_index(b)
             accumulate(out, grp.mul(ia, ib),
                        ca * cb * pair * rat("1/4"))

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .scalars import (SQRT2_FLOAT, ExactScalar, ZERO, ONE, HALF, SQRT2,
-                      accumulate, as_scalar, rat, sqrt_in_real_subfield)
+                      as_scalar, rat, sqrt_in_real_subfield)
 from .linalg import (Matrix, first_nonzero, is_positive_definite, kernel,
                      rank)
 from .clifford import CliffordElement, SpinorRep, vector_embed
@@ -93,11 +93,7 @@ class DiracContext:
 
     def lift(self, op: GradedOperator) -> GradedOperator:
         """op tensor identity on the spinor factor."""
-        return self.pair(op, CliffordElement.scalar(self.n, 1))
-
-    def pair(self, op: GradedOperator, elem: CliffordElement) -> GradedOperator:
-        """op tensor sigma(elem)."""
-        return self.spin_sum([(op, elem)])
+        return self.spin_sum([(op, CliffordElement.scalar(self.n, 1))])
 
     def spin_sum(self, terms) -> GradedOperator:
         """sum op tensor sigma(elem) over the (op, elem) terms, in the order
@@ -413,8 +409,7 @@ def c2_decomposition_check(dctx: DiracContext) -> list:
     return records
 
 
-def vogan_witness_check(dctx: DiracContext, twist: HatElement,
-                        name: str = "C") -> list:
+def vogan_witness_check(dctx: DiracContext, twist: HatElement) -> list:
     """Witness recursion for the lifted center, to the second power.
 
     gamma = rho(twist^2) - 1 and a_1 = D/2 - rho(twist) satisfy
@@ -422,7 +417,7 @@ def vogan_witness_check(dctx: DiracContext, twist: HatElement,
     a_{m+1} = a_m gamma + a_1 gamma^m + 2 D a_m a_1.
     """
     records: list = []
-    dop = build_dirac(dctx, twist, name=name)
+    dop = build_dirac(dctx, twist)
     d = dop.op
     gamma = dctx.rho(twist * twist) - dctx.identity
     a1 = d.scale(HALF) - dop.rho_twist
@@ -543,37 +538,6 @@ def dirac_cohomology(dop: DiracOperator, m: int) -> CohomologyResult:
 # -- isotypic machinery ----------------------------------------------------------
 
 
-def _tilde_classes(cover: PinCover) -> list:
-    """Conjugacy classes of the double cover, as twisted coefficient dicts.
-
-    Elements are (group index, sign power) pairs multiplying through the
-    cocycle; the central sign is fixed by conjugation, so conjugating by
-    the plain sheet suffices.  Classes whose two sheets merge contribute
-    nothing to the twisted part and are dropped.
-    """
-    grp = cover.group
-    mul, inv = grp.mul_table, grp.inv_table
-    # the sign power picked up by each product of two plain-sheet lifts
-    flip = (cover.cocycle_table < 0).astype(np.intp)
-    inv_flip = flip[inv, np.arange(grp.order)]
-    seen: set = set()
-    classes = []
-    for i, sheet in [(k, s) for k in range(grp.order) for s in (0, 1)]:
-        if (i, sheet) in seen:
-            continue
-        # (k, 0) (i, sheet) (k, 0)^-1 for every k
-        ki = mul[:, i]
-        signs = (sheet + flip[:, i] + inv_flip + flip[ki, inv]) % 2
-        orbit = set(zip(mul[ki, inv].tolist(), signs.tolist()))
-        seen |= orbit
-        md: dict = {}
-        for (k, s) in sorted(orbit):
-            accumulate(md, k, ONE if s == 0 else -ONE)
-        if md:
-            classes.append(md)
-    return classes
-
-
 # the basis 1, sqrt2, i, i sqrt2 as complex floats, and its image under
 # the Galois twist sqrt2 -> -sqrt2
 _BASES = np.array([[1, SQRT2_FLOAT, 1j, 1j * SQRT2_FLOAT],
@@ -637,7 +601,7 @@ def _isotypic_pieces(dctx: DiracContext, kb: Matrix, m: int):
     """
     d = kb.ncols
     ops = [dctx.rho(HatElement(dctx.cover, m=md)).blocks[m]
-           for md in _tilde_classes(dctx.cover)]
+           for md in dctx.cover.tilde_classes]
     if dctx.cover.has_g():
         ops.append(dctx.rho(HatElement.g(dctx.cover)).blocks[m])
     pieces = [Matrix.identity(d)]
@@ -737,12 +701,18 @@ def unitarity(dop: DiracOperator, m: int) -> dict:
     harmonic slice, all exact, and for the zero twist the identity
     r r = (Casimir + 1) I.  A unitary slice on which the Casimir acts by no
     scalar raises RuntimeError."""
+    return _unitarity(dop, m)[0]
+
+
+def _unitarity(dop: DiracOperator, m: int) -> tuple:
+    """`unitarity` and the operator block r restricted to the slice that
+    it read, None on a slice that is not unitary."""
     dctx = dop.ctx
     sl = dctx.slices[m]
     if sl.form is None:
         return {"degree": m, "dim": sl.spin_basis.ncols, "unitary": False,
                 "status": "non-unitary, skipped" if sl.basis.ncols
-                else "empty slice"}
+                else "empty slice"}, None
     om = sl.omega
     if om is None:
         raise RuntimeError("Casimir is not scalar on the slice; scalar "
@@ -760,7 +730,7 @@ def unitarity(dop: DiracOperator, m: int) -> dict:
     if dop.twist.is_zero():
         out["square_is_casimir_plus_one"] = (
             r @ r == Matrix.identity(r.nrows).scale(om + ONE))
-    return out
+    return out, r
 
 
 def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
@@ -771,15 +741,13 @@ def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
     directly.  The float arrays are first scaled by powers of two, which
     is exact, when their entries are far from 1.  A value past float range
     raises OverflowError."""
-    out = unitarity(dop, m)
+    out, r = _unitarity(dop, m)
     out["spectrum"] = []
-    if not out["unitary"]:
+    if r is None:
         return out
-    sl = dop.ctx.slices[m]
-    r = _restrict(dop.op.blocks[m], sl.spin_basis)
     # G / 4^k has Cholesky factor L / 2^k, and the similarity by it is
     # the similarity by L; r / 2^e has spectrum spec / 2^e
-    g, rc = sl.form.to_complex(), r.to_complex()
+    g, rc = dop.ctx.slices[m].form.to_complex(), r.to_complex()
     k, e = _float_exponent(g) // 2, _float_exponent(rc)
     rc = rc * 0.5 ** e
     try:

@@ -50,7 +50,7 @@ class ParamFunction:
     @staticmethod
     def from_config(spec, rs: "RootSystem") -> "ParamFunction":
         """Accept a bare rational (all orbits) or a dict keyed by orbit label."""
-        labels = rs.orbit_labels()
+        labels = rs.orbit_labels
         if isinstance(spec, dict):
             unknown = set(spec) - set(labels)
             if unknown:
@@ -65,7 +65,7 @@ class ParamFunction:
 
     def per_root(self, rs: "RootSystem") -> list:
         """The coupling c_a as an ExactScalar, per positive root of rs."""
-        return [rat(self.values[lab]) for lab in rs.orbit_labels()]
+        return [rat(self.values[lab]) for lab in rs.orbit_labels]
 
     def label(self) -> str:
         items = sorted(self.values.items())
@@ -105,48 +105,39 @@ class RootSystem:
         self.norms_sq = [dot(r, r) for r in self.positive_roots]
         self.coroots = [tuple(x * n2.inverse() * 2 for x in r)
                         for r, n2 in zip(self.positive_roots, self.norms_sq)]
-        self._root_norms = None
-        self._reflections = None
-        self._orbit_labels = None
-        self._group = None
 
     # -- lengths ---------------------------------------------------------
 
-    def root_norm(self, idx: int):
-        """|alpha| as a field element; errors if it leaves the field."""
-        if self._root_norms is None:
-            self._root_norms = [None] * len(self.positive_roots)
-        if self._root_norms[idx] is None:
-            self._root_norms[idx] = _norm(self.norms_sq[idx], "root", idx)
-        return self._root_norms[idx]
+    @cached_property
+    def root_norms(self) -> list:
+        """|alpha| per positive root as a field element; ValueError at
+        the first that leaves the field."""
+        return [_norm(n2, "root", i) for i, n2 in enumerate(self.norms_sq)]
 
-    def coroot_norm(self, idx: int):
-        cr = self.coroots[idx]
-        return _norm(dot(cr, cr), "coroot", idx)
+    @cached_property
+    def coroot_norms(self) -> list:
+        """|alpha-check| per positive root, as `root_norms`."""
+        return [_norm(dot(cr, cr), "coroot", i)
+                for i, cr in enumerate(self.coroots)]
 
     # -- reflections and the group ---------------------------------------
 
-    def reflection(self, idx: int) -> Matrix:
-        """s_alpha(y) = y - <alpha, y> alpha-check, as an exact orthogonal
-        matrix.
+    @cached_property
+    def reflections(self) -> list:
+        """Per positive root, s_alpha(y) = y - <alpha, y> alpha-check as
+        an exact orthogonal matrix.
 
         It is an involution by construction: with alpha-check = 2 alpha /
         |alpha|^2, <alpha, alpha-check> = 2, so m^2 = 1 - 2 alpha-check
         alpha^T + alpha-check (alpha . alpha-check) alpha^T = 1.
         """
-        if self._reflections is None:
-            self._reflections = [None] * len(self.positive_roots)
-        if self._reflections[idx] is None:
-            alpha = self.positive_roots[idx]
-            cr = self.coroots[idx]
-            m = Matrix.from_rows(
-                [[(ONE if i == j else ZERO) - cr[i] * alpha[j]
-                  for j in range(self.n)] for i in range(self.n)])
-            self._reflections[idx] = m
-        return self._reflections[idx]
+        return [Matrix.from_rows([[(ONE if i == j else ZERO) - cr[i] * a[j]
+                                   for j in range(self.n)]
+                                  for i in range(self.n)])
+                for a, cr in zip(self.positive_roots, self.coroots)]
 
-    def reflections(self):
-        return [self.reflection(i) for i in range(len(self.positive_roots))]
+    def reflection(self, idx: int) -> Matrix:
+        return self.reflections[idx]
 
     @cached_property
     def reflection_permutations(self) -> list:
@@ -170,18 +161,18 @@ class RootSystem:
             perms.append(img + [(k + nroots) % (2 * nroots) for k in img])
         return perms
 
+    # built on the first call of group(), a method as perfbench wraps it
+    _group = cached_property(lambda self: ReflectionGroup(self))
+
     def group(self) -> "ReflectionGroup":
-        if self._group is None:
-            self._group = ReflectionGroup(self)
         return self._group
 
     # -- orbits ------------------------------------------------------------
 
-    def orbit_labels(self):
+    @cached_property
+    def orbit_labels(self) -> list:
         """Per-root orbit label; 'all' for a single orbit, 'short'/'long'
         when exactly two orbits of distinct length, else 'orb<k>'."""
-        if self._orbit_labels is not None:
-            return self._orbit_labels
         nroots = len(self.positive_roots)
         parent = list(range(nroots))
 
@@ -201,20 +192,13 @@ class RootSystem:
                 union(ai, perm[ai] % nroots)
         reps = sorted({find(i) for i in range(nroots)})
         if len(reps) == 1:
-            labels = ["all"] * nroots
-        elif len(reps) == 2:
-            n0 = self.norms_sq[reps[0]]
-            n1 = self.norms_sq[reps[1]]
-            if n0 != n1:
-                short_rep = reps[0] if (n0 - n1).sign_real() < 0 else reps[1]
-                labels = ["short" if find(i) == short_rep else "long"
-                          for i in range(nroots)]
-            else:
-                labels = [f"orb{reps.index(find(i))}" for i in range(nroots)]
-        else:
-            labels = [f"orb{reps.index(find(i))}" for i in range(nroots)]
-        self._orbit_labels = labels
-        return labels
+            return ["all"] * nroots
+        n0, n1 = (self.norms_sq[r] for r in reps[:2])
+        if len(reps) == 2 and n0 != n1:
+            short_rep = reps[0] if (n0 - n1).sign_real() < 0 else reps[1]
+            return ["short" if find(i) == short_rep else "long"
+                    for i in range(nroots)]
+        return [f"orb{reps.index(find(i))}" for i in range(nroots)]
 
     def has_transposition_roots(self) -> bool:
         """True when the positive roots are +-(e_i - e_j), once for each
@@ -229,12 +213,16 @@ class RootSystem:
         return len(pairs) == len(self.positive_roots) \
             == self.n * (self.n - 1) // 2
 
-    def simple_root_indices(self):
+    @cached_property
+    def _simple_roots(self) -> list:
         """alpha is simple iff s_alpha permutes the other positive roots."""
         nroots = len(self.positive_roots)
         return [i for i, perm in enumerate(self.reflection_permutations)
                 if all(k < nroots for j, k in enumerate(perm[:nroots])
                        if j != i)]
+
+    def simple_root_indices(self) -> list:
+        return self._simple_roots
 
     def __repr__(self):
         return (f"RootSystem({self.name}, n={self.n}, "
@@ -296,7 +284,7 @@ class ReflectionGroup:
     def matrices(self) -> list:
         """The exact matrix of each element, one product per element along
         the BFS parents."""
-        refl = self.rs.reflections()
+        refl = self.rs.reflections
         mats = [Matrix.identity(self.rs.n)]
         for p, w in zip(self.parents[1:], self.words[1:]):
             mats.append(mats[p] @ refl[w[-1]])
@@ -363,13 +351,9 @@ def _sym_roots(n: int):
 
 
 def _type_b_roots(n: int):
-    roots = [[1 if k == i else 0 for k in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            roots.append([1 if k == i else (-1 if k == j else 0)
-                          for k in range(n)])
-            roots.append([1 if k == i or k == j else 0 for k in range(n)])
-    return roots
+    """The unit vectors, then the roots of D_n."""
+    return [[1 if k == i else 0 for k in range(n)]
+            for i in range(n)] + _type_d_roots(n)
 
 
 def _type_d_roots(n: int):

@@ -321,16 +321,7 @@ def sparse_product(a: dict, b: dict, rule) -> dict:
             if not sign:
                 continue
             v = vi * vj
-            if sign < 0:
-                v = -v
-            # accumulate() inlined: this loop carries every Clifford
-            # product of the cover scans
-            cur = out.get(k)
-            new = v if cur is None else cur + v
-            if new.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = new
+            accumulate(out, k, -v if sign < 0 else v)
     return out
 
 

@@ -150,7 +150,7 @@ def test_09_vogan_witness():
               "C2": build_C2(d.cover, d.family.param),
               "e1": jm_symmetric_elements(d.cover)["e1"]}
     bad = [name for name, tw in twists.items()
-           if not report_passes(vogan_witness_check(d, tw, name=name))]
+           if not report_passes(vogan_witness_check(d, tw))]
     _report(9, "lifted-center witness recursion, powers 1 and 2",
             not bad, str(bad))
 

@@ -142,8 +142,8 @@ def test_memoised_relations_match_the_per_tuple_loop(name, spec, tau, deg):
 
 def test_memoised_relations_match_on_a_corrupted_s():
     ctx = ctx_for("S3", "1/2", deg=3)
-    ctx._s[(1, 2)] = ctx.S(1, 2) + ctx.family.identity_op().scale(
-        rat("1/7"))
+    ctx.family._ops[("S", 1, 2)] = ctx.S(1, 2) \
+        + ctx.family.identity_op().scale(rat("1/7"))
     records = same_records(ctx)
     failed = [r for r in records if r["status"] == "fail"]
     assert failed[0]["check_id"] == "S12 = S21"
@@ -161,7 +161,7 @@ def test_collected_relations_match_on_an_s_perturbed_at_one_degree(
     s12, dim = ctx.S(1, 2), ctx.family.dim(2)
     bump = Matrix.from_row_dicts(dim, dim,
                                  [{1: rat("1/7")}] + [{}] * (dim - 1))
-    monkeypatch.setitem(ctx._s, (1, 2), GradedOperator(
+    monkeypatch.setitem(ctx.family._ops, ("S", 1, 2), GradedOperator(
         ctx.family, 0, s12.blocks,
         lambda m: s12.blocks[m] + bump if m == 2 else s12.blocks[m]))
     records = same_records(ctx)

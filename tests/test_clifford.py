@@ -238,7 +238,7 @@ def test_spinor_image_is_one_sum_of_scaled_monomials():
             a = random_element(n, rng)
             chained = Matrix(rep.dim, rep.dim)
             for mask, v in a.coeffs.items():
-                chained = chained + rep._monomial_matrix(mask).scale(v)
+                chained = chained + rep.blade_images[mask].scale(v)
             assert rep.sigma(a) == chained
 
 

@@ -112,8 +112,10 @@ def test_disjoint_pair_products_are_nonzero_before_cancelling():
         for (k, l) in pairs:
             if {i, j} & {k, l}:
                 continue
-            a = d.pair(d.ama.M(i, j), CliffordElement.monomial(4, (i, j)))
-            b = d.pair(d.ama.M(k, l), CliffordElement.monomial(4, (k, l)))
+            a = d.spin_sum([(d.ama.M(i, j),
+                             CliffordElement.monomial(4, (i, j)))])
+            b = d.spin_sum([(d.ama.M(k, l),
+                             CliffordElement.monomial(4, (k, l)))])
             prod = a @ b
             if any(not blk.is_zero() for blk in prod.blocks.values()):
                 nonzero += 1
@@ -208,15 +210,14 @@ def test_witness_recursion_s3():
         "e1": jm_symmetric_elements(d.cover)["e1"],
     }
     for name, tw in twists.items():
-        recs = vogan_witness_check(d, tw, name=name)
+        recs = vogan_witness_check(d, tw)
         assert len(recs) == 3
         assert report_passes(recs), name
 
 
 def test_witness_recursion_b2():
     b = ctx("B2", {"long": Fraction(1, 3), "short": Fraction(1, 5)}, 4)
-    recs = vogan_witness_check(b, build_C2(b.cover, b.family.param),
-                               name="C2")
+    recs = vogan_witness_check(b, build_C2(b.cover, b.family.param))
     assert report_passes(recs)
 
 

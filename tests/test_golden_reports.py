@@ -11,10 +11,13 @@ reaches.
 """
 import hashlib
 import json
+from collections import Counter
+from functools import cache, cached_property
 
 import pytest
 
 from dunkldirac import cli
+from oracles import report_passes
 
 # name -> (config, SHA-256 of its report); every config runs all suites
 GOLDEN = {
@@ -114,7 +117,8 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     four suites that read it, Z3 once for the pincover and dirac suites,
     and the Jucys-Murphy elements once for the pincover suite and the
     jm:e1 twist.  Each harmonic slice is prepared once, with one Sylvester
-    test, and no float eigensolver or factorization runs."""
+    test, and no float eigensolver or factorization runs.  Each spinor
+    blade image is one product."""
     import numpy as np
 
     from dunkldirac import cover, diracops, linalg, polyrep
@@ -192,8 +196,10 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # AMA product and commutator side, and every Clifford monomial product,
     # was its own product, where a few stacked products per degree now
     # hold them all; 1,289 while the form and the Casimir of each harmonic
-    # slice were formed once per twist rather than once per slice
-    assert calls["matmul"] == 1281
+    # slice were formed once per twist rather than once per slice; 1,281
+    # while each spinor blade image was a chain of generator products,
+    # where it is now one product of a shorter blade's image
+    assert calls["matmul"] == 1264
     # 18,427 when every pairwise sum was canonicalised on its own
     assert calls["make"] < 7000
     # 873 with one kron per Kronecker term; 115 before the C[x] blocks came
@@ -221,6 +227,75 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # 4 when each twist (zero and C2) tested the form of each slice
     # (degrees 0 and 1)
     assert calls["is_positive_definite"] == 2
+
+
+def count_builds(monkeypatch, cls, name, calls):
+    """Count in calls[name] each build of the cached property name of
+    cls."""
+    build = vars(cls)[name].func
+
+    def counted(self):
+        calls[name] += 1
+        return build(self)
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+
+
+def test_derived_tables_are_built_once(tmp_path, monkeypatch):
+    """On the verify-s4 config (all suites on S4 at degree 3, c = 1/3) the
+    6 root and 6 coroot norms take one exact square root each, where 48
+    were taken; the simple roots are found once, where 12 calls found
+    them; and the 2^4 spinor blade images are built once.  The AMA
+    relation table is collected once per n: a second S4 context reads it
+    again.  One `spectrum` run (S3, c = 1/3, degree 1, twist C2)
+    restricts each block once: the Casimir's for the slice and the
+    operator's for both its exact data and its float spectrum, which
+    restricted it twice."""
+    from dunkldirac import angmom, clifford, diracops, polyrep, roots
+    calls = Counter()
+    norm, restrict = roots._norm, diracops._restrict
+    table = angmom._relation_table.__wrapped__
+    restricted = []
+
+    def count_norm(*args):
+        calls["_norm"] += 1
+        return norm(*args)
+
+    def collect(n):
+        calls["_relation_table"] += 1
+        return table(n)
+
+    def record_restrict(block, basis):
+        restricted.append(block)
+        return restrict(block, basis)
+
+    monkeypatch.setattr(roots, "_norm", count_norm)
+    monkeypatch.setattr(angmom, "_relation_table", cache(collect))
+    monkeypatch.setattr(diracops, "_restrict", record_restrict)
+    count_builds(monkeypatch, roots.RootSystem, "_simple_roots", calls)
+    count_builds(monkeypatch, clifford.SpinorRep, "blade_images", calls)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"group": "S4", "c": "1/3", "max_degree": 3,
+                                "tau": "trivial", "suites": "all"}),
+                    encoding="utf-8")
+    cfg = cli.load_config(str(path))
+    report, code = cli.run_verify(cfg)
+    assert code == 0
+    assert hashlib.sha256(cli._report_bytes(report)).hexdigest() == \
+        "68a97dbd3a237d7ce2c3dc3d7ca638452a3bf037bf780e9cc084c809cec14142"
+    assert calls == {"_norm": 12, "_simple_roots": 1, "blade_images": 1,
+                     "_relation_table": 1}
+    other = angmom.AmaContext(polyrep.ModuleFamily(
+        cfg["rs"], cfg["param"], "trivial", max_degree=2))
+    assert report_passes(angmom.ama_relations_check(other))
+    assert calls["_relation_table"] == 1
+    path.write_text(json.dumps({"group": "S3", "c": "1/3", "max_degree": 4}),
+                    encoding="utf-8")
+    restricted.clear()
+    rows = cli.run_spectrum(cli.load_config(str(path)), 1, "C2")
+    assert rows and all(row["status"] == "ok" for row in rows)
+    assert len(restricted) == len({id(b) for b in restricted}) == 2
 
 
 def test_verify_s4_blocks_hold_only_live_planes(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""The package's export list."""
+"""The package's export list, and the engine names the benchmark reaches."""
 import ast
 import inspect
 import types
@@ -40,3 +40,51 @@ def test_every_exported_function_is_used_by_the_engine():
                     if inspect.isfunction(getattr(dunkldirac, name))
                     and name not in used | ENTRY_POINTS)
     assert not unused
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_hooks_resolve():
+    """The benchmark in perfbench/ reaches into the engine by name: its
+    tracer wraps the functions of `FUNCTIONS` wherever they were imported
+    and the methods of `METHODS` on their classes, and its workloads and
+    child process call engine attributes.  Each must still resolve, and
+    each wrapped method must stay a plain function: a method turned into,
+    say, a cached_property would break only the traced benchmark run.
+    The files are read, not run."""
+    import dataclasses
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for modname, attr in tracer.FUNCTIONS:
+        fn = getattr(importlib.import_module(modname), attr, None)
+        assert inspect.isfunction(fn), (modname, attr)
+    for modname, clsname, attr, _ in tracer.METHODS:
+        cls = getattr(importlib.import_module(modname), clsname)
+        assert inspect.isfunction(inspect.getattr_static(cls, attr, None)), \
+            (clsname, attr)
+    from dunkldirac import cli, clifford, diracops
+    assert inspect.isfunction(
+        inspect.getattr_static(clifford.CliffordElement, "__mul__"))
+    assert inspect.isfunction(cli._build)
+    assert set(cli._SUITE_FNS) == set(cli.SUITES)
+    # every cli.<attr> and diracops.<attr> that the workloads and the
+    # child process name, and the search's call form and result fields
+    modules = {"cli": cli, "diracops": diracops}
+    for name in ("workloads.py", "child.py"):
+        tree = ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in modules:
+                assert hasattr(modules[node.value.id], node.attr), \
+                    (name, node.value.id, node.attr)
+    inspect.signature(diracops.nonzero_cohomology_search).bind(
+        "dctx", 1, "seed", "name")
+    fields = {f.name for f in dataclasses.fields(diracops.CohomologyResult)}
+    assert {"exact", "dim_h"} <= fields

@@ -478,7 +478,7 @@ def test_lazy_blocks_match_the_eager_algebra(name, c):
         return CliffordElement.generator(n, i)
 
     lazy = _expressions(fam.x_op, fam.y_op, fam.w_op, dctx.lift,
-                        lambda op, i: dctx.pair(op, gen(i)))
+                        lambda op, i: dctx.spin_sum([(op, gen(i))]))
     eye = Matrix.identity(dctx.spin.dim)
     ref = _expressions(
         lambda i: EagerOp.of(fam.x_op(i)), lambda i: EagerOp.of(fam.y_op(i)),

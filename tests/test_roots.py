@@ -101,15 +101,15 @@ def test_wedge2_trivial_elements():
 
 
 def test_orbit_labels():
-    assert set(root_system("S3").orbit_labels()) == {"all"}
+    assert set(root_system("S3").orbit_labels) == {"all"}
     b2 = root_system("B2")
-    labels = b2.orbit_labels()
+    labels = b2.orbit_labels
     assert set(labels) == {"short", "long"}
     # short roots are e1, e2 with norm 1
     for i, lab in enumerate(labels):
         norm = b2.norms_sq[i]
         assert (lab == "short") == (norm == ONE)
-    assert set(root_system("D3").orbit_labels()) == {"all"}
+    assert set(root_system("D3").orbit_labels) == {"all"}
 
 
 def test_param_function():
@@ -118,7 +118,7 @@ def test_param_function():
     assert c.per_root(s3)[0] == rat(Fraction(1, 2))
     b2 = root_system("B2")
     c2 = ParamFunction.from_config({"short": "1/3", "long": "1/5"}, b2)
-    shorts = [i for i, lab in enumerate(b2.orbit_labels()) if lab == "short"]
+    shorts = [i for i, lab in enumerate(b2.orbit_labels) if lab == "short"]
     assert all(c2.per_root(b2)[i] == rat(Fraction(1, 3)) for i in shorts)
     with pytest.raises(ValueError):
         ParamFunction.from_config({"bogus": "1"}, b2)
@@ -168,7 +168,7 @@ def test_custom_roots_and_norm_errors():
     # a root of norm 3 has no length in Q(sqrt2)
     bad = RootSystem(3, [[1, 1, 1]])
     with pytest.raises(ValueError):
-        bad.root_norm(0)
+        bad.root_norms
     scaled = root_system({"roots": [["1*sqrt2"]]})
     assert scaled.norms_sq[0] == rat(2)
 
