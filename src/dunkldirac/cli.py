@@ -313,6 +313,14 @@ def _suite_clifford(dctx, cfg) -> list:
 
 def _suite_pincover(dctx, cfg) -> list:
     cov = dctx.cover
+
+    def validates(check_id, build):
+        try:
+            build()
+        except (RuntimeError, ValueError) as exc:
+            return _check_record(check_id, False, {"error": str(exc)})
+        return _check_record(check_id, True)
+
     out = [
         _check_record("lift projection property", cov.projection_check()),
         _check_record("conjugation signs on reflection lifts",
@@ -325,21 +333,11 @@ def _suite_pincover(dctx, cfg) -> list:
     ok, failures = is_admissible(dctx.c2)
     out.append(_check_record("distinguished twist is admissible", ok,
                              None if ok else {"reasons": failures}))
-    try:
-        dctx.z3  # built, and so validated, on first read
-        out.append(_check_record("central cubic term validates", True))
-    except (RuntimeError, ValueError) as exc:
-        out.append(_check_record("central cubic term validates", False,
-                                 {"error": str(exc)}))
+    # z3 and jm are built, and so validated, on first read
+    out.append(validates("central cubic term validates", lambda: dctx.z3))
     if dctx.rs.has_transposition_roots():
-        try:
-            cov.jm  # built, and so validated, on first read
-            out.append(_check_record(
-                "jucys-murphy sign conventions validate", True))
-        except (RuntimeError, ValueError) as exc:
-            out.append(_check_record(
-                "jucys-murphy sign conventions validate", False,
-                {"error": str(exc)}))
+        out.append(validates("jucys-murphy sign conventions validate",
+                             lambda: cov.jm))
     if cov.has_g():
         out.append(_check_record("extended cover branch (central point "
                                  "reflection present)", True))
@@ -557,19 +555,17 @@ def run_spectrum(cfg, m: int, name: str) -> list:
     except ValueError as exc:
         raise ConfigError(f"element {name}: {exc}")
     base = {"group": cfg["rs"].name, "c": cfg["param"].label(),
-            "tau": _config_echo(cfg)["tau"], "m": m, "C_name": name}
+            "tau": _config_echo(cfg)["tau"], "m": m, "C_name": name,
+            "index": "", "eigenvalue": ""}
     try:
         spec = unitarity_and_spectrum(dop, m)
     except KeyError as exc:
-        return [{**base, "index": "", "eigenvalue": "",
-                 "status": f"error: degree {exc} outside the computed "
-                           "window"}]
+        return [{**base, "status": f"error: degree {exc} outside the "
+                                   "computed window"}]
     except (ValueError, RuntimeError) as exc:
-        return [{**base, "index": "", "eigenvalue": "",
-                 "status": f"error: {exc}"}]
+        return [{**base, "status": f"error: {exc}"}]
     if not spec.get("unitary"):
-        return [{**base, "index": "", "eigenvalue": "",
-                 "status": spec["status"]}]
+        return [{**base, "status": spec["status"]}]
     return [{**base, "index": i, "eigenvalue": repr(v), "status": "ok"}
             for i, v in enumerate(spec["spectrum"])]
 

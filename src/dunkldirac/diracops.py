@@ -16,7 +16,9 @@ elements, the witness recursion for the lifted center, the harmonic
 slices with their form data, kernel cohomology on them, central
 characters refined over the isotypic pieces that the twisted class sums
 cut out, unitary spectra, and the rescaling search that produces twists
-with nonzero kernel cohomology.
+with nonzero kernel cohomology.  Each harmonic slice is made once, in
+`DiracContext.slices`, and each twisted operator's block restricted to it
+once, in `DiracOperator.restricted`, where every verb on the slice reads it.
 """
 
 from dataclasses import dataclass
@@ -200,7 +202,9 @@ class DiracOperator:
     """A member of the twisted family: (dirac - phi) + rho(twist).
 
     Immutable after build; blocks preserve degree, so every slice can be
-    analyzed independently.
+    analyzed independently.  `restricted[m]` is op's block restricted to
+    `ctx.slices[m].spin_basis`, made on first read and kept, so the
+    unitarity, spectrum and cohomology verbs restrict each slice once.
     """
 
     ctx: DiracContext
@@ -208,6 +212,12 @@ class DiracOperator:
     twist: HatElement
     rho_twist: GradedOperator
     op: GradedOperator
+
+    @cached_property
+    def restricted(self) -> DegreeMemo:
+        # cached_property writes __dict__, which frozen=True leaves open
+        return DegreeMemo(self.ctx.slices, lambda m: _restrict(
+            self.op.blocks[m], self.ctx.slices[m].spin_basis))
 
 
 def build_dirac(dctx: DiracContext, twist: HatElement,
@@ -476,7 +486,8 @@ class HarmonicSlice:
     empty, and b^dagger G_m b positive definite by the exact Sylvester
     test), form is that form tensored with the spinor form, the identity,
     and omega the Casimir scalar on spin_basis, None if the Casimir acts
-    by no scalar; on other slices both are None."""
+    by no scalar; on other slices both are None.  An operator's block on
+    spin_basis is made once, in `DiracOperator.restricted`."""
 
     basis: Matrix
     spin_basis: Matrix
@@ -514,14 +525,15 @@ def dirac_cohomology(dop: DiracOperator, m: int) -> CohomologyResult:
     The operator preserves the slice because the angular momenta and the
     group action both commute with the Laplacian; all ranks are exact.
     The overlap is dim(ker r meet im r) = rank r - rank r^2: r maps ker r^2
-    onto ker r meet im r, and the kernel of that map is ker r.
+    onto ker r meet im r, and the kernel of that map is ker r.  r is the
+    slice block `dop.restricted[m]`, restricted once per operator.
     """
     dctx = dop.ctx
     bs = dctx.slices[m].spin_basis
     d = bs.ncols
     if d == 0:
         return CohomologyResult(m, 0, 0, 0, 0, 0, Matrix(bs.nrows, 0), None)
-    r = _restrict(dop.op.blocks[m], bs)
+    r = dop.restricted[m]
     ker = kernel(r)
     dim_ker = ker.ncols
     dim_im = d - dim_ker
@@ -698,27 +710,21 @@ def _float_exponent(a: np.ndarray) -> int:
 
 def unitarity(dop: DiracOperator, m: int) -> dict:
     """Form positivity, self-adjointness and scalar Casimir data on one
-    harmonic slice, all exact, and for the zero twist the identity
-    r r = (Casimir + 1) I.  A unitary slice on which the Casimir acts by no
-    scalar raises RuntimeError."""
-    return _unitarity(dop, m)[0]
-
-
-def _unitarity(dop: DiracOperator, m: int) -> tuple:
-    """`unitarity` and the operator block r restricted to the slice that
-    it read, None on a slice that is not unitary."""
+    harmonic slice for its block r = `dop.restricted[m]`, all exact, and
+    for the zero twist r r = (Casimir + 1) I.  A unitary slice on which the
+    Casimir acts by no scalar raises RuntimeError."""
     dctx = dop.ctx
     sl = dctx.slices[m]
     if sl.form is None:
         return {"degree": m, "dim": sl.spin_basis.ncols, "unitary": False,
                 "status": "non-unitary, skipped" if sl.basis.ncols
-                else "empty slice"}, None
+                else "empty slice"}
     om = sl.omega
     if om is None:
         raise RuntimeError("Casimir is not scalar on the slice; scalar "
                            "spectra need an irreducible twist of the "
                            "module")
-    r = _restrict(dop.op.blocks[m], sl.spin_basis)
+    r = dop.restricted[m]
     lam = dctx.ama.h_scalar(m)
     out = {"degree": m, "dim": r.nrows, "unitary": True, "status": "ok",
            "self_adjoint": (r.dagger() @ sl.form) == (sl.form @ r),
@@ -730,24 +736,25 @@ def _unitarity(dop: DiracOperator, m: int) -> tuple:
     if dop.twist.is_zero():
         out["square_is_casimir_plus_one"] = (
             r @ r == Matrix.identity(r.nrows).scale(om + ONE))
-    return out, r
+    return out
 
 
 def unitarity_and_spectrum(dop: DiracOperator, m: int) -> dict:
-    """`unitarity` plus the float spectrum of the slice, empty when it is
-    not unitary, through a Cholesky conjugation so the float solve sees an
-    honestly Hermitian matrix; when the float Gram matrix is too
-    ill-conditioned to factor, a self-adjoint r gives its spectrum
-    directly.  The float arrays are first scaled by powers of two, which
-    is exact, when their entries are far from 1.  A value past float range
-    raises OverflowError."""
-    out, r = _unitarity(dop, m)
+    """`unitarity` plus the float spectrum of the block r it read, empty
+    when the slice is not unitary, through a Cholesky conjugation so the
+    float solve sees an honestly Hermitian matrix; when the float Gram
+    matrix is too ill-conditioned to factor, a self-adjoint r gives its
+    spectrum directly.  The float arrays are first scaled by powers of
+    two, which is exact, when their entries are far from 1.  A value past
+    float range raises OverflowError."""
+    out = unitarity(dop, m)
     out["spectrum"] = []
-    if r is None:
+    if not out["unitary"]:
         return out
     # G / 4^k has Cholesky factor L / 2^k, and the similarity by it is
     # the similarity by L; r / 2^e has spectrum spec / 2^e
-    g, rc = dop.ctx.slices[m].form.to_complex(), r.to_complex()
+    g = dop.ctx.slices[m].form.to_complex()
+    rc = dop.restricted[m].to_complex()
     k, e = _float_exponent(g) // 2, _float_exponent(rc)
     rc = rc * 0.5 ** e
     try:

@@ -142,7 +142,9 @@ class Matrix:
         when every entry fits."""
         if not comps:
             return Matrix(num.shape[1], num.shape[2])
-        peaks = np.abs(num).max(axis=(1, 2), initial=0).tolist()
+        # the largest |entry| per plane, with no |num| copy
+        peaks = np.maximum(num.max(axis=(1, 2), initial=0),
+                           -num.min(axis=(1, 2), initial=0)).tolist()
         live = [k for k, p in enumerate(peaks) if p]
         if not live:
             return Matrix(num.shape[1], num.shape[2])
@@ -564,7 +566,8 @@ def vanishing_sums(mats, shape, index, coef) -> np.ndarray:
     coef (a zero coefficient pads a shorter sum).  All blocks are read
     over the lcm denominator, so each sum is one gather of its blocks'
     numerators, summed in int64 unless `_common` with weight the largest
-    sum of |coef[s, t]| over t rules it out.
+    sum of |coef[s, t]| over t rules it out.  Each gather reads a matrix in
+    place, through its (comps, rows, r, cols, c) view, with no copy.
     """
     index, coef = np.asarray(index), np.asarray(coef)
     r, c = shape
@@ -574,22 +577,24 @@ def vanishing_sums(mats, shape, index, coef) -> np.ndarray:
         raise ValueError(f"a matrix does not split into {r} x {c} blocks")
     weight = int(np.abs(coef).sum(axis=1).max(initial=0))
     den, comps, _, wide = _common(mats, weight)
-    blocks = []
+    dtype = object if wide else np.int64
+    coef = coef.astype(dtype)
+    total = np.zeros((len(index), len(comps), r, c), dtype)
+    end = 0
     for m in mats:
         rows, cols = m.nrows // r, m.ncols // c
-        blocks.append(_planes(m, den, comps, wide).reshape(
-            len(comps), rows, r, cols, c).swapaxes(2, 3).reshape(
-            len(comps), rows * cols, r, c))
-    blocks = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-    if wide:
-        coef = coef.astype(object)
-    total = None
-    for t in range(index.shape[1]):
-        term = blocks[:, index[:, t]]  # a fresh array, safe to scale
-        if (coef[:, t] != 1).any():
-            term *= coef[:, t, None, None]
-        total = term if total is None else np.add(total, term, out=total)
-    return ~total.any(axis=(0, 2, 3))
+        start, end = end, end + rows * cols
+        view = _planes(m, den, comps, wide).reshape(len(comps), rows, r,
+                                                    cols, c)
+        for t, at in enumerate(index.T):
+            mine = (start <= at) & (at < end)
+            mine = slice(None) if mine.all() else mine  # no masked copy
+            i, j = np.divmod(at[mine] - start, cols)
+            term = view[:, i, :, j, :]  # a fresh array, safe to scale
+            if (coef[mine, t] != 1).any():
+                term *= coef[mine, t, None, None, None]
+            total[mine] += term
+    return ~total.any(axis=(1, 2, 3))
 
 
 def sum_of_krons(pairs) -> Matrix:

@@ -198,8 +198,10 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # hold them all; 1,289 while the form and the Casimir of each harmonic
     # slice were formed once per twist rather than once per slice; 1,281
     # while each spinor blade image was a chain of generator products,
-    # where it is now one product of a shorter blade's image
-    assert calls["matmul"] == 1264
+    # where it is now one product of a shorter blade's image; 1,264 while
+    # each twisted operator's slice block was restricted twice, for its
+    # unitarity data and again for its kernel, two products each time
+    assert calls["matmul"] == 1256
     # 18,427 when every pairwise sum was canonicalised on its own
     assert calls["make"] < 7000
     # 873 with one kron per Kronecker term; 115 before the C[x] blocks came
@@ -248,10 +250,13 @@ def test_derived_tables_are_built_once(tmp_path, monkeypatch):
     were taken; the simple roots are found once, where 12 calls found
     them; and the 2^4 spinor blade images are built once.  The AMA
     relation table is collected once per n: a second S4 context reads it
-    again.  One `spectrum` run (S3, c = 1/3, degree 1, twist C2)
-    restricts each block once: the Casimir's for the slice and the
-    operator's for both its exact data and its float spectrum, which
-    restricted it twice."""
+    again.  Each (block, basis) pair is restricted once: the verify-s4
+    config makes 6 restrictions, where the cohomology suite made 10 by
+    restricting each twisted operator's slice block again for its kernel
+    after its unitarity data; the golden S4 table sweep makes 9, where it
+    made 13; and one `spectrum` run (S3, c = 1/3, degree 1, twist C2)
+    makes 2, the Casimir's for the slice and the operator's for both its
+    exact data and its float spectrum."""
     from dunkldirac import angmom, clifford, diracops, polyrep, roots
     calls = Counter()
     norm, restrict = roots._norm, diracops._restrict
@@ -267,8 +272,13 @@ def test_derived_tables_are_built_once(tmp_path, monkeypatch):
         return table(n)
 
     def record_restrict(block, basis):
-        restricted.append(block)
+        restricted.append((block, basis))
         return restrict(block, basis)
+
+    def restricted_once(count):
+        # the list holds every block and basis, so no id is reused
+        pairs = {(id(block), id(basis)) for block, basis in restricted}
+        return len(restricted) == len(pairs) == count
 
     monkeypatch.setattr(roots, "_norm", count_norm)
     monkeypatch.setattr(angmom, "_relation_table", cache(collect))
@@ -286,6 +296,7 @@ def test_derived_tables_are_built_once(tmp_path, monkeypatch):
         "68a97dbd3a237d7ce2c3dc3d7ca638452a3bf037bf780e9cc084c809cec14142"
     assert calls == {"_norm": 12, "_simple_roots": 1, "blade_images": 1,
                      "_relation_table": 1}
+    assert restricted_once(6)
     other = angmom.AmaContext(polyrep.ModuleFamily(
         cfg["rs"], cfg["param"], "trivial", max_degree=2))
     assert report_passes(angmom.ama_relations_check(other))
@@ -295,7 +306,11 @@ def test_derived_tables_are_built_once(tmp_path, monkeypatch):
     restricted.clear()
     rows = cli.run_spectrum(cli.load_config(str(path)), 1, "C2")
     assert rows and all(row["status"] == "ok" for row in rows)
-    assert len(restricted) == len({id(b) for b in restricted}) == 2
+    assert restricted_once(2)
+    restricted.clear()
+    assert table_digest(tmp_path, S4_TABLE_CONFIG, S4_TABLE_SWEEP) \
+        == S4_TABLE_DIGEST
+    assert restricted_once(9)
 
 
 def test_verify_s4_blocks_hold_only_live_planes(tmp_path, monkeypatch):
