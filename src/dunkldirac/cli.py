@@ -498,15 +498,15 @@ def _table_row(cfg, dctx, point) -> dict:
         if scale != 1:
             tw = tw.scale(rat(scale))
         dop = build_dirac(dctx, tw, name=name)
-        row["dim_X"] = dctx.slices[m].basis.ncols
+        sl = dctx.slices[m]
+        row["dim_X"] = sl.basis.ncols
         lam = dctx.ama.h_scalar(m)
         if lam is not None:
             row["lambda"] = str(lam)
             row["chi"] = str(lam * (lam - rat(2)))
-        spec = unitarity(dop, m)
-        row["unitary_flag"] = 1 if spec.get("unitary") else 0
-        if spec.get("omega_scalar") is not None:
-            row["omega_scalar"] = spec["omega_scalar"]
+        if sl.form is not None:
+            row["omega_scalar"] = str(sl.scalar_omega())
+        row["unitary_flag"] = 0 if sl.form is None else 1
         coh = dirac_cohomology(dop, m)
         row["dim_ker"] = coh.dim_ker
         row["dim_H"] = coh.dim_h

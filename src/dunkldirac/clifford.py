@@ -217,5 +217,4 @@ class SpinorRep:
         if elem.n != self.n:
             raise ValueError("generator count mismatch")
         return signed_sum([(1, Matrix(self.dim, self.dim))] + [
-            (1, self.blade_images[mask].scale(v))
-            for mask, v in elem.coeffs.items()])
+            (v, self.blade_images[mask]) for mask, v in elem.coeffs.items()])

@@ -494,6 +494,14 @@ class HarmonicSlice:
     form: Matrix | None = None
     omega: ExactScalar | None = None
 
+    def scalar_omega(self) -> ExactScalar:
+        """omega, on a unitary slice; RuntimeError when it is None."""
+        if self.omega is None:
+            raise RuntimeError("Casimir is not scalar on the slice; scalar "
+                               "spectra need an irreducible twist of the "
+                               "module")
+        return self.omega
+
 
 # -- kernel cohomology -----------------------------------------------------------
 
@@ -719,11 +727,7 @@ def unitarity(dop: DiracOperator, m: int) -> dict:
         return {"degree": m, "dim": sl.spin_basis.ncols, "unitary": False,
                 "status": "non-unitary, skipped" if sl.basis.ncols
                 else "empty slice"}
-    om = sl.omega
-    if om is None:
-        raise RuntimeError("Casimir is not scalar on the slice; scalar "
-                           "spectra need an irreducible twist of the "
-                           "module")
+    om = sl.scalar_omega()
     r = dop.restricted[m]
     lam = dctx.ama.h_scalar(m)
     out = {"degree": m, "dim": r.nrows, "unitary": True, "status": "ok",

@@ -27,9 +27,10 @@ int64, and else on `object` arrays, slower but exact.  So no float ever
 decides a value: floats that round appear only in `to_complex`, which
 feeds reports and eigenvalue guesses.
 
-Every linear combination, a pairwise sum included, is one `signed_sum`:
-one lcm denominator, one numerator over the union of the terms'
-components accumulated in int64 or else on `object` arrays, and one
+Every linear combination is one `signed_sum` of (c, M) terms, c an int
+or an ExactScalar, a scalar multiple (`Matrix.scale`) included: one lcm
+denominator, one numerator over the components the terms reach,
+accumulated in int64 or else on `object` arrays, and one
 canonicalisation.  A sum of T >= 2 Kronecker products a_t (x) b_t is
 one product (see `sum_of_krons`): the a_t read row-major as columns
 against the b_t read row-major as rows, over their lcm denominators.
@@ -42,9 +43,10 @@ blocks one above the next times the right blocks side by side, block
 (i, j) of the result being the (i, j) product, run in pieces of at most
 `GEMM_MADDS` multiply-adds each.  `vanishing_sums` decides many signed
 sums of blocks at once, one gather of their numerators over one lcm
-denominator.  Matrices are joined by `stack`.  Every sum, stack and
-gather reads its matrices over one denominator by one rule, `_common`,
-which carries the proof that int64 holds the result or else sends it to
+denominator.  Matrices are joined by `stack`.  `_common` is the int64
+proof of every linear combination, scalar multiples included, and of
+every stack and gather, and `_fits` that of every product and Kronecker
+product: each proves that int64 holds the result or else sends it to
 `object` arrays.
 
 Rank, kernel and the Sylvester positivity test all run through one
@@ -71,11 +73,6 @@ _LIMIT = 1 << 62
 # sqrt2, i, i*sqrt2
 _COEF = ((1, 1, 1, 1), (2, 1, 2, 1), (-1, -1, 1, 1), (-2, -1, 2, 1))
 _ALL = (0, 1, 2, 3)
-
-
-def _union(mats) -> tuple:
-    """The sorted union of the live components of mats."""
-    return tuple(sorted(set().union(*(m.comps for m in mats))))
 
 
 def _by_pairs(ca, cb, product, shape, den) -> "Matrix":
@@ -269,19 +266,12 @@ class Matrix:
 
     def add_to_diagonal(self, s) -> "Matrix":
         """self + s * I, for a square matrix."""
-        return self + Matrix.identity(self.nrows).scale(s)
+        return signed_sum(((1, self),
+                           (as_scalar(s), Matrix.identity(self.nrows))))
 
     def scale(self, s) -> "Matrix":
-        """s * self, one multiply per live pair of components of s and
-        self (one for a rational s); int64 under `_fits` with k = 1 and
-        s's components as B's entries."""
-        s = as_scalar(s)
-        sc, num = (s._p, s._q, s._r, s._s), self.num
-        if self.bits + max(map(abs, sc)).bit_length() + 5 > 62:
-            num = num.astype(object)
-        ca = [a for a in _ALL if sc[a]]
-        return _by_pairs(ca, self.comps, lambda i, j: sc[ca[i]] * num[j],
-                         self.shape, self.den * s._den)
+        """s * self, the one-term `signed_sum`."""
+        return signed_sum(((as_scalar(s), self),))
 
     def _fits(self, other: "Matrix", k: int, limit: int = 62) -> bool:
         """True when every sum of k terms a * c * b, for entries a of self
@@ -359,11 +349,8 @@ class Matrix:
         """Return the scalar if self == s*I, else None."""
         if self.nrows != self.ncols:
             return None
-        if self.nrows == 0:
-            return ZERO
-        s = self.get(0, 0)
-        expect = Matrix.identity(self.nrows).scale(s)
-        return s if self == expect else None
+        s = self.get(0, 0) if self.nrows else ZERO
+        return s if self == Matrix.identity(self.nrows).scale(s) else None
 
     # -- conversions --
 
@@ -402,44 +389,68 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
-def _common(mats, weight: int = 1) -> tuple:
-    """(den, comps, peak, wide) to read the matrices of mats over one
-    denominator in sums of weight: den the lcm of theirs, comps the union
-    of their live components, peak = max_j(bits_j + bitlen(den / den_j))
-    and wide = peak + bitlen(weight) > 62.  Every sum, stack and gather
-    of this module runs on `object` arrays when wide, else in int64.
+def _parts(coef) -> tuple:
+    """(den, ((x, v), ...)): an int or ExactScalar coef over its
+    denominator, as the numerator v of each nonzero component x."""
+    if isinstance(coef, int):
+        return 1, ((0, coef),)
+    vals = (coef._p, coef._q, coef._r, coef._s)
+    return coef._den, tuple((x, v) for x, v in enumerate(vals) if v)
 
-    Proof: an entry of matrix j rescaled to den is below 2^bits_j *
-    (den / den_j) < 2^peak.  A sum of such entries whose integer
+
+def _common(terms, weight: int = 1) -> tuple:
+    """(den, comps, peak, wide) to read the (c_j, M_j) terms, c_j an int or
+    an ExactScalar, over one denominator in sums of weight: den the lcm of
+    the d_j = den(c_j) den_j, comps the components the c_j M_j reach, peak
+    = max_j(bits_j + bitlen(|c_j| den / d_j)) and wide = peak +
+    bitlen(weight) > 62, where |c| = |p| + 2|q| + |r| + 2|s| for c = (p +
+    q sqrt2 + i (r + s sqrt2)) / den(c).  Every linear combination, stack
+    and gather of this module runs on `object` arrays when wide, else in
+    int64.
+
+    Proof: component z of c_j M_j over den sums, over the components x of
+    c_j with numerator v_x, _COEF[x][z] v_x (den / d_j) times an entry of
+    M_j, below 2^bits_j; |_COEF[x][z]| <= 2, and 2 only for odd x.  So
+    every multiplier, term and partial sum of it is below |c_j| (den /
+    d_j) 2^bits_j < 2^peak.  A sum of such terms whose integer
     coefficients add up to at most weight in absolute value, and each of
-    its partial sums, is below weight * 2^peak < 2^(peak +
-    bitlen(weight)), which is at most 2^62 unless wide.
+    its partial sums, is below 2^(peak + bitlen(weight)), at most 2^62
+    unless wide.  For c_j = +-1 this is M_j's own bound.
     """
-    den = lcm(*(m.den for m in mats))
-    peak = max(m.bits + (den // m.den).bit_length() for m in mats)
-    return den, _union(mats), peak, peak + weight.bit_length() > 62
+    parts = [(_parts(c), m) for c, m in terms]
+    den = lcm(*(cden * m.den for (cden, _), m in parts))
+    peak = max(m.bits + (sum(abs(v) << (x & 1) for x, v in cp)
+                         * (den // (cden * m.den))).bit_length()
+               for (cden, cp), m in parts)
+    comps = tuple(sorted({x ^ y for (_, cp), m in parts for x, _ in cp
+                          for y in m.comps}))
+    return den, comps, peak, peak + weight.bit_length() > 62
 
 
-def _planes(mat: Matrix, den: int, comps: tuple, wide: bool) -> np.ndarray:
-    """mat's numerator over den, a multiple of mat.den, on one plane per
-    component of comps, a superset of mat.comps, a plane mat lacks reading
-    zero; on `object` arrays when wide (see `_common`).  A fresh array
-    unless it is mat.num itself, read-only."""
+def _planes(mat: Matrix, den: int, comps: tuple, wide: bool,
+            coef=1) -> np.ndarray:
+    """The numerator of coef * mat over den (see `_common`), component x of
+    coef times plane y of mat adding into component x ^ y by _COEF, on one
+    plane per component of comps, a plane it lacks reading zero; on
+    `object` arrays when wide.  A fresh array, or mat.num (read-only)."""
     term = mat.num.astype(object) if wide else mat.num
-    if den != mat.den:
-        term = term * (den // mat.den)
-    if mat.comps == comps:
-        return term
+    cden, parts = _parts(coef)
+    scale = den // (cden * mat.den)
+    if [x for x, _ in parts] == [0] and mat.comps == comps:
+        k = parts[0][1] * scale  # a rational coef moves no component
+        return term if k == 1 else term * k
     out = np.zeros((len(comps), *mat.shape), dtype=term.dtype)
-    out[[comps.index(c) for c in mat.comps]] = term
+    for x, v in parts:
+        k = np.array([_COEF[x][x ^ y] * v * scale for y in mat.comps],
+                     dtype=term.dtype)
+        out[[comps.index(x ^ y) for y in mat.comps]] += k[:, None, None] * term
     return out
 
 
 def _signed_numerator(terms):
-    """(num, den, comps): num / den is the sum of sign * M over the
-    (sign, M) pairs of terms (signs +-1, one shape), num holding one plane
-    per component of comps, the union of the terms' live components; num
-    is not canonical.  den is the lcm of the denominators; the k nonzero
+    """(num, den, comps): num / den is the sum of c * M over the (c, M)
+    terms, c an int or an ExactScalar and every M of one shape, on one
+    plane per component of comps; num is not canonical.  The k nonzero
     terms add by the rule of `_common` with weight k."""
     terms = list(terms)
     if not terms:
@@ -448,33 +459,31 @@ def _signed_numerator(terms):
     for _, mat in terms:
         if mat.shape != shape:
             raise ValueError(f"shape mismatch {shape} vs {mat.shape}")
-    terms = [(sign, mat) for sign, mat in terms if mat.comps]
+    terms = [(coef, mat) for coef, mat in terms if coef and mat.comps]
     if not terms:
         return np.zeros((0, *shape), dtype=np.int64), 1, ()
-    den, comps, _, wide = _common([mat for _, mat in terms], len(terms))
+    den, comps, _, wide = _common(terms, len(terms))
     num = None
-    for sign, mat in terms:
-        term = _planes(mat, den, comps, wide)
+    for coef, mat in terms:
+        term = _planes(mat, den, comps, wide, coef)
         if num is None:
             # mat.num is read-only: the accumulator owns its array
-            num = -term if sign < 0 else (
-                term.copy() if term is mat.num else term)
-        elif sign > 0:
-            num += term
+            num = term.copy() if term is mat.num else term
         else:
-            num -= term
+            num += term
     return num, den, comps
 
 
 def signed_sum(terms) -> Matrix:
-    """The exact sum of sign * M over the (sign, M) pairs of terms, put in
-    canonical form once (see `_signed_numerator`)."""
+    """The exact sum of c * M over the (c, M) pairs of terms, c an int or
+    an ExactScalar, put in canonical form once (see `_signed_numerator`)."""
     return Matrix._make(*_signed_numerator(terms))
 
 
 def first_nonzero(terms):
-    """(row, col) of the first nonzero entry, row-major, of the signed sum
-    of terms, or None when it is zero; the sum is never canonicalised."""
+    """(row, col) of the first nonzero entry, row-major, of the sum of the
+    (c, M) terms, as `signed_sum` reads them, or None when it is zero; the
+    sum is never canonicalised."""
     num = _signed_numerator(terms)[0]
     spots = np.flatnonzero(num.any(axis=0))
     return divmod(int(spots[0]), num.shape[2]) if spots.size else None
@@ -482,9 +491,9 @@ def first_nonzero(terms):
 
 def _joined(mats, axis: int) -> tuple:
     """(num, den, comps, peak) of the matrices of mats one above the next
-    (axis 0) or side by side (axis 1), read by `_common(mats)`; num is not
-    canonical."""
-    den, comps, peak, wide = _common(mats)
+    (axis 0) or side by side (axis 1), each read by `_common` with
+    coefficient 1; num is not canonical."""
+    den, comps, peak, wide = _common([(1, m) for m in mats])
     num = np.concatenate([_planes(m, den, comps, wide) for m in mats],
                          axis=axis + 1)
     return num, den, comps, peak
@@ -576,7 +585,7 @@ def vanishing_sums(mats, shape, index, coef) -> np.ndarray:
     if any(m.nrows % r or m.ncols % c for m in mats):
         raise ValueError(f"a matrix does not split into {r} x {c} blocks")
     weight = int(np.abs(coef).sum(axis=1).max(initial=0))
-    den, comps, _, wide = _common(mats, weight)
+    den, comps, _, wide = _common([(1, m) for m in mats], weight)
     dtype = object if wide else np.int64
     coef = coef.astype(dtype)
     total = np.zeros((len(index), len(comps), r, c), dtype)

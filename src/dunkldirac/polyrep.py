@@ -15,10 +15,10 @@ share, so a composite that would need data above degree N loses those keys
 instead of producing wrong matrices.  The keys are fixed when an operator
 is formed, but a block is built only on its first read and then kept (a
 DegreeMemo): the operator algebra composes builders, so a check that reads
-one degree slice builds that slice alone.  A block of a sum is one
-`linalg.signed_sum`; a comparison first tests lhs - rhs, one signed sum of
-both sides' pending terms, for zero, building both blocks only to read a
-witness.  The family keeps its per-degree data (the divided-difference
+one degree slice builds that slice alone.  A block of a weighted sum, a
+scalar multiple or negation included, is one `linalg.signed_sum`; a
+comparison first tests lhs - rhs, one sum of both sides' pending terms,
+for zero, building both blocks only to read a witness.  The family keeps its per-degree data (the divided-difference
 blocks, contravariant forms, harmonic bases) in the same memo.
 
 Degrees below zero are genuinely zero dimensional rather than truncated:
@@ -182,10 +182,6 @@ class DegreeMemo(Mapping):
                 self.build = None
         return got
 
-    def peek(self, m):
-        """For a key m, the value if built, else the builder that makes it."""
-        return self._memo.get(m, self.build)
-
     def __contains__(self, m) -> bool:
         return m in self._keys
 
@@ -235,13 +231,12 @@ class GradedOperator:
         return _signed_sum([(1, self), (-1, other)])
 
     def __neg__(self) -> "GradedOperator":
-        return GradedOperator(self.family, self.shift, self.blocks,
-                              lambda m: -self.blocks[m])
+        return _signed_sum([(-1, self)])
 
     def scale(self, s) -> "GradedOperator":
-        s = as_scalar(s)
-        return GradedOperator(self.family, self.shift, self.blocks,
-                              lambda m: self.blocks[m].scale(s))
+        """s * self as a pending one-term sum, which a sum reading it splices
+        with s in its coefficients: no scaled block is made by itself."""
+        return _signed_sum([(as_scalar(s), self)])
 
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         """self composed after other; keys survive only when the chain does."""
@@ -263,14 +258,15 @@ class GradedOperator:
         return self.first_mismatch(other) is None
 
     def first_mismatch(self, other: "GradedOperator"):
-        """(degree, (row, col), lhs, rhs) of the first difference, or None."""
-        self._need_same(other)
-        common = [m for m in self.blocks if m in other.blocks]
-        if not common:
+        """(degree, (row, col), lhs, rhs) of the first difference, or None.
+        Each degree tests the terms of the pending sum self - other for
+        zero, building neither side's block unless they differ there."""
+        diff = self - other
+        if not diff.blocks:
             raise ValueError("no common valid degrees to compare")
-        for m in common:
-            spot = first_nonzero(chain(_terms(self, m, 1),
-                                       _terms(other, m, -1)))
+        for m in diff.blocks:
+            spot = first_nonzero((c, op.blocks[m])
+                                 for c, op in diff.blocks.build)
             if spot is not None:
                 a, b = self.blocks[m], other.blocks[m]
                 return (m, spot, a.get(*spot), b.get(*spot))
@@ -278,33 +274,26 @@ class GradedOperator:
 
 
 class _Sum(list):
-    """Block builder of the sum of its (sign, op) terms."""
+    """Block builder: one `linalg.signed_sum` of its (c, op) terms."""
 
     def __call__(self, m: int) -> Matrix:
-        return signed_sum((s, op.blocks[m]) for s, op in self)
-
-
-def _terms(op: GradedOperator, m: int, sign: int):
-    """sign * block m of op as signed blocks; a pending sum stays unbuilt."""
-    pending = op.blocks.peek(m)
-    if isinstance(pending, _Sum):
-        return ((sign * s, o.blocks[m]) for s, o in pending)
-    return [(sign, op.blocks[m])]
+        return signed_sum((c, op.blocks[m]) for c, op in self)
 
 
 def _signed_sum(terms) -> GradedOperator:
-    """The sum of sign * op over (sign, op) pairs, signs +-1, on the keys
-    every operand knows.  An operand still built as a sum is spliced in, not
-    nested: a block of a k-term sum reads at one recursion depth for any k."""
+    """The sum of c * op over (c, op) pairs, c an int or an ExactScalar, on
+    the keys every operand knows.  An operand still built as a sum, such as
+    a negation or a scalar multiple, is spliced in with its coefficients
+    times c, not nested: a k-term sum's block reads at one depth for any k."""
     lead = terms[0][1]
     flat = _Sum()
-    for sign, op in terms:
+    for coef, op in terms:
         lead._need_same(op)
         build = op.blocks.build
         if isinstance(build, _Sum):
-            flat += build if sign > 0 else [(-s, o) for s, o in build]
+            flat += build if coef == 1 else [(coef * c, o) for c, o in build]
         else:
-            flat.append((sign, op))
+            flat.append((coef, op))
     keys = sorted(set(lead.blocks).intersection(*(o.blocks for _, o in terms)))
     return GradedOperator(lead.family, lead.shift, keys, flat)
 

@@ -58,10 +58,6 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _gcd5(a: int, b: int, c: int, d: int, e: int) -> int:
-    return gcd(gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d))), e)
-
-
 class ExactScalar:
     """(a + b*sqrt2) + i*(c + d*sqrt2) with rational a, b, c, d.
 
@@ -88,7 +84,7 @@ class ExactScalar:
         if self._den < 0:
             self._p, self._q, self._r, self._s, self._den = (
                 -self._p, -self._q, -self._r, -self._s, -self._den)
-        g = _gcd5(self._p, self._q, self._r, self._s, self._den)
+        g = gcd(self._p, self._q, self._r, self._s, self._den)
         if g > 1:
             self._p //= g
             self._q //= g

@@ -107,7 +107,8 @@ def test_table_digest_s4_kernels(tmp_path):
 def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     """All suites on S4 at degree 3, c = 1/3: the report keeps its digest,
     the products are as many as before, a block-level sum is brought to
-    canonical form once rather than once per term, a Kronecker sum of two
+    canonical form once rather than once per term, with every scalar
+    multiple inside it one of its coefficients, a Kronecker sum of two
     or more terms is one product rather than one kron per term, and each
     distinct collected AMA relation is decided once.  The AMA sweeps and
     the Clifford monomial check form their products a few stacked
@@ -123,9 +124,10 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
 
     from dunkldirac import cover, diracops, linalg, polyrep
     calls = {"make": 0, "matmul": 0, "kron": 0, "first_nonzero": 0,
-             "build_C2": 0, "build_Z3": 0, "jm_elements": 0,
+             "scale": 0, "build_C2": 0, "build_Z3": 0, "jm_elements": 0,
              "is_positive_definite": 0}
     make, matmul = linalg.Matrix._make, linalg.Matrix.__matmul__
+    scale = linalg.Matrix.scale
     kron, first_nonzero = linalg.Matrix.kron, polyrep.first_nonzero
     gemm, gemm_madds = linalg._gemm, set()
 
@@ -140,6 +142,10 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     def count_matmul(a, b):
         calls["matmul"] += 1
         return matmul(a, b)
+
+    def count_scale(a, s):
+        calls["scale"] += 1
+        return scale(a, s)
 
     def count_kron(a, b):
         calls["kron"] += 1
@@ -163,6 +169,7 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     monkeypatch.setattr(linalg.Matrix, "_make", staticmethod(count_make))
     monkeypatch.setattr(linalg.Matrix, "__matmul__", count_matmul)
     monkeypatch.setattr(linalg.Matrix, "kron", count_kron)
+    monkeypatch.setattr(linalg.Matrix, "scale", count_scale)
     monkeypatch.setattr(polyrep, "first_nonzero", count_first_nonzero)
     for name, home in (("build_C2", cover), ("build_Z3", cover),
                        ("jm_elements", cover),
@@ -202,8 +209,15 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # each twisted operator's slice block was restricted twice, for its
     # unitarity data and again for its kernel, two products each time
     assert calls["matmul"] == 1256
-    # 18,427 when every pairwise sum was canonicalised on its own
-    assert calls["make"] < 7000
+    # 18,427 when every pairwise sum was canonicalised on its own; 3,076
+    # while each scaled operator block was canonicalised by itself and
+    # again in the sum that read it, where a scalar multiple is now a
+    # coefficient of that sum
+    assert calls["make"] == 2139
+    # 996 while every scaled operator block, every spinor blade image of a
+    # sigma and every term of a group-algebra or reflection sum was its own
+    # `Matrix.scale`
+    assert calls["scale"] == 39
     # 873 with one kron per Kronecker term; 115 before the C[x] blocks came
     # from the Leibniz recursion, one or two krons per block, and the
     # contravariant form one kron per variable and degree; 190 while the

@@ -727,6 +727,72 @@ def test_signed_sum_takes_int64_exactly_up_to_the_62_bit_bound(top_bits,
         [[m.get(0, j) for j in range(2)] for m in mats])
 
 
+@pytest.mark.parametrize("top_bits, dtype", [(56, np.int64), (57, object)])
+def test_weighted_sum_takes_int64_exactly_up_to_the_62_bit_bound(top_bits,
+                                                                  dtype):
+    # c = (1 + 2 sqrt2) / 3 weighs |1| + 2 |2| = 5 over den 3 (a sqrt2
+    # component times a sqrt2 plane doubles), and the second term is over
+    # den 2, so the lcm den is 6: the first term is rescaled by 6 / 3 = 2,
+    # for a peak of top_bits + bitlen(5 * 2) = top_bits + 4; the second
+    # peaks at 50 + bitlen(3) = 52, and two terms add bitlen(2) = 2.  56
+    # gives 62, at the bound; 57 gives 63, past it.
+    c = ExactScalar(Fraction(1, 3), Fraction(2, 3))
+    terms = [(c, peaked(top_bits, 1)), (-1, peaked(50, 2))]
+    num, den, comps = _signed_numerator(terms)
+    assert num.dtype == dtype and den == 6 and comps == (0, 1, 2, 3)
+    want = Matrix.from_rows(weighted_reference(terms))
+    assert Matrix._make(num, den, comps) == want
+    got = signed_sum(terms)
+    assert_canonical(got)
+    assert got == want
+
+
+def weighted_reference(terms):
+    """The sum of c * M over the (c, M) pairs of terms, entry by entry in
+    ExactScalar arithmetic, as dense rows."""
+    rows, cols = terms[0][1].shape
+    dense = [(c, m.to_dense()) for c, m in terms]
+    return [[sum((c * d[i][j] for c, d in dense), ZERO)
+             for j in range(cols)] for i in range(rows)]
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
+def test_weighted_sums_match_an_entrywise_reference(wide):
+    """signed_sum, first_nonzero and Matrix.scale with ExactScalar
+    coefficients of one to four components, on matrices whose live
+    components run over all 15 nonempty sets, with int64 numerators and
+    with `object` numerators above 62 bits, against the sum formed entry
+    by entry in ExactScalar arithmetic."""
+    rng = random.Random(3141 + wide)
+
+    def coefficient(live):
+        return ExactScalar(*(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                      rng.randint(1, 7))
+                             if x in live else 0 for x in range(4)))
+    for n, comps in enumerate(SUBSETS):
+        a = subset_matrix(rng, 2, 3, comps)
+        b = subset_matrix(rng, 2, 3, SUBSETS[(5 * n + 2) % 15])
+        if wide:
+            a = lifted(a, 70)
+            assert a.num.dtype == object and a.comps == comps
+        for k in range(1, 5):
+            ca, cb = (coefficient(rng.sample(range(4), k)) for _ in "ab")
+            for terms in ([(ca, a)], [(ca, a), (cb, b), (-1, b)],
+                          [(cb, b), (1, a), (-ca, a)]):
+                want = weighted_reference(terms)
+                got = signed_sum(terms)
+                assert_canonical(got)
+                assert got.to_dense() == want
+                assert first_nonzero(terms) == next(
+                    ((i, j) for i in range(2) for j in range(3)
+                     if want[i][j]), None)
+            assert a.scale(ca).to_dense() == weighted_reference([(ca, a)])
+            # a combination that cancels is the canonical zero
+            zero = signed_sum([(ca, a), (cb, b), (-cb, b), (-ca, a)])
+            assert zero == Matrix(2, 3) and zero.den == 1
+            assert first_nonzero([(ca, a), (-ca, a)]) is None
+
+
 def test_signed_sum_of_a_cancelling_combination_is_the_canonical_zero():
     rng = random.Random(99)
     a = random_q_matrix(rng, 2, 3)

@@ -88,3 +88,56 @@ def test_benchmark_hooks_resolve():
         "dctx", 1, "seed", "name")
     fields = {f.name for f in dataclasses.fields(diracops.CohomologyResult)}
     assert {"exact", "dim_h"} <= fields
+
+
+# the only functions that may switch numerators from int64 to `object`
+# arrays: linalg's canonical form, the product bound (`_fits` and the
+# operands it rules on) and the linear-combination bound (`_common`, and
+# `_planes` and `vanishing_sums`, which act on its ruling)
+OBJECT_SWITCHES = {("linalg", name) for name in (
+    "Matrix._make", "Matrix.from_row_dicts", "Matrix.to_complex",
+    "Matrix._fits", "Matrix._operands", "_common", "_planes",
+    "vanishing_sums")}
+
+
+def _object_switches(tree) -> list:
+    """(qualified function name, line) of each int64 -> `object` switch in
+    a module: the name `object` other than as `object.<attr>`, the
+    attribute `.object_`, or "O" or "object" as a dtype keyword or an
+    astype argument."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            dtype_arg = (isinstance(node, ast.keyword) and node.arg == "dtype"
+                         or isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Attribute)
+                         and node.func.attr == "astype")
+            if (isinstance(child, ast.Name) and child.id == "object"
+                    and not isinstance(node, ast.Attribute)
+                    or isinstance(child, ast.Attribute)
+                    and child.attr == "object_"
+                    or dtype_arg and isinstance(child, ast.Constant)
+                    and child.value in ("O", "object")):
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+    visit(tree, ())
+    return found
+
+
+def test_only_the_proved_bounds_switch_to_object_arrays():
+    """Every int64 -> `object` switch of the engine sits in a function of
+    OBJECT_SWITCHES: a sum, scalar multiple or product that chose its own
+    dtype would carry an overflow proof of its own."""
+    seen = set()
+    for path in sorted(Path(dunkldirac.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, line in _object_switches(tree):
+            assert (path.stem, name) in OBJECT_SWITCHES, \
+                f"{path.name}:{line} switches to object arrays in {name}"
+            seen.add((path.stem, name))
+    # the scan finds the switches it allows
+    assert {("linalg", "_planes"), ("linalg", "Matrix._operands")} <= seen

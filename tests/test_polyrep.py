@@ -732,10 +732,14 @@ def test_a_passing_comparison_of_pending_sums_builds_neither_side():
     assert not lhs.blocks._memo and not rhs.blocks._memo
     # the operands of both sums are built as a block read would build them
     assert sorted(fam.y_op(2).blocks._memo) == [0, 1, 2, 3]
-    # a failing one reads both blocks of the first differing degree only
-    _rec(records, "[y2, x1] = -S21", lhs, -rhs)
+    # a failing one reads both blocks of the first differing degree only;
+    # -rhs is rhs's terms spliced with negated coefficients, so it builds
+    # its own block and rhs stays unbuilt
+    neg = -rhs
+    _rec(records, "[y2, x1] = -S21", lhs, neg)
     assert records[1]["witness"]["degree"] == 0
-    assert list(lhs.blocks._memo) == [0] == list(rhs.blocks._memo)
+    assert list(lhs.blocks._memo) == [0] == list(neg.blocks._memo)
+    assert not rhs.blocks._memo
 
 
 def test_a_comparison_without_common_degrees_raises():
