@@ -136,11 +136,16 @@ class AmaContext:
 
     # -- tau-level data ----------------------------------------------------------
 
+    @cached_property
+    def _tau_shift(self):
+        return self.Z.blocks[0].is_scalar_multiple_of_identity()
+
     def tau_shift_scalar(self):
         """The scalar by which Z acts on tau, or None if tau is reducible
-        enough for Z to act non-scalarly.  Every w fixes the constants, so
-        Z on degree 0 is sum_a c_a tau(s_a) on the tau factor alone."""
-        return self.Z.blocks[0].is_scalar_multiple_of_identity()
+        enough for Z to act non-scalarly; read once per context.  Every w
+        fixes the constants, so Z on degree 0 is sum_a c_a tau(s_a) on the
+        tau factor alone."""
+        return self._tau_shift
 
     def h_scalar(self, m: int):
         """Eigenvalue m + n/2 + N_c(tau) of H on degree m, or None."""

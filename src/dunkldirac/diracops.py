@@ -647,9 +647,9 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
     to ker vanishes, and the point reflection acts on ker by its predicted
     sign when -1 lies in the group.  The kernel is then split into
     isotypic pieces, the joint eigenspaces of the twisted class sums, and
-    the normalized trace of the transported Casimir is matched per piece;
-    when an eigenvalue split fails, "isotypic" says so and no per-piece
-    record is added.
+    the normalized trace of the transported Casimir is matched per piece,
+    a failure's witness listing the pieces that fail; when an eigenvalue
+    split fails, "isotypic" says so and no per-piece record is added.
     """
     dctx = dop.ctx
     records: list = []
@@ -681,7 +681,6 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
         out["isotypic"] = "not computed (eigenvalue recognition failed)"
         return out
     iso = []
-    all_ok = True
     for p in pieces:
         pb = kb @ p
         dp = p.ncols
@@ -690,14 +689,15 @@ def central_character_check(dop: DiracOperator, m: int) -> dict:
         oms = _restrict(dctx.casimir.blocks[m],
                         pb).is_scalar_multiple_of_identity()
         okp = oms is not None and val == oms
-        all_ok = all_ok and okp
         iso.append({"dim": dp, "character_value": str(val),
                     "omega_scalar": str(oms) if oms is not None else None,
                     "status": "pass" if okp else "fail"})
     out["isotypic"] = iso
+    failing = [{k: v for k, v in piece.items() if k != "status"}
+               for piece in iso if piece["status"] == "fail"]
     records.append(_check_record(
         "normalized-trace character values match per isotypic piece",
-        all_ok))
+        not failing, {"pieces": failing} if failing else None))
     return out
 
 

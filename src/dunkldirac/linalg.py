@@ -18,25 +18,26 @@ A product is one integer matmul A_x @ B_y per live pair of components,
 x of A and y of B, added times +-1 or +-2 (e_x e_y in the table of the
 basis) into component x ^ y; a component no pair reaches gets no plane
 and is never computed, and one that cancels is dropped by `_make`.  A
-bit bound on the operands (see `_fits`) picks how they run.
-When it proves every operand, partial sum and result an integer below
-2^53, the planes run as float64 BLAS products cast back to int64:
-float64 holds every such integer exactly, so no summation order rounds.
-Otherwise, when the bound proves that no sum overflows int64, they run in
-int64, and else on `object` arrays, slower but exact.  So no float ever
-decides a value: floats that round appear only in `to_complex`, which
-feeds reports and eigenvalue guesses.
+bit bound on the operands (see `_fits`) picks, once per product, how
+every pair runs.  When it proves every operand, partial sum and result
+an integer below 2^53, the planes run as float64 BLAS products cast back
+to int64: float64 holds every such integer exactly, so no summation
+order rounds.  Otherwise, when the bound proves that no sum overflows
+int64, they run in int64, and else on `object` arrays, slower but exact.
+So no float ever decides a value: floats that round appear only in
+`to_complex`, which feeds reports and eigenvalue guesses.
 
 Every linear combination is one `signed_sum` of (c, M) terms, c an int
 or an ExactScalar, a scalar multiple (`Matrix.scale`) included: one lcm
 denominator, one numerator over the components the terms reach,
 accumulated in int64 or else on `object` arrays, and one
-canonicalisation.  A sum of T >= 2 Kronecker products a_t (x) b_t is
-one product (see `sum_of_krons`): the a_t read row-major as columns
-against the b_t read row-major as rows, over their lcm denominators.
-Entry ((i, k), (j, l)) of the sum is entry ((i, j), (k, l)) of the
-product, so the sum is the product's entries permuted and keeps its
-canonical form.
+canonicalisation.  Every Kronecker product is a product too: a sum of
+T >= 1 Kronecker products a_t (x) b_t (see `sum_of_krons`, and
+`Matrix.kron` for T = 1) is the a_t read row-major as columns against
+the b_t read row-major as rows, over their lcm denominators.  Entry
+((i, k), (j, l)) of the sum is entry ((i, j), (k, l)) of the product,
+so the sum is the product's entries permuted and keeps its canonical
+form.
 
 Many products of blocks of one shape are one `stacked_product`: the left
 blocks one above the next times the right blocks side by side, block
@@ -45,9 +46,9 @@ blocks one above the next times the right blocks side by side, block
 sums of blocks at once, one gather of their numerators over one lcm
 denominator.  Matrices are joined by `stack`.  `_common` is the int64
 proof of every linear combination, scalar multiples included, and of
-every stack and gather, and `_fits` that of every product and Kronecker
-product: each proves that int64 holds the result or else sends it to
-`object` arrays.
+every stack and gather, and `_fits` that of every product, Kronecker
+products included: each proves that int64 holds the result or else sends
+it to `object` arrays.
 
 Rank, kernel and the Sylvester positivity test all run through one
 Gauss-Jordan elimination over the field, on the {column: ExactScalar}
@@ -73,30 +74,6 @@ _LIMIT = 1 << 62
 # sqrt2, i, i*sqrt2
 _COEF = ((1, 1, 1, 1), (2, 1, 2, 1), (-1, -1, 1, 1), (-2, -1, 2, 1))
 _ALL = (0, 1, 2, 3)
-
-
-def _by_pairs(ca, cb, product, shape, den) -> "Matrix":
-    """The canonical form of the sum over positions i of ca and j of cb
-    of _COEF[x][x ^ y] * product(i, j) in component x ^ y, x = ca[i] and
-    y = cb[j], over den; shape is the 2-d shape of each term.  Only the
-    components some pair reaches get a plane.  product returns a fresh
-    array, which the scaling and the accumulation may overwrite."""
-    planes = {}
-    for i, x in enumerate(ca):
-        for j, y in enumerate(cb):
-            coef, term = _COEF[x][x ^ y], product(i, j)
-            if coef != 1:
-                term *= coef
-            if x ^ y in planes:
-                planes[x ^ y] += term
-            else:
-                planes[x ^ y] = term
-    comps = tuple(sorted(planes))
-    if not comps:
-        return Matrix(*shape)
-    num = (planes[comps[0]][None] if len(comps) == 1
-           else np.stack([planes[c] for c in comps]))
-    return Matrix._make(num, den, comps)
 
 
 def _gemm(lhs: np.ndarray, rhs: np.ndarray, exact_float: bool):
@@ -294,36 +271,46 @@ class Matrix:
         is such a subset sum, so below 2^52 too.  Float64 represents every
         integer below 2^53 exactly, so no step rounds and the cast back to
         int64 is exact.
+
+        `__matmul__` is the one caller, with k its inner dimension: a
+        Kronecker sum of T terms is a product with k = T, one Kronecker
+        product a product with k = 1 (see `sum_of_krons`).
         """
         return self.bits + other.bits + k.bit_length() + 4 <= limit
 
-    def _operands(self, other: "Matrix", k: int):
-        a, b = self.num, other.num
-        if not self._fits(other, k):
-            a, b = a.astype(object), b.astype(object)
-        return a, b
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """One GEMM A_x @ B_y per live pair of components, x of self and y
+        of other, added times _COEF[x][x ^ y] into component x ^ y: only
+        the components some pair reaches get a plane.  `_fits` with k =
+        ncols picks the one dtype of every GEMM: float64 under its 53-bit
+        bound, int64 under 62, else `object`."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if not self.comps or not other.comps:
             return Matrix(self.nrows, other.ncols)
-        a, b = self._operands(other, self.ncols)
         exact_float = self._fits(other, self.ncols, 53)
-        dtype = np.float64 if exact_float else a.dtype
-        lhs = [p.astype(dtype, copy=False) for p in a]
-        rhs = [p.astype(dtype, copy=False) for p in b]
-        return _by_pairs(self.comps, other.comps,
-                         lambda i, j: _gemm(lhs[i], rhs[j], exact_float),
-                         (self.nrows, other.ncols), self.den * other.den)
+        dtype = (np.float64 if exact_float else
+                 np.int64 if self._fits(other, self.ncols) else object)
+        lhs = [p.astype(dtype, copy=False) for p in self.num]
+        rhs = [p.astype(dtype, copy=False) for p in other.num]
+        planes = {}
+        for x, a in zip(self.comps, lhs):
+            for y, b in zip(other.comps, rhs):
+                coef, term = _COEF[x][x ^ y], _gemm(a, b, exact_float)
+                if coef != 1:
+                    term *= coef
+                if x ^ y in planes:
+                    planes[x ^ y] += term
+                else:
+                    planes[x ^ y] = term
+        comps = tuple(sorted(planes))
+        num = (planes[comps[0]][None] if len(comps) == 1
+               else np.stack([planes[c] for c in comps]))
+        return Matrix._make(num, self.den * other.den, comps)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        (r1, c1), (r2, c2) = self.shape, other.shape
-        a, b = self._operands(other, 1)
-        return _by_pairs(self.comps, other.comps,
-                         lambda i, j: (a[i][:, None, :, None] * b[j][:, None])
-                         .reshape(r1 * r2, c1 * c2),
-                         (r1 * r2, c1 * c2), self.den * other.den)
+        """The Kronecker product, the one-pair `sum_of_krons`."""
+        return sum_of_krons([(self, other)])
 
     def dagger(self) -> "Matrix":
         """Conjugate transpose: the planes transposed, the i and i*sqrt2
@@ -607,23 +594,20 @@ def vanishing_sums(mats, shape, index, coef) -> np.ndarray:
 
 
 def sum_of_krons(pairs) -> Matrix:
-    """The exact sum of a.kron(b) over the (a, b) pairs, every a of one
-    shape (r1, c1) and every b of another (r2, c2).
+    """The exact sum of a_t (x) b_t over the T >= 1 (a_t, b_t) pairs, every
+    a_t of one shape (r1, c1) and every b_t of another (r2, c2).
 
-    One pair is `Matrix.kron`.  T >= 2 pairs are one product P @ Q, P the
-    (r1 c1) x T matrix whose column t is a_t read row-major and Q the
-    T x (r2 c2) matrix whose row t is b_t read row-major: (P @ Q)[(i, j),
-    (k, l)] = sum_t a_t[i, j] b_t[k, l], which is entry ((i, k), (j, l))
-    of the sum.  So the sum's entries are a permutation of the product's,
-    and the product's canonical den, bits and comps are the sum's: the
-    permuted planes need no second canonicalisation.  P and Q are
-    `_operand`s over `_common`, and the product runs through
-    `Matrix.__matmul__` and its proved bounds, with k = T.
+    It is one product P @ Q, P the (r1 c1) x T matrix whose column t is a_t
+    read row-major and Q the T x (r2 c2) matrix whose row t is b_t read
+    row-major: (P @ Q)[(i, j), (k, l)] = sum_t a_t[i, j] b_t[k, l], which is
+    entry ((i, k), (j, l)) of the sum.  So the sum's entries are a
+    permutation of the product's, and the product's canonical den, bits
+    and comps are the sum's: the permuted planes need no second
+    canonicalisation.  P and Q are `_operand`s over `_common`, and the
+    product runs through `Matrix.__matmul__` and its proved bounds, with
+    k = T; one pair, `Matrix.kron`, is the product with k = 1.
     """
-    (a, b), *rest = pairs
-    if not rest:
-        return a.kron(b)
-    (r1, c1), (r2, c2) = a.shape, b.shape
+    (r1, c1), (r2, c2) = pairs[0][0].shape, pairs[0][1].shape
     prod = (_operand([_reshaped(a, r1 * c1, 1) for a, _ in pairs], 1)
             @ _operand([_reshaped(b, 1, r2 * c2) for _, b in pairs], 0))
     k = len(prod.comps)

@@ -4,7 +4,7 @@ A ModuleFamily packages the module C[x_1..x_n] tensor tau, truncated at a
 top degree N, together with the operators acting on it: multiplication x_i
 (degree +1), Dunkl operators y_i (degree -1), and the group action (degree
 0).  Each atomic block is a `kron_sum` of C[x] blocks with tau matrices, the
-one builder that also attaches the spinors in diracops; a sum of two or
+one builder that also attaches the spinors in diracops; a sum of one or
 more Kronecker terms is one exact product (`linalg.sum_of_krons`).  A
 group element other than a reflection or the identity is the product of
 its BFS parent's operator and a reflection's, which is exact because pi
@@ -308,10 +308,9 @@ def kron_sum(family, shift: int, keys, terms) -> GradedOperator:
     """The operator on family, of the given shift and keys, whose block m
     is the sum of block(m).kron(mat) over the (block, mat) terms, block
     being a function of the source degree.  A block is one exact
-    `linalg.sum_of_krons`: for two or more terms one product of the
-    stacked blocks against the stacked matrices, whose entries are those
-    of the sum in another order; a one-term block is its Kronecker block,
-    and no terms give zero blocks."""
+    `linalg.sum_of_krons`: one product of the stacked blocks against the
+    stacked matrices, whose entries are those of the sum in another
+    order; no terms give zero blocks."""
     terms = list(terms)
 
     def build(m):

@@ -362,6 +362,33 @@ def test_couplings_with_components_past_float_range_verify(tmp_path, c):
     assert summary["records"] == summary["pass"] > 0
 
 
+def test_casimir_weight_record_fails_when_lambda_is_off_by_one(
+        tmp_path, monkeypatch):
+    """S3 at c = 1/6, where both unitary slices (lambda = 2 and 3) pass
+    "self-adjoint with the predicted Casimir weight"; with h_scalar one
+    too large the Casimir scalar no longer equals lambda(lambda - 2), so
+    every such record fails and its witness shows the shifted lambda."""
+    from dunkldirac.angmom import AmaContext
+    from dunkldirac.scalars import ONE
+    cfg = load_config(write_config(tmp_path, group="S3", c="1/6",
+                                   max_degree=3, suites=["cohomology"]))
+    check = "self-adjoint with the predicted Casimir weight"
+
+    def weight_records():
+        report, _ = run_verify(cfg)
+        return [r for r in report["suites"][0]["records"]
+                if r["check_id"].startswith(check)]
+    clean = weight_records()
+    assert len(clean) == 4 and all(r["status"] == "pass" for r in clean)
+    h_scalar = AmaContext.h_scalar
+    monkeypatch.setattr(AmaContext, "h_scalar",
+                        lambda self, m: h_scalar(self, m) + ONE)
+    shifted = weight_records()
+    assert [r["check_id"] for r in shifted] == [r["check_id"] for r in clean]
+    assert all(r["status"] == "fail" for r in shifted)
+    assert sorted({r["witness"]["lambda"] for r in shifted}) == ["3", "4"]
+
+
 def test_reducible_tau_skips_cohomology(tmp_path):
     # the ambient action of S3 on R^3 contains the trivial summand, so no
     # single weight exists and the suite must say so rather than fail

@@ -6,6 +6,7 @@ Frozen matrices and scalars below come from independent hand
 computations recorded next to each assertion; structural identities are
 checked through the report records of the module under test.
 """
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -221,6 +222,30 @@ def test_witness_recursion_b2():
     assert report_passes(recs)
 
 
+def test_witness_record_fails_for_a_term_that_does_not_commute(monkeypatch):
+    """a_1 plus a reflection (lifted to the spinors) that does not commute
+    with D: the witness record must fail, and the plain a_1 pass."""
+    d = ctx("S3", Fraction(1, 2), 4)
+    twist = build_C2(d.cover, d.family.param)
+    dop = build_dirac(d, twist, name="C2")
+    extra = d.lift(d.family.reflection_op(0))
+    assert extra.commutator(dop.op).first_mismatch(
+        dop.op.scale(0)) is not None
+    check = "witness commutes with the operator"
+
+    def status(recs):
+        return {r["check_id"]: r["status"] for r in recs}[check]
+    assert status(vogan_witness_check(d, twist)) == "pass"
+    build = diracops.build_dirac
+
+    def shifted(*args, **kwargs):
+        # a_1 = D/2 - rho_twist, so lowering rho_twist by extra raises a_1
+        out = build(*args, **kwargs)
+        return dataclasses.replace(out, rho_twist=out.rho_twist - extra)
+    monkeypatch.setattr(diracops, "build_dirac", shifted)
+    assert status(vogan_witness_check(d, twist)) == "fail"
+
+
 # -- exact restriction --------------------------------------------------------------
 
 
@@ -357,6 +382,17 @@ def test_kernel_cohomology_free_plane():
     assert c1.omega_scalar is None
 
 
+@pytest.mark.parametrize("name, c, want", [
+    ("S3", Fraction(-1, 2), (6, 4, 2, 2)),
+    ("S4", Fraction(-1, 3), (16, 12, 4, 8)),
+])
+def test_kernel_cohomology_with_a_nonzero_overlap(name, c, want):
+    """Zero twist, trivial tau, degree 1, at non-unitary couplings where
+    the kernel meets the image: (dim, ker, ker meet im, H)."""
+    coh = dirac_cohomology(zero_twist_op(ctx(name, c, 2)), 1)
+    assert (coh.dim_space, coh.dim_ker, coh.dim_overlap, coh.dim_h) == want
+
+
 def test_kernel_cohomology_invariant():
     dop = zero_twist_op(ctx("S3", Fraction(1, 6), 4))
     for m in (0, 1, 2):
@@ -439,6 +475,38 @@ def test_central_character_zero_twist_plane():
         assert piece["dim"] == 1
         assert piece["character_value"] == "-1"
         assert piece["status"] == "pass"
+
+
+def test_central_character_names_the_piece_whose_casimir_is_off(
+        monkeypatch):
+    """S4 at c = -1/3, degree 1, zero twist: the kernel splits into pieces
+    of 8, 2 and 2, each passing.  With the Casimir raised by one on the
+    second piece alone, the per-piece record fails, its witness names
+    that piece, and the other pieces still pass."""
+    dop = zero_twist_op(ctx("S4", Fraction(-1, 3), 2))
+    check = "normalized-trace character values match per isotypic piece"
+    clean = central_character_check(dop, 1)
+    assert [p["dim"] for p in clean["isotypic"]] == [8, 2, 2]
+    assert report_passes(clean["records"])
+    kb = clean["cohomology"].kernel_basis
+    target = kb @ diracops._isotypic_pieces(dop.ctx, kb, 1)[1]
+    casimir, restrict = dop.ctx.casimir.blocks[1], diracops._restrict
+
+    def corrupted(block, basis):
+        out = restrict(block, basis)
+        if block is casimir and basis == target:
+            return out.add_to_diagonal(ONE)
+        return out
+    monkeypatch.setattr(diracops, "_restrict", corrupted)
+    out = central_character_check(dop, 1)
+    rec = {r["check_id"]: r for r in out["records"]}[check]
+    want = clean["isotypic"][1]
+    bad = str(rat(want["omega_scalar"]) + ONE)
+    assert rec["status"] == "fail"
+    assert rec["witness"] == {"pieces": [
+        {"dim": 2, "character_value": want["character_value"],
+         "omega_scalar": bad}]}
+    assert [p["status"] for p in out["isotypic"]] == ["pass", "fail", "pass"]
 
 
 def test_central_character_empty_kernel():

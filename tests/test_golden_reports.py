@@ -108,8 +108,8 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     """All suites on S4 at degree 3, c = 1/3: the report keeps its digest,
     the products are as many as before, a block-level sum is brought to
     canonical form once rather than once per term, with every scalar
-    multiple inside it one of its coefficients, a Kronecker sum of two
-    or more terms is one product rather than one kron per term, and each
+    multiple inside it one of its coefficients, a Kronecker sum of any
+    number of terms is one product rather than one kron per term, and each
     distinct collected AMA relation is decided once.  The AMA sweeps and
     the Clifford monomial check form their products a few stacked
     products per degree, and no GEMM runs more than 512,000 = 80^3
@@ -119,7 +119,8 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     and the Jucys-Murphy elements once for the pincover suite and the
     jm:e1 twist.  Each harmonic slice is prepared once, with one Sylvester
     test, and no float eigensolver or factorization runs.  Each spinor
-    blade image is one product."""
+    blade image is one product, and the scalar by which Z acts on tau is
+    read once."""
     import numpy as np
 
     from dunkldirac import cover, diracops, linalg, polyrep
@@ -207,25 +208,31 @@ def test_verify_s4_canonicalises_once_per_sum(tmp_path, monkeypatch):
     # while each spinor blade image was a chain of generator products,
     # where it is now one product of a shorter blade's image; 1,264 while
     # each twisted operator's slice block was restricted twice, for its
-    # unitarity data and again for its kernel, two products each time
-    assert calls["matmul"] == 1256
+    # unitarity data and again for its kernel, two products each time;
+    # 1,256 while each one-pair Kronecker product (175) ran elementwise
+    # rather than as a product with k = 1
+    assert calls["matmul"] == 1431
     # 18,427 when every pairwise sum was canonicalised on its own; 3,076
     # while each scaled operator block was canonicalised by itself and
     # again in the sum that read it, where a scalar multiple is now a
-    # coefficient of that sum
-    assert calls["make"] == 2139
+    # coefficient of that sum; 2,139 while the scalar by which Z acts on
+    # tau was read again (one identity and one scalar multiple) on each of
+    # the 5 calls rather than once per context
+    assert calls["make"] == 2131
     # 996 while every scaled operator block, every spinor blade image of a
     # sigma and every term of a group-algebra or reflection sum was its own
-    # `Matrix.scale`
-    assert calls["scale"] == 39
+    # `Matrix.scale`; 39 while the scalar by which Z acts on tau was read
+    # 5 times rather than once
+    assert calls["scale"] == 35
     # 873 with one kron per Kronecker term; 115 before the C[x] blocks came
     # from the Leibniz recursion, one or two krons per block, and the
     # contravariant form one kron per variable and degree; 190 while the
     # identity element was a Leibniz recursion tensored with tau(1) rather
     # than `identity_op`; 183 while each harmonic slice tensored its basis
     # and form with I_S once per twist, and its basis once more for the
-    # kernel cohomology
-    assert calls["kron"] == 175
+    # kernel cohomology; 175 while a one-term Kronecker sum went through
+    # `Matrix.kron` rather than calling `sum_of_krons` itself
+    assert calls["kron"] == 84
     # 2,820 with every AMA relation summed on its own; 980 while every
     # passing AMA combination and commutator was read for its first nonzero
     # entry degree by degree, where a stacked product's blocks are now

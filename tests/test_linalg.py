@@ -518,9 +518,10 @@ def dense_kron(a: Matrix, b: Matrix) -> Matrix:
 def test_products_of_every_pair_of_component_subsets(gemm_paths, path):
     """@ and kron on every pair of nonempty component subsets (15 x 15),
     with mixed denominators, under each of the three bounds: one GEMM per
-    live pair, only reachable components in the result, canonical form,
-    and the same matrix as the object path and entrywise ExactScalar
-    arithmetic; a sample is checked against sympy."""
+    live pair (a kron is a product with k = 1, in float exactly when the
+    53-bit bound holds at k = 1), only reachable components in the result,
+    canonical form, and the same matrix as the object path and entrywise
+    ExactScalar arithmetic; a sample is checked against sympy."""
     rng = random.Random({"float64": 53, "int64": 62, "object": 63}[path])
     pairs = [(ca, cb) for ca in SUBSETS for cb in SUBSETS]
     sample = set(rng.sample(pairs, 4))
@@ -538,7 +539,9 @@ def test_products_of_every_pair_of_component_subsets(gemm_paths, path):
         prod = a @ b
         assert gemm_paths == [path == "float64"] * (len(ca) * len(cb))
         assert set(prod.comps) <= {x ^ y for x in ca for y in cb}
+        del gemm_paths[:]
         kron = a.kron(b)
+        assert gemm_paths == [a._fits(b, 1, 53)] * (len(ca) * len(cb))
         for m in (prod, kron):
             assert_canonical(m)
         assert prod == through_the_object_path(a, b) == dense_product(a, b)

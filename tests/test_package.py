@@ -92,11 +92,11 @@ def test_benchmark_hooks_resolve():
 
 # the only functions that may switch numerators from int64 to `object`
 # arrays: linalg's canonical form, the product bound (`_fits` and the
-# operands it rules on) and the linear-combination bound (`_common`, and
-# `_planes` and `vanishing_sums`, which act on its ruling)
+# product, which acts on its ruling) and the linear-combination bound
+# (`_common`, and `_planes` and `vanishing_sums`, which act on its ruling)
 OBJECT_SWITCHES = {("linalg", name) for name in (
     "Matrix._make", "Matrix.from_row_dicts", "Matrix.to_complex",
-    "Matrix._fits", "Matrix._operands", "_common", "_planes",
+    "Matrix._fits", "Matrix.__matmul__", "_common", "_planes",
     "vanishing_sums")}
 
 
@@ -140,4 +140,4 @@ def test_only_the_proved_bounds_switch_to_object_arrays():
                 f"{path.name}:{line} switches to object arrays in {name}"
             seen.add((path.stem, name))
     # the scan finds the switches it allows
-    assert {("linalg", "_planes"), ("linalg", "Matrix._operands")} <= seen
+    assert {("linalg", "_planes"), ("linalg", "Matrix.__matmul__")} <= seen
